@@ -36,6 +36,7 @@ import numpy as np
 from ..cluster import ClusterConfig, ClusterShed, ClusterSupervisor
 from ..models import layernorm_graph, mlp_graph, softmax_gemm_graph
 from ..runtime.kernels import execute_graph_reference, random_feeds
+from ..runtime.oracle import outputs_match
 from ..serve import WorkerCrashed
 
 #: The mixed zoo: name → (graph factory, traffic weight).  Sizes match
@@ -271,18 +272,11 @@ class _Recorder:
                 self.all_done.set()
 
     def _verify(self, request, workload: str, seed: int) -> str | None:
-        expected = self.references[(workload, seed)]
-        outputs = request.reply.outputs
-        for name, ref in expected.items():
-            got = outputs.get(name)
-            if got is None or not np.isfinite(got).all():
-                return (f"request {request.seq} ({workload}): output "
-                        f"{name} missing or non-finite")
-            err = float(np.max(np.abs(got - ref)))
-            if err > 1e-8:
-                return (f"request {request.seq} ({workload}): output "
-                        f"{name} off by {err:.3e}")
-        return None
+        if outputs_match(request.reply.outputs,
+                         self.references[(workload, seed)], 1e-8):
+            return None
+        return (f"request {request.seq} ({workload}): an output is missing, "
+                f"non-finite or off the reference by more than 1e-8")
 
 
 def _percentiles(latencies: list[float]) -> dict:

@@ -178,6 +178,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     report."""
     import threading
 
+    from .runtime.oracle import outputs_match
     from .serve import (
         FusionServer,
         InferenceSession,
@@ -219,12 +220,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             feeds = random_feeds(graph, seed=seed)
             reply = server.infer(args.workload, feeds,
                                  timeout=args.timeout)
-            expected = references[seed]
-            err = max(
-                float(np.max(np.abs(reply.outputs[t] - expected[t])))
-                for t in expected
-            )
-            if err > 1e-8:
+            if not outputs_match(reply.outputs, references[seed], 1e-8):
                 with wrong_lock:
                     wrong[0] += 1
 

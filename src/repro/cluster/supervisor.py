@@ -138,7 +138,6 @@ class ClusterConfig:
     max_wait_ms: float = 1.0
     threads_per_worker: int = 2
     worker_queue_depth: int | None = 64
-    lock_timeout_s: float = 30.0
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     health_interval_s: float = 0.25
     heartbeat_timeout_s: float = 5.0
@@ -347,7 +346,6 @@ class ClusterSupervisor:
             max_wait_ms=self.config.max_wait_ms,
             threads=self.config.threads_per_worker,
             max_queue_depth=self.config.worker_queue_depth,
-            lock_timeout_s=self.config.lock_timeout_s,
             fault_plan=dict(self.config.fault_plan),
             compile_deadline_s=self.config.compile_deadline_s)
         proc = self._ctx.Process(target=worker_main,

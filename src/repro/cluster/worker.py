@@ -104,7 +104,6 @@ class WorkerConfig:
     max_wait_ms: float = 1.0
     threads: int = 2
     max_queue_depth: int | None = 64
-    lock_timeout_s: float = 30.0
     #: Shared tuning-database directory (see :mod:`repro.tune`).  With
     #: the whole fleet pointed at one directory, a kernel's tuning
     #: campaign runs in exactly one process — single-flighted by the
@@ -128,8 +127,7 @@ def build_server(config: WorkerConfig,
     """Construct the in-worker serving stack from its config."""
     gpu = get_gpu(config.gpu)
     disk = ScheduleCache(config.cache_dir) if config.cache_dir else None
-    cache = TieredScheduleCache(disk=disk, metrics=metrics,
-                                lock_timeout_s=config.lock_timeout_s)
+    cache = TieredScheduleCache(disk=disk, metrics=metrics)
     tune_db = None
     if config.tune_db_dir:
         from ..tune import TuneDB
@@ -163,6 +161,9 @@ def worker_main(conn, config: WorkerConfig) -> None:
     # SIGINT is ignored — a terminal Ctrl-C signals the whole process
     # group, and shutdown must stay the supervisor's decision.
     def _on_sigterm(signum, frame):
+        # The supervisor terminate()s a worker whose pipe closed: a
+        # second SIGTERM landing mid-drain must not abort the drain.
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
         raise _SigTerm()
 
     try:

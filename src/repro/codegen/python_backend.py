@@ -1082,6 +1082,9 @@ class _FusedEmitter:
             t = op.output
             if t not in assembled and (t in published or t in later):
                 self.emit(f"{_var(t)} = {nm(t)}")
+                if t in published:
+                    # The final tile's value sits in an arena buffer.
+                    self.maybe_alias.add(t)
         for op in p2_ops:
             self.defined.add(op.output)
 

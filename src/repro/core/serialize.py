@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
-import tempfile
 
 from ..ir.graph import DataflowGraph
 from ..ir.ops import Op
 from ..ir.tensor import DimRegistry, TensorSpec
+from ..store import DiskStore
 from .builder import build_smg
 from .schedule import KernelSchedule, ProgramSchedule, ScheduleConfig
 from .temporal_slicer import AggregationPlan, ReductionStage
@@ -235,23 +234,18 @@ def cache_key(graph: DataflowGraph, gpu_name: str,
 
 
 class ScheduleCache:
-    """Persistent compile cache keyed by (graph, GPU, options) signature."""
+    """Persistent compile cache keyed by (graph, GPU, options) signature.
+
+    A schedule-JSON codec plus hit/miss counters over a
+    :class:`~repro.store.DiskStore` (``store``), which owns the atomic
+    put and the containment rule.
+    """
 
     def __init__(self, directory: str | pathlib.Path) -> None:
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        self.store = DiskStore(directory)
+        self.directory = self.store.directory
         self.hits = 0
         self.misses = 0
-
-    def _key(self, graph: DataflowGraph, gpu_name: str,
-             options_repr: str) -> str:
-        return cache_key(graph, gpu_name, options_repr)
-
-    def lock_path(self, key: str) -> pathlib.Path:
-        """Advisory-lock file for one cache key (cross-process
-        single-flight; see :mod:`repro.serve.filelock`).  Lives next to
-        the entry so it shares the entry's filesystem and permissions."""
-        return self.directory / f"{key}.lock"
 
     def get(self, graph: DataflowGraph, gpu_name: str,
             options_repr: str = "") -> ProgramSchedule | None:
@@ -261,38 +255,21 @@ class ScheduleCache:
         miss (and is dropped) rather than poisoning every boot that hashes
         onto it — :func:`compile_cached` then recompiles and overwrites it.
         """
-        path = self.directory / f"{self._key(graph, gpu_name, options_repr)}.json"
-        if not path.exists():
+        schedule, _contained = self.store.load(
+            cache_key(graph, gpu_name, options_repr), schedule_from_json,
+            (SerializeError,))
+        if schedule is None:
             self.misses += 1
-            return None
-        try:
-            schedule = schedule_from_json(path.read_text())
-        except (SerializeError, OSError):
-            self.misses += 1
-            path.unlink(missing_ok=True)
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return schedule
 
     def put(self, graph: DataflowGraph, gpu_name: str,
             schedule: ProgramSchedule, options_repr: str = "") -> None:
-        """Store atomically: write a temp file in the same directory and
-        ``os.replace`` it over the entry, so a crash mid-write can never
-        leave a truncated JSON file for a later boot to trip on."""
-        path = self.directory / f"{self._key(graph, gpu_name, options_repr)}.json"
-        fd, tmp_name = tempfile.mkstemp(dir=self.directory,
-                                        prefix=path.stem + ".",
-                                        suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(schedule_to_json(schedule))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        """Store atomically (see :meth:`repro.store.DiskStore.write`);
+        a failed write raises and leaves the previous entry intact."""
+        self.store.write(cache_key(graph, gpu_name, options_repr),
+                         schedule_to_json(schedule))
 
 
 def compile_cached(graph: DataflowGraph, gpu, cache: ScheduleCache,

@@ -31,12 +31,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..core.serialize import ScheduleCache
 from ..hw import get_gpu
 from ..models import layernorm_graph, mlp_graph
 from ..runtime.kernels import execute_graph_reference, random_feeds
+from ..runtime.oracle import outputs_match
 from ..serve import (
     FusionServer,
     InferenceSession,
@@ -235,21 +234,11 @@ class _Run:
                 self.errors.append(f"request {req.seq}: "
                                    f"{type(exc).__name__}: {exc}")
             return
-        expected = self.references[seed]
-        for name, ref in expected.items():
-            got = reply.outputs.get(name)
-            if got is None or not np.isfinite(got).all():
-                with self.lock:
-                    self.wrong.append(
-                        f"request {req.seq}: output {name} missing or "
-                        f"non-finite")
-                return
-            err = float(np.max(np.abs(got - ref)))
-            if err > 1e-8:
-                with self.lock:
-                    self.wrong.append(
-                        f"request {req.seq}: output {name} off by {err:.3e}")
-                return
+        if not outputs_match(reply.outputs, self.references[seed], 1e-8):
+            with self.lock:
+                self.wrong.append(
+                    f"request {req.seq}: an output is missing, non-finite "
+                    f"or off the reference by more than 1e-8")
 
     def check_all_pending(self) -> None:
         with self.lock:

@@ -48,11 +48,10 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..cluster import ClusterConfig, ClusterShed, ClusterSupervisor
 from ..models import layernorm_graph, mlp_graph
 from ..runtime.kernels import execute_graph_reference, random_feeds
+from ..runtime.oracle import outputs_match
 from ..serve import ServeMetrics, WorkerCrashed
 from . import faults
 from .chaos import ChaosError, Invariant
@@ -245,19 +244,10 @@ class _Run:
                 f"{flight.done_at - flight.deadline_wall:.3f}s past its "
                 f"deadline")
         expected = self.references[flight.workload][flight.seed]
-        for name, ref in expected.items():
-            got = reply.outputs.get(name)
-            if got is None or not np.isfinite(got).all():
-                self.wrong.append(
-                    f"[{flight.phase}] request {req.seq}: output {name} "
-                    f"missing or non-finite")
-                return
-            err = float(np.max(np.abs(got - ref)))
-            if err > 1e-8:
-                self.wrong.append(
-                    f"[{flight.phase}] request {req.seq}: output {name} "
-                    f"off by {err:.3e}")
-                return
+        if not outputs_match(reply.outputs, expected, 1e-8):
+            self.wrong.append(f"[{flight.phase}] request {req.seq}: "
+                              f"an output is missing, non-finite or off "
+                              f"the reference by more than 1e-8")
 
     def check_all_pending(self, wait: float = 60.0) -> None:
         for flight in self.flights:

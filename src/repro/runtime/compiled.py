@@ -41,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -55,6 +54,7 @@ from ..codegen.python_backend import (
 from ..core.schedule import KernelSchedule, ProgramSchedule
 from ..obs import span as obs_span
 from ..resilience import faults as _faults
+from ..store import LRU
 from .executor import ExecutionError
 
 #: Failpoints in the lower/execute path (armed only by tests/chaos).
@@ -277,41 +277,35 @@ class PlanCache:
     """
 
     def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ValueError("plan cache capacity must be >= 1")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, CompiledProgram]" = OrderedDict()
+        self._entries = LRU(capacity, on_evict=self._count_eviction)
+        self._lock = threading.Lock()       # guards the counters
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.quarantined = 0
 
-    def __len__(self) -> int:
+    def _count_eviction(self, _key, _plan) -> None:
         with self._lock:
-            return len(self._entries)
+            self.evictions += 1
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
     def get_or_lower(self, program: ProgramSchedule, dtype=np.float64,
                      ) -> CompiledProgram:
         key = plan_key(program, dtype)
         with obs_span("plan_cache_lookup", category="runtime",
                       program=program.name) as sp:
-            with self._lock:
-                cached = self._entries.get(key)
-                if cached is not None:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
+            cached = self._entries.get(key)
             sp.note(hit=cached is not None)
         if cached is not None:
+            with self._lock:
+                self.hits += 1
             return cached
         compiled = lower_program(program, dtype, key=key)
         with self._lock:
             self.misses += 1
-            self._entries[key] = compiled
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+        self._entries.put(key, compiled)
         return compiled
 
     def evict(self, key: tuple) -> bool:
@@ -322,12 +316,11 @@ class PlanCache:
         the schedule re-lowers from scratch instead of reusing the
         poisoned artifact.
         """
-        with self._lock:
-            if key in self._entries:
-                del self._entries[key]
-                self.quarantined += 1
-                return True
+        if self._entries.pop(key) is None:
             return False
+        with self._lock:
+            self.quarantined += 1
+        return True
 
     def stats(self) -> dict[str, int]:
         with self._lock:
@@ -335,11 +328,7 @@ class PlanCache:
                     "evictions": self.evictions,
                     "quarantined": self.quarantined,
                     "resident": len(self._entries),
-                    "capacity": self.capacity}
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+                    "capacity": self._entries.capacity}
 
 
 _DEFAULT_CACHE = PlanCache()

@@ -99,6 +99,19 @@ def nan_safe_max_abs_err(got: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(got[finite] - expected[finite])))
 
 
+def outputs_match(got: dict, ref: dict, tol: float) -> bool:
+    """True iff every tensor of ``ref`` is in ``got``, fully finite and
+    within ``tol`` of it.  The ``not (err <= tol)`` form makes a NaN
+    error (non-finite disagreement, shape mismatch) a mismatch too."""
+    for name, expected in ref.items():
+        arr = got.get(name)
+        if arr is None or not np.isfinite(arr).all():
+            return False
+        if not (nan_safe_max_abs_err(arr, expected) <= tol):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class EngineRun:
     """One engine's outcome against the reference."""

@@ -25,8 +25,8 @@ from .batching import (
     batch_key,
     validate_feeds,
 )
+from ..store import HAVE_FCNTL, FileLock
 from .cache import TieredScheduleCache
-from .filelock import HAVE_FCNTL, FileLock
 from .metrics import Histogram, ServeMetrics
 from .parallel import compile_model_parallel, default_max_workers
 from .server import FusionServer, ServerError

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from typing import Callable
 
 from ..core.schedule import ProgramSchedule
@@ -21,7 +20,7 @@ from ..ir.graph import DataflowGraph
 from ..obs import span as obs_span
 from ..resilience import faults as _faults
 from ..resilience.retry import RetryPolicy
-from .filelock import HAVE_FCNTL, FileLock
+from ..store import LRU, single_flight
 from .metrics import ServeMetrics
 
 CompileFn = Callable[[], ProgramSchedule]
@@ -59,9 +58,6 @@ class TieredScheduleCache:
                  metrics: ServeMetrics | None = None,
                  retry_policy: RetryPolicy | None = None,
                  lock_timeout_s: float = 30.0) -> None:
-        if capacity < 1:
-            raise ValueError("cache capacity must be >= 1")
-        self.capacity = capacity
         self.disk = disk
         #: Bound on waiting for another *process* compiling the same key
         #: (see :meth:`_resolve_cold`).  On timeout we compile anyway: a
@@ -73,41 +69,13 @@ class TieredScheduleCache:
         #: degrading the session for its whole lifetime.
         self.retry_policy = retry_policy or RetryPolicy(
             max_attempts=3, base_delay_s=0.005, max_delay_s=0.05)
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, ProgramSchedule]" = OrderedDict()
+        self._memory = LRU(capacity, on_evict=lambda _key, _sched:
+                           self.metrics.inc("cache.memory_evictions"))
+        self._lock = threading.Lock()       # guards ``_inflight``
         self._inflight: dict[str, _Flight] = {}
 
-    # ------------------------------------------------------------------
-    # Key derivation (matches ScheduleCache's on-disk key inputs)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def key_for(graph: DataflowGraph, gpu_name: str,
-                options_repr: str = "") -> str:
-        return cache_key(graph, gpu_name, options_repr)
-
-    # ------------------------------------------------------------------
-    # Tier access
-    # ------------------------------------------------------------------
-
-    def _memory_get(self, key: str) -> ProgramSchedule | None:
-        with self._lock:
-            sched = self._entries.get(key)
-            if sched is not None:
-                self._entries.move_to_end(key)
-            return sched
-
-    def _memory_put(self, key: str, schedule: ProgramSchedule) -> None:
-        with self._lock:
-            self._entries[key] = schedule
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.metrics.inc("cache.memory_evictions")
-
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._memory)
 
     # ------------------------------------------------------------------
     # The cache protocol
@@ -129,10 +97,11 @@ class TieredScheduleCache:
         skipped and the last compile error raised immediately, so the
         caller can degrade while its request still has budget.
         """
-        key = self.key_for(graph, gpu_name, options_repr)
+        # Same key as the disk tier's entry and lock file names.
+        key = cache_key(graph, gpu_name, options_repr)
         with obs_span("cache_lookup", category="serve",
                       workload=graph.name) as sp:
-            sched = self._memory_get(key)
+            sched = self._memory.get(key)
             if sched is not None:
                 self.metrics.inc("cache.memory_hits")
                 sp.note(tier="memory")
@@ -160,52 +129,43 @@ class TieredScheduleCache:
                       compile_fn: CompileFn, options_repr: str,
                       sp, deadline_s: float | None = None) -> ProgramSchedule:
         """Resolve a memory miss while holding the key's flight lock."""
-        sched = self._memory_get(key)
+        sched = self._memory.get(key)
         if sched is not None:           # raced: the winner already filled it
             self.metrics.inc("cache.memory_hits")
             sp.note(tier="memory")
             return sched
-        if self.disk is None:
-            return self._compile_and_store(graph, gpu_name, compile_fn,
-                                           options_repr, key, sp, deadline_s)
         sched = self._disk_get(key, graph, gpu_name, options_repr, sp)
         if sched is not None:
             return sched
-        # Cross-process single-flight: the in-process flight lock cannot
-        # see other fleet members, so an advisory file lock per key makes
-        # "compile once fleet-wide" hold across process boundaries.  A
-        # waiter that wins the lock re-checks the disk first — the
-        # previous holder usually compiled and persisted while we waited.
-        # A timeout (live-but-stuck holder) falls back to compiling
-        # unlocked: worst case one duplicate campaign, never a wedged
-        # fleet; a *crashed* holder releases the flock automatically.
-        lock = FileLock(self.disk.lock_path(key),
-                        timeout_s=self.lock_timeout_s)
-        acquired = lock.acquire()
-        try:
-            if acquired:
-                # Only a contended acquire warrants a second disk read:
-                # an instantly-free lock means nobody was compiling this
-                # key when we checked, so the miss above still stands.
-                if lock.waited:
-                    sched = self._disk_get(key, graph, gpu_name,
-                                           options_repr, sp)
-                    if sched is not None:
-                        sp.note(fleet_lock="hit_after_wait")
-                        return sched
-            elif HAVE_FCNTL:    # a real timeout, not a platform gap
-                self.metrics.inc("cache.lock_timeouts")
-                sp.note(fleet_lock="timeout")
-            return self._compile_and_store(graph, gpu_name, compile_fn,
-                                           options_repr, key, sp, deadline_s)
-        finally:
-            lock.release()
+
+        # The in-process flight lock cannot see other fleet members;
+        # :func:`~repro.store.single_flight` makes "compile once" hold
+        # across the processes sharing the disk tier.
+        def recheck() -> ProgramSchedule | None:
+            sched = self._disk_get(key, graph, gpu_name, options_repr, sp)
+            if sched is not None:
+                sp.note(fleet_lock="hit_after_wait")
+            return sched
+
+        def on_timeout() -> None:
+            self.metrics.inc("cache.lock_timeouts")
+            sp.note(fleet_lock="timeout")
+
+        return single_flight(
+            self.disk.store if self.disk is not None else None, key,
+            self.lock_timeout_s, recheck,
+            lambda: self._compile_and_store(graph, gpu_name, compile_fn,
+                                            options_repr, key, sp,
+                                            deadline_s),
+            on_timeout)
 
     def _disk_get(self, key: str, graph: DataflowGraph, gpu_name: str,
                   options_repr: str, sp) -> ProgramSchedule | None:
         """Disk-tier lookup; a broken disk tier must never fail the
         request: an I/O or deserialisation error is a miss (we can still
         compile)."""
+        if self.disk is None:
+            return None
         try:
             _faults.fire(FP_DISK_GET)
             sched = self.disk.get(graph, gpu_name, options_repr)
@@ -217,7 +177,7 @@ class TieredScheduleCache:
             return None
         self.metrics.inc("cache.disk_hits")
         sp.note(tier="disk")
-        self._memory_put(key, sched)
+        self._memory.put(key, sched)
         return sched
 
     def _compile_and_store(self, graph: DataflowGraph, gpu_name: str,
@@ -238,7 +198,7 @@ class TieredScheduleCache:
             except _DISK_ERRORS as exc:
                 self.metrics.inc("cache.disk_errors")
                 sp.note(disk_put_error=f"{type(exc).__name__}: {exc}")
-        self._memory_put(key, sched)
+        self._memory.put(key, sched)
         return sched
 
     def _compile_with_retry(self, compile_fn: CompileFn, sp,

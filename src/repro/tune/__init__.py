@@ -8,9 +8,10 @@ a sibling worker in the same fleet.  This package amortizes that work:
 * :class:`TuneDB` — a two-tier (in-process LRU + on-disk) database keyed
   by a canonical kernel-schedule fingerprint (SMG structure + search
   space + GPU identity), storing the winning configuration, its timing,
-  and the campaign stats.  Disk writes are atomic (``os.replace``) and
-  corrupt or version-incompatible entries are contained as misses, the
-  same policy as :class:`~repro.core.serialize.ScheduleCache`.
+  and the campaign stats.  Disk writes are atomic and corrupt or
+  version-incompatible entries are contained as misses — the
+  :mod:`repro.store` mechanism that also backs
+  :class:`~repro.core.serialize.ScheduleCache`.
 * :class:`GuidedTuner` — a tuning policy for
   :class:`~repro.core.compiler.SpaceFusionCompiler`: exact-fingerprint
   hits skip the campaign entirely (verified by one confirmation timing),
@@ -23,8 +24,8 @@ a sibling worker in the same fleet.  This package amortizes that work:
 Fleet semantics: pointing every worker's ``TuneDB`` at one shared
 directory makes a kernel's campaign run once fleet-wide — cold
 fingerprints single-flight through a per-fingerprint advisory file lock
-(:class:`~repro.serve.filelock.FileLock`), and every other worker replays
-the winner as a one-run confirmation.
+(:func:`repro.store.single_flight`), and every other worker replays the
+winner as a one-run confirmation.
 """
 
 from .db import DB_FORMAT_VERSION, TuneDB, TuneDBError, TuneEntry

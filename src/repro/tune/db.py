@@ -4,34 +4,34 @@ Stores the outcome of one tuning campaign per kernel fingerprint: the
 winning configuration, its measured time, the campaign cost, and a small
 set of (feature-vector, time) samples the guided policy learns from.
 
-Tiers mirror :class:`~repro.serve.cache.TieredScheduleCache`:
+Both tiers come from :mod:`repro.store`; this module is the
+:class:`TuneEntry` codec, the counters and the sample pool over them:
 
-* an in-process LRU (bounded, thread-safe) absorbs the within-compile
+* an in-process :class:`~repro.store.LRU` absorbs the within-compile
   reuse — the partition search re-tunes identical subgraphs across
   candidate paths dozens of times per model;
-* an optional on-disk tier (one JSON file per fingerprint, atomic
-  ``os.replace`` writes) shares campaigns across processes, restarts,
-  and — via a common directory — the whole serving fleet.
+* an optional :class:`~repro.store.DiskStore` (one JSON file per
+  fingerprint) shares campaigns across processes, restarts, and — via a
+  common directory — the whole serving fleet.
 
-Failure policy follows :class:`~repro.core.serialize.ScheduleCache`: an
+A disk-tier failure is never raised into the compile path: an
 unreadable, corrupt, or version-incompatible entry is *contained* as a
-miss and deleted, never raised into the compile path.  ``TuneDBError``
-is reserved for caller mistakes (bad entry payloads on ``put``).
+miss and deleted, a failed write only loses warm restarts.
+``TuneDBError`` is reserved for caller mistakes (bad entry payloads on
+``put``).
 """
 
 from __future__ import annotations
 
 import collections
 import json
-import os
 import pathlib
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
 
 from ..resilience import faults as _faults
-from ..serve.filelock import FileLock
+from ..store import LRU, DiskStore
 from .features import FEATURE_VERSION
 
 #: Failpoints on the disk tier (armed only by tests/chaos): a fault here
@@ -123,24 +123,12 @@ class TuneEntry:
         return entry
 
 
-class _NullLock:
-    """Single-flight stand-in for a memory-only database: no other
-    process can share an in-process LRU, so there is nothing to lock."""
+def _decode(text: str) -> TuneEntry:
+    return TuneEntry.from_dict(json.loads(text))
 
-    waited = False
-    held = True
 
-    def acquire(self) -> bool:
-        return True
-
-    def release(self) -> None:
-        pass
-
-    def __enter__(self) -> _NullLock:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
+#: What :func:`_decode` raises on a corrupt or incompatible entry.
+_DECODE_ERRORS = (ValueError, TuneDBError)
 
 
 class TuneDB:
@@ -153,47 +141,22 @@ class TuneDB:
 
     def __init__(self, directory: str | pathlib.Path | None = None,
                  capacity: int = 256, metrics=None) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.directory = (pathlib.Path(directory)
-                          if directory is not None else None)
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        self.capacity = capacity
+        #: Disk tier, or None for a process-local DB; also what
+        #: :func:`repro.store.single_flight` locks campaigns on.
+        self.store = DiskStore(directory) if directory is not None else None
+        self.directory = self.store.directory if self.store else None
         #: Optional :class:`~repro.serve.metrics.ServeMetrics` — contained
         #: disk-tier errors are counted as ``tunedb.disk_errors`` so the
         #: chaos harness can assert the faults were absorbed, not hidden.
         self.metrics = metrics
-        self._mu = threading.Lock()
-        self._mem: collections.OrderedDict[str, TuneEntry] = \
-            collections.OrderedDict()
+        self._mem = LRU(capacity)
+        self._mu = threading.Lock()     # guards the counters and the pool
         self._pool: collections.deque = collections.deque(
             maxlen=MAX_SAMPLE_POOL)
         self._pooled: set[str] = set()
         self.mem_hits = 0
         self.disk_hits = 0
         self.misses = 0
-
-    # -- paths ---------------------------------------------------------
-
-    def _entry_path(self, fingerprint: str) -> pathlib.Path:
-        assert self.directory is not None
-        return self.directory / f"{fingerprint}.json"
-
-    def lock_path(self, fingerprint: str) -> pathlib.Path | None:
-        """Advisory-lock file for cross-process single-flight on one
-        cold fingerprint, or None for a memory-only DB."""
-        if self.directory is None:
-            return None
-        return self.directory / f"{fingerprint}.lock"
-
-    def lock(self, fingerprint: str,
-             timeout_s: float = 10.0) -> FileLock | _NullLock:
-        """Single-flight lock for one fingerprint's campaign."""
-        path = self.lock_path(fingerprint)
-        if path is None:
-            return _NullLock()
-        return FileLock(path, timeout_s=timeout_s)
 
     # -- core get/put --------------------------------------------------
 
@@ -204,32 +167,28 @@ class TuneDB:
         counted as misses — the caller re-runs the campaign and its
         ``put`` overwrites the bad file.
         """
-        with self._mu:
-            entry = self._mem.get(fingerprint)
-            if entry is not None:
-                self._mem.move_to_end(fingerprint)
-                self.mem_hits += 1
-                return entry
-        if self.directory is None:
+        entry = self._mem.get(fingerprint)
+        if entry is not None:
             with self._mu:
-                self.misses += 1
-            return None
-        path = self._entry_path(fingerprint)
-        try:
-            _faults.fire(FP_DB_GET)
-            entry = TuneEntry.from_dict(json.loads(path.read_text()))
-        except FileNotFoundError:
-            entry = None
-        except (OSError, ValueError, TuneDBError, _faults.FaultInjected):
-            path.unlink(missing_ok=True)
-            self._count_disk_error()
-            entry = None
+                self.mem_hits += 1
+            return entry
+        if self.store is not None:
+            try:
+                _faults.fire(FP_DB_GET)
+                entry, contained = self.store.load(fingerprint, _decode,
+                                                   _DECODE_ERRORS)
+            except _faults.FaultInjected:
+                # An injected read fault is contained like a real one.
+                self.store.delete(fingerprint)
+                contained = True
+            if contained:
+                self._count_disk_error()
         with self._mu:
             if entry is None:
                 self.misses += 1
                 return None
             self.disk_hits += 1
-            self._remember(entry)
+        self._remember(entry)
         return entry
 
     def put(self, entry: TuneEntry) -> None:
@@ -239,37 +198,16 @@ class TuneDB:
         entry.samples = entry.samples[:MAX_ENTRY_SAMPLES]
         if not entry.created:
             entry.created = time.time()
-        with self._mu:
-            self._remember(entry)
-        if self.directory is None:
+        self._remember(entry)
+        if self.store is None:
             return
-        path = self._entry_path(entry.fingerprint)
         try:
             _faults.fire(FP_DB_PUT)
-            fd, tmp_name = tempfile.mkstemp(dir=self.directory,
-                                            prefix=path.stem + ".",
-                                            suffix=".tmp")
+            self.store.write(entry.fingerprint, json.dumps(entry.to_dict()))
         except (OSError, _faults.FaultInjected):
-            # Disk-tier write failure is contained: the entry is already
-            # in the memory tier, only warm restarts lose it.
+            # Contained: the entry is already in the memory tier, only
+            # warm restarts lose it.
             self._count_disk_error()
-            return
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry.to_dict(), fh)
-            os.replace(tmp_name, path)
-        except OSError:
-            self._count_disk_error()
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
 
     def _count_disk_error(self) -> None:
         if self.metrics is not None:
@@ -277,22 +215,18 @@ class TuneDB:
 
     def invalidate(self, fingerprint: str) -> None:
         """Drop one entry from both tiers (stale confirmation, etc.)."""
-        with self._mu:
-            self._mem.pop(fingerprint, None)
-        if self.directory is not None:
-            self._entry_path(fingerprint).unlink(missing_ok=True)
+        self._mem.pop(fingerprint)
+        if self.store is not None:
+            self.store.delete(fingerprint)
 
     def _remember(self, entry: TuneEntry) -> None:
-        """LRU insert + feed the sample pool.  Caller holds ``_mu``."""
-        self._mem[entry.fingerprint] = entry
-        self._mem.move_to_end(entry.fingerprint)
-        while len(self._mem) > self.capacity:
-            self._mem.popitem(last=False)
-        if (entry.feature_version == FEATURE_VERSION
-                and entry.fingerprint not in self._pooled):
-            self._pooled.add(entry.fingerprint)
-            for sample in entry.samples:
-                self._pool.append(sample)
+        """LRU insert + feed the sample pool."""
+        self._mem.put(entry.fingerprint, entry)
+        with self._mu:
+            if (entry.feature_version == FEATURE_VERSION
+                    and entry.fingerprint not in self._pooled):
+                self._pooled.add(entry.fingerprint)
+                self._pool.extend(entry.samples)
 
     # -- guided-policy views -------------------------------------------
 
@@ -303,18 +237,13 @@ class TuneDB:
 
     def entries(self) -> list[TuneEntry]:
         """Snapshot of the in-memory tier (for neighbor search)."""
-        with self._mu:
-            return list(self._mem.values())
+        return self._mem.values()
 
     # -- maintenance / CLI ---------------------------------------------
 
-    def _disk_paths(self) -> list[pathlib.Path]:
-        if self.directory is None:
-            return []
-        return sorted(self.directory.glob("*.json"))
-
     def disk_stats(self) -> dict:
-        paths = self._disk_paths()
+        paths = ([self.store.path(k) for k in self.store.keys()]
+                 if self.store else [])
         return {
             "directory": str(self.directory) if self.directory else None,
             "disk_entries": len(paths),
@@ -328,14 +257,15 @@ class TuneDB:
 
     def export(self) -> list[dict]:
         """All readable disk entries (memory tier if disk-less)."""
-        if self.directory is None:
+        if self.store is None:
             return [e.to_dict() for e in self.entries()]
         out = []
-        for path in self._disk_paths():
+        for key in self.store.keys():
             try:
-                out.append(TuneEntry.from_dict(
-                    json.loads(path.read_text())).to_dict())
-            except (OSError, ValueError, TuneDBError):
+                text = self.store.read(key)
+                if text is not None:
+                    out.append(_decode(text).to_dict())
+            except (OSError, *_DECODE_ERRORS):
                 continue
         return out
 
@@ -349,22 +279,19 @@ class TuneDB:
         """
         removed = 0
         now = time.time()
-        survivors: list[tuple[float, pathlib.Path]] = []
-        for path in self._disk_paths():
-            try:
-                entry = TuneEntry.from_dict(json.loads(path.read_text()))
-            except (OSError, ValueError, TuneDBError):
-                path.unlink(missing_ok=True)
+        survivors: list[tuple[float, str]] = []
+        for key in (self.store.keys() if self.store else []):
+            entry, contained = self.store.load(key, _decode, _DECODE_ERRORS)
+            if entry is None:
+                removed += contained    # load deleted an unreadable entry
+            elif max_age_s is not None and now - entry.created > max_age_s:
+                self.invalidate(key)
                 removed += 1
-                continue
-            if max_age_s is not None and now - entry.created > max_age_s:
-                self.invalidate(entry.fingerprint)
-                removed += 1
-                continue
-            survivors.append((entry.created, path))
+            else:
+                survivors.append((entry.created, key))
         if keep is not None and len(survivors) > keep:
             survivors.sort(key=lambda item: item[0], reverse=True)
-            for _created, path in survivors[keep:]:
-                self.invalidate(path.stem)
+            for _created, key in survivors[keep:]:
+                self.invalidate(key)
                 removed += 1
         return removed

@@ -27,11 +27,10 @@ configurations always complete their campaign; exact ties resolve by
 :func:`~repro.core.autotuner.config_sort_key`).  Only the simulated
 tuning wall-clock — Tables 4/5 — shrinks.
 
-Cold fingerprints single-flight across processes through the database's
-per-fingerprint file lock; a worker that waited re-checks the database
-before starting its own campaign.  A lock timeout degrades to a
-duplicate campaign, which is safe because ``put`` is atomic and
-last-writer-wins with identical content.
+Cold fingerprints single-flight across processes through
+:func:`repro.store.single_flight` on the database's disk tier: a worker
+that waited re-checks the database before starting its own campaign, and
+a lock timeout degrades to a (safe) duplicate campaign.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from ..core.schedule import KernelSchedule, ScheduleConfig
 from ..core.serialize import _config_from_dict, _config_to_dict
 from ..obs import event as obs_event
 from ..obs import span as obs_span
+from ..store import single_flight
 from .db import TuneDB, TuneEntry
 from .features import (
     FEATURE_VERSION,
@@ -187,31 +187,22 @@ class GuidedTuner:
         fp = kernel_fingerprint(kernel, self.gpu_key)
         with obs_span("guided_tune", category="tune", kernel=kernel.name,
                       fingerprint=fp, space=len(space)):
-            entry = self.db.get(fp)
-            if entry is not None:
-                replay = self._try_replay(kernel, entry, timing_fn,
-                                          keep_timings)
-                if replay is not None:
-                    return replay
+            def replay() -> TuneResult | None:
+                entry = self.db.get(fp)
+                if entry is None:
+                    return None
+                return self._try_replay(kernel, entry, timing_fn,
+                                        keep_timings)
 
-            lock = self.db.lock(fp, timeout_s=self.lock_timeout_s)
-            acquired = lock.acquire()
-            try:
-                if acquired and lock.waited:
-                    # Someone else ran the campaign while we queued —
-                    # replay their winner instead of duplicating the
-                    # work.
-                    entry = self.db.get(fp)
-                    if entry is not None:
-                        replay = self._try_replay(kernel, entry,
-                                                  timing_fn, keep_timings)
-                        if replay is not None:
-                            return replay
-                return self._cold_tune(kernel, timing_fn, fp, alpha,
-                                       keep_timings)
-            finally:
-                if acquired:
-                    lock.release()
+            result = replay()
+            if result is not None:
+                return result
+            # After queueing behind another process's campaign,
+            # ``replay`` its winner instead of duplicating the work.
+            return single_flight(
+                self.db.store, fp, self.lock_timeout_s, replay,
+                lambda: self._cold_tune(kernel, timing_fn, fp, alpha,
+                                        keep_timings))
 
     # -- replay --------------------------------------------------------
 

@@ -166,7 +166,7 @@ class TestAtomicWrites:
         def exploding_replace(src, dst):
             raise OSError("power loss")
 
-        monkeypatch.setattr("repro.core.serialize.os.replace",
+        monkeypatch.setattr("repro.store.os.replace",
                             exploding_replace)
         with pytest.raises(OSError, match="power loss"):
             cache.put(small_ln, AMPERE.name, sched)

@@ -15,7 +15,12 @@ from repro.core.builder import build_smg
 from repro.core.schedule import KernelSchedule, ProgramSchedule, ScheduleConfig
 from repro.hw import AMPERE
 from repro.ir import GraphBuilder
-from repro.models import layernorm_graph, mha_graph
+from repro.models import (
+    layernorm_graph,
+    lstm_cell_graph,
+    mha_graph,
+    mlp_graph,
+)
 from repro.obs import Tracer, use_tracer
 from repro.pipeline import compile_for
 from repro.runtime import (
@@ -265,6 +270,31 @@ class TestOutputOwnership:
         for name in snap:
             np.testing.assert_array_equal(out0[name], snap[name])
             assert not np.shares_memory(out0[name], out1[name])
+
+    @pytest.mark.parametrize("make_graph", [
+        # mlp: a pass-2 output with no temporal axis took its final-tile
+        # value straight from an arena buffer (PR 11's wrong fleet replies).
+        lambda: mlp_graph(8, 256, 64, 64),
+        lambda: lstm_cell_graph(64, 128),
+        lambda: layernorm_graph(256, 256),
+        lambda: mha_graph(1, 8, 128, 128, 64),
+        lambda: mha_graph(1, 8, 1, 128, 64),
+        lambda: mha_graph(2, 8, 512, 512, 64),
+    ], ids=["mlp", "lstm", "layernorm", "mha", "mha-decode", "mha-long"])
+    def test_benchmark_shapes_own_their_outputs(self, make_graph):
+        """Every ``exec_inproc`` shape: answer A is untouched by the
+        plan's next execution and lives outside the arena."""
+        graph = make_graph()
+        sched, _ = compile_for(graph, AMPERE)
+        program = compile_schedule(sched, cache=PlanCache())
+        env_a = program.execute(random_feeds(graph, seed=0))
+        out_a = {t: env_a[t] for t in graph.output_tensors}
+        snap = {t: arr.copy() for t, arr in out_a.items()}
+        program.execute(random_feeds(graph, seed=1))
+        arena = program.fused.arena._bufs().values()
+        for t, arr in out_a.items():
+            np.testing.assert_array_equal(arr, snap[t])
+            assert not any(np.shares_memory(arr, buf) for buf in arena)
 
     def test_outputs_never_alias_feeds(self):
         b = GraphBuilder("own_id")

@@ -12,6 +12,7 @@ from repro.runtime.oracle import (
     graph_to_dict,
     load_reproducer,
     nan_safe_max_abs_err,
+    outputs_match,
     save_reproducer,
     shrink_graph,
     shrink_to_reproducer,
@@ -61,6 +62,32 @@ class TestNanSafeMaxAbsErr:
     def test_all_nan_matching(self):
         assert nan_safe_max_abs_err(np.array([np.nan]),
                                     np.array([np.nan])) == 0.0
+
+
+class TestOutputsMatch:
+    REF = {"Y": np.array([1.0, 2.0])}
+
+    def test_within_tolerance(self):
+        assert outputs_match({"Y": np.array([1.0, 2.0 + 1e-10])},
+                             self.REF, 1e-8)
+
+    def test_over_tolerance(self):
+        assert not outputs_match({"Y": np.array([1.0, 2.1])}, self.REF, 1e-8)
+
+    def test_nan_reply_is_a_mismatch(self):
+        """``max(nan...) > tol`` is False — the hole this gate closes."""
+        assert not outputs_match({"Y": np.array([np.nan, 2.0])},
+                                 self.REF, 1e-8)
+        assert not outputs_match({"Y": np.array([np.inf, 2.0])},
+                                 self.REF, 1e-8)
+
+    def test_missing_or_misshapen_output(self):
+        assert not outputs_match({}, self.REF, 1e-8)
+        assert not outputs_match({"Y": np.zeros(3)}, self.REF, 1e-8)
+
+    def test_extra_outputs_ignored(self):
+        assert outputs_match({"Y": self.REF["Y"], "Z": np.array([np.nan])},
+                             self.REF, 1e-8)
 
 
 class TestToleranceFor:

@@ -202,6 +202,23 @@ class TestServeCommand:
         assert "state=ready" in out
         assert "p95<=" in out                 # percentiles in the report
 
+    def test_serve_counts_nan_reply_as_wrong(self, capsys, monkeypatch):
+        """A NaN answer must fail verification (``nan > tol`` is False)."""
+        from repro.serve import FusionServer
+
+        real_infer = FusionServer.infer
+
+        def nan_infer(self, workload, feeds, timeout=None):
+            reply = real_infer(self, workload, feeds, timeout=timeout)
+            reply.outputs = {name: np.full_like(arr, np.nan)
+                             for name, arr in reply.outputs.items()}
+            return reply
+
+        monkeypatch.setattr(FusionServer, "infer", nan_infer)
+        assert main(["serve", "mlp", "--requests", "2",
+                     "--clients", "1"]) == 1
+        assert "2 wrong answer(s)" in capsys.readouterr().out
+
     def test_serve_metrics_out_writes_prometheus(self, capsys, tmp_path):
         prom = tmp_path / "metrics.prom"
         assert main(["serve", "layernorm", "--requests", "4",
