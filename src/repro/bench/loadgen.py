@@ -116,6 +116,7 @@ class LoadReport:
     cache: dict = field(default_factory=dict)
     hedges: dict = field(default_factory=dict)
     deadlines: dict = field(default_factory=dict)
+    wire: dict = field(default_factory=dict)
     per_workload: dict = field(default_factory=dict)
     placement: dict = field(default_factory=dict)
 
@@ -155,6 +156,7 @@ class LoadReport:
             "cache": self.cache,
             "hedges": self.hedges,
             "deadlines": self.deadlines,
+            "wire": self.wire,
             "per_workload": self.per_workload,
             "placement": self.placement,
         }
@@ -197,6 +199,8 @@ class LoadReport:
             lines.append(f"  hedges        {self.hedges}")
         if self.deadlines:
             lines.append(f"  deadlines     {self.deadlines}")
+        if self.wire:
+            lines.append(f"  wire          {self.wire}")
         lines.append(f"verdict: {'OK' if self.ok else 'FAILED'}")
         return "\n".join(lines)
 
@@ -445,6 +449,10 @@ def run_loadtest(config: LoadConfig | None = None,
         key.split("deadline.", 1)[1]: int(value)
         for key, value in {**sup_snap, **totals}.items()
         if key.startswith("deadline.") and isinstance(value, (int, float))
+    }
+    report.wire = {
+        key.split("wire.", 1)[1]: int(value)
+        for key, value in sup_snap.items() if key.startswith("wire.")
     }
     report.placement = aggregate["placement"]
 

@@ -10,6 +10,9 @@ Scales :mod:`repro.serve` past one process:
 * :class:`WorkerConfig` / :func:`worker_main` — the forked worker
   process: a full in-process :class:`~repro.serve.server.FusionServer`
   behind a duplex pipe, sharing one disk schedule cache with the fleet;
+* :mod:`~repro.cluster.arena` — the per-worker memfd slot arena that
+  carries feeds and replies across the process boundary without pickle
+  (only small descriptors ride the pipe);
 * :class:`ClusterSupervisor` — forks the workers, routes requests along
   the ring (with replica failover), health-checks with heartbeats,
   restarts crashed workers behind per-worker circuit breakers, and

@@ -62,6 +62,7 @@ from .admission import (
     AdmissionController,
     AdmissionPolicy,
 )
+from .arena import SlotArena, slot_bytes_for
 from .sharding import HashRing
 from .worker import (
     ERR_CRASHED,
@@ -135,7 +136,8 @@ class ClusterConfig:
     replication: int = 2
     vnodes: int = 64
     max_batch: int = 8
-    max_wait_ms: float = 1.0
+    #: 0 = work-conserving batching (see ``WorkerConfig.max_wait_ms``).
+    max_wait_ms: float = 0.0
     threads_per_worker: int = 2
     worker_queue_depth: int | None = 64
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
@@ -208,11 +210,15 @@ class _Tracked:
 class _Worker:
     """One worker generation: process, pipe, receiver, in-flight book."""
 
-    def __init__(self, name: str, proc, conn, generation: int) -> None:
+    def __init__(self, name: str, proc, conn, generation: int,
+                 arena: SlotArena | None = None) -> None:
         self.name = name
         self.proc = proc
         self.conn = conn
         self.generation = generation
+        #: This worker *name*'s feed/reply arena (shared by successive
+        #: generations; None = every request travels in-band).
+        self.arena = arena
         self.send_lock = threading.Lock()
         self.inflight: dict[int, _Tracked] = {}
         self.inflight_lock = threading.Lock()
@@ -263,6 +269,7 @@ class ClusterSupervisor:
         self.ring = HashRing(vnodes=self.config.vnodes)
         self.admission = AdmissionController(self.config.admission)
         self._workers: dict[str, _Worker] = {}
+        self._arenas: dict[str, SlotArena] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
         self._restarts: dict[str, int] = {}
         self._worker_stats: dict[str, dict] = {}
@@ -335,8 +342,19 @@ class ClusterSupervisor:
         self._timer_thread.start()
         return self
 
+    def _arena_for(self, name: str) -> SlotArena | None:
+        """Worker ``name``'s arena, created before its first fork so the
+        child inherits the descriptor; None where that cannot work."""
+        if (name not in self._arenas and SlotArena.supported()
+                and self._ctx.get_start_method() == "fork"):
+            hosted = [self.graphs[wl] for wl in self._hosted_by(name)]
+            if hosted:
+                self._arenas[name] = SlotArena(slot_bytes_for(hosted))
+        return self._arenas.get(name)
+
     def _spawn(self, name: str) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        arena = self._arena_for(name)
         wconfig = WorkerConfig(
             name=name, workloads=self._hosted_by(name),
             gpu=self.config.gpu, engine=self.config.engine,
@@ -348,13 +366,15 @@ class ClusterSupervisor:
             max_queue_depth=self.config.worker_queue_depth,
             fault_plan=dict(self.config.fault_plan),
             compile_deadline_s=self.config.compile_deadline_s)
-        proc = self._ctx.Process(target=worker_main,
-                                 args=(child_conn, wconfig),
-                                 name=f"cluster-{name}", daemon=True)
+        proc = self._ctx.Process(
+            target=worker_main,
+            args=(child_conn, wconfig,
+                  arena.child_spec() if arena is not None else None),
+            name=f"cluster-{name}", daemon=True)
         proc.start()
         child_conn.close()
         worker = _Worker(name, proc, parent_conn,
-                         next(self._generations))
+                         next(self._generations), arena)
         worker.receiver = threading.Thread(
             target=self._receive_loop, args=(worker,),
             name=f"recv-{name}", daemon=True)
@@ -399,6 +419,7 @@ class ClusterSupervisor:
             if w.proc.is_alive():
                 w.proc.terminate()
                 w.proc.join(timeout=5.0)
+            self._reap(w)
             # Anything still in flight after a full drain+stop cycle is
             # dead — never strand the submitter.
             for req_id, tracked in w.drain_inflight():
@@ -412,6 +433,8 @@ class ClusterSupervisor:
                 w.conn.close()
             except OSError:
                 pass
+        for arena in self._arenas.values():
+            arena.close()
 
     def __enter__(self) -> "ClusterSupervisor":
         return self.start()
@@ -524,10 +547,12 @@ class ClusterSupervisor:
         with worker.inflight_lock:
             worker.inflight[req_id] = tracked
         try:
-            worker.send(("req", req_id, workload, feeds, remaining))
+            worker.send(self._request_msg(worker, req_id, workload, feeds,
+                                          remaining))
         except (OSError, ValueError, BrokenPipeError):
             # The worker died between routing and send: fail typed, give
             # the slot back, and let the health loop handle the corpse.
+            self._release_slot(worker, req_id)    # never delivered
             if worker.take_inflight(req_id) is not None:
                 self.metrics.inc("requests.worker_crashed")
                 self._finish_copy(worker, req_id, tracked,
@@ -549,6 +574,28 @@ class ClusterSupervisor:
         """Synchronous convenience: submit and wait."""
         return self.submit(workload, feeds, timeout=timeout, tenant=tenant,
                            priority=priority).result(timeout=timeout)
+
+    def _request_msg(self, worker: _Worker, req_id: int, workload: str,
+                     feeds: dict, remaining: float | None) -> tuple:
+        """The wire form of one request copy: the feeds go into a slot
+        of the worker's arena and only ``(slot, descriptor, end)``
+        crosses the pipe.  The one in-band case — no arena on this
+        platform, no free slot, or feeds larger than a slot — sends the
+        arrays."""
+        placed = (worker.arena.put(req_id, feeds)
+                  if worker.arena is not None else None)
+        if placed is None:
+            self.metrics.inc("wire.inband_requests")
+            return ("req", req_id, workload, feeds, remaining)
+        ref, nbytes = placed
+        self.metrics.inc("wire.arena_requests")
+        self.metrics.inc("wire.arena_bytes", nbytes)
+        return ("req", req_id, workload, ref, remaining)
+
+    @staticmethod
+    def _release_slot(worker: _Worker, req_id: int) -> None:
+        if worker.arena is not None:
+            worker.arena.release(req_id)
 
     def _shed(self, reason: str, workload: str,
               worker: str | None = None) -> None:
@@ -754,10 +801,15 @@ class ClusterSupervisor:
             target.inflight[hedge_id] = tracked
         remaining = (tracked.deadline - time.monotonic()
                      if tracked.deadline is not None else None)
+        # Counted before the send: the hedge's answer can resolve the
+        # client before this thread runs again.
+        self.metrics.inc("hedge.issued")
         try:
-            target.send(("req", hedge_id, tracked.workload,
-                         tracked.request.feeds, remaining))
+            target.send(self._request_msg(target, hedge_id, tracked.workload,
+                                          tracked.request.feeds, remaining))
         except (OSError, ValueError, BrokenPipeError):
+            self.metrics.inc("hedge.issued", -1)
+            self._release_slot(target, hedge_id)
             if target.take_inflight(hedge_id) is not None:
                 self.admission.release(target.name, tracked.tenant)
                 with tracked.lock:
@@ -767,7 +819,6 @@ class ClusterSupervisor:
                 with self._hedge_lock:
                     self._hedges_out -= 1
             return
-        self.metrics.inc("hedge.issued")
         obs_event("hedge_issued", category="cluster",
                   workload=tracked.workload, original=routed,
                   hedge=target.name)
@@ -789,17 +840,28 @@ class ClusterSupervisor:
             kind = msg[0]
             if kind == "reply":
                 tracked = worker.take_inflight(msg[1])
-                if tracked is None:
-                    continue  # already failed (crash race); count dupes
-                self._finish_copy(worker, msg[1], tracked, payload=msg[2])
+                # None: already failed (crash race); count dupes
+                if tracked is not None:
+                    payload = msg[2]
+                    if len(msg) > 3 and not tracked.done_handled:
+                        # Outputs are in the slot; a settled request's
+                        # losing copy is not worth reading.
+                        outputs = worker.arena.read(msg[1], msg[3])
+                        payload["outputs"] = outputs
+                        self.metrics.inc(
+                            "wire.arena_bytes",
+                            sum(a.nbytes for a in outputs.values()))
+                    self._finish_copy(worker, msg[1], tracked,
+                                      payload=payload)
+                self._release_slot(worker, msg[1])   # terminal message
             elif kind == "error":
                 tracked = worker.take_inflight(msg[1])
-                if tracked is None:
-                    continue
-                self.metrics.inc("requests.remote_errors")
-                self._finish_copy(worker, msg[1], tracked,
-                                  error=_rebuild_error(msg[2], msg[3],
-                                                       worker.name))
+                if tracked is not None:
+                    self.metrics.inc("requests.remote_errors")
+                    self._finish_copy(worker, msg[1], tracked,
+                                      error=_rebuild_error(msg[2], msg[3],
+                                                           worker.name))
+                self._release_slot(worker, msg[1])   # terminal message
             elif kind == "pong":
                 worker.last_pong = time.monotonic()
                 worker.health = msg[2]
@@ -847,6 +909,7 @@ class ClusterSupervisor:
         if worker.proc.is_alive():
             worker.proc.terminate()
         worker.proc.join(timeout=5.0)
+        self._reap(worker)
         breaker = self._breakers[worker.name]
         breaker.record_failure()
         if self._stopping:
@@ -856,6 +919,21 @@ class ClusterSupervisor:
         else:
             obs_event("worker_restart_suppressed", category="cluster",
                       worker=worker.name, breaker=breaker.state)
+
+    def _reap(self, worker: _Worker) -> None:
+        """Make sure the process is gone, then — and only then — take
+        back the arena slots it could still have been reading: a worker
+        that ignored SIGTERM (draining, wedged) is killed first."""
+        if worker.proc.is_alive():
+            worker.proc.kill()
+            worker.proc.join(timeout=5.0)
+        receiver = worker.receiver
+        if receiver is not None and receiver is not threading.current_thread():
+            # EOF follows the exit: let the receiver finish the replies
+            # already in the pipe, so none is mid-read when slots return.
+            receiver.join(timeout=2.0)
+        if worker.arena is not None and not worker.proc.is_alive():
+            worker.arena.release_all()
 
     def _restart(self, name: str) -> None:
         self.metrics.inc("workers.restarts")

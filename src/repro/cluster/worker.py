@@ -14,9 +14,15 @@ supervisor → worker        meaning
 remaining_s)``             answer one inference request within the *remaining*
                            end-to-end budget (the supervisor already deducted
                            its own routing/queue time; the worker re-anchors
-                           the deadline on its own monotonic clock at receipt)
+                           the deadline on its own monotonic clock at receipt).
+                           ``feeds`` is an arena reference ``(slot,
+                           descriptor, end)`` — the arrays are already in
+                           this worker's :mod:`~repro.cluster.arena` slot —
+                           or, in the one in-band case, the dict of arrays
 ``("cancel", id)``         best-effort cancel (hedge lost / deadline expired
-                           supervisor-side); idempotent, never an error
+                           supervisor-side): a request still waiting is
+                           failed, one already executing runs to its own
+                           terminal message; idempotent, never an error
 ``("ping", seq)``          heartbeat; worker answers ``("pong", seq, health)``
 ``("stats", seq)``         request a metrics snapshot
 ``("arm", plan)``          arm failpoints in *this* process (tests/chaos)
@@ -26,10 +32,14 @@ remaining_s)``             answer one inference request within the *remaining*
 ========================  =====================================================
 
 Replies flow back through one dedicated sender thread (``("reply", id,
-payload)`` / ``("error", id, kind, msg)`` / control acks), so the pipe
-is never written concurrently.  Request completions are pushed by the
-:attr:`~repro.serve.batching.Request.on_done` hook — the worker never
-polls or blocks a thread per request.
+meta, descriptor)`` with the outputs in the request's arena slot,
+``("reply", id, payload)`` with them in-band, ``("error", id, kind,
+msg)``, control acks), so the pipe is never written concurrently.  Each
+wire id gets exactly one ``reply`` or ``error`` — its *terminal* message,
+sent only once nothing in this process will touch the request's slot
+again; the supervisor frees the slot on it.  Request completions are
+pushed by the :attr:`~repro.serve.batching.Request.on_done` hook — the
+worker never polls or blocks a thread per request.
 
 The schedule cache's disk tier points at the supervisor's shared
 directory: together with the per-key advisory file lock in
@@ -40,6 +50,7 @@ worker loads it as a disk hit.
 
 from __future__ import annotations
 
+import functools
 import os
 import queue
 import signal
@@ -61,6 +72,7 @@ from ..serve import (
     TieredScheduleCache,
     WorkerCrashed,
 )
+from .arena import SlotViews
 
 #: Chaos failpoints in the worker's pipe loop (armed only by tests):
 #: ``hang`` with a big delay makes the worker unresponsive to pings —
@@ -101,7 +113,10 @@ class WorkerConfig:
     engine: str = "compiled"
     cache_dir: str | None = None
     max_batch: int = 8
-    max_wait_ms: float = 1.0
+    #: Work-conserving: a batch is whatever is already queued.  Batches
+    #: are still executed one request at a time, so idle-waiting for
+    #: stragglers would buy nothing and cost every request the wait.
+    max_wait_ms: float = 0.0
     threads: int = 2
     max_queue_depth: int | None = 64
     #: Shared tuning-database directory (see :mod:`repro.tune`).  With
@@ -150,8 +165,13 @@ class _SigTerm(Exception):
     drains in flight work and exits cleanly instead of dying mid-batch."""
 
 
-def worker_main(conn, config: WorkerConfig) -> None:
-    """Process entry point; returns only at clean shutdown."""
+def worker_main(conn, config: WorkerConfig,
+                arena: tuple[int, int, int] | None = None) -> None:
+    """Process entry point; returns only at clean shutdown.
+
+    ``arena`` is the supervisor's :meth:`SlotArena.child_spec` — the
+    inherited memfd to map — or ``None`` when every request is in-band.
+    """
     # The forked child inherits the parent's failpoint registry — and,
     # worst case, a lock some parent thread held at fork time.  Start
     # from a clean, self-owned registry and re-arm from the config.
@@ -174,6 +194,7 @@ def worker_main(conn, config: WorkerConfig) -> None:
 
     metrics = ServeMetrics()
     server = build_server(config, metrics)
+    views = SlotViews(*arena) if arena is not None else None
     # Arm the boot fault plan only after build_server: constructing the
     # stack imports every instrumented module (serve cache, tuning DB),
     # so each plan entry's failpoint name is registered by now even
@@ -201,20 +222,22 @@ def worker_main(conn, config: WorkerConfig) -> None:
                                    daemon=True)
     send_thread.start()
 
-    def on_done(request, req_id: int) -> None:
+    def on_done(req_id: int, slot: int | None, tail: int, request) -> None:
         with handles_lock:
             handles.pop(req_id, None)
         if request.error is not None:
             outbox.put(("error", req_id, error_kind(request.error),
                         f"{type(request.error).__name__}: {request.error}"))
+            return
+        reply: SessionReply = request.reply
+        meta = {"degraded": reply.degraded, "reason": reply.reason,
+                "latency_s": reply.latency_s}
+        desc = (views.put_outputs(slot, tail, reply.outputs)
+                if slot is not None else None)
+        if desc is not None:
+            outbox.put(("reply", req_id, meta, desc))
         else:
-            reply: SessionReply = request.reply
-            outbox.put(("reply", req_id, {
-                "outputs": reply.outputs,
-                "degraded": reply.degraded,
-                "reason": reply.reason,
-                "latency_s": reply.latency_s,
-            }))
+            outbox.put(("reply", req_id, {**meta, "outputs": reply.outputs}))
 
     def snapshot() -> dict:
         snap = metrics.snapshot()
@@ -264,10 +287,17 @@ def worker_main(conn, config: WorkerConfig) -> None:
                                 f"request {req_id} reached worker "
                                 f"{config.name} past its deadline"))
                     continue
+                slot, tail = None, 0
+                if not isinstance(feeds, dict):     # arena reference
+                    slot, desc, tail = feeds
+                    feeds = views.feeds(slot, desc)
                 try:
+                    # The supervisor validated these feeds at ingress.
                     handle = server.submit(
                         workload, feeds, deadline_s=deadline,
-                        on_done=lambda r, rid=req_id: on_done(r, rid))
+                        validated=True,
+                        on_done=functools.partial(on_done, req_id, slot,
+                                                  tail))
                     with handles_lock:
                         handles[req_id] = handle
                     if handle.done():   # answered before we booked it
@@ -278,14 +308,18 @@ def worker_main(conn, config: WorkerConfig) -> None:
                                 f"{type(exc).__name__}: {exc}"))
             elif kind == "cancel":
                 # Best-effort and idempotent: the request may be done,
-                # unknown (already answered), or still queued — a queued
-                # one is failed here and silently dropped by the batcher.
+                # unknown (already answered), executing, or still
+                # waiting.  Only a waiting one is failed here —
+                # ``cancel`` and the executing thread's ``start`` exclude
+                # each other, so no thread will ever read its feeds.  An
+                # executing one is left to finish: its own completion is
+                # its terminal message, and until then its arena slot
+                # must stay its own.
                 with handles_lock:
                     handle = handles.pop(msg[1], None)
-                if handle is not None and not handle.done():
+                if handle is not None and handle.cancel(TimeoutError(
+                        f"request {msg[1]} cancelled by supervisor")):
                     metrics.inc("requests.cancelled")
-                    handle.fail(TimeoutError(
-                        f"request {msg[1]} cancelled by supervisor"))
             elif kind == "ping":
                 health = server.health()
                 outbox.put(("pong", msg[1], {
@@ -313,6 +347,8 @@ def worker_main(conn, config: WorkerConfig) -> None:
     outbox.put(("stopped", snapshot()))
     outbox.put(None)
     send_thread.join(timeout=5.0)
+    if views is not None:
+        views.close()
     try:
         conn.close()
     except OSError:

@@ -63,19 +63,17 @@ def subgraph_from_ops(graph: DataflowGraph, ops: list[Op], name: str,
     spaces at the partition boundary.
     """
     sub = DataflowGraph(name, dims=graph.dims)
-    used: set[str] = set()
-    produced: set[str] = set()
+    # Tensors and outputs go in in op order, never by iterating a set:
+    # the serialized schedule (a cache key, and bytes on disk) must not
+    # depend on the process's string-hash seed.
     for op in ops:
-        used.update(op.inputs)
-        used.add(op.output)
-        produced.add(op.output)
-    for t in used:
-        sub.tensors[t] = graph.tensors[t]
+        for t in (*op.inputs, op.output):
+            sub.tensors.setdefault(t, graph.tensors[t])
     sub.ops = list(ops)
     consumed_inside = {t for op in ops for t in op.inputs}
     sub.declared_outputs = [
-        t for t in produced
-        if t in downstream_needs or t not in consumed_inside
+        op.output for op in ops
+        if op.output in downstream_needs or op.output not in consumed_inside
     ]
     sub.validate()
     return sub

@@ -28,7 +28,10 @@ harness (:mod:`repro.resilience.chaos`) cannot reach:
 * **deadline-capped compile** — a persistently failing compile under a
   tiny ``compile_deadline_s`` must stop retrying at the budget
   (``retry.deadline_capped``) and degrade to the always-correct
-  reference instead of retrying into a dead deadline.
+  reference instead of retrying into a dead deadline;
+* **arena overflow** — a burst deeper than a worker's arena has slots:
+  the overflow must travel in-band and every answer, from either wire
+  path, must still be right.
 
 Fleet-wide invariants asserted over the whole run: every accepted
 request resolves **exactly once**; every successful answer is finite
@@ -49,6 +52,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..cluster import ClusterConfig, ClusterShed, ClusterSupervisor
+from ..cluster.arena import ARENA_SLOTS
 from ..models import layernorm_graph, mlp_graph
 from ..runtime.kernels import execute_graph_reference, random_feeds
 from ..runtime.oracle import outputs_match
@@ -443,7 +447,26 @@ def run_cluster_chaos(seed: int = 0, workers: int = 2,
                     sup.config.compile_deadline_s = None
                     sup.config.hedge = True
 
-            # -- phase 8: drain ---------------------------------------
+            # -- phase 8: burst deeper than the arena -----------------
+            def phase_arena_overflow() -> None:
+                # Slow the executor so the burst is all outstanding at
+                # once: the first ARENA_SLOTS copies take the worker's
+                # slots, the rest find the free list empty.
+                primary = sup.owners_for("chaos_mlp")[0]
+                assert sup.arm_faults(primary,
+                                      {"runtime.execute": "delay(30)"})
+                try:
+                    burst = [run.submit("chaos_mlp", i, "arena_overflow",
+                                        timeout=60.0, expect=_SHEDDABLE)
+                             for i in range(ARENA_SLOTS + 4)]
+                    for flight in burst:
+                        if flight is not None:
+                            run.check(flight, wait=60.0)
+                finally:
+                    sup.arm_faults(primary,
+                                   {"runtime.execute": "delay(0)"})
+
+            # -- phase 9: drain ---------------------------------------
             def phase_drain() -> None:
                 budget = max(4, min(12, requests // 6))
                 for i in range(budget):
@@ -458,6 +481,7 @@ def run_cluster_chaos(seed: int = 0, workers: int = 2,
             run_phase("deadline_storm", phase_deadlines)
             run_phase("cold_faults", phase_cold_faults)
             run_phase("deadline_capped", phase_deadline_capped)
+            run_phase("arena_overflow", phase_arena_overflow)
             run_phase("drain", phase_drain)
 
             run.check_all_pending()
@@ -496,6 +520,9 @@ def run_cluster_chaos(seed: int = 0, workers: int = 2,
             "cache_disk_errors": total("cache.disk_errors"),
             "tunedb_disk_errors": total("tunedb.disk_errors"),
             "requests_cancelled": totals.get("requests.cancelled", 0),
+            "arena_requests": snap.get("wire.arena_requests", 0),
+            "inband_requests": snap.get("wire.inband_requests", 0),
+            "arena_bytes": snap.get("wire.arena_bytes", 0),
         }
 
         # ---- invariants ------------------------------------------------
@@ -557,6 +584,13 @@ def run_cluster_chaos(seed: int = 0, workers: int = 2,
             f"schedule-cache disk errors: "
             f"{report.exercised['cache_disk_errors']}, tuning-DB disk "
             f"errors: {report.exercised['tunedb_disk_errors']}"))
+        inv(Invariant(
+            "both_wire_paths_ran",
+            report.exercised["arena_requests"] >= 1
+            and report.exercised["inband_requests"] >= 1,
+            f"arena requests: {report.exercised['arena_requests']} "
+            f"({report.exercised['arena_bytes']} bytes), in-band: "
+            f"{report.exercised['inband_requests']}"))
         inv(Invariant(
             "drains_clean",
             not unresolved,

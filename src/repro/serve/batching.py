@@ -21,6 +21,12 @@ import numpy as np
 _seq = itertools.count()
 
 
+def _held_lock() -> threading.Lock:
+    lock = threading.Lock()
+    lock.acquire()
+    return lock
+
+
 class Overloaded(RuntimeError):
     """Typed load-shed rejection: the request queue is at its bound.
 
@@ -100,8 +106,13 @@ class Request:
     timeout_s: float | None = None
     seq: int = field(default_factory=lambda: next(_seq))
     enqueued_at: float = field(default_factory=time.monotonic)
-    _done: threading.Event = field(default_factory=threading.Event,
-                                   repr=False)
+    #: Completion latch: held while pending, released by the first
+    #: completion.  A bare lock, not a ``threading.Event`` (1.3 kB of
+    #: condition + deque per request): a load generator that keeps every
+    #: handle would otherwise pay that for each request it ever sent.
+    _pending: threading.Lock = field(default_factory=_held_lock, repr=False)
+    _finished: bool = field(default=False, repr=False)
+    _started: bool = field(default=False, repr=False)
     _resolve_lock: threading.Lock = field(default_factory=threading.Lock,
                                           repr=False)
     reply: Any = None
@@ -144,23 +155,40 @@ class Request:
             self.resolutions += 1
             return self.resolutions == 1
 
+    def start(self) -> bool:
+        """Claim the request for execution; False when it has already
+        completed (cancelled or expired while it waited) and must not be
+        run.  Once started, :meth:`cancel` leaves it alone."""
+        with self._resolve_lock:
+            self._started = not self.resolutions
+            return self._started
+
+    def cancel(self, error: Exception) -> bool:
+        """Fail the request unless a thread has begun executing it (or it
+        is already complete); True when this call completed it.  Unlike
+        :meth:`fail` it never races an execution: after a True return
+        nothing will read the request's feeds again."""
+        with self._resolve_lock:
+            if self._started or self.resolutions:
+                return False
+            self.resolutions += 1
+        self.error = error
+        self._notify_done()
+        return True
+
     def resolve(self, reply) -> None:
         if self._first_completion():
             self.reply = reply
-            self._done.set()
             self._notify_done()
-        else:
-            self._done.set()
 
     def fail(self, error: Exception) -> None:
         if self._first_completion():
             self.error = error
-            self._done.set()
             self._notify_done()
-        else:
-            self._done.set()
 
     def _notify_done(self) -> None:
+        self._finished = True       # after reply/error is in place
+        self._pending.release()
         if self.on_done is not None:
             try:
                 self.on_done(self)
@@ -171,15 +199,19 @@ class Request:
 
     def result(self, timeout: float | None = None):
         """Block for the reply; raises the server-side error if any."""
-        if not self._done.wait(timeout):
-            raise TimeoutError(
-                f"request {self.seq} for {self.workload!r} still pending")
+        if not self._finished:
+            if not self._pending.acquire(
+                    timeout=-1 if timeout is None else max(0.0, timeout)):
+                raise TimeoutError(
+                    f"request {self.seq} for {self.workload!r} "
+                    "still pending")
+            self._pending.release()     # let the next waiter through
         if self.error is not None:
             raise self.error
         return self.reply
 
     def done(self) -> bool:
-        return self._done.is_set()
+        return self._finished
 
 
 class RequestQueue:

@@ -218,7 +218,8 @@ class ServeMetrics:
             and ("." not in k
                  or k.startswith(("fallbacks.", "requests.", "cache.",
                                   "breaker.", "plans.", "faults.",
-                                  "lower.", "tunedb.", "tuning."))))
+                                  "lower.", "tunedb.", "tuning.",
+                                  "wire."))))
         lines = ["serve-stats", "==========="]
         lines.append("counters:")
         for name in counter_keys:

@@ -134,7 +134,8 @@ class FusionServer:
 
     def submit(self, workload: str, feeds: dict[str, np.ndarray],
                timeout: float | None = None,
-               on_done=None, deadline_s: float | None = None) -> Request:
+               on_done=None, deadline_s: float | None = None,
+               validated: bool = False) -> Request:
         """Enqueue one request; returns its future-like handle.
 
         Raises :class:`~repro.serve.batching.InvalidRequestError` for
@@ -151,12 +152,18 @@ class FusionServer:
         ``deadline_s`` (optional) is an *absolute* monotonic deadline —
         the end-to-end budget anchored at cluster ingress.  Unlike
         ``timeout`` it is strict: results are never published past it.
+
+        ``validated=True`` says the caller already ran
+        :func:`~repro.serve.batching.validate_feeds` on these very feeds
+        against the same graph (the cluster supervisor does, at ingress),
+        so the full non-finite scan is not repeated here.
         """
         if self._stopped:
             raise ServerError("server is stopped")
         self.metrics.inc("requests.submitted")
         session = self.session(workload)  # validate early, before enqueueing
-        validate_feeds(feeds, required=session.graph.input_tensors)
+        if not validated:
+            validate_feeds(feeds, required=session.graph.input_tensors)
         request = Request(workload=workload, feeds=feeds, timeout_s=timeout,
                           on_done=on_done, deadline_s=deadline_s)
         try:
@@ -240,6 +247,8 @@ class FusionServer:
 
     def _answer(self, session: InferenceSession | None,
                 request: Request) -> None:
+        if not request.start():
+            return  # cancelled while it waited in the batch
         queue_wait_s = time.monotonic() - request.enqueued_at
         self.metrics.observe_queue_wait(queue_wait_s)
         if session is None:

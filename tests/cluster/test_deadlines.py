@@ -292,3 +292,87 @@ class TestExactlyOnceRaces:
                          error=WorkerCrashed("wb", "also died"))
         assert tracked.request.resolutions == 1
         assert isinstance(tracked.request.error, WorkerCrashed)
+
+
+class TestSlotLifetime:
+    """An arena slot is freed by the worker's terminal message for its
+    wire id — not by anything the client can see."""
+
+    def test_slot_outlives_expiry_until_the_workers_terminal_message(
+            self, tmp_path):
+        graphs = _graphs()
+        config = _config(tmp_path, hedge=False, threads_per_worker=1)
+        with ClusterSupervisor(graphs, config) as sup:
+            sup.infer("mlp", random_feeds(graphs["mlp"], seed=0),
+                      timeout=60.0)
+            name = sup.owners_for("mlp")[0]
+            arena = sup._workers[name].arena
+            assert sup.arm_faults(name, {"runtime.execute": "delay(1000)"})
+            t0 = time.monotonic()
+            executing = sup.submit("mlp",
+                                   random_feeds(graphs["mlp"], seed=1),
+                                   timeout=0.15)
+            queued = sup.submit("mlp", random_feeds(graphs["mlp"], seed=2),
+                                timeout=0.15)
+            for req in (executing, queued):
+                with pytest.raises(TimeoutError):
+                    req.result(timeout=5.0)
+            assert time.monotonic() - t0 < 0.8
+            # Both expired client-side and both were cancelled.  The one
+            # still waiting for the thread is failed by the cancel and
+            # will never run, so its terminal error — and its slot — come
+            # back at once; the one the thread is executing keeps its
+            # slot until that execution is over.
+            assert _wait(lambda: len(arena.held()) == 1, timeout_s=0.3,
+                         interval_s=0.01)
+            assert time.monotonic() - t0 < 0.95
+            assert _wait(lambda: not arena.held(), timeout_s=5.0,
+                         interval_s=0.01)
+            assert time.monotonic() - t0 >= 0.95
+            stats = sup.request_stats(name)
+            assert stats["requests.cancelled"] == 1
+            assert executing.resolutions == queued.resolutions == 1
+
+    def test_hedge_lives_in_the_targets_arena_and_loser_frees_its_own(
+            self, tmp_path):
+        graphs = _graphs()
+        config = _config(tmp_path, replication=2, hedge_delay_s=0.05,
+                         hedge_max_fraction=0.5)
+        feeds = random_feeds(graphs["mlp"], seed=3)
+        expected = execute_graph_reference(graphs["mlp"], feeds)
+        with ClusterSupervisor(graphs, config) as sup:
+            primary, replica = sup.owners_for("mlp")[:2]
+            sup.infer("mlp", random_feeds(graphs["mlp"], seed=0),
+                      timeout=60.0)
+            assert _wait(lambda: not sup._workers[primary].arena.held()
+                         and not sup._workers[replica].arena.held(),
+                         timeout_s=30.0)    # a cold compile may hedge too
+            issued_before = sup.metrics.get("hedge.issued")
+            a_primary = sup._workers[primary].arena
+            a_replica = sup._workers[replica].arena
+            assert a_primary is not a_replica
+            assert sup.arm_faults(primary,
+                                  {"cluster.worker.slow": "delay(600)"})
+            seen = []
+            req = sup.submit("mlp", feeds, timeout=30.0,
+                             on_done=lambda _r: seen.append(
+                                 (a_primary.held(), a_replica.held())))
+            reply = req.result(timeout=30.0)
+            for out, arr in expected.items():
+                np.testing.assert_allclose(reply.outputs[out], arr,
+                                           atol=1e-8)
+            assert sup.metrics.get("hedge.issued") == issued_before + 1
+            # When the hedge answered, each copy sat in its own worker's
+            # arena; the winner's slot goes with its reply, the loser's
+            # only when the slow worker finally sends its own.
+            at_win_primary, at_win_replica = seen[0]
+            assert len(at_win_primary) == 1 and len(at_win_replica) == 1
+            assert set(at_win_primary).isdisjoint(at_win_replica)
+            assert _wait(lambda: not a_replica.held(), timeout_s=1.0,
+                         interval_s=0.01)
+            assert len(a_primary.held()) == 1
+            assert _wait(lambda: not a_primary.held(), timeout_s=5.0)
+            assert _wait(lambda: sup.metrics.get("hedge.wasted")
+                         + sup.metrics.get("requests.remote_errors") >= 1,
+                         timeout_s=5.0)
+            assert req.resolutions == 1

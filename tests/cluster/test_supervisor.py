@@ -19,7 +19,7 @@ from repro.cluster import (
 )
 from repro.models import layernorm_graph, mlp_graph
 from repro.runtime.kernels import execute_graph_reference, random_feeds
-from repro.serve import HAVE_FCNTL, WorkerCrashed
+from repro.serve import HAVE_FCNTL, InvalidRequestError, WorkerCrashed
 
 pytestmark = pytest.mark.skipif(
     not HAVE_FCNTL, reason="cluster tests assume POSIX (fcntl, fork)")
@@ -200,3 +200,61 @@ class TestTuneDBSharing:
                                                arr, atol=1e-8)
         stats = TuneDB(db_dir).disk_stats()
         assert stats["disk_entries"] > 0
+
+
+class TestArenaOwnership:
+    def test_killed_workers_slots_return_only_after_reap(self, tmp_path):
+        """Requests executing on a worker that is hard-killed fail typed
+        while their slots are still theirs; the slots come back once the
+        process is reaped, and the restarted generation answers
+        correctly out of the very same arena."""
+        graphs = _graphs()
+        config = _config(tmp_path, hedge=False)
+        with ClusterSupervisor(graphs, config) as sup:
+            sup.infer("mlp", random_feeds(graphs["mlp"], seed=0),
+                      timeout=60.0)
+            name = sup.owners_for("mlp")[0]
+            arena = sup._workers[name].arena
+            old_proc = sup._workers[name].proc
+            assert sup.arm_faults(name, {"runtime.execute": "delay(3000)"})
+            held_at_failure = []
+            reqs = [sup.submit(
+                "mlp", random_feeds(graphs["mlp"], seed=s),
+                on_done=lambda _r: held_at_failure.append(arena.held()))
+                for s in range(2)]
+            assert _wait(lambda: len(arena.held()) == 2, timeout_s=5.0)
+            sup.kill_worker(name)
+            for req in reqs:
+                with pytest.raises(WorkerCrashed):
+                    req.result(timeout=30.0)
+            # Client-visible failure came first, slot release after it.
+            assert [len(h) for h in held_at_failure] == [2, 2]
+            assert _wait(lambda: sup.metrics.get("workers.restarts") >= 1
+                         and sup.health()["workers"][name]["up"])
+            assert not old_proc.is_alive()
+            assert arena.held() == {}
+            assert sup._workers[name].arena is arena
+            before = sup.metrics.get("wire.arena_requests")
+            for seed in range(3):
+                feeds = random_feeds(graphs["mlp"], seed=seed)
+                reply = sup.infer("mlp", feeds, timeout=60.0)
+                expected = execute_graph_reference(graphs["mlp"], feeds)
+                for out, arr in expected.items():
+                    np.testing.assert_allclose(reply.outputs[out], arr,
+                                               atol=1e-8)
+            assert sup.metrics.get("wire.arena_requests") == before + 3
+
+    def test_nan_feed_is_refused_at_ingress_and_never_crosses_the_wire(
+            self, tmp_path):
+        """Feeds are validated once, by the supervisor: the worker takes
+        them as validated, so the refusal must happen before dispatch."""
+        graphs = _graphs()
+        with ClusterSupervisor(graphs, _config(tmp_path)) as sup:
+            feeds = random_feeds(graphs["mlp"], seed=0)
+            next(iter(feeds.values())).flat[0] = np.nan
+            with pytest.raises(InvalidRequestError, match="non-finite"):
+                sup.submit("mlp", feeds)
+            assert sup.metrics.get("wire.arena_requests") == 0
+            assert sup.metrics.get("wire.inband_requests") == 0
+            assert all(snap.get("requests.submitted", 0) == 0
+                       for snap in sup.worker_stats().values())

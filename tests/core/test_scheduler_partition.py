@@ -1,5 +1,9 @@
 """Tests for Algorithm 1 (resource-aware slicing) and Algorithm 2 (partitioning)."""
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.builder import build_smg
@@ -173,3 +177,46 @@ class TestAlgorithm2:
         candidates[0].former.validate()
         if candidates[0].latter is not None:
             candidates[0].latter.validate()
+
+
+class TestHashSeedIndependence:
+    """The serialized schedule is a cache key and bytes on disk: it must
+    not depend on ``PYTHONHASHSEED`` (``subgraph_from_ops`` used to fill
+    tensors and declared outputs by iterating sets)."""
+
+    def test_subgraph_tensor_and_output_order_follow_the_ops(self):
+        b = GraphBuilder("g")
+        x = b.input("X", [("m", 16), ("n", 32)])
+        e = b.unary("exp", x)
+        s = b.reduce("sum", e, dim="n")
+        b.binary("div", e, s, out_name="Y")
+        graph = b.build()
+        ops = graph.topological_ops()[:2]
+        sub = subgraph_from_ops(graph, ops, "g.f",
+                                downstream_needs={e.name, s.name})
+        assert list(sub.tensors) == ["X", e.name, s.name]
+        assert sub.declared_outputs == [e.name, s.name]
+
+    def test_bert_schedule_json_same_under_two_hash_seeds(self):
+        code = (
+            "import hashlib\n"
+            "from repro.core.serialize import schedule_to_json\n"
+            "from repro.hw import AMPERE\n"
+            "from repro.models import build_model\n"
+            "from repro.pipeline import compile_model_for\n"
+            "model = compile_model_for(build_model('bert', 1, seq=128), "
+            "AMPERE)\n"
+            "for sub in model.subprograms:\n"
+            "    print(hashlib.sha256(schedule_to_json(sub.schedule)"
+            ".encode()).hexdigest())\n")
+        src = pathlib.Path(__file__).parent.parent.parent / "src"
+        digests = []
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                env={"PYTHONPATH": str(src), "PATH": "",
+                     "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.split())
+        assert digests[0] and digests[0] == digests[1]

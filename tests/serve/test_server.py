@@ -17,6 +17,7 @@ from repro.runtime.kernels import execute_graph_reference, random_feeds
 from repro.serve import (
     FusionServer,
     InferenceSession,
+    InvalidRequestError,
     Request,
     RequestQueue,
     ServeMetrics,
@@ -280,3 +281,104 @@ class TestServerIntegration:
         assert "requests.expired" in report
         for needle in ("p50<=", "p95<=", "p99<=", "queue_wait"):
             assert needle in report
+
+
+class TestRequestClaims:
+    def test_cancel_and_start_exclude_each_other(self, small_ln):
+        """``cancel`` only ever fails a request no thread is executing:
+        whichever of ``start``/``cancel`` comes first wins, so a
+        cancelled request's feeds are never read afterwards."""
+        feeds = random_feeds(small_ln, seed=0)
+        started = Request("w", feeds)
+        assert started.start()
+        assert not started.cancel(TimeoutError("too late"))
+        assert not started.done()
+        started.resolve("answer")
+        assert started.result(timeout=0) == "answer"
+
+        done = []
+        cancelled = Request("w", feeds, on_done=done.append)
+        assert cancelled.cancel(TimeoutError("cancelled"))
+        assert not cancelled.cancel(TimeoutError("again"))
+        assert not cancelled.start()
+        assert done == [cancelled] and cancelled.resolutions == 1
+        with pytest.raises(TimeoutError, match="cancelled"):
+            cancelled.result(timeout=0)
+
+    def test_batch_member_cancelled_while_waiting_is_never_executed(
+            self, small_ln):
+        """A request coalesced into a batch behind a slow one can still
+        be cancelled; the worker thread then skips it."""
+        metrics = ServeMetrics()
+        session = InferenceSession(small_ln, AMPERE, metrics=metrics)
+        with FusionServer({"ln": session}, workers=1, max_wait_ms=0.0,
+                          metrics=metrics) as server:
+            server.infer("ln", random_feeds(small_ln, seed=0))   # compile
+            with faults.registry().armed({"runtime.execute": "delay(200)"}):
+                first = server.submit("ln", random_feeds(small_ln, seed=1))
+                second = server.submit("ln", random_feeds(small_ln, seed=2))
+                time.sleep(0.05)            # first is executing by now
+                assert not first.cancel(TimeoutError("no"))
+                assert second.cancel(TimeoutError("cancelled"))
+                first.result(timeout=10.0)
+        assert second.resolutions == 1
+        assert metrics.get("requests_served") == 2      # warm-up + first
+
+    def test_result_serves_many_waiters_and_times_out(self, small_ln):
+        req = Request("w", random_feeds(small_ln, seed=0))
+        with pytest.raises(TimeoutError, match="still pending"):
+            req.result(timeout=0.01)
+        got = []
+        waiters = [threading.Thread(
+            target=lambda: got.append(req.result(timeout=10.0)))
+            for _ in range(4)]
+        for t in waiters:
+            t.start()
+        req.resolve("r")
+        for t in waiters:
+            t.join(timeout=10.0)
+        assert got == ["r"] * 4 and req.done()
+        assert req.result() == "r"
+
+
+class TestValidateOnce:
+    def _count_validations(self, monkeypatch):
+        import repro.serve.server as server_mod
+
+        calls = []
+        real = server_mod.validate_feeds
+
+        def counting(feeds, required=None):
+            calls.append(1)
+            return real(feeds, required=required)
+
+        monkeypatch.setattr(server_mod, "validate_feeds", counting)
+        return calls
+
+    def test_direct_callers_are_validated_exactly_once(self, small_ln,
+                                                       monkeypatch):
+        calls = self._count_validations(monkeypatch)
+        session = InferenceSession(small_ln, AMPERE)
+        with FusionServer({"ln": session}) as server:
+            server.infer("ln", random_feeds(small_ln, seed=0))
+            assert len(calls) == 1
+            bad = random_feeds(small_ln, seed=1)
+            next(iter(bad.values())).flat[0] = np.inf
+            with pytest.raises(InvalidRequestError):
+                server.submit("ln", bad)
+            assert len(calls) == 2
+
+    def test_validated_feeds_are_not_scanned_again(self, small_ln,
+                                                   monkeypatch):
+        calls = self._count_validations(monkeypatch)
+        session = InferenceSession(small_ln, AMPERE)
+        with FusionServer({"ln": session}) as server:
+            server.submit("ln", random_feeds(small_ln, seed=0),
+                          validated=True).result(timeout=60.0)
+        assert calls == []
+
+    def test_cluster_worker_defaults_are_work_conserving(self):
+        from repro.cluster import ClusterConfig, WorkerConfig
+
+        assert ClusterConfig().max_wait_ms == 0.0
+        assert WorkerConfig(name="w", workloads={}).max_wait_ms == 0.0
