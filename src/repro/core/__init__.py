@@ -13,6 +13,7 @@ from .mappings import A2O, O2A, O2O, Mapping, MappingKind
 from .memory_planner import apply_memory_plan, plan_memory_levels
 from .partition import partition_round, reorganize_sub_smgs, subgraph_from_ops
 from .resources import (
+    BlockFootprint,
     BlockResources,
     ResourceConfig,
     check_resources,
@@ -34,7 +35,8 @@ from .temporal_slicer import (
 from .update_functions import NormFactor, UpdateFunction, UTAError
 
 __all__ = [
-    "A2O", "AggregationPlan", "BlockResources", "CompileError",
+    "A2O", "AggregationPlan", "BlockFootprint", "BlockResources",
+    "CompileError",
     "CompileStats", "CompiledModel", "DataSpace", "FusionOptions",
     "IterationSpace", "KernelSchedule", "Mapping", "MappingKind",
     "NormFactor", "O2A", "O2O", "ProgramSchedule", "ReductionStage",

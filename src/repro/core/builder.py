@@ -65,7 +65,7 @@ def build_smg(graph: DataflowGraph, name: str | None = None) -> SMG:
         if not any(tname in op.inputs or op.output == tname for op in graph.ops):
             continue
         role = "input" if tname in inputs else "output" if tname in outputs else "intermediate"
-        smg.add_space(DataSpace(
+        smg.add_space(DataSpace.of(
             name=tname,
             dims=spec.dims,
             dtype=spec.dtype,
@@ -77,7 +77,7 @@ def build_smg(graph: DataflowGraph, name: str | None = None) -> SMG:
     # access form (Figure 3's GEMM example generalised).
     for op in graph.ops:
         it_name = _iteration_space_name(op, set(smg.spaces))
-        smg.add_space(IterationSpace(
+        smg.add_space(IterationSpace.of(
             name=it_name,
             dims=op.iter_dims,
             op_name=op.name,
@@ -86,21 +86,21 @@ def build_smg(graph: DataflowGraph, name: str | None = None) -> SMG:
         for idx, (tname, _axes) in enumerate(zip(op.inputs, op.input_axes)):
             bcast = op.broadcast_dims_of_input(idx)
             if bcast:
-                smg.add_mapping(Mapping(
+                smg.add_mapping(Mapping.of(
                     src=tname, dst=it_name, kind=O2A,
                     dims=frozenset(bcast), input_index=idx,
                 ))
             else:
-                smg.add_mapping(Mapping(
+                smg.add_mapping(Mapping.of(
                     src=tname, dst=it_name, kind=O2O, input_index=idx,
                 ))
         if op.reduce_dims:
-            smg.add_mapping(Mapping(
+            smg.add_mapping(Mapping.of(
                 src=it_name, dst=op.output, kind=A2O,
                 dims=frozenset(op.reduce_dims), reduce_kind=op.reduce_kind,
             ))
         else:
-            smg.add_mapping(Mapping(src=it_name, dst=op.output, kind=O2O))
+            smg.add_mapping(Mapping.of(src=it_name, dst=op.output, kind=O2O))
 
     smg.validate()
     return smg

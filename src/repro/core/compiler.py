@@ -174,7 +174,7 @@ def schedule_single_op_kernels(graph: DataflowGraph, rc: ResourceConfig,
                 name=sub.name, smg=smg, spatial_dims=(),
                 search_space=enumerate_configs(
                     KernelSchedule(sub.name, smg, ()), rc) or
-                [ScheduleConfig(block=())],
+                [ScheduleConfig.of(block=())],
                 meta={"slicing": "single-block"})
             apply_memory_plan(kernel)
         kernel.meta["efficiency"] = efficiency
@@ -188,7 +188,7 @@ def schedule_single_op_kernels(graph: DataflowGraph, rc: ResourceConfig,
                         quit_early=res.configs_quit_early)
         else:
             kernel.config = kernel.search_space[0] if kernel.search_space \
-                else ScheduleConfig(block=())
+                else ScheduleConfig.of(block=())
         kernels.append(kernel)
     return kernels
 
@@ -500,12 +500,12 @@ def build_barrier_kernel(graph: DataflowGraph) -> KernelSchedule:
     smg = SMG(name=graph.name, dims=dims, registry=graph.dims, graph=graph)
     for tname, spec in graph.tensors.items():
         role = "output" if tname == op.output else "input"
-        smg.spaces[tname] = DataSpace(tname, spec.dims, spec.dtype, role)
+        smg.spaces[tname] = DataSpace.of(tname, spec.dims, spec.dtype, role)
     out_dims = graph.tensors[op.output].dims
     kernel = KernelSchedule(
         name=graph.name, smg=smg,
         spatial_dims=(),
-        config=ScheduleConfig(block=()),
+        config=ScheduleConfig.of(block=()),
         meta={"slicing": "barrier", "barrier": True},
     )
     return kernel

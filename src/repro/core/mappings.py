@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .flyweight import Flyweight
+
 
 class MappingKind(Enum):
     ONE_TO_ONE = "O2O"
@@ -33,7 +35,7 @@ A2O = MappingKind.ALL_TO_ONE
 
 
 @dataclass(frozen=True)
-class Mapping:
+class Mapping(Flyweight):
     """A directed edge ``src -> dst`` between two spaces of an SMG.
 
     Attributes:

@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 
 from ..ir.graph import DataflowGraph
 from ..ir.ops import ceil_div
+from .flyweight import Flyweight
 from .smg import SMG
 from .temporal_slicer import AggregationPlan
 
 
 @dataclass(frozen=True)
-class ScheduleConfig:
+class ScheduleConfig(Flyweight):
     """One point in a kernel's tuning space.
 
     Attributes:

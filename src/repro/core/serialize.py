@@ -105,7 +105,7 @@ def _config_to_dict(cfg: ScheduleConfig | None) -> dict | None:
 def _config_from_dict(data: dict | None) -> ScheduleConfig | None:
     if data is None:
         return None
-    return ScheduleConfig(
+    return ScheduleConfig.of(
         block=tuple((d, b) for d, b in data["block"]), tile=data["tile"])
 
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..ir.tensor import DTYPE_BYTES, DimRegistry
+from .flyweight import Flyweight
 
 
 @dataclass(frozen=True)
-class Space:
+class Space(Flyweight):
     """Base class for computational spaces.
 
     Attributes:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 from .builder import build_smg
 from .memory_planner import check_memory_plan
-from .resources import ResourceConfig, estimate_block_resources
+from .resources import BlockFootprint, ResourceConfig
 from .schedule import KernelSchedule, ProgramSchedule, ScheduleConfig
 from .smg import SMGError
 from .update_functions import UTAError, synthesize_update_functions
@@ -194,7 +194,9 @@ def _check_resources(kernel: KernelSchedule,
     except ValueError:
         return []  # already reported by the config check
     try:
-        res = estimate_block_resources(kernel, cfg, rc)
+        # The auditor's own footprint, from the target's spec: nothing the
+        # compiler computed is reused.
+        res = BlockFootprint(kernel).estimate(cfg, rc)
     except (KeyError, ValueError) as exc:
         return [AuditFinding("resources", kernel.name,
                              f"resource estimation failed: {exc}")]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.resources import estimate_block_resources
 from ..core.schedule import KernelSchedule, ScheduleConfig
 from .memory import GranuleCache
 from .simulator import (
@@ -95,10 +94,7 @@ class EventDrivenSimulator:
         compute_per_block = (ftc / grid) / sm_tc_rate \
             + (fsimt / grid) / sm_simt_rate
 
-        res = estimate_block_resources(kernel, cfg, spec.resource_config())
-        by_smem = max(1, spec.smem_per_sm // max(res.smem_bytes, 1))
-        by_regs = max(1, spec.regfile_per_sm // max(res.reg_bytes, 1))
-        bps = max(1, min(spec.max_blocks_per_sm, by_smem, by_regs))
+        bps, _hide = self._analytic._occupancy(kernel, cfg)
         concurrency = spec.sm_count * bps
         return compute_per_block, concurrency
 

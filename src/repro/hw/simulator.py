@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..core.resources import estimate_block_resources
+from ..core.resources import BlockFootprint
 from ..core.schedule import KernelSchedule, ProgramSchedule, ScheduleConfig
 from ..ir.ops import ceil_div
 from ..ir.tensor import DTYPE_BYTES
@@ -118,6 +118,11 @@ class DeviceSimulator:
 
     def __init__(self, spec: GPUSpec) -> None:
         self.spec = spec
+        self._rc = spec.resource_config()
+        # The tuner times all configurations of one kernel back to back,
+        # so remembering the last kernel's footprint is enough.
+        self._last_footprint: tuple[KernelSchedule, BlockFootprint] | None \
+            = None
 
     # ------------------------------------------------------------------
     # Traffic accounting
@@ -253,8 +258,10 @@ class DeviceSimulator:
         cache lines, so low occupancy leaves the memory pipeline
         under-fed and caps achievable bandwidth."""
         spec = self.spec
-        res = estimate_block_resources(kernel, config,
-                                       spec.resource_config())
+        memo = self._last_footprint
+        if memo is None or memo[0] is not kernel:
+            memo = self._last_footprint = (kernel, BlockFootprint(kernel))
+        res = memo[1].estimate(config, self._rc)
         by_smem = max(1, spec.smem_per_sm // max(res.smem_bytes, 1))
         by_regs = max(1, spec.regfile_per_sm // max(res.reg_bytes, 1))
         bps = max(1, min(spec.max_blocks_per_sm, by_smem, by_regs))

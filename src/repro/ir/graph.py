@@ -86,12 +86,13 @@ class DataflowGraph:
     @property
     def input_tensors(self) -> list[str]:
         produced = {op.output for op in self.ops}
-        used: list[str] = []
+        # Insertion-ordered set: first-read order, without a list scan.
+        used: dict[str, None] = {}
         for op in self.ops:
             for t in op.inputs:
-                if t not in produced and t not in used:
-                    used.append(t)
-        return used
+                if t not in produced:
+                    used[t] = None
+        return list(used)
 
     @property
     def output_tensors(self) -> list[str]:
@@ -106,8 +107,17 @@ class DataflowGraph:
         return [op.output for op in self.ops if op.output not in outs]
 
     def topological_ops(self) -> list[Op]:
-        """Ops in dependency order (the op list is SSA so insertion order
-        may already be topological, but we verify and re-sort defensively)."""
+        """Ops in dependency order.  The op list is SSA and almost always
+        already topological, so one linear pass confirms that and returns
+        the insertion order; only a shuffled list pays for the sort."""
+        ready = set(self.input_tensors)
+        for op in self.ops:
+            if not ready.issuperset(op.inputs):
+                return self._sorted_ops()
+            ready.add(op.output)
+        return list(self.ops)
+
+    def _sorted_ops(self) -> list[Op]:
         ready = set(self.input_tensors)
         pending = list(self.ops)
         ordered: list[Op] = []

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 
+from ..core.resources import BlockFootprint
 from ..core.schedule import KernelSchedule, ScheduleConfig
 from ..ir.tensor import DTYPE_BYTES
 
@@ -69,16 +70,18 @@ def kernel_features(kernel: KernelSchedule) -> list[float]:
     ]
 
 
-def config_features(kernel: KernelSchedule,
-                    cfg: ScheduleConfig) -> list[float]:
-    """Descriptor of one search-space point on ``kernel``."""
+def config_features(kernel: KernelSchedule, cfg: ScheduleConfig,
+                    footprint: BlockFootprint | None = None) -> list[float]:
+    """Descriptor of one search-space point on ``kernel``.
+
+    A caller describing many points of one kernel passes that kernel's
+    ``footprint`` so the graph is analysed once, not once per point."""
     volume = 1
     for _dim, block in cfg.block:
         volume *= block
     grid = kernel.grid_size(cfg)
     intra = kernel.num_intra_blocks(cfg)
-    block_elems = sum(kernel.tensor_block_elems(t, cfg)
-                      for t in kernel.exec_graph.tensors)
+    block_elems = (footprint or BlockFootprint(kernel)).total_block_elems(cfg)
     return [
         _log2(volume),
         _log2(cfg.tile or 1),

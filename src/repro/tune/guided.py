@@ -45,6 +45,7 @@ from ..core.autotuner import (
     apply_tune_result,
     evaluate_search_space,
 )
+from ..core.resources import BlockFootprint
 from ..core.schedule import KernelSchedule, ScheduleConfig
 from ..core.serialize import _config_from_dict, _config_to_dict
 from ..obs import event as obs_event
@@ -255,13 +256,14 @@ class GuidedTuner:
                    alpha: float, keep_timings: bool) -> TuneResult:
         self._inc("tunedb.misses")
         kfeats = kernel_features(kernel)
-        candidates = self._order_candidates(kernel, kfeats)
+        footprint = BlockFootprint(kernel)
+        candidates = self._order_candidates(kernel, kfeats, footprint)
 
         samples: list[list] = []
 
         def recording(k: KernelSchedule, cfg: ScheduleConfig) -> float:
             t = timing_fn(k, cfg)
-            samples.append([kfeats + config_features(k, cfg), t])
+            samples.append([kfeats + config_features(k, cfg, footprint), t])
             return t
 
         with obs_span("tune_campaign", category="tune",
@@ -287,15 +289,15 @@ class GuidedTuner:
         return res
 
     def _order_candidates(
-            self, kernel: KernelSchedule,
-            kfeats: list[float]) -> list[ScheduleConfig] | None:
+            self, kernel: KernelSchedule, kfeats: list[float],
+            footprint: BlockFootprint) -> list[ScheduleConfig] | None:
         """Reorder the search space best-first, or None for the default
         enumeration order.  Always a permutation of the space."""
         space = kernel.search_space
         if self.predictor.should_refit(len(self.db.samples())):
             self.predictor.fit(self.db.samples())
         if self.predictor.ready:
-            fvecs = [kfeats + config_features(kernel, cfg)
+            fvecs = [kfeats + config_features(kernel, cfg, footprint)
                      for cfg in space]
             scores = self.predictor.predict(fvecs)
             if scores is not None and np.all(np.isfinite(scores)):

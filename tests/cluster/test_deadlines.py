@@ -117,7 +117,7 @@ class TestHedging:
                           timeout=60.0)
             primary = sup.owners_for("mlp")[0]
             assert sup.arm_faults(primary,
-                                  {"cluster.worker.slow": "delay(500)"})
+                                  {"cluster.worker.slow": "delay(1500)"})
             t0 = time.monotonic()
             reply = sup.infer("mlp", random_feeds(graphs["mlp"], seed=0),
                               timeout=30.0)
@@ -125,8 +125,10 @@ class TestHedging:
             for name, arr in expected.items():
                 np.testing.assert_allclose(reply.outputs[name], arr,
                                            atol=1e-8)
-            # Answered by the hedge, not by waiting out the slow worker.
-            assert elapsed < 0.45
+            # Answered by the hedge, not by waiting out the slow worker
+            # (half the injected delay: the hedge target may still have
+            # to cold-compile the graph first).
+            assert elapsed < 0.75
             assert sup.metrics.get("hedge.issued") >= 1
             _wait(lambda: sup.metrics.get("hedge.won") >= 1, timeout_s=5.0)
             assert sup.metrics.get("hedge.won") >= 1

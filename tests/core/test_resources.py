@@ -1,0 +1,454 @@
+"""checkRsrc/enumCfg through a :class:`BlockFootprint` (section 5.1).
+
+The per-configuration graph walk the compiler used before the footprint
+existed lives on here, verbatim, as the oracle: the footprint must return
+the same integers on every lattice point and ``enumerate_configs`` the same
+list in the same order — the search space is part of the schedule JSON and
+of every TuneDB fingerprint.  Alongside it: the monotonicity laws the tuner
+relies on, and count-based guards that the graph is analysed once per
+kernel and that retained schedules share their value objects.
+"""
+
+import math
+import pathlib
+import subprocess
+import sys
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import scheduler
+from repro.core.autotuner import evaluate_search_space
+from repro.core.builder import build_smg
+from repro.core.resources import (
+    BlockFootprint,
+    BlockResources,
+    ResourceConfig,
+    check_resources,
+    enumerate_configs,
+    estimate_block_resources,
+)
+from repro.core.schedule import KernelSchedule, ScheduleConfig
+from repro.core.scheduler import resource_aware_slicing
+from repro.core.temporal_slicer import TemporalSliceError, plan_temporal_slice
+from repro.hw import AMPERE, VOLTA
+from repro.hw import simulator as hw_simulator
+from repro.hw.simulator import DeviceSimulator
+from repro.ir.graph import DataflowGraph
+from repro.ir.ops import pow2_range
+from repro.ir.tensor import DTYPE_BYTES
+from repro.models import (
+    build_model,
+    layernorm_graph,
+    lstm_cell_graph,
+    mha_graph,
+    mlp_graph,
+    softmax_gemm_graph,
+)
+from repro.pipeline import make_compiler
+from tests.test_fuzz_compile import random_graph
+
+_ACCUM_BYTES = 4
+
+
+# ----------------------------------------------------------------------
+# The oracle: the parent commit's per-config walk, kept verbatim
+# ----------------------------------------------------------------------
+
+
+def oracle_estimate(kernel: KernelSchedule, config: ScheduleConfig,
+                    rc: ResourceConfig) -> BlockResources:
+    graph = kernel.exec_graph
+    inputs = set(graph.input_tensors)
+    outputs = set(graph.output_tensors)
+    plan = kernel.plan
+    agg_outputs = set(plan.stage_outputs) if plan is not None else set()
+
+    ops = graph.topological_ops()
+    last_use: dict[str, int] = {}
+    consumer_last: dict[str, int] = {}
+    for i, op in enumerate(ops):
+        for t in op.inputs:
+            last_use[t] = i
+            consumer_last[t] = i
+    for t in outputs:
+        last_use[t] = len(ops)
+
+    def block_bytes(tensor: str) -> int:
+        spec = graph.tensors[tensor]
+        return (kernel.tensor_block_elems(tensor, config)
+                * DTYPE_BYTES[spec.dtype])
+
+    reg_bytes = 0
+    for t in agg_outputs:
+        elems = kernel.tensor_block_elems(t, config)
+        reg_bytes += elems * _ACCUM_BYTES
+    reg_bytes += 64 * rc.max_threads_per_block // 4
+
+    peak_smem = 0
+    live: set[str] = set()
+    for i, op in enumerate(ops):
+        for t in op.inputs:
+            if t not in inputs and t not in agg_outputs:
+                live.add(t)
+        if op.output not in agg_outputs:
+            live.add(op.output)
+        stream = sum(
+            min(block_bytes(t), rc.stream_buffer_bytes)
+            for t in op.inputs if t in inputs
+        )
+        resident = sum(
+            block_bytes(t) for t in live
+            if t not in inputs and t not in outputs
+        )
+        out_bytes = 0
+        for t in live:
+            if t in outputs and t not in inputs and t not in agg_outputs:
+                if consumer_last.get(t, -1) > i:
+                    out_bytes += block_bytes(t)
+                else:
+                    out_bytes += min(block_bytes(t), rc.stream_buffer_bytes)
+        peak_smem = max(peak_smem, resident + stream + out_bytes)
+        live = {t for t in live if last_use.get(t, -1) > i}
+
+    return BlockResources(smem_bytes=peak_smem, reg_bytes=reg_bytes)
+
+
+def oracle_lattice(kernel: KernelSchedule) -> list[ScheduleConfig]:
+    """Every point the parent's enumCfg visited, in its order."""
+    dim_candidates: list[list[tuple[str, int]]] = []
+    for dim in kernel.spatial_dims:
+        size = kernel.smg.dim_size(dim)
+        if size <= 4 or not kernel.smg.mappings_along(dim):
+            choices = [1]
+        else:
+            choices = [b for b in pow2_range(2, min(size, 256)) if b <= size]
+            choices = choices or [size]
+        dim_candidates.append([(dim, b) for b in choices])
+
+    if kernel.plan is not None:
+        tsize = kernel.smg.dim_size(kernel.plan.dim)
+        tile_candidates = [t for t in pow2_range(16, min(tsize, 256))
+                           if t <= tsize]
+        tile_candidates = tile_candidates or [tsize]
+    else:
+        tile_candidates = [None]
+
+    stack: list[list[tuple[str, int]]] = [[]]
+    for choices in dim_candidates:
+        stack = [prefix + [c] for prefix in stack for c in choices]
+    return [ScheduleConfig(block=tuple(blocks), tile=tile)
+            for blocks in stack for tile in tile_candidates]
+
+
+def oracle_enumerate(kernel: KernelSchedule, rc: ResourceConfig,
+                     max_configs: int = 64) -> list[ScheduleConfig]:
+    configs = [cfg for cfg in oracle_lattice(kernel)
+               if oracle_estimate(kernel, cfg, rc).fits(rc)]
+    target = math.log2(64 * 64)
+
+    def cfg_key(cfg: ScheduleConfig) -> tuple:
+        vol = 1
+        for _d, b in cfg.block:
+            vol *= b
+        return (abs(math.log2(vol) - target), -(cfg.tile or 0))
+
+    configs.sort(key=cfg_key)
+    return configs[:max_configs]
+
+
+# ----------------------------------------------------------------------
+# Differential: the zoo and the seven subgraphs, two GPU presets
+# ----------------------------------------------------------------------
+
+ZOO = [(name, seq) for name in ("bert", "albert", "gpt2", "t5", "llama2")
+       for seq in (128, 512)]
+SUBGRAPHS = {
+    "mlp": lambda: mlp_graph(8, 256, 64, 64),
+    "lstm": lambda: lstm_cell_graph(64, 128),
+    "layernorm": lambda: layernorm_graph(256, 256),
+    "mha": lambda: mha_graph(1, 8, 128, 128, 64),
+    "mha-decode": lambda: mha_graph(1, 8, 1, 128, 64),
+    "mha-long": lambda: mha_graph(2, 8, 512, 512, 64),
+    "softmax-gemm": lambda: softmax_gemm_graph(512, 1024, 64),
+}
+
+
+@pytest.fixture(scope="module", params=[AMPERE, VOLTA], ids=lambda g: g.name)
+def enumerated(request):
+    """Every ``enumerate_configs`` call Algorithm 1 makes while compiling
+    the zoo's unique subprograms and the subgraphs for one GPU: spatial-only
+    and temporal candidates, partition probes included."""
+    gpu = request.param
+    calls: list[tuple[KernelSchedule, ResourceConfig, int, list]] = []
+    real = scheduler.enumerate_configs
+
+    def recording(kernel, rc, max_configs=64):
+        out = real(kernel, rc, max_configs)
+        calls.append((kernel, rc, max_configs, out))
+        return out
+
+    scheduler.enumerate_configs = recording
+    try:
+        programs = [build_model(name, 1, seq=seq) for name, seq in ZOO]
+        programs.append(build_model("vit", 1))
+        for program in programs:
+            make_compiler(gpu).compile_model(program)
+        for build in SUBGRAPHS.values():
+            make_compiler(gpu).compile_graph(build())
+    finally:
+        scheduler.enumerate_configs = real
+    return calls
+
+
+class TestFootprintEqualsTheWalk:
+    def test_every_lattice_point_of_the_zoo(self, enumerated):
+        points = 0
+        slicings = set()
+        for kernel, rc, _max, _out in enumerated:
+            footprint = BlockFootprint(kernel)
+            slicings.add(kernel.meta["slicing"])
+            for cfg in oracle_lattice(kernel):
+                assert footprint.estimate(cfg, rc) \
+                    == oracle_estimate(kernel, cfg, rc), (kernel.name, cfg)
+                points += 1
+        assert slicings == {"spatial", "spatial+temporal"}
+        assert points > 10_000
+
+    def test_search_space_is_the_parents_list_in_order(self, enumerated):
+        for kernel, rc, max_configs, out in enumerated:
+            assert out == oracle_enumerate(kernel, rc, max_configs), \
+                kernel.name
+
+    def test_one_shot_entry_points_agree(self, small_mha):
+        smg = build_smg(small_mha)
+        kernel = KernelSchedule("k", smg, ("m",),
+                                plan_temporal_slice(smg, "l"))
+        rc = AMPERE.resource_config()
+        for cfg in oracle_lattice(kernel):
+            expected = oracle_estimate(kernel, cfg, rc)
+            assert estimate_block_resources(kernel, cfg, rc) == expected
+            assert check_resources(kernel, cfg, rc) == expected.fits(rc)
+
+    @pytest.mark.parametrize("cfg", [
+        # names a dim twice: the first entry wins
+        ScheduleConfig(block=(("m", 8), ("m", 64)), tile=16),
+        # a tile on a dim that also has a block: the block wins
+        ScheduleConfig(block=(("m", 32), ("l", 4)), tile=64),
+        # block and tile larger than the dim: clipped to its size
+        ScheduleConfig(block=(("m", 4096),), tile=4096),
+        # a dim the kernel does not have, and one it does not slice
+        ScheduleConfig(block=(("zz", 2), ("dk", 8)), tile=None),
+    ], ids=["dim-twice", "tile-and-block", "over-size", "foreign-dims"])
+    def test_odd_configs(self, small_mha, cfg):
+        smg = build_smg(small_mha)
+        rc = AMPERE.resource_config()
+        for plan in (None, plan_temporal_slice(smg, "l")):
+            kernel = KernelSchedule("k", smg, ("m",), plan)
+            assert BlockFootprint(kernel).estimate(cfg, rc) \
+                == oracle_estimate(kernel, cfg, rc)
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: random graphs, arbitrary configs, and the two laws
+# ----------------------------------------------------------------------
+
+_SETTINGS = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+_DIMS = ("b", "m", "n", "zz")
+
+
+@st.composite
+def random_kernel(draw):
+    graph = draw(random_graph())
+    smg = build_smg(graph)
+    plan = None
+    if draw(st.booleans()):
+        try:
+            plan = plan_temporal_slice(smg, "n")
+        except TemporalSliceError:
+            pass
+    spatial = tuple(d for d in ("b", "m") if d in smg.dims)
+    return KernelSchedule("k", smg, spatial, plan)
+
+
+#: Repeated dims, foreign dims, blocks past the dim size and a tile next
+#: to a block on the same dim all come out of this.
+_configs = st.builds(
+    ScheduleConfig,
+    block=st.lists(st.tuples(st.sampled_from(_DIMS), st.integers(1, 40)),
+                   max_size=4).map(tuple),
+    tile=st.none() | st.integers(1, 40))
+
+_rcs = st.builds(ResourceConfig,
+                 smem_per_block=st.just(48 * 1024),
+                 regs_per_block=st.just(64 * 1024),
+                 max_threads_per_block=st.sampled_from((256, 1024)),
+                 stream_buffer_bytes=st.sampled_from((64, 1024, 16 * 1024)))
+
+
+class TestFootprintProperties:
+    @_SETTINGS
+    @given(kernel=random_kernel(), rc=_rcs,
+           cfgs=st.lists(_configs, min_size=1, max_size=6))
+    def test_equals_the_walk_on_random_graphs(self, kernel, rc, cfgs):
+        footprint = BlockFootprint(kernel)
+        for cfg in cfgs:
+            assert footprint.estimate(cfg, rc) \
+                == oracle_estimate(kernel, cfg, rc)
+
+    @_SETTINGS
+    @given(kernel=random_kernel(), rc=_rcs, data=st.data())
+    def test_usage_never_falls_when_a_block_or_the_tile_grows(
+            self, kernel, rc, data):
+        """smem_bytes and reg_bytes are non-decreasing in every block
+        extent and in the tile."""
+        dims = kernel.smg.dims
+        small = {d: data.draw(st.integers(1, 40), label=f"block {d}")
+                 for d in dims}
+        grown = {d: b + data.draw(st.integers(0, 40), label=f"grow {d}")
+                 for d, b in small.items()}
+        tile = data.draw(st.integers(1, 40), label="tile")
+        tile_grown = tile + data.draw(st.integers(0, 40), label="grow tile")
+        footprint = BlockFootprint(kernel)
+        lo = footprint.estimate(
+            ScheduleConfig(tuple(small.items()), tile), rc)
+        hi = footprint.estimate(
+            ScheduleConfig(tuple(grown.items()), tile_grown), rc)
+        assert lo.smem_bytes <= hi.smem_bytes
+        assert lo.reg_bytes <= hi.reg_bytes
+
+    @_SETTINGS
+    @given(kernel=random_kernel(), rc=_rcs,
+           max_configs=st.integers(1, 12))
+    def test_enumeration_is_the_parents_on_random_graphs(
+            self, kernel, rc, max_configs):
+        assert enumerate_configs(kernel, rc, max_configs) \
+            == oracle_enumerate(kernel, rc, max_configs)
+
+
+# ----------------------------------------------------------------------
+# Count-based guards: one analysis per kernel, shared value objects
+# ----------------------------------------------------------------------
+
+
+def _candidates(graph):
+    result = resource_aware_slicing(build_smg(graph),
+                                    AMPERE.resource_config())
+    assert result.candidates
+    return result.candidates
+
+
+class TestTheGraphIsWalkedOncePerKernel:
+    @pytest.mark.parametrize("build", [SUBGRAPHS["mha"], SUBGRAPHS["mlp"]],
+                             ids=["mha", "mlp"])
+    def test_enumerate_configs_sorts_the_graph_once(self, build,
+                                                    monkeypatch):
+        rc = AMPERE.resource_config()
+        for kernel in _candidates(build()):
+            calls = []
+            real = DataflowGraph.topological_ops
+
+            def counting(self, _real=real, _calls=calls):
+                _calls.append(self.name)
+                return _real(self)
+
+            monkeypatch.setattr(DataflowGraph, "topological_ops", counting)
+            assert len(oracle_lattice(kernel)) > 1
+            enumerate_configs(kernel, rc)
+            monkeypatch.setattr(DataflowGraph, "topological_ops", real)
+            assert len(calls) == 1
+
+    def test_a_tuning_campaign_builds_one_footprint_per_kernel(
+            self, monkeypatch):
+        built = []
+
+        class Counting(BlockFootprint):
+            def __init__(self, kernel):
+                built.append(kernel)
+                super().__init__(kernel)
+
+        monkeypatch.setattr(hw_simulator, "BlockFootprint", Counting)
+        sim = DeviceSimulator(AMPERE)
+        kernels = [k for build in SUBGRAPHS.values()
+                   for k in _candidates(build())]
+        assert sum(len(k.search_space) for k in kernels) > 5 * len(kernels)
+        for kernel in kernels:
+            result = evaluate_search_space(kernel, sim.kernel_time)
+            assert result.configs_evaluated == len(kernel.search_space)
+        assert [k.name for k in built] == [k.name for k in kernels]
+        assert all(a is b for a, b in zip(built, kernels))
+
+    def test_the_memo_is_per_simulator_and_by_identity(self, small_mha):
+        """Two equal-looking kernels never share a footprint, and neither
+        do two simulators."""
+        first, second = _candidates(small_mha)[-1], _candidates(small_mha)[-1]
+        sim = DeviceSimulator(AMPERE)
+        cfg = first.search_space[0]
+        assert sim.kernel_time(first, cfg) == sim.kernel_time(second, cfg) \
+            == DeviceSimulator(AMPERE).kernel_time(first, cfg)
+        assert sim._last_footprint[0] is second
+
+
+_RETENTION_SCRIPT = """
+import gc
+from repro.core.mappings import Mapping
+from repro.core.schedule import ScheduleConfig
+from repro.core.spaces import DataSpace, IterationSpace
+from repro.hw import AMPERE
+from repro.models import build_model
+from repro.pipeline import compile_model_for
+
+SHARED = (ScheduleConfig, Mapping, DataSpace, IterationSpace)
+
+def census():
+    gc.collect()
+    counts = dict.fromkeys(SHARED, 0)
+    for obj in gc.get_objects():
+        if type(obj) in counts:
+            counts[type(obj)] += 1
+    return counts
+
+program = build_model('bert', 1, seq=128)
+first = compile_model_for(program, AMPERE)
+before = census()
+assert all(before.values()), before
+second = compile_model_for(program, AMPERE)
+after = census()
+assert after == before, (before, after)
+for a, b in zip(first.subprograms, second.subprograms):
+    for ka, kb in zip(a.schedule.kernels, b.schedule.kernels):
+        assert ka.config is kb.config
+        assert all(x is y for x, y in zip(ka.search_space, kb.search_space))
+        assert all(x is y for x, y in zip(ka.smg.mappings, kb.smg.mappings))
+del first, second, a, b, ka, kb
+gc.collect()
+assert not any(len(cls._instances) for cls in SHARED), \\
+    [(cls.__name__, len(cls._instances)) for cls in SHARED]
+print('ok')
+"""
+
+
+class TestRetainedSchedulesShareTheirValues:
+    def test_a_second_compile_retains_no_new_instances(self):
+        """Compile bert-128 twice: with the first result alive the second
+        adds no ScheduleConfig/Mapping/DataSpace/IterationSpace instance,
+        and with both dropped the flyweight tables are empty — weak, not a
+        leak.  In a fresh interpreter, so nothing else holds schedules."""
+        src = pathlib.Path(__file__).parent.parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _RETENTION_SCRIPT],
+            env={"PYTHONPATH": str(src), "PATH": ""},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+
+    def test_flyweights_compare_and_serialize_like_plain_values(self):
+        plain = ScheduleConfig(block=(("m", 32),), tile=16)
+        shared = ScheduleConfig.of(block=(("m", 32),), tile=16)
+        assert shared == plain and hash(shared) == hash(plain)
+        assert shared is not plain
+        assert ScheduleConfig.of((("m", 32),), 16) is shared
+        assert ScheduleConfig.of(block=(("m", 32),)) is not shared

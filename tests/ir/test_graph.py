@@ -113,6 +113,32 @@ class TestDataflowGraph:
             assert all(t in seen for t in op.inputs)
             seen.add(op.output)
 
+    def test_shuffled_ops_fall_back_to_the_stable_sort(self, small_mha):
+        """An op list that is already topological comes back as is; a
+        shuffled one is sorted by repeated sweeps, each keeping the list's
+        relative order — what every caller has always received."""
+        assert small_mha.topological_ops() == small_mha.ops
+        ops = list(small_mha.ops)
+        shuffled = DataflowGraph("shuffled", dims=small_mha.dims,
+                                 tensors=dict(small_mha.tensors),
+                                 ops=ops[::-1])
+        expected, ready, pending = [], set(shuffled.input_tensors), ops[::-1]
+        while pending:
+            rest = []
+            for op in pending:
+                if all(t in ready for t in op.inputs):
+                    expected.append(op)
+                    ready.add(op.output)
+                else:
+                    rest.append(op)
+            pending = rest
+        assert shuffled.topological_ops() == expected
+        assert expected != ops[::-1] and sorted(
+            op.name for op in expected) == sorted(op.name for op in ops)
+        # Inputs come in first-read order, each once.
+        assert small_mha.input_tensors == ["Q", "K", "V"]
+        assert shuffled.input_tensors == ["V", "Q", "K"]
+
     def test_ssa_violation_raises(self):
         g = DataflowGraph("g")
         g.dims.define("m", 4)
