@@ -27,8 +27,7 @@ from ..ir.ops import Op
 
 
 def timing_fn_for(gpu: GPUSpec) -> Callable[[KernelSchedule, ScheduleConfig], float]:
-    sim = DeviceSimulator(gpu)
-    return lambda kernel, cfg: sim.kernel_time(kernel, cfg)
+    return DeviceSimulator(gpu).kernel_time
 
 
 def schedule_op_group(graph: DataflowGraph, ops: list[Op], name: str,

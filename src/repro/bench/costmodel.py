@@ -80,9 +80,7 @@ def bench_costmodel(workloads=None, archs=None) -> ExperimentResult:
                     top1_ratio = 1.0
                 else:
                     a_best = sim.sweep_configs(kernel)[0][0]
-                    event_times = {
-                        id(cfg): t for cfg, t in ev.rank_configs(kernel)}
-                    e_best = min(event_times.values())
+                    e_best = ev.rank_configs(kernel)[0][1]
                     e_of_a = ev.simulate_kernel(kernel, a_best).time_s
                     top1_ratio = e_of_a / e_best if e_best else 1.0
 

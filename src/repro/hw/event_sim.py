@@ -28,6 +28,8 @@ from .simulator import (
     _DRAM_EFFICIENCY,
     _SIMT_EFFICIENCY,
     DeviceSimulator,
+    KernelNumbers,
+    KernelTrafficPlan,
 )
 from .specs import GPUSpec
 
@@ -62,46 +64,10 @@ class EventDrivenSimulator:
         self.spec = spec
         self._analytic = DeviceSimulator(spec)
 
-    # -- per-block demands ------------------------------------------------
-
-    def _block_demands(self, kernel: KernelSchedule, cfg: ScheduleConfig,
-                       ) -> tuple[float, int]:
-        """(compute seconds on one SM, concurrency limit)."""
-        spec = self.spec
-        grid = kernel.grid_size(cfg)
-        graph = kernel.exec_graph
-
-        ftc = fsimt = 0.0
-        op_names = ([op.name for op in graph.ops] if kernel.plan is None
-                    else list(kernel.plan.tile_op_names)
-                    + list(kernel.plan.pass2_op_names))
-        for name in op_names:
-            op = graph.op(name)
-            f = op.flops(graph.dims)
-            if op.is_contraction:
-                ftc += f
-            else:
-                fsimt += f * spec.instruction_weight(op.kind)
-
-        # Mirror the analytical engine rates exactly: the gemm efficiency
-        # already folds in the manual factor, and the SIMT rate must too —
-        # omitting it skewed rankings for hand-tuned-library kernels.
-        manual = kernel.meta.get("efficiency", 1.0)
-        eff = self._analytic._gemm_efficiency(kernel, cfg)
-        sm_tc_rate = spec.tensor_flops / spec.sm_count * eff
-        sm_simt_rate = (spec.simt_flops / spec.sm_count
-                        * _SIMT_EFFICIENCY * manual)
-        compute_per_block = (ftc / grid) / sm_tc_rate \
-            + (fsimt / grid) / sm_simt_rate
-
-        bps, _hide = self._analytic._occupancy(kernel, cfg)
-        concurrency = spec.sm_count * bps
-        return compute_per_block, concurrency
-
     # -- hierarchy replay --------------------------------------------------
 
-    def _replay_hierarchy(self, kernel: KernelSchedule, cfg: ScheduleConfig,
-                          traffic, grid: int, concurrency: int,
+    def _replay_hierarchy(self, plan: KernelTrafficPlan, n: KernelNumbers,
+                          concurrency: int,
                           ) -> tuple[list[int], list[int], int, int] | None:
         """Walk the block schedule through a granule LRU.
 
@@ -116,38 +82,29 @@ class EventDrivenSimulator:
         Returns per-wave (access bytes, DRAM bytes) for input reads plus
         the totals, or None when the replay would be too large.
         """
-        touches = sum(max(1, round(t.passes)) for t in traffic) * grid
-        if touches > _REPLAY_TOUCH_CAP:
+        grid, counts = n.grid, n.counts
+        reads = [max(1, round(row.passes)) for row in plan.inputs]
+        if sum(reads) * grid > _REPLAY_TOUCH_CAP:
             return None
+        max_passes = max(reads, default=1)
 
-        spatial = kernel.spatial_dims
-        counts = []
-        for d in spatial:
-            block = cfg.block_of(d)
-            counts.append(-(-kernel.smg.dim_size(d) // block))
-        # Per-tensor: which spatial coordinates identify its granule.
-        graph = kernel.exec_graph
-        plans = []
-        max_passes = 1
-        for t in traffic:
-            tdims = set(graph.tensors[t.tensor].dims)
-            axes = tuple(i for i, d in enumerate(spatial) if d in tdims)
-            passes = max(1, round(t.passes))
-            max_passes = max(max_passes, passes)
-            plans.append((t, axes, passes))
-        out_plans = []
-        for tensor in graph.output_tensors:
-            tdims = set(graph.tensors[tensor].dims)
-            axes = tuple(i for i, d in enumerate(spatial) if d in tdims)
-            out_plans.append((tensor, axes,
-                              self._analytic._block_bytes(kernel, tensor,
-                                                          cfg)))
+        def granule(prefix: str, row) -> tuple[str, tuple[int, ...]]:
+            """A tensor's granule key: its name and which spatial
+            coordinates tell its slices apart."""
+            return prefix + row.tensor, tuple(
+                i for i in range(len(counts)) if i not in row.lacking)
+
+        in_plans = [(*granule("", row), passes, block_bytes)
+                    for row, passes, (_pass, block_bytes, _dup)
+                    in zip(plan.inputs, reads, n.rows)]
+        out_plans = [(*granule("store:", row), block_bytes)
+                     for row, block_bytes in zip(plan.outputs, n.out_blocks)]
 
         def block_coords(blk: int) -> tuple[int, ...]:
             coords = []
-            for n in reversed(counts):
-                coords.append(blk % n)
-                blk //= n
+            for count in reversed(counts):
+                coords.append(blk % count)
+                blk //= count
             return tuple(reversed(coords))
 
         cache = GranuleCache(self.spec.l2_capacity)
@@ -163,18 +120,17 @@ class EventDrivenSimulator:
             miss = 0
             for p in range(max_passes):
                 for c in coords:
-                    for t, axes, passes in plans:
+                    for tensor, axes, passes, nbytes in in_plans:
                         if p >= passes:
                             continue
-                        key = (t.tensor,) + tuple(c[i] for i in axes)
-                        acc += t.block_bytes
-                        if not cache.access(key, t.block_bytes):
-                            miss += t.block_bytes
+                        acc += nbytes
+                        key = (tensor,) + tuple(c[i] for i in axes)
+                        if not cache.access(key, nbytes):
+                            miss += nbytes
                     if p == max_passes - 1:
                         for tensor, axes, nbytes in out_plans:
-                            key = ("store:" + tensor,) \
-                                + tuple(c[i] for i in axes)
-                            cache.access(key, nbytes)
+                            cache.access(
+                                (tensor,) + tuple(c[i] for i in axes), nbytes)
             wave_access.append(acc)
             wave_dram.append(miss)
             total_access += acc
@@ -195,34 +151,43 @@ class EventDrivenSimulator:
                                   dram_bytes=counters.dram_bytes)
 
         spec = self.spec
-        cfg = config or kernel.effective_config()
-        grid = kernel.grid_size(cfg)
-        compute_s, concurrency = self._block_demands(kernel, cfg)
+        # One evaluation of the analytical core: the event loop replays
+        # the traffic it computed and times it its own way.
+        n = self._analytic._evaluate(kernel, config, None, launch_overhead)
+        _, plan, ftc, fsimt, _, _ = self._analytic._plan(kernel)
+        grid = n.grid
+        # Mirror the analytical engine rates exactly: the gemm efficiency
+        # already folds in the manual factor, and the SIMT rate must too —
+        # omitting it skewed rankings for hand-tuned-library kernels.
+        manual = kernel.meta.get("efficiency", 1.0)
+        sm_tc_rate = spec.tensor_flops / spec.sm_count * n.gemm_efficiency
+        sm_simt_rate = (spec.simt_flops / spec.sm_count
+                        * _SIMT_EFFICIENCY * manual)
+        compute_s = (ftc / grid) / sm_tc_rate + (fsimt / grid) / sm_simt_rate
+        concurrency = spec.sm_count * n.blocks_per_sm
         # The same Little's-law constraint as the analytical model: low
         # occupancy cannot keep enough lines in flight to reach peak DRAM
         # bandwidth (see DeviceSimulator._occupancy).
-        _bps, hide = self._analytic._occupancy(kernel, cfg)
-        bw = spec.dram_bandwidth * _DRAM_EFFICIENCY * hide
+        bw = spec.dram_bandwidth * _DRAM_EFFICIENCY * n.hide
 
-        counters, breakdown = self._analytic.kernel_cost(kernel, cfg)
         # Store-side DRAM (stores + spilled-output re-reads) has no
         # cross-block reuse to replay; spread it uniformly over blocks.
-        rest_dram = breakdown.dram_bytes - breakdown.read_dram_bytes
+        rest_dram = n.dram_bytes - n.read_dram_bytes
         rest_per_block = rest_dram / grid
 
-        replay = self._replay_hierarchy(kernel, cfg, breakdown.traffic,
-                                        grid, concurrency)
-        read_access_total = sum(t.load_bytes for t in breakdown.traffic)
+        replay = self._replay_hierarchy(plan, n, concurrency)
+        # Input-read loads: what reached L2 plus what L1 absorbed.
+        read_access_total = n.read_l2_access + n.l1_hit_bytes
         # L2-level traffic not covered by the read replay: stores plus
         # spilled-output re-reads, uniform over blocks.
-        rest_l2_per_block = (breakdown.load_bytes + breakdown.store_bytes
+        rest_l2_per_block = (n.load_bytes + n.store_bytes
                              - read_access_total) / grid
         if replay is None:
-            read_dram = breakdown.read_dram_bytes
+            read_dram = n.read_dram_bytes
             share = read_dram / grid
             access_share = read_access_total / grid
             wave_access = wave_reads = None
-            read_hit = breakdown.read_hit_rate
+            read_hit = n.read_hit_rate
             replayed = False
             dram_scale = l2_scale = 1.0
         else:
@@ -235,10 +200,9 @@ class EventDrivenSimulator:
             # hierarchy totals, which additionally carry the L1-absorbed
             # loads and the rasterisation reuse misses the granule LRU
             # does not model.
-            dram_scale = (breakdown.read_dram_bytes / read_dram
+            dram_scale = (n.read_dram_bytes / read_dram
                           if read_dram else 1.0)
-            l2_scale = ((read_access_total - breakdown.l1_hit_bytes)
-                        / read_access if read_access else 1.0)
+            l2_scale = n.read_l2_access / read_access if read_access else 1.0
 
         # Blocks admitted up to the concurrency limit; the DRAM channel is
         # processor-shared among *active* blocks, so a wave's service time

@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from ..core.autotuner import config_sort_key
 from ..core.resources import BlockFootprint
 from ..core.schedule import KernelSchedule, ProgramSchedule, ScheduleConfig
 from ..ir.ops import ceil_div
@@ -113,6 +115,112 @@ class KernelCostBreakdown:
     traffic: list[TensorTraffic] = field(default_factory=list)
 
 
+class TensorRow(NamedTuple):
+    """What one kernel input or output contributes, before any config."""
+
+    tensor: str
+    full_bytes: int
+    #: Element width in bytes.
+    width: int
+    dims: tuple[str, ...]
+    #: Indices into :attr:`KernelTrafficPlan.spatial` of the spatial
+    #: dimensions the tensor does not carry: it is re-fetched once per
+    #: block along them (the One-to-All duplication).
+    lacking: tuple[int, ...]
+    #: Passes over the grid: pass-1/pass-2 membership times any manual
+    #: ``input_read_multiplier`` (0 for outputs).
+    passes: float
+
+
+class KernelTrafficPlan:
+    """The config-independent half of :meth:`DeviceSimulator.kernel_cost`.
+
+    Built once per tuning campaign, from one look at the graph: which
+    inputs the kernel streams and in how many passes, what it stores, the
+    ops it issues and its :class:`BlockFootprint`.  Costing a
+    configuration is then arithmetic on per-dimension block counts.
+    """
+
+    def __init__(self, kernel: KernelSchedule) -> None:
+        graph = kernel.exec_graph
+        plan = kernel.plan
+        #: ``(dim, size)`` of the spatially sliced dimensions, grid order.
+        self.spatial = [(d, kernel.smg.dim_size(d))
+                        for d in kernel.spatial_dims]
+        self.footprint = BlockFootprint(kernel)
+        inputs = set(graph.input_tensors)
+        if plan is None:
+            ops = graph.ops
+            reads = dict.fromkeys(inputs, 1)
+        else:
+            # Pass-2 epilogues recompute their ops and re-read their inputs.
+            by_pass = [[graph.op(n) for n in names] for names in
+                       (plan.tile_op_names, plan.pass2_op_names)]
+            ops = by_pass[0] + by_pass[1]
+            reads: dict[str, int] = {}
+            for pass_ops in by_pass:
+                for t in {t for op in pass_ops for t in op.inputs} & inputs:
+                    reads[t] = reads.get(t, 0) + 1
+        #: ``(is_contraction, flops, kind)`` per issued op.
+        self.ops = [(op.is_contraction, op.flops(graph.dims), op.kind)
+                    for op in ops]
+        # Manual kernels may stream their inputs more often than the
+        # canonical two-pass structure (e.g. the Triton LayerNorm tutorial
+        # makes separate mean / variance / normalise loops: three reads).
+        multiplier = float(kernel.meta.get("input_read_multiplier", 1.0))
+        #: Size of every dimension a row carries.
+        self.dims: dict[str, int] = {}
+
+        def row(tensor: str, passes: float) -> TensorRow:
+            spec = graph.tensors[tensor]
+            for d in spec.dims:
+                self.dims[d] = graph.dims.size(d)
+            return TensorRow(
+                tensor, spec.nbytes(graph.dims), DTYPE_BYTES[spec.dtype],
+                spec.dims, tuple(i for i, d in enumerate(kernel.spatial_dims)
+                                 if d not in spec.dims), passes)
+
+        #: Streamed inputs in name order, then what the kernel stores.
+        self.inputs = [row(t, reads[t] * multiplier) for t in sorted(reads)]
+        self.outputs = [row(t, 0.0) for t in graph.output_tensors]
+
+
+class KernelNumbers(NamedTuple):
+    """One ``(kernel, config)`` costed: the plain numbers ``kernel_time``,
+    ``kernel_cost`` and the event-driven simulator all read."""
+
+    time_s: float
+    grid: int
+    #: Blocks along each spatially sliced dimension.
+    counts: list[int]
+    #: Per input row: (bytes the whole grid loads in one pass — sliced
+    #: dimensions partition exactly, so edge blocks are not rounded up —,
+    #: one block's staged slice, blocks sharing one slice).
+    rows: list[tuple[int, int, int]]
+    #: One block's slice of each output row.
+    out_blocks: list[int]
+    load_bytes: int
+    store_bytes: int
+    dram_bytes: int
+    l1_hit_bytes: int
+    l2_access_bytes: int
+    #: L2 accesses / DRAM bytes of input reads alone (no stores, no
+    #: spilled-output re-reads).
+    read_l2_access: int
+    read_dram_bytes: int
+    compute_time: float
+    memory_time: float
+    blocks_per_sm: int
+    #: Little's-law latency-hiding factor, see ``_occupancy``.
+    hide: float
+    gemm_efficiency: float
+
+    @property
+    def read_hit_rate(self) -> float:
+        return (1.0 - self.read_dram_bytes / max(self.read_l2_access, 1)
+                if self.read_l2_access else 1.0)
+
+
 class DeviceSimulator:
     """Cost model for one GPU specification."""
 
@@ -120,114 +228,38 @@ class DeviceSimulator:
         self.spec = spec
         self._rc = spec.resource_config()
         # The tuner times all configurations of one kernel back to back,
-        # so remembering the last kernel's footprint is enough.
-        self._last_footprint: tuple[KernelSchedule, BlockFootprint] | None \
-            = None
+        # so remembering the last kernel's plan is enough.  One tuple,
+        # matched by identity: (kernel, plan, *this architecture's terms).
+        self._last_plan: tuple | None = None
 
-    # ------------------------------------------------------------------
-    # Traffic accounting
-    # ------------------------------------------------------------------
-
-    def _block_bytes(self, kernel: KernelSchedule, tensor: str,
-                     config: ScheduleConfig) -> int:
-        """Bytes of ``tensor`` one interior SMG block stages over its whole
-        lifetime (the temporal dimension is streamed, so it contributes its
-        full extent; spatial dimensions contribute the block size)."""
-        graph = kernel.exec_graph
-        spec = graph.tensors[tensor]
-        elems = 1
-        for d in spec.dims:
-            block = config.block_of(d)
-            size = graph.dims.size(d)
-            elems *= min(block, size) if block is not None else size
-        return elems * DTYPE_BYTES[spec.dtype]
-
-    def _pass_loads(self, kernel: KernelSchedule, tensor: str,
-                    config: ScheduleConfig) -> tuple[int, int]:
-        """(exact bytes of ``tensor`` the whole grid loads in one pass,
-        blocks sharing one slice).
-
-        Spatially sliced dimensions the tensor carries are partitioned
-        exactly across their blocks — summing the edge blocks' remainders,
-        not rounding them up — so indivisible grids are not over-counted.
-        Spatial dimensions the tensor lacks re-fetch it once per block
-        along them (the One-to-All duplication)."""
-        graph = kernel.exec_graph
-        spec = graph.tensors[tensor]
-        elems = 1
-        for d in spec.dims:
-            elems *= graph.dims.size(d)
-        tensor_dims = set(spec.dims)
-        dup = 1
-        for d in kernel.spatial_dims:
-            if d in tensor_dims:
-                continue
-            block = config.block_of(d)
-            if block is not None:
-                dup *= ceil_div(kernel.smg.dim_size(d), block)
-        return elems * dup * DTYPE_BYTES[spec.dtype], dup
-
-    def _pass_inputs(self, kernel: KernelSchedule) -> tuple[set[str], set[str]]:
-        """Input tensors read in pass 1 and (again) in pass 2."""
-        graph = kernel.exec_graph
-        inputs = set(graph.input_tensors)
-        if kernel.plan is None:
-            return inputs, set()
-        p1 = {
-            t for name in kernel.plan.tile_op_names
-            for t in graph.op(name).inputs if t in inputs
-        }
-        p2 = {
-            t for name in kernel.plan.pass2_op_names
-            for t in graph.op(name).inputs if t in inputs
-        }
-        return p1, p2
-
-    def input_traffic(self, kernel: KernelSchedule,
-                      config: ScheduleConfig | None = None,
-                      ) -> list[TensorTraffic]:
-        """Structural per-input traffic (shared with the event simulator)."""
-        cfg = config or kernel.effective_config()
-        p1_inputs, p2_inputs = self._pass_inputs(kernel)
-        # Manual kernels may stream their inputs more often than the
-        # canonical two-pass structure (e.g. the Triton LayerNorm tutorial
-        # makes separate mean / variance / normalise loops: three reads).
-        read_multiplier = float(kernel.meta.get("input_read_multiplier", 1.0))
-        graph = kernel.exec_graph
-        out = []
-        for tensor in sorted(p1_inputs | p2_inputs):
-            pass_bytes, dup = self._pass_loads(kernel, tensor, cfg)
-            passes = ((1 if tensor in p1_inputs else 0)
-                      + (1 if tensor in p2_inputs else 0)) * read_multiplier
-            out.append(TensorTraffic(
-                tensor=tensor,
-                full_bytes=graph.tensors[tensor].nbytes(graph.dims),
-                pass_bytes=pass_bytes,
-                block_bytes=self._block_bytes(kernel, tensor, cfg),
-                passes=passes,
-                dup=dup,
-            ))
-        return out
-
-    def _op_flops(self, kernel: KernelSchedule) -> tuple[float, float]:
-        """(tensor-core flops, weighted SIMT flops) including pass-2
-        recomputation, weighted by the architecture's instruction table."""
-        graph = kernel.exec_graph
-        if kernel.plan is None:
-            op_names = [op.name for op in graph.ops]
-        else:
-            op_names = list(kernel.plan.tile_op_names) + \
-                list(kernel.plan.pass2_op_names)
-        ftc = 0.0
-        fsimt = 0.0
-        for name in op_names:
-            op = graph.op(name)
-            f = op.flops(graph.dims)
-            if op.is_contraction:
-                ftc += f
-            else:
-                fsimt += f * self.spec.instruction_weight(op.kind)
-        return ftc, fsimt
+    def _plan(self, kernel: KernelSchedule) -> tuple:
+        """``(kernel, plan, tensor-core flops, weighted SIMT flops, raw L2
+        hit rate, reuse miss fraction)`` — the plan plus what this
+        architecture makes of it before any configuration is known."""
+        memo = self._last_plan
+        if memo is None or memo[0] is not kernel:
+            spec = self.spec
+            plan = KernelTrafficPlan(kernel)
+            ftc = fsimt = 0.0
+            for is_contraction, flops, kind in plan.ops:
+                if is_contraction:
+                    ftc += flops
+                else:
+                    fsimt += flops * spec.instruction_weight(kind)
+            # --- L2 tier: cross-block re-reads -------------------------
+            # The kernel's streamed working set competing for L2: every
+            # distinct byte it moves (inputs and outputs), each capped at
+            # the capacity.  The reuse hit rate decays as the set
+            # overflows, with a rasterisation floor: neighbouring blocks
+            # walk the same slices, so at most ``_L2_SPILL_REUSE`` of
+            # over-capacity re-reads miss.
+            stream_set = sum(min(row.full_bytes, spec.l2_capacity)
+                             for row in plan.inputs + plan.outputs)
+            l2_hit_raw = streaming_hit_rate(stream_set, spec.l2_capacity)
+            memo = self._last_plan = (
+                kernel, plan, ftc, fsimt, l2_hit_raw,
+                (1.0 - l2_hit_raw) * _L2_SPILL_REUSE)
+        return memo
 
     # ------------------------------------------------------------------
     # Efficiency factors
@@ -248,7 +280,7 @@ class DeviceSimulator:
         manual = kernel.meta.get("efficiency", 1.0)
         return max(0.05, _GEMM_BASE_EFFICIENCY * shape_factor * manual)
 
-    def _occupancy(self, kernel: KernelSchedule, config: ScheduleConfig,
+    def _occupancy(self, footprint: BlockFootprint, config: ScheduleConfig,
                    ) -> tuple[int, float]:
         """(blocks per SM, memory-latency-hiding factor).
 
@@ -258,10 +290,7 @@ class DeviceSimulator:
         cache lines, so low occupancy leaves the memory pipeline
         under-fed and caps achievable bandwidth."""
         spec = self.spec
-        memo = self._last_footprint
-        if memo is None or memo[0] is not kernel:
-            memo = self._last_footprint = (kernel, BlockFootprint(kernel))
-        res = memo[1].estimate(config, self._rc)
+        res = footprint.estimate(config, self._rc)
         by_smem = max(1, spec.smem_per_sm // max(res.smem_bytes, 1))
         by_regs = max(1, spec.regfile_per_sm // max(res.reg_bytes, 1))
         bps = max(1, min(spec.max_blocks_per_sm, by_smem, by_regs))
@@ -274,75 +303,73 @@ class DeviceSimulator:
     # Kernel cost
     # ------------------------------------------------------------------
 
-    def kernel_cost(self, kernel: KernelSchedule,
-                    config: ScheduleConfig | None = None,
-                    l2: L2State | None = None,
-                    launch_overhead: float | None = None,
-                    ) -> tuple[PerfCounters, KernelCostBreakdown]:
+    def _evaluate(self, kernel: KernelSchedule,
+                  config: ScheduleConfig | None, l2: L2State | None,
+                  launch_overhead: float | None) -> KernelNumbers:
+        """The one place the traffic and time formulas live: arithmetic
+        on the kernel's plan, nothing read from the graph."""
         spec = self.spec
+        _, plan, ftc, fsimt, l2_hit_raw, reuse_miss_frac = self._plan(kernel)
         cfg = config or kernel.effective_config()
-        graph = kernel.exec_graph
-
-        if kernel.meta.get("barrier"):
-            return self._barrier_cost(kernel, l2, launch_overhead)
-
-        grid = kernel.grid_size(cfg)
-        traffic = self.input_traffic(kernel, cfg)
+        blocks = dict(reversed(cfg.block))  # first entry for a dim wins
+        try:
+            counts = [ceil_div(size, blocks[dim])
+                      for dim, size in plan.spatial]
+        except KeyError as exc:
+            raise ValueError(
+                f"config lacks block size for dim {exc.args[0]!r}") from None
+        grid = math.prod(counts)
 
         # --- L1/shared tier: intra-block re-reads ----------------------
         # A block stages each operand slice once per pass; re-reads in
         # later passes (pass-2 epilogues, extra manual sweeps) hit L1 when
-        # the block's staged footprint still fits.
-        block_fp = sum(t.block_bytes for t in traffic)
-        block_fp += sum(self._block_bytes(kernel, t, cfg)
-                        for t in graph.output_tensors)
-        l1_hit_frac = streaming_hit_rate(block_fp, spec.l1_capacity)
+        # the block's staged footprint still fits.  One interior block's
+        # slice: the temporal dimension is streamed, so it contributes its
+        # full extent; spatial dimensions contribute the block size.
+        extent = {dim: size if (block := blocks.get(dim)) is None
+                  or block > size else block
+                  for dim, size in plan.dims.items()}
+        staged = []
+        for row in plan.inputs + plan.outputs:
+            nbytes = row.width
+            for dim in row.dims:
+                nbytes *= extent[dim]
+            staged.append(nbytes)
+        l1_hit_frac = streaming_hit_rate(sum(staged), spec.l1_capacity)
 
-        # --- L2 tier: cross-block re-reads -----------------------------
-        # The kernel's streamed working set competing for L2: every
-        # distinct byte it moves (inputs and outputs), each capped at the
-        # capacity.  The reuse hit rate decays as the set overflows, with
-        # a rasterisation floor: neighbouring blocks walk the same slices,
-        # so at most ``_L2_SPILL_REUSE`` of over-capacity re-reads miss.
-        stream_set = sum(min(t.full_bytes, spec.l2_capacity)
-                         for t in traffic)
-        stream_set += sum(
-            min(graph.tensors[t].nbytes(graph.dims), spec.l2_capacity)
-            for t in graph.output_tensors)
-        l2_hit_raw = streaming_hit_rate(stream_set, spec.l2_capacity)
-        reuse_miss_frac = (1.0 - l2_hit_raw) * _L2_SPILL_REUSE
-
-        load_bytes = 0
-        dram_bytes = 0
-        l1_hit_bytes = 0
-        l2_access_bytes = 0
-        read_l2_access = 0
-        for t in traffic:
-            total_loads = t.load_bytes
+        rows = []
+        load_bytes = dram_bytes = l1_hit_bytes = l2_access_bytes = 0
+        for row, block_bytes in zip(plan.inputs, staged):
+            # Spatially sliced dimensions the tensor carries partition
+            # exactly across their blocks (edge blocks read only the
+            # remainder); the ones it lacks re-fetch it once per block.
+            dup = 1
+            for i in row.lacking:
+                dup *= counts[i]
+            pass_bytes = row.full_bytes * dup
+            rows.append((pass_bytes, block_bytes, dup))
+            total_loads = int(pass_bytes * row.passes)
             load_bytes += total_loads
             # Only the re-read passes can hit in L1.
-            l1_hits = int((total_loads - t.pass_bytes) * l1_hit_frac) \
-                if total_loads > t.pass_bytes else 0
+            l1_hits = int((total_loads - pass_bytes) * l1_hit_frac) \
+                if total_loads > pass_bytes else 0
             l1_hit_bytes += l1_hits
             l2_access = total_loads - l1_hits
             l2_access_bytes += l2_access
-            read_l2_access += l2_access
-            if l2 is not None and l2.is_resident(t.tensor):
+            if l2 is not None and l2.is_resident(row.tensor):
                 # Still resident from a producer kernel: no DRAM at all.
-                l2.touch(t.tensor)
-                tensor_dram = 0
+                l2.touch(row.tensor)
             else:
-                compulsory = min(t.full_bytes, l2_access)
+                compulsory = min(row.full_bytes, l2_access)
                 reuse = l2_access - compulsory
-                tensor_dram = compulsory + int(reuse * reuse_miss_frac)
-            dram_bytes += tensor_dram
+                dram_bytes += compulsory + int(reuse * reuse_miss_frac)
+        read_l2_access = l2_access_bytes
         read_dram = dram_bytes
 
         spill = kernel.meta.get("output_spill_factor", 1.0)
         store_bytes = 0
-        for tensor in graph.output_tensors:
-            full = graph.tensors[tensor].nbytes(graph.dims)
-            store_bytes += int(full * spill)
+        for row in plan.outputs:
+            store_bytes += int(row.full_bytes * spill)
             if spill > 1.0:
                 # Re-read of spilled partial outputs (FlashAttention-1's
                 # outer K/V loop rewrites O in device memory).  The
@@ -352,18 +379,14 @@ class DeviceSimulator:
                 # overflows the cache.  No rasterisation floor — each
                 # block re-reads its *own* slice a full outer iteration
                 # later, so neighbours share nothing.
-                re_read = int(full * (spill - 1.0))
+                re_read = int(row.full_bytes * (spill - 1.0))
                 load_bytes += re_read
                 l2_access_bytes += re_read
                 dram_bytes += int(re_read * (1.0 - l2_hit_raw))
+            if l2 is not None:
+                l2.insert(row.tensor, row.full_bytes)
         dram_bytes += store_bytes
         l2_access_bytes += store_bytes
-
-        if l2 is not None:
-            for tensor in graph.output_tensors:
-                l2.insert(tensor, graph.tensors[tensor].nbytes(graph.dims))
-
-        ftc, fsimt = self._op_flops(kernel)
 
         # --- timing -----------------------------------------------------
         eff = self._gemm_efficiency(kernel, cfg)
@@ -373,7 +396,7 @@ class DeviceSimulator:
                      if fsimt else 0.0)
         compute_raw = tc_time + simt_time
 
-        bps, hide = self._occupancy(kernel, cfg)
+        bps, hide = self._occupancy(plan.footprint, cfg)
         if grid >= spec.sm_count:
             waves = math.ceil(grid / spec.sm_count)
             quant = waves / (grid / spec.sm_count)
@@ -391,37 +414,45 @@ class DeviceSimulator:
                                                 * max(l1_frac, 1e-6))
         overhead = (spec.kernel_launch_overhead
                     if launch_overhead is None else launch_overhead)
-        exec_time = max(compute_time, dram_time, l2_time, l1_time)
-        time_s = exec_time + overhead
+        memory_time = max(dram_time, l2_time, l1_time)
+        return KernelNumbers(
+            max(compute_time, memory_time) + overhead, grid, counts, rows,
+            staged[len(rows):], load_bytes, store_bytes, dram_bytes,
+            l1_hit_bytes, l2_access_bytes, read_l2_access, read_dram,
+            compute_time, memory_time, bps, hide, eff)
 
-        l1_fill = load_bytes + store_bytes - l1_hit_bytes
-        l2_hit_bytes = max(0, l1_fill - dram_bytes)
+    def kernel_cost(self, kernel: KernelSchedule,
+                    config: ScheduleConfig | None = None,
+                    l2: L2State | None = None,
+                    launch_overhead: float | None = None,
+                    ) -> tuple[PerfCounters, KernelCostBreakdown]:
+        if kernel.meta.get("barrier"):
+            return self._barrier_cost(kernel, l2, launch_overhead)
+        n = self._evaluate(kernel, config, l2, launch_overhead)
+        _, plan, ftc, fsimt, _, _ = self._plan(kernel)
+        l1_fill = n.load_bytes + n.store_bytes - n.l1_hit_bytes
+        l2_hit_bytes = max(0, l1_fill - n.dram_bytes)
         counters = PerfCounters(
-            time_s=time_s,
-            kernel_launches=1,
-            dram_bytes=dram_bytes,
-            l1_fill_bytes=l1_fill,
-            l1_hit_bytes=l1_hit_bytes,
-            l2_hit_bytes=l2_hit_bytes,
-            flops_tensor=ftc,
-            flops_simt=fsimt,
-            line_bytes=spec.line_bytes,
-        )
+            time_s=n.time_s, kernel_launches=1, dram_bytes=n.dram_bytes,
+            l1_fill_bytes=l1_fill, l1_hit_bytes=n.l1_hit_bytes,
+            l2_hit_bytes=l2_hit_bytes, flops_tensor=ftc, flops_simt=fsimt,
+            line_bytes=self.spec.line_bytes)
         breakdown = KernelCostBreakdown(
-            grid=grid, load_bytes=load_bytes, store_bytes=store_bytes,
-            dram_bytes=dram_bytes, flops_tensor=ftc, flops_simt=fsimt,
-            compute_time=compute_time,
-            memory_time=max(dram_time, l2_time, l1_time),
-            time_s=time_s,
-            l1_hit_bytes=l1_hit_bytes,
+            grid=n.grid, load_bytes=n.load_bytes, store_bytes=n.store_bytes,
+            dram_bytes=n.dram_bytes, flops_tensor=ftc, flops_simt=fsimt,
+            compute_time=n.compute_time, memory_time=n.memory_time,
+            time_s=n.time_s, l1_hit_bytes=n.l1_hit_bytes,
             l2_hit_bytes=l2_hit_bytes,
-            l1_hit_rate=l1_hit_bytes / load_bytes if load_bytes else 0.0,
-            l2_hit_rate=(1.0 - dram_bytes / l2_access_bytes
-                         if l2_access_bytes else 0.0),
-            read_hit_rate=(1.0 - read_dram / max(read_l2_access, 1)
-                           if read_l2_access else 1.0),
-            read_dram_bytes=read_dram,
-            traffic=traffic,
+            l1_hit_rate=(n.l1_hit_bytes / n.load_bytes
+                         if n.load_bytes else 0.0),
+            l2_hit_rate=(1.0 - n.dram_bytes / n.l2_access_bytes
+                         if n.l2_access_bytes else 0.0),
+            read_hit_rate=n.read_hit_rate,
+            read_dram_bytes=n.read_dram_bytes,
+            traffic=[TensorTraffic(row.tensor, row.full_bytes, pass_bytes,
+                                   block_bytes, row.passes, dup)
+                     for row, (pass_bytes, block_bytes, dup)
+                     in zip(plan.inputs, n.rows)],
         )
         return counters, breakdown
 
@@ -431,20 +462,20 @@ class DeviceSimulator:
         """Layout kernels (reshape/transpose) are pure data movement."""
         spec = self.spec
         graph = kernel.exec_graph
-        load = sum(graph.tensors[t].nbytes(graph.dims)
-                   for t in graph.input_tensors)
-        store = sum(graph.tensors[t].nbytes(graph.dims)
-                    for t in graph.output_tensors)
-        dram = store
+        load = store = dram = 0
         for t in graph.input_tensors:
             nbytes = graph.tensors[t].nbytes(graph.dims)
+            load += nbytes
             if l2 is not None and l2.is_resident(t):
                 l2.touch(t)
             else:
                 dram += nbytes
-        if l2 is not None:
-            for t in graph.output_tensors:
-                l2.insert(t, graph.tensors[t].nbytes(graph.dims))
+        for t in graph.output_tensors:
+            nbytes = graph.tensors[t].nbytes(graph.dims)
+            store += nbytes
+            if l2 is not None:
+                l2.insert(t, nbytes)
+        dram += store
         overhead = (spec.kernel_launch_overhead
                     if launch_overhead is None else launch_overhead)
         time_s = dram / (spec.dram_bandwidth * _DRAM_EFFICIENCY) + overhead
@@ -465,23 +496,27 @@ class DeviceSimulator:
 
     def kernel_time(self, kernel: KernelSchedule,
                     config: ScheduleConfig | None = None) -> float:
-        """Timing-only entry point used by the auto-tuner."""
-        counters, _ = self.kernel_cost(kernel, config)
-        return counters.time_s
+        """Timing-only entry point used by the auto-tuner: the same
+        arithmetic as :meth:`kernel_cost`, no result objects built."""
+        if kernel.meta.get("barrier"):
+            return self._barrier_cost(kernel, None, None)[0].time_s
+        return self._evaluate(kernel, config, None, None).time_s
 
     def sweep_configs(self, kernel: KernelSchedule,
                       ) -> list[tuple[ScheduleConfig, float]]:
         """Time every configuration in a kernel's search space.
 
-        Returns (config, seconds) pairs sorted fastest-first — the raw
-        material of the tuning landscape, useful for what-if analysis and
-        for visualising why the tuner picked what it picked.
+        Returns (config, seconds) pairs sorted fastest-first, exact ties
+        broken the way the tuner breaks them, so the head is the tuner's
+        pick — the raw material of the tuning landscape, useful for
+        what-if analysis and for visualising why the tuner picked what it
+        picked.
         """
         timings = [
             (cfg, self.kernel_time(kernel, cfg))
             for cfg in kernel.search_space
         ]
-        timings.sort(key=lambda pair: pair[1])
+        timings.sort(key=lambda pair: (pair[1], config_sort_key(pair[0])))
         return timings
 
     # ------------------------------------------------------------------

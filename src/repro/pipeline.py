@@ -49,7 +49,7 @@ def make_compiler(gpu: GPUSpec,
                             metrics=tune_metrics)
     return SpaceFusionCompiler(
         rc=gpu.resource_config(),
-        timing_fn=lambda kernel, cfg: sim.kernel_time(kernel, cfg),
+        timing_fn=sim.kernel_time,
         options=options,
         tuner=tuner,
     )

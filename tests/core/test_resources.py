@@ -6,7 +6,8 @@ the same integers on every lattice point and ``enumerate_configs`` the same
 list in the same order — the search space is part of the schedule JSON and
 of every TuneDB fingerprint.  Alongside it: the monotonicity laws the tuner
 relies on, and count-based guards that the graph is analysed once per
-kernel and that retained schedules share their value objects.
+kernel — by enumCfg and by the device model's tuning campaign alike — and
+that retained schedules share their value objects.
 """
 
 import math
@@ -34,10 +35,11 @@ from repro.core.scheduler import resource_aware_slicing
 from repro.core.temporal_slicer import TemporalSliceError, plan_temporal_slice
 from repro.hw import AMPERE, VOLTA
 from repro.hw import simulator as hw_simulator
-from repro.hw.simulator import DeviceSimulator
+from repro.hw.event_sim import EventDrivenSimulator
+from repro.hw.simulator import DeviceSimulator, KernelTrafficPlan
 from repro.ir.graph import DataflowGraph
 from repro.ir.ops import pow2_range
-from repro.ir.tensor import DTYPE_BYTES
+from repro.ir.tensor import DTYPE_BYTES, TensorSpec
 from repro.models import (
     build_model,
     layernorm_graph,
@@ -164,6 +166,15 @@ def oracle_enumerate(kernel: KernelSchedule, rc: ResourceConfig,
 
 ZOO = [(name, seq) for name in ("bert", "albert", "gpt2", "t5", "llama2")
        for seq in (128, 512)]
+
+
+def zoo_programs() -> list:
+    """The benchmark spine's model zoo at batch 1 (vit: 224 px)."""
+    programs = [build_model(name, 1, seq=seq) for name, seq in ZOO]
+    programs.append(build_model("vit", 1))
+    return programs
+
+
 SUBGRAPHS = {
     "mlp": lambda: mlp_graph(8, 256, 64, 64),
     "lstm": lambda: lstm_cell_graph(64, 128),
@@ -191,9 +202,7 @@ def enumerated(request):
 
     scheduler.enumerate_configs = recording
     try:
-        programs = [build_model(name, 1, seq=seq) for name, seq in ZOO]
-        programs.append(build_model("vit", 1))
-        for program in programs:
+        for program in zoo_programs():
             make_compiler(gpu).compile_model(program)
         for build in SUBGRAPHS.values():
             make_compiler(gpu).compile_graph(build())
@@ -363,14 +372,22 @@ class TestTheGraphIsWalkedOncePerKernel:
 
     def test_a_tuning_campaign_builds_one_footprint_per_kernel(
             self, monkeypatch):
-        built = []
+        """... and one traffic plan, which is what holds the footprint."""
+        plans, footprints = [], []
 
-        class Counting(BlockFootprint):
+        class CountingPlan(KernelTrafficPlan):
             def __init__(self, kernel):
-                built.append(kernel)
+                plans.append(kernel)
                 super().__init__(kernel)
 
-        monkeypatch.setattr(hw_simulator, "BlockFootprint", Counting)
+        class CountingFootprint(BlockFootprint):
+            def __init__(self, kernel):
+                footprints.append(kernel)
+                super().__init__(kernel)
+
+        monkeypatch.setattr(hw_simulator, "KernelTrafficPlan", CountingPlan)
+        monkeypatch.setattr(hw_simulator, "BlockFootprint",
+                            CountingFootprint)
         sim = DeviceSimulator(AMPERE)
         kernels = [k for build in SUBGRAPHS.values()
                    for k in _candidates(build())]
@@ -378,18 +395,54 @@ class TestTheGraphIsWalkedOncePerKernel:
         for kernel in kernels:
             result = evaluate_search_space(kernel, sim.kernel_time)
             assert result.configs_evaluated == len(kernel.search_space)
-        assert [k.name for k in built] == [k.name for k in kernels]
-        assert all(a is b for a, b in zip(built, kernels))
+        for built in (plans, footprints):
+            assert len(built) == len(kernels)
+            assert all(a is b for a, b in zip(built, kernels))
 
     def test_the_memo_is_per_simulator_and_by_identity(self, small_mha):
-        """Two equal-looking kernels never share a footprint, and neither
-        do two simulators."""
+        """Two equal-looking kernels never share a plan, and neither do
+        two simulators."""
         first, second = _candidates(small_mha)[-1], _candidates(small_mha)[-1]
-        sim = DeviceSimulator(AMPERE)
+        sim, other = DeviceSimulator(AMPERE), DeviceSimulator(AMPERE)
         cfg = first.search_space[0]
-        assert sim.kernel_time(first, cfg) == sim.kernel_time(second, cfg) \
-            == DeviceSimulator(AMPERE).kernel_time(first, cfg)
-        assert sim._last_footprint[0] is second
+        assert sim.kernel_time(first, cfg) == other.kernel_time(first, cfg)
+        plan_of_first = sim._last_plan[1]
+        assert sim._last_plan[0] is first is other._last_plan[0]
+        assert other._last_plan[1] is not plan_of_first
+        assert sim.kernel_time(second, cfg) == other.kernel_time(first, cfg)
+        assert sim._last_plan[0] is second
+        assert sim._last_plan[1] is not plan_of_first
+        # The event simulator rides on its analytical model's memo.
+        ev = EventDrivenSimulator(AMPERE)
+        ev.simulate_kernel(first, cfg)
+        held = ev._analytic._last_plan
+        ev.simulate_kernel(first, first.search_space[-1])
+        assert ev._analytic._last_plan is held
+
+    def test_no_graph_access_after_the_first_kernel_time(self, monkeypatch):
+        """Between the first and the last ``kernel_time`` of a campaign
+        nothing asks the graph for an op, an order or a tensor size."""
+        sim = DeviceSimulator(AMPERE)
+        campaigns = 0
+        for build in SUBGRAPHS.values():
+            for kernel in _candidates(build()):
+                space = kernel.search_space
+                if len(space) < 2:
+                    continue
+                first = sim.kernel_time(kernel, space[0])
+                calls = []
+                with monkeypatch.context() as patch:
+                    for cls, name in ((DataflowGraph, "op"),
+                                      (DataflowGraph, "topological_ops"),
+                                      (TensorSpec, "nbytes")):
+                        patch.setattr(
+                            cls, name,
+                            lambda *a, _n=name, **kw: calls.append(_n))
+                    times = [sim.kernel_time(kernel, cfg) for cfg in space]
+                assert calls == []
+                assert times[0] == first
+                campaigns += 1
+        assert campaigns >= len(SUBGRAPHS)
 
 
 _RETENTION_SCRIPT = """
