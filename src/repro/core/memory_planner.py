@@ -29,7 +29,9 @@ GLOBAL = "global"
 def plan_memory_levels(kernel: KernelSchedule) -> dict[str, str]:
     """Assign a memory level to every tensor of a kernel's execution graph."""
     graph = kernel.exec_graph
-    smg = build_smg(graph, name=f"{kernel.name}@memplan")
+    # The kernel's own SMG describes this graph unless UTA rewrote it.
+    smg = (kernel.smg if graph is kernel.smg.graph
+           else build_smg(graph, name=f"{kernel.name}@memplan"))
     plan = kernel.plan
     stage_outputs = set(plan.stage_outputs) if plan is not None else set()
 
@@ -44,12 +46,8 @@ def plan_memory_levels(kernel: KernelSchedule) -> dict[str, str]:
         if tensor in stage_outputs:
             levels[tensor] = REGISTER
             continue
-        is_o2a_source = any(
-            m.kind is O2A for m in smg.out_edges(tensor)
-        )
-        is_a2o_sink = any(
-            m.kind is A2O for m in smg.in_edges(tensor)
-        )
+        is_o2a_source = any(m.kind is O2A for m in smg.out_edges(tensor))
+        is_a2o_sink = any(m.kind is A2O for m in smg.in_edges(tensor))
         levels[tensor] = SHARED if (is_o2a_source or is_a2o_sink) else REGISTER
     return levels
 

@@ -276,11 +276,15 @@ def compile_cached(graph: DataflowGraph, gpu, cache: ScheduleCache,
                    options=None):
     """Compile through the cache: load on hit, compile+store on miss."""
     from ..pipeline import compile_for
+    from ..tune.fingerprint import gpu_fingerprint
 
     options_repr = repr(options) if options is not None else ""
-    cached = cache.get(graph, gpu.name, options_repr)
+    # Every field of the spec, not its name: an edited spec that keeps a
+    # preset's name must not be served the preset's schedule.
+    gpu_key = gpu_fingerprint(gpu)
+    cached = cache.get(graph, gpu_key, options_repr)
     if cached is not None:
         return cached, None
     schedule, stats = compile_for(graph, gpu, options)
-    cache.put(graph, gpu.name, schedule, options_repr)
+    cache.put(graph, gpu_key, schedule, options_repr)
     return schedule, stats

@@ -60,6 +60,7 @@ from ..runtime.compiled import (
 )
 from ..runtime.executor import ScheduleExecutor
 from ..runtime.kernels import execute_graph_reference
+from ..tune.fingerprint import gpu_fingerprint
 from .cache import TieredScheduleCache
 from .metrics import ServeMetrics
 
@@ -189,7 +190,7 @@ class InferenceSession:
             with obs_span("session_compile", category="compile",
                           workload=self.graph.name, gpu=self.gpu.name):
                 schedule = self.cache.get_or_compile(
-                    self.graph, self.gpu.name, self._compile_fn,
+                    self.graph, gpu_fingerprint(self.gpu), self._compile_fn,
                     self._options_repr(), deadline_s=deadline)
             with obs_span("session_lower", category="compile",
                           workload=self.graph.name, engine=self.engine):

@@ -2,18 +2,26 @@
 
 import pytest
 
+from repro.core import memory_planner
 from repro.core.autotuner import TuneResult, pick_best, tune_kernel
 from repro.core.builder import build_smg
+from repro.core.mappings import A2O, O2A
 from repro.core.memory_planner import (
     GLOBAL,
     REGISTER,
     SHARED,
+    check_memory_plan,
     plan_memory_levels,
     register_tensors,
     shared_tensors,
 )
 from repro.core.schedule import KernelSchedule, ScheduleConfig
+from repro.core.scheduler import resource_aware_slicing
 from repro.core.temporal_slicer import plan_temporal_slice
+from repro.hw import AMPERE, VOLTA
+from repro.models import build_model
+from repro.pipeline import compile_for, compile_model_for
+from tests.core.test_resources import SUBGRAPHS
 
 
 def _kernel_with_space(small_mha, n=6):
@@ -131,3 +139,69 @@ class TestMemoryPlanner:
         kernel.memory_levels = plan_memory_levels(kernel)
         assert set(shared_tensors(kernel)) | set(register_tensors(kernel)) \
             <= set(kernel.exec_graph.tensors)
+
+
+# ----------------------------------------------------------------------
+# plan_memory_levels reads the kernel's own SMG when it describes the
+# execution graph; a fresh build stays the oracle (and the auditor's way)
+# ----------------------------------------------------------------------
+
+
+def _levels_from_a_fresh_smg(kernel):
+    """The planner as it was: always a structural copy of the SMG."""
+    graph = kernel.exec_graph
+    smg = build_smg(graph, name=f"{kernel.name}@oracle")
+    inputs, outputs = set(graph.input_tensors), set(graph.output_tensors)
+    staged = set(kernel.plan.stage_outputs) if kernel.plan else set()
+    levels = {}
+    for t in graph.tensors:
+        if t in inputs or t in outputs:
+            levels[t] = GLOBAL
+        elif t in staged:
+            levels[t] = REGISTER
+        elif (any(m.kind is O2A for m in smg.out_edges(t))
+              or any(m.kind is A2O for m in smg.in_edges(t))):
+            levels[t] = SHARED
+        else:
+            levels[t] = REGISTER
+    return levels
+
+
+class TestMemoryPlanReusesTheKernelsSMG:
+    @pytest.mark.parametrize("gpu", [AMPERE, VOLTA], ids=lambda g: g.name)
+    def test_levels_are_those_of_a_fresh_smg(self, gpu):
+        schedules = [compile_for(build(), gpu)[0]
+                     for build in SUBGRAPHS.values()]
+        schedules += [sub.schedule for sub in compile_model_for(
+            build_model("bert", 1, seq=128), gpu).subprograms]
+        # Layout-barrier kernels have no SMG and no memory plan.
+        kernels = [k for s in schedules for k in s.kernels
+                   if not k.meta.get("barrier")]
+        assert len(kernels) >= 15
+        for kernel in kernels:
+            assert kernel.memory_levels == plan_memory_levels(kernel) \
+                == _levels_from_a_fresh_smg(kernel), kernel.name
+            assert check_memory_plan(kernel) == [], kernel.name
+        # Both branches ran: the SMG's own graph, and a UTA rewrite.
+        assert {k.exec_graph is k.smg.graph for k in kernels} == {True, False}
+
+    def test_at_most_one_smg_is_built_per_slicing(self, monkeypatch):
+        """One per candidate whose graph UTA rewrote — with the caller's
+        own, two ``build_smg`` per ``resource_aware_slicing`` at most."""
+        built = []
+        monkeypatch.setattr(
+            memory_planner, "build_smg",
+            lambda graph, name=None: built.append(name)
+            or build_smg(graph, name=name))
+        rc = AMPERE.resource_config()
+        rewritten = 0
+        for build in SUBGRAPHS.values():
+            smg = build_smg(build())
+            del built[:]
+            result = resource_aware_slicing(smg, rc)
+            assert result.candidates
+            expected = sum(k.exec_graph is not smg.graph
+                           for k in result.candidates)
+            assert len(built) == expected <= 1
+            rewritten += expected
+        assert rewritten >= 2

@@ -4,10 +4,12 @@ The per-configuration graph walk the compiler used before the footprint
 existed lives on here, verbatim, as the oracle: the footprint must return
 the same integers on every lattice point and ``enumerate_configs`` the same
 list in the same order — the search space is part of the schedule JSON and
-of every TuneDB fingerprint.  Alongside it: the monotonicity laws the tuner
-relies on, and count-based guards that the graph is analysed once per
-kernel — by enumCfg and by the device model's tuning campaign alike — and
-that retained schedules share their value objects.
+of every TuneDB fingerprint.  The footprint's per-config ``estimate`` is in
+turn the oracle for its whole-lattice ``lattice_fits``.  Alongside them: the
+monotonicity laws the tuner relies on, and count-based guards that the
+graph is analysed once per kernel — by enumCfg and by the device model's
+tuning campaign alike — that enumCfg builds no object per lattice point,
+and that retained schedules share their value objects.
 """
 
 import math
@@ -37,6 +39,7 @@ from repro.hw import AMPERE, VOLTA
 from repro.hw import simulator as hw_simulator
 from repro.hw.event_sim import EventDrivenSimulator
 from repro.hw.simulator import DeviceSimulator, KernelTrafficPlan
+from repro.ir import GraphBuilder
 from repro.ir.graph import DataflowGraph
 from repro.ir.ops import pow2_range
 from repro.ir.tensor import DTYPE_BYTES, TensorSpec
@@ -117,9 +120,9 @@ def oracle_estimate(kernel: KernelSchedule, config: ScheduleConfig,
     return BlockResources(smem_bytes=peak_smem, reg_bytes=reg_bytes)
 
 
-def oracle_lattice(kernel: KernelSchedule) -> list[ScheduleConfig]:
-    """Every point the parent's enumCfg visited, in its order."""
-    dim_candidates: list[list[tuple[str, int]]] = []
+def oracle_choices(kernel: KernelSchedule) -> tuple[list, list]:
+    """The parent's enumCfg lattice: block sizes per spatial dim, tiles."""
+    dims: list[tuple[str, list[int]]] = []
     for dim in kernel.spatial_dims:
         size = kernel.smg.dim_size(dim)
         if size <= 4 or not kernel.smg.mappings_along(dim):
@@ -127,21 +130,29 @@ def oracle_lattice(kernel: KernelSchedule) -> list[ScheduleConfig]:
         else:
             choices = [b for b in pow2_range(2, min(size, 256)) if b <= size]
             choices = choices or [size]
-        dim_candidates.append([(dim, b) for b in choices])
+        dims.append((dim, choices))
 
     if kernel.plan is not None:
         tsize = kernel.smg.dim_size(kernel.plan.dim)
-        tile_candidates = [t for t in pow2_range(16, min(tsize, 256))
-                           if t <= tsize]
-        tile_candidates = tile_candidates or [tsize]
+        tiles = [t for t in pow2_range(16, min(tsize, 256)) if t <= tsize]
+        tiles = tiles or [tsize]
     else:
-        tile_candidates = [None]
+        tiles = [None]
+    return dims, tiles
 
+
+def lattice_points(dims: list, tiles: list) -> list[ScheduleConfig]:
+    """``product(*dims) x tiles`` in enumeration order."""
     stack: list[list[tuple[str, int]]] = [[]]
-    for choices in dim_candidates:
-        stack = [prefix + [c] for prefix in stack for c in choices]
+    for dim, choices in dims:
+        stack = [prefix + [(dim, b)] for prefix in stack for b in choices]
     return [ScheduleConfig(block=tuple(blocks), tile=tile)
-            for blocks in stack for tile in tile_candidates]
+            for blocks in stack for tile in tiles]
+
+
+def oracle_lattice(kernel: KernelSchedule) -> list[ScheduleConfig]:
+    """Every point the parent's enumCfg visited, in its order."""
+    return lattice_points(*oracle_choices(kernel))
 
 
 def oracle_enumerate(kernel: KernelSchedule, rc: ResourceConfig,
@@ -260,6 +271,167 @@ class TestFootprintEqualsTheWalk:
 
 
 # ----------------------------------------------------------------------
+# The lattice evaluator: estimate() is the oracle, point by point
+# ----------------------------------------------------------------------
+
+
+def assert_lattice_is_the_per_config_walk(kernel, dims, tiles, rc):
+    footprint = BlockFootprint(kernel)
+    fits = footprint.lattice_fits(dims, tiles, rc)
+    assert fits.dtype == bool
+    assert fits.shape == (*(len(sizes) for _dim, sizes in dims), len(tiles))
+    assert fits.ravel().tolist() == [
+        footprint.estimate(cfg, rc).fits(rc)
+        for cfg in lattice_points(dims, tiles)]
+    return fits
+
+
+def matmul_kernel(m: int, n: int, k: int) -> KernelSchedule:
+    """C[m,n] = A[m,k] B[k,n], sliced spatially on m and n (both carry
+    mappings, so both are tuned) and temporally on k."""
+    b = GraphBuilder("mm")
+    b.matmul(b.input("A", [("m", m), ("k", k)]),
+             b.input("B", [("k", k), ("n", n)]), reduce_dim="k",
+             out_name="C")
+    smg = build_smg(b.build())
+    return KernelSchedule("mm", smg, ("m", "n"),
+                          plan_temporal_slice(smg, "k"))
+
+
+class TestTheLatticeIsEvaluatedAtOnce:
+    def test_fits_array_of_every_enumeration_of_the_zoo(self, enumerated):
+        points = rejected = 0
+        for kernel, rc, _max, _out in enumerated:
+            fits = assert_lattice_is_the_per_config_walk(
+                kernel, *oracle_choices(kernel), rc)
+            points += fits.size
+            rejected += fits.size - int(fits.sum())
+        assert points > 10_000 and 0 < rejected < points
+
+    def test_a_spatial_dim_that_is_also_the_temporal_dim(self, small_mha):
+        """The block wins; the tile axis stays in the lattice and the
+        rank."""
+        smg = build_smg(small_mha)
+        kernel = KernelSchedule("k", smg, ("m", "l"),
+                                plan_temporal_slice(smg, "l"))
+        for rc in (AMPERE.resource_config(),
+                   ResourceConfig(16 * 1024, 24 * 1024)):
+            dims, tiles = oracle_choices(kernel)
+            assert len(tiles) > 1 and len(dims[1][1]) > 1
+            fits = assert_lattice_is_the_per_config_walk(
+                kernel, dims, tiles, rc)
+            # The tile never changes the verdict ...
+            assert (fits == fits[..., :1]).all()
+            # ... and still orders the survivors.
+            assert enumerate_configs(kernel, rc, 12) \
+                == oracle_enumerate(kernel, rc, 12)
+
+    def test_dims_the_footprint_does_not_know(self, small_mha):
+        """A dim foreign to the graph, one named twice (the first entry
+        wins) and sizes past the dim are all legal lattice axes."""
+        smg = build_smg(small_mha)
+        rc = ResourceConfig(24 * 1024, 32 * 1024)
+        for plan, tiles in ((None, [None]),
+                            (plan_temporal_slice(smg, "l"), [16, 64, 4096])):
+            kernel = KernelSchedule("k", smg, ("m",), plan)
+            fits = assert_lattice_is_the_per_config_walk(
+                kernel, [("zz", [2, 4]), ("m", [8, 64, 4096]),
+                         ("m", [1, 2])], tiles, rc)
+            assert fits.any() and not fits.all()
+            assert (fits == fits[:1, :, :1, :]).all()
+
+    def test_one_point_and_no_point(self, small_mha):
+        smg = build_smg(small_mha)
+        kernel = KernelSchedule("k", smg, ("m",))
+        roomy, tiny = AMPERE.resource_config(), ResourceConfig(256, 1 << 20)
+        assert assert_lattice_is_the_per_config_walk(
+            kernel, [("m", [8])], [None], roomy).tolist() == [[True]]
+        assert assert_lattice_is_the_per_config_walk(
+            kernel, [], [None], tiny).tolist() == [False]
+        assert not assert_lattice_is_the_per_config_walk(
+            kernel, *oracle_choices(kernel), tiny).any()
+        assert enumerate_configs(kernel, tiny) == []
+        assert enumerate_configs(KernelSchedule("k", smg, ()), roomy) \
+            == [ScheduleConfig(block=(), tile=None)]
+
+    def test_rank_ties_keep_enumeration_order(self):
+        """Two tuned dims give equal volumes many ways round, and a
+        temporal dim below 16 gives the one non-power-of-two tile
+        (``choices or [size]``): every key ties on the tile."""
+        kernel = matmul_kernel(40, 24, 12)
+        rc = AMPERE.resource_config()
+        dims, tiles = oracle_choices(kernel)
+        assert tiles == [12] and [len(s) for _d, s in dims] == [5, 4]
+        assert_lattice_is_the_per_config_walk(kernel, dims, tiles, rc)
+        everything = enumerate_configs(kernel, rc, 64)
+        assert everything == oracle_enumerate(kernel, rc, 64)
+        assert len(everything) == 20
+        tied = [c for c in everything if math.prod(c.as_dict().values()) == 64]
+        assert [c.block_of("m") for c in tied] == [4, 8, 16, 32]
+        for max_configs in (1, 2, 7):
+            assert enumerate_configs(kernel, rc, max_configs) \
+                == everything[:max_configs]
+
+    def test_a_volume_that_is_not_a_power_of_two(self, monkeypatch):
+        """Not reachable through ``pow2_range``; the key must still be
+        ``math.log2`` of the int, not of a float or an int64."""
+        monkeypatch.setattr(
+            "repro.core.resources.pow2_range",
+            lambda lo, hi: [b for b in (3, 5, 6, 10, 12, 24) if lo <= b <= hi])
+        monkeypatch.setattr(
+            sys.modules[__name__], "pow2_range",
+            lambda lo, hi: [b for b in (3, 5, 6, 10, 12, 24) if lo <= b <= hi])
+        kernel = matmul_kernel(40, 24, 12)
+        rc = AMPERE.resource_config()
+        out = enumerate_configs(kernel, rc, 64)
+        assert out == oracle_enumerate(kernel, rc, 64)
+        assert {math.prod(c.as_dict().values()) for c in out} >= {9, 15, 30}
+
+    @pytest.mark.parametrize("max_configs", [1, 8])
+    def test_no_object_per_lattice_point(self, monkeypatch, max_configs):
+        """enumCfg never costs a single config and constructs only what it
+        returns — a per-point loop cannot creep back."""
+        rc = AMPERE.resource_config()
+        kernels = [k for name in ("mha", "mha-long", "softmax-gemm")
+                   for k in _candidates(SUBGRAPHS[name]())]
+        estimates, made = [], []
+        real_of = ScheduleConfig.of.__func__
+        monkeypatch.setattr(
+            BlockFootprint, "estimate",
+            lambda self, cfg, rc: estimates.append(cfg))
+        monkeypatch.setattr(
+            ScheduleConfig, "of", classmethod(
+                lambda cls, *a, **kw: made.append(a) or real_of(cls, *a, **kw)))
+        points = returned = 0
+        for kernel in kernels:
+            points += len(oracle_lattice(kernel))
+            del made[:]
+            out = enumerate_configs(kernel, rc, max_configs)
+            assert len(made) == len(out) <= max_configs
+            returned += len(out)
+        assert estimates == []
+        assert points > 2 * returned > 0
+
+    def test_a_footprint_too_large_for_int64_is_refused_at_build(self):
+        """Below the bound a lattice cannot wrap; above it the footprint
+        does not exist, so neither evaluator runs."""
+        assert BlockFootprint(matmul_kernel(1 << 20, 1 << 20, 1 << 19))
+        with pytest.raises(ValueError, match="overflows"):
+            BlockFootprint(matmul_kernel(1 << 31, 24, 1 << 30))
+        with pytest.raises(ValueError, match="footprint overflows"):
+            enumerate_configs(matmul_kernel(1 << 31, 24, 1 << 30),
+                              AMPERE.resource_config())
+
+    def test_a_block_volume_too_large_for_int64_is_refused(self):
+        """Only a hand-built kernel gets there (a dim sliced eight times
+        over); it is refused before any lattice array exists."""
+        kernel = matmul_kernel(256, 256, 64)
+        kernel.spatial_dims = ("m",) * 8
+        with pytest.raises(ValueError, match="volume overflows"):
+            enumerate_configs(kernel, AMPERE.resource_config())
+
+
+# ----------------------------------------------------------------------
 # Hypothesis: random graphs, arbitrary configs, and the two laws
 # ----------------------------------------------------------------------
 
@@ -328,6 +500,20 @@ class TestFootprintProperties:
             ScheduleConfig(tuple(grown.items()), tile_grown), rc)
         assert lo.smem_bytes <= hi.smem_bytes
         assert lo.reg_bytes <= hi.reg_bytes
+
+    @_SETTINGS
+    @given(kernel=random_kernel(), rc=_rcs,
+           dims=st.lists(st.tuples(
+               st.sampled_from(_DIMS),
+               st.lists(st.integers(1, 40), min_size=1, max_size=3)),
+               max_size=3),
+           tiles=st.just([None]) | st.lists(st.integers(1, 40),
+                                            min_size=1, max_size=3))
+    def test_any_lattice_equals_estimate_point_by_point(
+            self, kernel, rc, dims, tiles):
+        """Repeated and foreign dims, blocks past the dim size, a tile
+        next to a block on the temporal dim, unsorted sizes."""
+        assert_lattice_is_the_per_config_walk(kernel, dims, tiles, rc)
 
     @_SETTINGS
     @given(kernel=random_kernel(), rc=_rcs,

@@ -1,8 +1,11 @@
 """Tests for schedule serialization and the on-disk compile cache."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.verify import audit_program
 from repro.core.serialize import (
     ScheduleCache,
     SerializeError,
@@ -14,9 +17,11 @@ from repro.core.serialize import (
 )
 from repro.hw import AMPERE
 from repro.ir import GraphBuilder, program_from_graph
+from repro.models import softmax_gemm_graph
 from repro.pipeline import compile_for, compile_model_for
 from repro.runtime.executor import execute_schedule
 from repro.runtime.kernels import execute_graph_reference, random_feeds
+from repro.tune import gpu_fingerprint
 
 
 class TestGraphRoundTrip:
@@ -169,12 +174,12 @@ class TestAtomicWrites:
         monkeypatch.setattr("repro.store.os.replace",
                             exploding_replace)
         with pytest.raises(OSError, match="power loss"):
-            cache.put(small_ln, AMPERE.name, sched)
+            cache.put(small_ln, gpu_fingerprint(AMPERE), sched)
         monkeypatch.undo()
         # The previous entry is byte-identical and no temp debris remains.
         assert entry.read_text() == before
         assert list(tmp_path.glob("*.tmp")) == []
-        assert cache.get(small_ln, AMPERE.name) is not None
+        assert cache.get(small_ln, gpu_fingerprint(AMPERE)) is not None
         assert _os.path.exists(entry)
 
     def test_crash_during_write_leaves_no_partial_entry(self, small_ln,
@@ -235,4 +240,40 @@ class TestDoctoredCacheEntries:
         cache = ScheduleCache(tmp_path)
         compile_cached(small_ln, AMPERE, cache)
         self._doctor_entries(tmp_path, '{"version": null}')
-        assert cache.get(small_ln, AMPERE.name) is None
+        assert cache.get(small_ln, gpu_fingerprint(AMPERE)) is None
+        assert list(tmp_path.glob("*.json")) == []      # contained
+
+
+class TestCacheIsKeyedByTheWholeDeviceModel:
+    """Regression: ``compile_cached`` keyed entries by ``gpu.name``, so an
+    edited spec that kept a preset's name was served the preset's schedule
+    instead of the one its own compile picks."""
+
+    def test_an_edited_spec_is_a_miss_and_gets_its_own_schedule(
+            self, tmp_path):
+        graph = softmax_gemm_graph(512, 1024, 64)
+        small = dataclasses.replace(
+            AMPERE, smem_per_block=AMPERE.smem_per_block // 4)
+        assert small.name == AMPERE.name
+        cache = ScheduleCache(tmp_path)
+        preset, stats = compile_cached(graph, AMPERE, cache)
+        assert stats is not None
+        before = {p.name: p.read_bytes() for p in tmp_path.glob("*.json")}
+        assert len(before) == 1
+
+        schedule, stats = compile_cached(graph, small, cache)
+        assert stats is not None          # compiled, not read back
+        assert schedule_to_json(schedule) \
+            == schedule_to_json(compile_for(graph, small)[0])
+        assert [k.config for k in schedule.kernels] \
+            != [k.config for k in preset.kernels]
+        assert audit_program(schedule, small).ok
+
+        after = {p.name: p.read_bytes() for p in tmp_path.glob("*.json")}
+        assert len(after) == 2
+        assert all(after[name] == data for name, data in before.items())
+        # Each spec now hits its own entry.
+        for gpu, expected in ((AMPERE, preset), (small, schedule)):
+            hit, stats = compile_cached(graph, gpu, cache)
+            assert stats is None
+            assert schedule_to_json(hit) == schedule_to_json(expected)

@@ -1,11 +1,15 @@
 """Tests for InferenceSession: correctness, concurrency, degradation."""
 
+import dataclasses
 import threading
 
 import numpy as np
 import pytest
 
+from repro.core.serialize import ScheduleCache, schedule_to_json
+from repro.core.verify import audit_program
 from repro.hw import AMPERE
+from repro.models import mha_graph
 from repro.runtime.kernels import execute_graph_reference, random_feeds
 from repro.serve import (
     ENGINE_COMPILED,
@@ -69,6 +73,35 @@ class TestFusedServing:
         b = InferenceSession(small_ln, AMPERE, cache=cache, eager=True)
         assert a.schedule is b.schedule       # second session hit the LRU
         assert cache.stats()["compile_misses"] == 1
+
+
+    def test_an_edited_spec_never_shares_a_presets_schedule(self, tmp_path):
+        """Regression: the session keyed the schedule cache by
+        ``gpu.name``; a spec edited under the same name was handed the
+        preset's schedule from either tier."""
+        graph = mha_graph(1, 8, 128, 128, 64)
+        small = dataclasses.replace(
+            AMPERE, smem_per_block=AMPERE.smem_per_block // 16)
+        assert small.name == AMPERE.name
+        cache = TieredScheduleCache(disk=ScheduleCache(tmp_path))
+        a = InferenceSession(graph, AMPERE, cache=cache, eager=True)
+        before = {p.name: p.read_bytes() for p in tmp_path.glob("*.json")}
+        b = InferenceSession(graph, small, cache=cache, eager=True)
+        assert a.state == b.state == "ready"
+        assert cache.stats()["compile_misses"] == 2
+        assert [k.config for k in a.schedule.kernels] \
+            != [k.config for k in b.schedule.kernels]
+        assert audit_program(b.schedule, small).ok
+        after = {p.name: p.read_bytes() for p in tmp_path.glob("*.json")}
+        assert len(before) == 1 and len(after) == 2
+        assert all(after[name] == data for name, data in before.items())
+        # A restart (empty memory tier) restores each spec's own entry.
+        restart = TieredScheduleCache(disk=ScheduleCache(tmp_path))
+        for gpu, first in ((AMPERE, a), (small, b)):
+            again = InferenceSession(graph, gpu, cache=restart, eager=True)
+            assert schedule_to_json(again.schedule) \
+                == schedule_to_json(first.schedule)
+        assert restart.stats()["compile_misses"] == 0
 
 
 class TestExecutionEngines:
