@@ -47,6 +47,8 @@ class HashRing:
         self._points: list[int] = []        # sorted ring positions
         self._owner_at: dict[int, str] = {}  # ring position -> member
         self._members: set[str] = set()
+        #: bumped on every membership change, so callers can memoise lookups
+        self.version = 0
         for m in members or ():
             self.add(m)
 
@@ -56,6 +58,7 @@ class HashRing:
         if member in self._members:
             return
         self._members.add(member)
+        self.version += 1
         for v in range(self.vnodes):
             point = _hash(f"{member}:{v}")
             if point in self._owner_at:      # astronomically unlikely
@@ -67,6 +70,7 @@ class HashRing:
         if member not in self._members:
             return
         self._members.discard(member)
+        self.version += 1
         keep = [p for p in self._points if self._owner_at[p] != member]
         for p in self._points:
             if self._owner_at[p] == member:

@@ -267,6 +267,11 @@ class ClusterSupervisor:
         self._ctx = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else "spawn")
         self.ring = HashRing(vnodes=self.config.vnodes)
+        #: Fixed per workload, so not re-derived per request: the feeds a
+        #: graph requires, and its owners as of one ring membership.
+        self._required = {name: tuple(g.input_tensors)
+                          for name, g in self.graphs.items()}
+        self._owners: dict[str, tuple[int, list[str]]] = {}
         self.admission = AdmissionController(self.config.admission)
         self._workers: dict[str, _Worker] = {}
         self._arenas: dict[str, SlotArena] = {}
@@ -300,13 +305,16 @@ class ClusterSupervisor:
     def _hosted_by(self, worker: str) -> dict[str, dict]:
         """Serialized graphs for every workload ``worker`` must host:
         the ones it owns plus the ones it backs up (replication)."""
-        r = min(self.config.workers, max(1, self.config.replication))
         return {name: self._packed[name] for name in self.graphs
-                if worker in self.ring.owners(name, r)}
+                if worker in self.owners_for(name)}
 
     def owners_for(self, workload: str) -> list[str]:
-        r = min(self.config.workers, max(1, self.config.replication))
-        return self.ring.owners(workload, r)
+        memo, version = self._owners.get(workload), self.ring.version
+        if memo is None or memo[0] != version:
+            r = min(self.config.workers, max(1, self.config.replication))
+            memo = self._owners[workload] = (
+                version, self.ring.owners(workload, r))
+        return list(memo[1])
 
     def placement(self) -> dict[str, list[str]]:
         """workload → ordered candidate workers (primary first)."""
@@ -505,15 +513,15 @@ class ClusterSupervisor:
             raise ClusterError("cluster is not serving"
                                if not self._started else
                                "cluster is stopping")
-        graph = self.graphs.get(workload)
-        if graph is None:
+        required = self._required.get(workload)
+        if required is None:
             raise ClusterError(
                 f"unknown workload {workload!r}; registered: "
                 f"{sorted(self.graphs)}")
         deadline = (time.monotonic() + timeout
                     if timeout is not None else None)
         self.metrics.inc("requests.submitted")
-        validate_feeds(feeds, required=graph.input_tensors)
+        validate_feeds(feeds, required=required)
         try:
             _faults.fire(FP_DISPATCH)
         except _faults.FaultInjected:

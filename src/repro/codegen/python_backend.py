@@ -197,6 +197,26 @@ def _slice_code(graph: DataflowGraph, tensor: str, spatial_vars: dict[str, str],
     return f"env['{tensor}'][{', '.join(idx)}]"
 
 
+def _factor_expr(graph: DataflowGraph, f, dims, nm, one: str | None = None,
+                 ) -> str:
+    """One normalisation factor of an update, broadcast over ``dims``."""
+    old = _axis_expr(graph, f.agg, dims, f"old_{_var(f.agg)}")
+    new = _axis_expr(graph, f.agg, dims, nm(f.agg))
+    if f.func == "exp":
+        return f"np.exp({f.power} * (({new}) - ({old})))"
+    # ones_like inherits the operand dtype, so the neutral element
+    # matches the plan's compute dtype (f64 plans are unchanged).
+    one = one or f"np.ones_like(np.asarray({new}))"
+    return (f"(np.divide({new}, {old}, out={one}, "
+            f"where=np.asarray({old}) != 0)) ** ({f.power})")
+
+
+def _offset_expr(graph: DataflowGraph, o, dims, nm) -> str:
+    old = _axis_expr(graph, o.agg, dims, f"old_{_var(o.agg)}")
+    new = _axis_expr(graph, o.agg, dims, nm(o.agg))
+    return f"{o.coeff} * (({new}) - ({old}))"
+
+
 def _update_expr(graph: DataflowGraph, stage: ReductionStage,
                  names=None) -> str:
     """Inline the stage's update function as arithmetic on old/new aggs."""
@@ -204,21 +224,9 @@ def _update_expr(graph: DataflowGraph, stage: ReductionStage,
     out_dims = graph.tensors[stage.output].dims
     expr = nm(stage.output)
     for f in stage.update.factors:
-        old = _axis_expr(graph, f.agg, out_dims, f"old_{_var(f.agg)}")
-        new = _axis_expr(graph, f.agg, out_dims, nm(f.agg))
-        if f.func == "exp":
-            expr = f"({expr}) * np.exp({f.power} * (({new}) - ({old})))"
-        else:
-            # ones_like inherits the operand dtype, so the neutral element
-            # matches the plan's compute dtype (f64 plans are unchanged).
-            ratio = (f"np.divide({new}, {old}, "
-                     f"out=np.ones_like(np.asarray({new})), "
-                     f"where=np.asarray({old}) != 0)")
-            expr = f"({expr}) * ({ratio}) ** ({f.power})"
+        expr = f"({expr}) * {_factor_expr(graph, f, out_dims, nm)}"
     for o in stage.update.offsets:
-        old = _axis_expr(graph, o.agg, out_dims, f"old_{_var(o.agg)}")
-        new = _axis_expr(graph, o.agg, out_dims, nm(o.agg))
-        expr = f"({expr}) + {o.coeff} * (({new}) - ({old}))"
+        expr = f"({expr}) + {_offset_expr(graph, o, out_dims, nm)}"
     return expr
 
 
@@ -267,7 +275,7 @@ def generate_python_kernel(kernel: KernelSchedule) -> GeneratedKernel:
             def kernel(env):
                 env['{op.output}'] = {expr}
         """)
-        return _finalise(kernel.name, source)
+        return compile_kernel_source(kernel.name, source)
 
     emit("def kernel(env):")
     for t in outputs:
@@ -384,7 +392,7 @@ def generate_python_kernel(kernel: KernelSchedule) -> GeneratedKernel:
         emit(f"    env['{t}'] = out_{_var(t)}")
 
     source = _PRELUDE + "\n".join(body) + "\n"
-    return _finalise(kernel.name, source)
+    return compile_kernel_source(kernel.name, source)
 
 
 # ----------------------------------------------------------------------
@@ -491,7 +499,6 @@ class _FusedEmitter:
         self.site = 0
         self.whole_fns: dict[str, Callable] = {}
         self.segments: list[FusedSegment] = []
-        self.loaded_inputs: list[str] = []
 
         produced: set[str] = set()
         consumed: set[str] = set()
@@ -539,7 +546,6 @@ class _FusedEmitter:
             return
         self.emit(f"{_var(t)} = env[{t!r}]", indent)
         self.defined.add(t)
-        self.loaded_inputs.append(t)
 
     def buf(self, t: str, shape_expr: str, *, published: bool) -> str:
         """Allocation expression for a full-tensor result buffer."""
@@ -664,17 +670,18 @@ class _FusedEmitter:
                 out.append((d, b))
         return out
 
-    def emit_matmul(self, kernel: KernelSchedule, op: Op, sizes: dict,
-                    names, shape_of, indent: int, published: bool,
-                    tsub: tuple | None = None) -> None:
-        """A matmul, replaying interpreter blocking along free dims.
+    def emit_op(self, kernel: KernelSchedule, op: Op, sizes: dict,
+                names, shape_of, indent: int, published: bool,
+                tsub: tuple | None = None) -> None:
+        """One op into an arena buffer (a fresh array when published); a
+        matmul replays interpreter blocking along its free dims.
 
         ``tsub`` is ``(tdim, tile_size)`` when emitting inside a tile
         loop whose tiles all have the same static size (``tile_size`` is
         ``None`` for ragged loops, which forces the helper-call path).
         """
         nm = names or _var
-        blocked = self.blocked_dims(kernel, op, sizes)
+        blocked = op.kind == "matmul" and self.blocked_dims(kernel, op, sizes)
         v = nm(op.output)
         if not blocked:
             out_expr = (None if published
@@ -791,16 +798,9 @@ class _FusedEmitter:
                 if t in self.program_inputs:
                     self.load(t)
             pub = op.output in published
-            if op.kind == "matmul":
-                self.emit_matmul(kernel, op, sizes, None, shape_of, 1, pub)
-            else:
-                out = (None if pub
-                       else f"_A.get({self.new_site()}, "
-                            f"{shape_of(op.output_axes)})")
-                expr, _used = _op_call(graph, op, None, out)
-                self.emit(f"{_var(op.output)} = {expr}")
-                if pub and op.kind in ("identity", "cast"):
-                    self.maybe_alias.add(op.output)
+            self.emit_op(kernel, op, sizes, None, shape_of, 1, pub)
+            if pub and op.kind in ("identity", "cast"):
+                self.maybe_alias.add(op.output)
             self.defined.add(op.output)
         return "vector"
 
@@ -821,6 +821,8 @@ class _FusedEmitter:
         referenced: set[str] = set()
         for stg in plan.stages:
             referenced.update(stg.update.referenced_aggs())
+        #: factor several stages of a tile share -> the local it is bound to
+        self.bound: dict = {}
 
         def shape_of(dims, tvar: str | None = None) -> str:
             parts = [tvar if (tvar and d == tdim) else str(sizes[d])
@@ -831,8 +833,6 @@ class _FusedEmitter:
         # Validate all ops lower before emitting anything.
         for op in tile_ops:
             _op_call(graph, op)
-        for s in plan.stages:
-            _update_expr(graph, s)
         for n in plan.pass2_op_names:
             _op_call(graph, graph.op(n))
 
@@ -868,16 +868,8 @@ class _FusedEmitter:
                 continue
             if not all(t in invariant for t in op.inputs):
                 continue
-            pub = op.output in published
-            if op.kind == "matmul":
-                self.emit_matmul(kernel, op, sizes, None,
-                                 lambda dims: shape_of(dims), 1, pub)
-            else:
-                out = (None if pub else
-                       f"_A.get({self.new_site()}, "
-                       f"{shape_of(op.output_axes)})")
-                expr, _used = _op_call(graph, op, None, out)
-                self.emit(f"{_var(op.output)} = {expr}")
+            self.emit_op(kernel, op, sizes, None, shape_of, 1,
+                         op.output in published)
             self.defined.add(op.output)
             invariant.add(op.output)
             hoisted_ops.add(op.name)
@@ -929,20 +921,12 @@ class _FusedEmitter:
             if op.name in stages:
                 s = stages[op.name]
                 self.emit_stage(kernel, s, op, sizes, nm, shape_of, tvar,
-                                ind, published)
+                                ind)
                 continue
-            if op.kind == "matmul":
-                self.emit_matmul(
-                    kernel, op, sizes, nm,
-                    lambda dims, _tv=tvar: shape_of(dims, _tv), ind,
-                    published=False,
-                    tsub=(tdim, None if tsize % tile else tile))
-            else:
-                dims = op.output_axes
-                out = (f"_A.get({self.new_site()}, "
-                       f"{shape_of(dims, tvar)})")
-                expr, _used = _op_call(graph, op, nm, out)
-                self.emit(f"{nm(op.output)} = {expr}", ind)
+            self.emit_op(kernel, op, sizes, nm,
+                         lambda dims: shape_of(dims, tvar), ind,
+                         published=False,
+                         tsub=(tdim, None if tsize % tile else tile))
 
         # Stage outputs are full tensors; mark them defined program-wide.
         for s in plan.stages:
@@ -953,8 +937,7 @@ class _FusedEmitter:
         return "loopnest"
 
     def emit_stage(self, kernel: KernelSchedule, s, op: Op, sizes: dict,
-                   nm, shape_of, tvar: str, ind: int,
-                   published: set) -> None:
+                   nm, shape_of, tvar: str, ind: int) -> None:
         """One reduction stage: local result, inlined update, combine."""
         graph = kernel.exec_graph
         v = _var(s.output)
@@ -962,29 +945,58 @@ class _FusedEmitter:
             # Materialise the blocked local gemm under a private name so
             # the combine still sees the pre-update aggregate in ``v``.
             local = f"t_loc_{v}"
-            self.emit_matmul(
+            self.emit_op(
                 kernel, op, sizes,
-                lambda t, _n=nm, _o=op.output, _l=local:
-                    _l if t == _o else _n(t),
-                lambda dims, _tv=tvar: shape_of(dims, _tv), ind,
-                published=False,
-                tsub=(kernel.plan.dim,
-                      None if tvar == "_nt" else int(tvar)))
+                lambda t: local if t == op.output else nm(t),
+                lambda dims: shape_of(dims, tvar), ind, published=False,
+                tsub=(kernel.plan.dim, None if tvar == "_nt" else int(tvar)))
         else:
             local, _used = _op_call(graph, op, nm)
-        upd = _update_expr(graph, s, nm)
         dims = graph.tensors[s.output].dims
-        if dims:
-            # In-place combine into the aggregate buffer: both operands
-            # are fully evaluated before the write, and the ufunc matches
-            # the interpreter's combiner bit for bit.
-            fn = {"sum": "np.add", "max": "np.maximum",
-                  "min": "np.minimum"}[s.combiner]
-            self.emit(f"{v} = {fn}({upd}, {local}, out={v})", ind)
-        else:
-            self.emit(f"{v} = "
-                      + _COMBINE[s.combiner].format(upd=upd, local=local),
-                      ind)
+        if not dims:
+            self.emit(f"{v} = " + _COMBINE[s.combiner].format(
+                upd=_update_expr(graph, s, nm), local=local), ind)
+            return
+        if s.output in s.update.referenced_aggs():
+            raise CodegenError(f"stage {op.name!r} rescales by its own "
+                               f"aggregate: the in-place update would feed "
+                               f"on itself")
+        # Three-address update: every product and shift of ``_update_expr``
+        # is written back into the aggregate (same operands, order and
+        # rounding, no aggregate-sized temporary), and the combine uses
+        # the ufunc matching the interpreter's combiner bit for bit.
+        terms = [("np.multiply", self.factor(kernel, f, dims, sizes, nm, ind))
+                 for f in s.update.factors]
+        terms += [("np.add", _offset_expr(graph, o, dims, nm))
+                  for o in s.update.offsets]
+        chain = [f"{fn}({v}, {term}, out={v})" for fn, term in terms]
+        fn = {"sum": "np.add", "max": "np.maximum",
+              "min": "np.minimum"}[s.combiner]
+        chain.append(f"{v} = {fn}({v}, {local}, out={v})")
+        self.emit("; ".join(chain), ind)
+        # A bound factor is stale once its aggregate moves.
+        self.bound = {f: n for f, n in self.bound.items()
+                      if f.agg != s.output}
+
+    def factor(self, kernel: KernelSchedule, f, dims, sizes: dict, nm,
+               ind: int) -> str:
+        """A factor broadcast over ``dims``; one that several stages of a
+        tile apply is bound to a local where the first of them runs."""
+        graph = kernel.exec_graph
+        own = graph.tensors[f.agg].dims
+        shared = sum(f in s.update.factors for s in kernel.plan.stages) > 1
+        one = None
+        if f.func != "exp" and f not in self.bound:
+            shape = tuple(sizes[d] if d in own else 1
+                          for d in (own if shared else dims))
+            one = f"_A.fill({self.new_site()}, {shape}, 1.0)"
+        if not shared:
+            return _factor_expr(graph, f, dims, nm, one)
+        if f not in self.bound:
+            self.bound[f] = f"_f{self.new_site()}"
+            self.emit(f"{self.bound[f]} = "
+                      + _factor_expr(graph, f, own, nm, one), ind)
+        return _axis_expr(graph, f.agg, dims, self.bound[f])
 
     def emit_pass2(self, kernel: KernelSchedule, sizes: dict,
                    shape_of) -> None:
@@ -1021,12 +1033,8 @@ class _FusedEmitter:
                 for t in op.inputs:
                     if t in self.program_inputs:
                         self.load(t)
-                pub = op.output in published
-                out = (None if pub
-                       else f"_A.get({self.new_site()}, "
-                            f"{shape_of(op.output_axes)})")
-                expr, _used = _op_call(graph, op, None, out)
-                self.emit(f"{_var(op.output)} = {expr}")
+                self.emit_op(kernel, op, sizes, None, shape_of, 1,
+                             op.output in published)
                 self.defined.add(op.output)
             return
 
@@ -1053,25 +1061,24 @@ class _FusedEmitter:
             names_map[op.output] = f"p_{_var(op.output)}"
         nm = lambda t: names_map.get(t, _var(t))  # noqa: E731
 
-        self.emit(f"for _lo_t in range(0, {tsize}, {tile}):")
-        ind = 2
-        self.emit(f"s_t = slice(_lo_t, min(_lo_t + {tile}, {tsize}))", ind)
-        self.emit("_nt = s_t.stop - _lo_t", ind)
+        # With no temporal axis on any operand or result every tile would
+        # recompute the same values: the body runs once, outside a loop.
+        ind = 1
+        if streamed or any(tdim in op.output_axes for op in p2_ops):
+            self.emit(f"for _lo_t in range(0, {tsize}, {tile}):")
+            ind = 2
+            self.emit(f"s_t = slice(_lo_t, min(_lo_t + {tile}, {tsize}))",
+                      ind)
+            self.emit("_nt = s_t.stop - _lo_t", ind)
         for t in sorted(streamed):
             dims = graph.tensors[t].dims
             idx = ", ".join("s_t" if d == tdim else ":" for d in dims)
             self.emit(f"{nm(t)} = {_var(t)}[{idx}]", ind)
         for op in p2_ops:
-            if op.kind == "matmul":
-                self.emit_matmul(kernel, op, sizes, nm,
-                                 lambda dims: shape_of(dims, "_nt"), ind,
-                                 published=False,
-                                 tsub=(tdim, None if tsize % tile else tile))
-            else:
-                out = (f"_A.get({self.new_site()}, "
-                       f"{shape_of(op.output_axes, '_nt')})")
-                expr, _used = _op_call(graph, op, nm, out)
-                self.emit(f"{nm(op.output)} = {expr}", ind)
+            self.emit_op(kernel, op, sizes, nm,
+                         lambda dims: shape_of(dims, "_nt"), ind,
+                         published=False,
+                         tsub=(tdim, None if tsize % tile else tile))
             t = op.output
             if t in assembled:
                 dims = graph.tensors[t].dims
@@ -1156,17 +1163,6 @@ def compile_kernel_source(name: str, source: str,
     namespace = kernel_namespace(extra_namespace)
     exec(compile(source, f"<generated:{name}>", "exec"), namespace)
     return GeneratedKernel(name=name, source=source, fn=namespace["kernel"])
-
-
-def _finalise(name: str, source: str) -> GeneratedKernel:
-    return compile_kernel_source(name, source)
-
-
-#: Public aliases for reuse by the compiled execution engine
-#: (:mod:`repro.runtime.compiled`), which lowers whole-tensor kernels
-#: through the same op-expression vocabulary.
-op_expr = _op_expr
-var_name = _var
 
 
 def compile_program_to_python(program: ProgramSchedule,

@@ -55,6 +55,9 @@ from ..core.schedule import KernelSchedule, ProgramSchedule
 from ..obs import span as obs_span
 from ..resilience import faults as _faults
 from ..store import LRU
+# bf16_round/resolve_dtype are re-exported: they used to live here and
+# existing callers import them from this module.
+from .dtypes import all_finite, bf16_round, resolve_dtype  # noqa: F401
 from .executor import ExecutionError
 
 #: Failpoints in the lower/execute path (armed only by tests/chaos).
@@ -72,16 +75,12 @@ class LoweringError(Exception):
 
 def outputs_finite(env: dict, tensors) -> bool:
     """True iff every named tensor in ``env`` is fully finite."""
-    return all(bool(np.isfinite(env[t]).all()) for t in tensors)
+    return all(all_finite(env[t]) for t in tensors)
 
 
 # ----------------------------------------------------------------------
-# Dtypes and plan keys
+# Plan keys
 # ----------------------------------------------------------------------
-
-# Re-exported: these used to live here and existing callers import them
-# from this module.
-from .dtypes import bf16_round, resolve_dtype  # noqa: E402,F401
 
 
 def schedule_fingerprint(program: ProgramSchedule) -> str:

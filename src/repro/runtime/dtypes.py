@@ -10,9 +10,11 @@ without a circular import — ``compiled`` already imports from
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["resolve_dtype", "bf16_round"]
+__all__ = ["resolve_dtype", "bf16_round", "all_finite"]
 
 
 def resolve_dtype(dtype) -> tuple[np.dtype, str]:
@@ -35,3 +37,15 @@ def bf16_round(arr: np.ndarray) -> np.ndarray:
     u[finite] += 0x7FFF + ((u[finite] >> 16) & 1)
     u &= np.uint32(0xFFFF0000)
     return u.view(np.float32)
+
+
+def all_finite(arr: np.ndarray) -> bool:
+    """True iff every element is finite, decided by one reduction.
+
+    NaN and +-inf survive a sum, so a finite total proves every element
+    finite without a per-element bool array; a non-finite total (or the
+    overflow of large finite values) falls through to the exact test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(arr, axis=None)
+    return math.isfinite(total) or bool(np.isfinite(arr).all())

@@ -172,7 +172,11 @@ def evaluate_op(op: Op, env: dict[str, np.ndarray],
 def execute_graph_reference(graph: DataflowGraph,
                             feeds: dict[str, np.ndarray],
                             dtype=np.float64) -> dict[str, np.ndarray]:
-    """Unfused op-by-op reference execution of a dataflow graph."""
+    """Unfused op-by-op reference execution of a dataflow graph.
+
+    A tensor leaves the env after its last reader unless it is a graph
+    output, so the peak is the largest live set, not every intermediate.
+    """
     sizes = {d: graph.dims.size(d) for d in graph.dims.names()}
     env: dict[str, np.ndarray] = {}
     for name in graph.input_tensors:
@@ -184,8 +188,14 @@ def execute_graph_reference(graph: DataflowGraph,
             raise KernelError(
                 f"feed {name!r} has shape {arr.shape}, expected {expected}")
         env[name] = arr
-    for op in graph.topological_ops():
+    ops = graph.topological_ops()
+    last_reader = {t: i for i, op in enumerate(ops) for t in op.inputs}
+    keep = set(graph.output_tensors)
+    for i, op in enumerate(ops):
         env[op.output] = np.asarray(evaluate_op(op, env, sizes), dtype=dtype)
+        for t in (*op.inputs, op.output):
+            if last_reader.get(t, i) == i and t not in keep:
+                env.pop(t, None)
     return {t: env[t] for t in graph.output_tensors}
 
 

@@ -18,6 +18,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..runtime.dtypes import all_finite
+
 _seq = itertools.count()
 
 
@@ -80,7 +82,7 @@ def validate_feeds(feeds: dict[str, np.ndarray],
             raise InvalidRequestError(
                 f"feed {name!r} has unsupported dtype {arr.dtype} "
                 f"(would not cast cleanly to the engine dtype)")
-        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        if arr.dtype.kind == "f" and not all_finite(arr):
             raise InvalidRequestError(
                 f"feed {name!r} contains non-finite values")
     if required is not None:

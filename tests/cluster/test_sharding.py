@@ -29,6 +29,18 @@ class TestRingBasics:
         assert ring.members == frozenset({"w0"})
         ring.remove("missing")              # no-op
 
+    def test_version_moves_only_with_membership(self):
+        ring = HashRing(["w0", "w1"])
+        v = ring.version
+        ring.add("w1")
+        ring.remove("missing")
+        ring.owners("mlp", 2)
+        assert ring.version == v
+        ring.remove("w1")
+        assert ring.version == v + 1
+        ring.add("w1")
+        assert ring.version == v + 2
+
 
 class TestOwners:
     def test_owners_distinct_and_primary_first(self):

@@ -77,6 +77,27 @@ class TestServing:
                 assert len(owners) == 2 == len(set(owners))
             assert placement == sup.placement()
 
+    def test_owners_are_kept_per_workload_until_the_ring_changes(
+            self, tmp_path, monkeypatch):
+        """``submit`` routes every request; the SHA-256 + ring walk is
+        paid once per workload and ring membership, not per request."""
+        sup = ClusterSupervisor(_graphs(), _config(tmp_path, workers=3))
+        for name in ("w0", "w1", "w2"):         # what start() does, unforked
+            sup.ring.add(name)
+        walks = []
+        real = sup.ring.owners
+        monkeypatch.setattr(sup.ring, "owners",
+                            lambda key, n=1: walks.append(key) or real(key, n))
+        first = sup.owners_for("mlp")
+        assert first == real("mlp", 2)
+        first.append("poison")                  # callers get their own list
+        assert [sup.owners_for("mlp") for _ in range(5)] == [real("mlp", 2)] * 5
+        assert walks == ["mlp"]
+        sup.ring.remove(first[0])               # membership moved: recompute
+        assert sup.owners_for("mlp") == real("mlp", 2)
+        assert first[0] not in sup.owners_for("mlp")
+        assert walks == ["mlp", "mlp"]
+
     def test_unknown_workload_rejected(self, tmp_path):
         with ClusterSupervisor(_graphs(), _config(tmp_path)) as sup:
             with pytest.raises(ClusterError, match="unknown workload"):

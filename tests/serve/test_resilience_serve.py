@@ -304,6 +304,35 @@ class TestFeedValidation:
         assert all(np.isfinite(v).all() for v in reply.outputs.values())
 
 
+    @pytest.mark.parametrize("arr", [
+        np.zeros((0, 3)), np.float64(2.5), np.array(np.nan),
+        np.full(8, 1e308),                      # finite, but the sum is not
+        np.array([1e308, 1e308, np.inf]), np.array([np.inf, -np.inf]),
+        np.array([3.0, -np.inf]), np.array([np.nan, 1.0]),
+        np.full(4, 65000.0, dtype=np.float16),
+        np.arange(12.0, dtype=np.float32).reshape(3, 4)[:, ::2],
+        np.where(np.arange(64.0).reshape(8, 8) == 37, np.nan, 1.0),
+    ], ids=repr)
+    def test_one_reduction_decides_exactly_what_isfinite_all_did(self, arr):
+        """``all_finite`` sums first and only then looks element by
+        element; its verdict, and the accept/reject it drives, are those
+        of ``np.isfinite(arr).all()`` — with no overflow warning raised."""
+        import warnings
+
+        from repro.runtime.dtypes import all_finite
+        from repro.serve.batching import validate_feeds
+
+        expected = bool(np.isfinite(arr).all())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all_finite(arr) is expected
+            if expected:
+                validate_feeds({"X": arr})
+            else:
+                with pytest.raises(InvalidRequestError, match="non-finite"):
+                    validate_feeds({"X": arr})
+
+
 class TestHealth:
     def test_healthy_then_degraded_then_unhealthy(self, small_ln):
         breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=60.0)
