@@ -9,24 +9,14 @@ from .ablations import (
     ablation_uta_vs_split,
 )
 from .compile_time import table4_mha_breakdown, table5_model_compile_times
-from .costmodel import COSTMODEL_WORKLOADS, bench_costmodel
 from .end_to_end import (
     fig14_end_to_end,
     fig16a_ablation,
     fig16b_input_sensitivity,
     fig16c_arch_sensitivity,
 )
-from .loadgen import (
-    LOAD_WORKLOADS,
-    LoadConfig,
-    LoadgenError,
-    LoadReport,
-    run_loadtest,
-)
 from .patterns import evaluation_suite, table6_fusion_patterns
 from .reporting import ExperimentResult, geomean
-from .runtime_bench import RUNTIME_WORKLOADS, bench_runtime
-from .tuning import TuningBenchReport, run_tuning_bench
 from .subgraphs import (
     fig11a_mlp,
     fig11b_lstm,
@@ -36,19 +26,8 @@ from .subgraphs import (
 )
 
 __all__ = [
-    "COSTMODEL_WORKLOADS",
     "ExperimentResult",
-    "bench_costmodel",
-    "LOAD_WORKLOADS",
-    "LoadConfig",
-    "LoadReport",
-    "LoadgenError",
-    "RUNTIME_WORKLOADS",
-    "TuningBenchReport",
-    "run_loadtest",
-    "run_tuning_bench",
     "ablation_candidate_depth",
-    "bench_runtime",
     "decode_attention",
     "ablation_early_quit",
     "ablation_uta_vs_split",

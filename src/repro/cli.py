@@ -9,8 +9,6 @@ Commands:
 * ``trace``    — compile a workload under the tracer and print the
   per-phase breakdown (optionally exporting Chrome trace_event JSON);
 * ``bench``    — regenerate one paper experiment (``fig11a`` ... ``table6``);
-* ``bench-runtime`` — time the schedule interpreter against the compiled
-  execution engine on the Fig. 11–13 workloads and report the speedup;
 * ``chaos``    — run a seeded fault schedule against a live FusionServer
   and assert the resilience invariants (exactly-once answers, finite
   reference-equal outputs, clean drain);
@@ -244,167 +242,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 1 if wrong[0] else 0
 
 
-def cmd_bench_runtime(args: argparse.Namespace) -> int:
-    """Interpreter vs compiled engine: per-workload exec time + speedup.
-
-    With ``--check X`` the command fails unless the geomean speedup is at
-    least X — CI uses this as the perf smoke for the compiled engine.
-    """
-    from .bench import bench_runtime, geomean
-
-    result = bench_runtime(workloads=args.workloads or None,
-                           iters=args.iters, arch=args.gpu)
-    print(result.render(float_fmt="{:.3f}"))
-    if any(not ok for ok in result.column("bitwise_equal")):
-        print("FAILED: engines disagree bitwise", file=sys.stderr)
-        return 1
-    if any(err > 1e-8 for err in result.column("max_abs_err")):
-        print("FAILED: compiled engine diverged from the reference",
-              file=sys.stderr)
-        return 1
-    if any(k.split(":")[0] == "interp"
-           for row in result.rows for k in row["kinds"].split(",")):
-        print("FAILED: a kernel fell back to the interp kind",
-              file=sys.stderr)
-        return 1
-    gm = geomean(result.column("speedup"))
-    if args.json:
-        import json
-
-        payload = {
-            "experiment": "bench_runtime",
-            "gpu": args.gpu,
-            "iters": args.iters,
-            "workloads": {
-                row["workload"]: {
-                    "interpreter_ms": row["interpreter_ms"],
-                    "compiled_ms": row["compiled_ms"],
-                    "speedup": row["speedup"],
-                    "kinds": row["kinds"],
-                }
-                for row in result.rows
-            },
-            "geomean_speedup": gm,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-        print(f"\njson written to {args.json}")
-    if args.check is not None and gm < args.check:
-        print(f"FAILED: geomean speedup {gm:.2f}x < required "
-              f"{args.check:.2f}x", file=sys.stderr)
-        return 1
-    if args.check_mha is not None:
-        mha_rows = [r for r in result.rows if r["workload"] == "mha"]
-        if not mha_rows:
-            print("FAILED: --check-mha given but the mha workload did "
-                  "not run", file=sys.stderr)
-            return 1
-        if mha_rows[0]["speedup"] < args.check_mha:
-            print(f"FAILED: mha speedup {mha_rows[0]['speedup']:.2f}x < "
-                  f"required {args.check_mha:.2f}x", file=sys.stderr)
-            return 1
-    return 0
-
-
-def cmd_bench_tuning(args: argparse.Namespace) -> int:
-    """Cold vs warm TuneDB compile-time benchmark (Tables 4/5 amortized).
-
-    With ``--check-warm X`` / ``--check-cold X`` the command fails unless
-    the warm-database (cold-database) tuning-wall reduction reaches X —
-    CI's tuning smoke.  Chosen configs must always be identical to the
-    no-database baseline.
-    """
-    import json
-    import tempfile
-
-    from .bench import run_tuning_bench
-    from .hw import get_gpu
-
-    tmp = None
-    db_dir = args.db_dir
-    if db_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-tunedb-")
-        db_dir = tmp.name
-    try:
-        report = run_tuning_bench(db_dir, models=tuple(args.models),
-                                  gpu=get_gpu(args.gpu),
-                                  batch=args.batch, seq=args.seq)
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
-    print(report.render())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        print(f"\njson written to {args.json}")
-    if not report.configs_identical:
-        print("FAILED: database-backed compile chose different configs "
-              "than the baseline", file=sys.stderr)
-        return 1
-    if args.check_warm is not None and \
-            report.warm_reduction < args.check_warm:
-        print(f"FAILED: warm-DB reduction {report.warm_reduction:.2f}x "
-              f"< required {args.check_warm:.2f}x", file=sys.stderr)
-        return 1
-    if args.check_cold is not None and \
-            report.cold_reduction < args.check_cold:
-        print(f"FAILED: cold-DB reduction {report.cold_reduction:.2f}x "
-              f"< required {args.check_cold:.2f}x", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_bench_costmodel(args: argparse.Namespace) -> int:
-    """Cost-model calibration smoke: analytic vs event-sim vs traced run.
-
-    Cross-validates the analytical cost model over the workload zoo on
-    every GPU preset: byte-exact traced-load agreement, top-1 config-rank
-    agreement with the event-driven simulator, and read-hit-rate deltas
-    against its granule replay.  ``--check-*`` flags turn the floors into
-    exit codes — CI's calibration smoke.
-    """
-    import json
-
-    from .bench import bench_costmodel
-
-    result = bench_costmodel(workloads=args.workloads or None,
-                             archs=args.gpus or None)
-    print(result.render(float_fmt="{:.3f}"))
-    rc = 0
-    if args.check_bytes:
-        inexact = [r for r in result.rows if not r["bytes_exact"]]
-        for r in inexact:
-            print(f"FAILED: {r['workload']}/{r['arch']}/{r['kernel']} "
-                  f"traced {r['traced_mb']:.3f}MB != modeled "
-                  f"{r['modeled_mb']:.3f}MB", file=sys.stderr)
-        rc |= bool(inexact)
-    if args.check_rank is not None:
-        worst = max(result.column("top1_ratio"))
-        if worst > args.check_rank:
-            print(f"FAILED: worst top1 ratio {worst:.3f} > allowed "
-                  f"{args.check_rank:.3f}", file=sys.stderr)
-            rc = 1
-    if args.check_hit is not None:
-        worst = max(result.column("hit_delta"))
-        if worst > args.check_hit:
-            print(f"FAILED: worst hit-rate delta {worst:.3f} > allowed "
-                  f"{args.check_hit:.3f}", file=sys.stderr)
-            rc = 1
-    if args.json:
-        payload = {
-            "experiment": "bench_costmodel",
-            "gpus": args.gpus or sorted(ARCHITECTURES),
-            "rows": result.rows,
-            "bytes_exact_all": all(result.column("bytes_exact")),
-            "worst_top1_ratio": max(result.column("top1_ratio")),
-            "worst_hit_delta": max(result.column("hit_delta")),
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-        print(f"\njson written to {args.json}")
-    return rc
-
-
 def cmd_tunedb(args: argparse.Namespace) -> int:
     """Inspect / maintain a tuning-database directory."""
     import json
@@ -458,28 +295,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                                workers=args.workers,
                                report_path=args.report)
     except ChaosError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(report.render())
-    if args.report:
-        print(f"\nreport written to {args.report}")
-    return 0 if report.ok else 1
-
-
-def cmd_loadtest(args: argparse.Namespace) -> int:
-    """Open-loop Poisson load against a forked multi-worker cluster;
-    writes the serving benchmark JSON and enforces delivery invariants."""
-    from .bench.loadgen import LoadConfig, LoadgenError, run_loadtest
-
-    try:
-        config = LoadConfig(rps=args.rps, duration_s=args.duration,
-                            workers=args.workers, seed=args.seed,
-                            timeout_s=args.timeout, tenants=args.tenants,
-                            engine=args.engine,
-                            cache_dir=args.cache_dir)
-        report = run_loadtest(config,
-                              report_path=args.report or None)
-    except LoadgenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report.render())
@@ -719,34 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "section)")
     p.set_defaults(fn=cmd_chaos)
 
-    p = sub.add_parser("loadtest",
-                       help="open-loop Poisson load against a sharded "
-                            "multi-process serving cluster")
-    p.add_argument("--rps", type=float, default=50.0,
-                   help="offered request rate (default: 50)")
-    p.add_argument("--duration", type=float, default=5.0,
-                   help="arrival window in seconds (default: 5)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="worker processes to fork (default: 2)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for arrivals and workload mix (default: 0)")
-    p.add_argument("--timeout", type=float, default=30.0,
-                   help="per-request deadline in seconds (default: 30)")
-    p.add_argument("--tenants", type=int, default=3,
-                   help="synthetic tenants cycled over requests "
-                        "(default: 3)")
-    p.add_argument("--engine", default="compiled",
-                   choices=["compiled", "interpreter"],
-                   help="worker execution engine (default: compiled)")
-    p.add_argument("--cache-dir", default=None,
-                   help="shared schedule-cache directory "
-                        "(default: fresh temp dir)")
-    p.add_argument("--report", default="BENCH_serving.json",
-                   metavar="OUT.json",
-                   help="where to write the serving benchmark JSON "
-                        "(default: BENCH_serving.json; '' to skip)")
-    p.set_defaults(fn=cmd_loadtest)
-
     p = sub.add_parser("validate",
                        help="check fused execution against the reference")
     _add_workload_arg(p)
@@ -795,86 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="regenerate a paper experiment")
     p.add_argument("experiment", choices=sorted(EXPERIMENTS))
     p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser("bench-runtime",
-                       help="time the interpreter vs the compiled engine "
-                            "and report the speedup")
-    p.add_argument("--workloads", nargs="*", default=None,
-                   metavar="NAME",
-                   choices=sorted(bench_mod.RUNTIME_WORKLOADS),
-                   help="subset of runtime workloads (default: all of "
-                        "mlp, lstm, layernorm, mha, mha-decode)")
-    p.add_argument("--iters", type=int, default=5,
-                   help="timing iterations per engine, best-of (default: 5)")
-    p.add_argument("--gpu", default="ampere",
-                   choices=sorted(ARCHITECTURES),
-                   help="target architecture (default: ampere)")
-    p.add_argument("--check", type=float, default=None, metavar="X",
-                   help="exit non-zero unless the geomean speedup is >= X")
-    p.add_argument("--check-mha", type=float, default=None, metavar="X",
-                   dest="check_mha",
-                   help="exit non-zero unless the mha workload speedup "
-                        "is >= X (CI perf-smoke floor)")
-    p.add_argument("--json", default=None, metavar="OUT.json",
-                   help="also write the rows as JSON (BENCH_runtime format)")
-    p.set_defaults(fn=cmd_bench_runtime)
-
-    p = sub.add_parser("bench-tuning",
-                       help="cold vs warm tuning-database compile walls "
-                            "(Tables 4/5 amortization)")
-    p.add_argument("--models", nargs="*", default=["bert", "albert"],
-                   metavar="NAME",
-                   help="zoo models to compile (default: bert albert)")
-    p.add_argument("--gpu", default="ampere",
-                   choices=sorted(ARCHITECTURES),
-                   help="target architecture (default: ampere)")
-    p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--seq", type=int, default=64)
-    p.add_argument("--db-dir", default=None, metavar="DIR",
-                   help="tuning-database directory (default: a fresh "
-                        "temporary directory)")
-    p.add_argument("--json", default=None, metavar="OUT.json",
-                   help="also write the report as JSON "
-                        "(BENCH_tuning format)")
-    p.add_argument("--check-warm", type=float, default=None, metavar="X",
-                   dest="check_warm",
-                   help="exit non-zero unless the warm-DB tuning-wall "
-                        "reduction is >= X (CI smoke floor)")
-    p.add_argument("--check-cold", type=float, default=None, metavar="X",
-                   dest="check_cold",
-                   help="exit non-zero unless the cold-DB reduction "
-                        "is >= X")
-    p.set_defaults(fn=cmd_bench_tuning)
-
-    p = sub.add_parser("bench-costmodel",
-                       help="cross-validate the analytic cost model "
-                            "against the event simulator and traced "
-                            "execution on every preset")
-    p.add_argument("--workloads", nargs="*", default=None,
-                   metavar="NAME",
-                   choices=sorted(bench_mod.COSTMODEL_WORKLOADS),
-                   help="subset of calibration workloads (default: all)")
-    p.add_argument("--gpus", nargs="*", default=None,
-                   choices=sorted(ARCHITECTURES), metavar="ARCH",
-                   help="presets to calibrate on (default: all, "
-                        "including h200 and blackwell)")
-    p.add_argument("--check-bytes", action="store_true",
-                   dest="check_bytes",
-                   help="exit non-zero unless traced loads equal modeled "
-                        "loads byte-exactly on every kernel")
-    p.add_argument("--check-rank", type=float, default=None, metavar="X",
-                   dest="check_rank",
-                   help="exit non-zero if the analytic winner's "
-                        "event-simulated time exceeds X times the event "
-                        "sim's best (1.0 = strict top-1 agreement)")
-    p.add_argument("--check-hit", type=float, default=None, metavar="X",
-                   dest="check_hit",
-                   help="exit non-zero if any analytic-vs-replay read "
-                        "hit-rate delta exceeds X")
-    p.add_argument("--json", default=None, metavar="OUT.json",
-                   help="also write the rows as JSON "
-                        "(BENCH_costmodel format)")
-    p.set_defaults(fn=cmd_bench_costmodel)
 
     p = sub.add_parser("tunedb",
                        help="inspect or maintain a tuning database")

@@ -452,7 +452,7 @@ class ClusterSupervisor:
 
     def install_signal_handlers(self) -> Callable[[], None]:
         """Drain the fleet on SIGTERM/SIGINT instead of orphaning
-        children: Ctrl-C on ``repro loadtest``/``repro serve`` answers
+        children: Ctrl-C on a process fronting the fleet answers
         everything queued, collects worker stats, then re-raises
         (``KeyboardInterrupt`` for SIGINT, ``SystemExit(143)`` for
         SIGTERM).  Returns a callable restoring the previous handlers;

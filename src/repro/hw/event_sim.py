@@ -276,7 +276,8 @@ def cross_check_hierarchy(kernel: KernelSchedule, spec: GPUSpec,
     """Hit-rate-level agreement between the two models for one kernel.
 
     Returns analytic/event times plus both read hit rates; the calibration
-    smoke (``repro bench-costmodel``) asserts their delta stays small."""
+    sweep (``tests/hw/test_event_sim.py::TestCalibration``) asserts their
+    delta stays small."""
     _counters, breakdown = DeviceSimulator(spec).kernel_cost(kernel, config)
     ev = EventDrivenSimulator(spec).simulate_kernel(kernel, config)
     return {

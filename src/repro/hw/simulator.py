@@ -28,7 +28,8 @@ as on the paper's hardware: data movement, cache behaviour, launch count,
 parallelism and peak throughput.  The model is cross-validated two ways:
 byte-exact global-load agreement with the tracing executor
 (``tests/integration/test_model_validation.py``) and hit-rate/ranking
-agreement with the event-driven simulator (``repro bench-costmodel``).
+agreement with the event-driven simulator on every preset
+(``tests/hw/test_event_sim.py::TestCalibration``).
 """
 
 from __future__ import annotations

@@ -1,4 +1,11 @@
-"""Chaos harness: a seeded fault schedule against a live FusionServer.
+"""Chaos harness: seeded fault schedules against a live serving target.
+
+One harness core — :class:`Run` (traffic, reference compare, verdict
+tallies), :class:`Flight`, :class:`ChaosReport`, :func:`wait_until` and
+the table-driven :func:`fault_invariants` — and two targets that are
+only *phase scripts* over it: :func:`run_chaos` below (a live
+``FusionServer``) and :func:`repro.resilience.cluster_chaos.run_cluster_chaos`
+(a forked worker fleet, ``repro chaos --cluster``).
 
 ``repro chaos --seed S [--faults plan.json]`` stands up a real serving
 stack — disk-backed tiered schedule cache, compiled execution engine,
@@ -20,7 +27,8 @@ and asserts the end-to-end invariants the resilience layer promises:
 
 The report (``BENCH_robustness.json`` by default) records the fault
 plan, per-phase request counts, exercised-fault evidence, and the full
-metrics snapshot.
+metrics snapshot; the fleet target's run lands in its ``cluster``
+section, and either mode's write keeps the other's section.
 """
 
 from __future__ import annotations
@@ -77,9 +85,30 @@ DEFAULT_FAULT_PLAN = [
 #: Phases a fault plan may target, in execution order.
 PHASES = ("compile", "steady", "breaker", "quarantine", "overload", "drain")
 
+#: Slack added to a deadline before a completion counts as "late": the
+#: supervisor's expiry/publish gates run on timer threads, so a reply
+#: can legitimately land a scheduling quantum after the exact deadline
+#: while still having been *decided* before it.
+DEADLINE_SLACK_S = 0.1
+
+#: The server target's rows for :func:`fault_invariants`.
+SERVER_FAULTS = (
+    ("retry_exercised", (("compile_retries", "lower_retries"),),
+     "compile retries: {compile_retries}, lowering retries: "
+     "{lower_retries}"),
+    ("breaker_cycle_exercised", (("breaker_cycles",),),
+     "open→half-open→close cycles: {breaker_cycles}"),
+    ("shed_exercised", (("sheds",),), "load sheds: {sheds}"),
+    ("quarantine_exercised", (("quarantines",),),
+     "plans quarantined: {quarantines}"),
+    ("disk_errors_absorbed", (("disk_errors",),),
+     "disk-tier errors counted as misses: {disk_errors}"),
+)
+
 
 class ChaosError(Exception):
-    """Raised on harness misuse (bad plan, unknown workload)."""
+    """Raised when the harness cannot run its plan (bad plan, unknown
+    workload, a fault that could not be armed)."""
 
 
 def load_fault_plan(path: str) -> list[dict]:
@@ -110,19 +139,43 @@ class Invariant:
     detail: str = ""
 
 
+def fault_invariants(exercised: dict, table) -> list[Invariant]:
+    """One "fault X was exercised >= 1" invariant per ``table`` row:
+    (invariant name, groups of ``exercised`` keys — each group's sum
+    must reach 1, detail template over ``exercised``)."""
+    return [Invariant(name,
+                      all(sum(exercised[k] for k in group) >= 1
+                          for group in groups),
+                      detail.format(**exercised))
+            for name, groups, detail in table]
+
+
+def wait_until(predicate, timeout: float = 20.0,
+               interval: float = 0.02) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
+
+
 @dataclass
 class ChaosReport:
-    """Everything a chaos run observed, plus the verdicts."""
+    """Everything a chaos run observed, plus the verdicts.
 
+    ``mode`` is ``"server"`` or ``"cluster"``; ``sections`` holds the
+    target's own report entries (fault plan and health for the server,
+    restarts and fleet metrics for the cluster) and is emitted as is.
+    """
+
+    mode: str
     seed: int
-    workload: str
-    fault_plan: list[dict]
+    sections: dict = field(default_factory=dict)
+    #: Requests attempted per phase, then the run's totals.
     requests: dict[str, int] = field(default_factory=dict)
     exercised: dict[str, int] = field(default_factory=dict)
     invariants: list[Invariant] = field(default_factory=list)
-    breaker_transitions: list[tuple[str, str]] = field(default_factory=list)
-    health: dict = field(default_factory=dict)
-    metrics: dict = field(default_factory=dict)
     elapsed_s: float = 0.0
 
     @property
@@ -130,37 +183,54 @@ class ChaosReport:
         return all(inv.ok for inv in self.invariants)
 
     def to_dict(self) -> dict:
-        return {
+        data = {
             "experiment": "chaos",
             "seed": self.seed,
-            "workload": self.workload,
             "ok": self.ok,
             "elapsed_s": self.elapsed_s,
-            "fault_plan": self.fault_plan,
-            "requests": self.requests,
             "exercised": self.exercised,
             "invariants": [{"name": i.name, "ok": i.ok, "detail": i.detail}
                            for i in self.invariants],
-            "breaker_transitions": [list(t)
-                                    for t in self.breaker_transitions],
-            "health": self.health,
-            "metrics": self.metrics,
+            **self.sections,
         }
+        if self.mode == "cluster":
+            data.update(mode="cluster", phases=self.requests)
+        else:
+            data["requests"] = self.requests
+        return data
 
     def write(self, path: str) -> None:
+        """Read-merge-write: a server run owns the file's top-level keys,
+        a cluster run its ``cluster`` section, and neither drops the
+        other's.  An unreadable or non-dict file is replaced."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                existing = json.load(fh)
+        except (OSError, ValueError):
+            existing = None
+        if not isinstance(existing, dict):
+            existing = {}
+        if self.mode == "cluster":
+            data = existing
+            data.setdefault("experiment", "chaos")
+            data["cluster"] = self.to_dict()
+        else:
+            data = self.to_dict()
+            if "cluster" in existing:
+                data["cluster"] = existing["cluster"]
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
+            json.dump(data, fh, indent=1, sort_keys=True)
             fh.write("\n")
 
     def render(self) -> str:
-        lines = [f"chaos run: seed={self.seed} workload={self.workload} "
+        lines = [f"{self.mode} chaos run: seed={self.seed} "
                  f"({self.elapsed_s:.2f}s)",
-                 "requests:"]
-        for name in sorted(self.requests):
-            lines.append(f"  {name:<22} {self.requests[name]}")
+                 "requests per phase:"]
+        for name, count in self.requests.items():
+            lines.append(f"  {name:<24} {count}")
         lines.append("faults exercised:")
         for name in sorted(self.exercised):
-            lines.append(f"  {name:<22} {self.exercised[name]}")
+            lines.append(f"  {name:<24} {self.exercised[name]}")
         lines.append("invariants:")
         for inv in self.invariants:
             mark = "PASS" if inv.ok else "FAIL"
@@ -170,86 +240,170 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-class _Run:
-    """One chaos run's mutable state (requests issued, answers checked)."""
+class Flight:
+    """One accepted request plus everything needed to judge it later."""
 
-    def __init__(self, graph, server: FusionServer, workload: str,
-                 ref_seeds: int = 8) -> None:
-        self.graph = graph
-        self.server = server
+    __slots__ = ("request", "workload", "seed", "phase", "deadline_wall",
+                 "done_at", "expect")
+
+    def __init__(self, workload: str, seed: int, phase: str,
+                 deadline_wall: float | None, expect: tuple) -> None:
+        self.request = None
         self.workload = workload
+        self.seed = seed
+        self.phase = phase
+        #: Absolute monotonic deadline this request was submitted under.
+        self.deadline_wall = deadline_wall
+        #: Monotonic completion time, stamped by the ``on_done`` hook.
+        self.done_at: float | None = None
+        #: Exception types that count as an *expected* typed failure in
+        #: this phase (anything else failing is an invariant violation).
+        self.expect = expect
+
+
+class Run:
+    """One chaos run's mutable state: traffic in, verdict tallies out.
+
+    ``submit(workload, feeds, timeout=..., on_done=...)`` is the target
+    (``FusionServer.submit`` or ``ClusterSupervisor.submit``) and
+    ``shed_exc`` the typed exception its admission control sheds with.
+    """
+
+    def __init__(self, submit, shed_exc, graphs: dict,
+                 ref_seeds: int) -> None:
+        self._submit = submit
+        self._shed_exc = shed_exc
+        self.graphs = graphs
         self.references = {
-            s: execute_graph_reference(graph, random_feeds(graph, seed=s))
-            for s in range(ref_seeds)
+            name: [execute_graph_reference(g, random_feeds(g, seed=s))
+                   for s in range(ref_seeds)]
+            for name, g in graphs.items()
         }
         self.lock = threading.Lock()
-        self.accepted: list[tuple] = []   # (Request, ref seed)
-        self.shed = 0
+        self.flights: list[Flight] = []
+        self.phases: dict[str, int] = {}
         self.submitted = 0
+        self.shed = 0
         self.wrong: list[str] = []
-        self.errors: list[str] = []
+        self.unexpected: list[str] = []
+        self.late: list[str] = []
+
+    def phase(self, name: str, fn, *args) -> None:
+        """Run one phase script, recording how many requests it tried."""
+        before = self.submitted
+        fn(*args)
+        self.phases[name] = self.submitted - before
 
     # -- traffic --------------------------------------------------------
 
-    def _seed_for(self, i: int) -> int:
-        return i % len(self.references)
+    def submit(self, workload: str, seed: int, phase: str,
+               timeout: float | None = None,
+               expect: tuple = ()) -> Flight | None:
+        """Submit one request; None when admission shed it (tallied)."""
+        seed %= len(self.references[workload])
+        feeds = random_feeds(self.graphs[workload], seed=seed)
+        flight = Flight(workload, seed, phase,
+                        None if timeout is None
+                        else time.monotonic() + timeout, expect)
 
-    def submit_one(self, i: int):
-        """Submit request ``i``; returns the handle or None when shed."""
-        seed = self._seed_for(i)
-        feeds = random_feeds(self.graph, seed=seed)
+        def stamp(_request) -> None:
+            flight.done_at = time.monotonic()
+
         with self.lock:
             self.submitted += 1
         try:
-            req = self.server.submit(self.workload, feeds)
-        except Overloaded:
+            flight.request = self._submit(workload, feeds, timeout=timeout,
+                                          on_done=stamp)
+        except self._shed_exc:
             with self.lock:
                 self.shed += 1
             return None
         with self.lock:
-            self.accepted.append((req, seed))
-        return req
+            self.flights.append(flight)
+        return flight
 
-    def infer_one(self, i: int) -> None:
-        """Submit-and-wait; sheds are retried until accepted."""
-        req = self.submit_one(i)
-        while req is None:
-            time.sleep(0.002)
-            req = self.submit_one(i)
-        self.check(req, timeout=60.0)
+    def infer(self, workload: str, seed: int, phase: str,
+              timeout: float | None = None, expect: tuple = (),
+              wait: float = 60.0) -> Flight | None:
+        """Submit-and-judge; None (nothing to judge) when shed."""
+        flight = self.submit(workload, seed, phase, timeout=timeout,
+                             expect=expect)
+        if flight is not None:
+            self.check(flight, wait=wait)
+        return flight
 
-    def check(self, req, timeout: float = 60.0) -> None:
-        """Wait for one accepted request and verify its outputs."""
-        seed = None
+    # -- judging --------------------------------------------------------
+
+    def _note(self, tally: list[str], flight: Flight, what: str) -> None:
         with self.lock:
-            for r, s in self.accepted:
-                if r is req:
-                    seed = s
-                    break
-        assert seed is not None
+            tally.append(f"[{flight.phase}] request "
+                         f"{flight.request.seq}: {what}")
+
+    def check(self, flight: Flight, wait: float = 60.0) -> None:
+        """Wait for one flight and judge its outcome against the phase's
+        expectations, its deadline and the float64 reference."""
         try:
-            reply = req.result(timeout=timeout)
-        except Exception as exc:  # noqa: BLE001 — tallied as an invariant
-            with self.lock:
-                self.errors.append(f"request {req.seq}: "
-                                   f"{type(exc).__name__}: {exc}")
+            reply = flight.request.result(timeout=wait)
+        except Exception as exc:  # noqa: BLE001 — judged here
+            if not isinstance(exc, flight.expect):
+                self._note(self.unexpected, flight,
+                           f"{type(exc).__name__}: {exc}")
             return
-        if not outputs_match(reply.outputs, self.references[seed], 1e-8):
-            with self.lock:
-                self.wrong.append(
-                    f"request {req.seq}: an output is missing, non-finite "
-                    f"or off the reference by more than 1e-8")
+        if (flight.deadline_wall is not None and flight.done_at is not None
+                and flight.done_at > flight.deadline_wall
+                + DEADLINE_SLACK_S):
+            self._note(self.late, flight,
+                       f"answered {flight.done_at - flight.deadline_wall:.3f}"
+                       f"s past its deadline")
+        expected = self.references[flight.workload][flight.seed]
+        if not outputs_match(reply.outputs, expected, 1e-8):
+            self._note(self.wrong, flight,
+                       "an output is missing, non-finite or off the "
+                       "reference by more than 1e-8")
 
-    def check_all_pending(self) -> None:
+    def check_all_pending(self, wait: float = 60.0) -> None:
         with self.lock:
-            pending = [(r, s) for r, s in self.accepted if not r.done()]
-        for req, _seed in pending:
-            self.check(req)
+            pending = [f for f in self.flights if not f.request.done()]
+        for flight in pending:
+            self.check(flight, wait=wait)
+
+    # -- verdicts -------------------------------------------------------
+
+    def unresolved(self) -> list[int]:
+        return [f.request.seq for f in self.flights
+                if not f.request.done()]
+
+    def exactly_once(self, name: str) -> Invariant:
+        unresolved = self.unresolved()
+        multi = [f.request.seq for f in self.flights
+                 if f.request.resolutions != 1]
+        return Invariant(
+            name, not unresolved and not multi,
+            f"unresolved={unresolved[:5]} multi={multi[:5]}"
+            if unresolved or multi else
+            f"{len(self.flights)} accepted requests, one resolution each")
+
+    def correct(self, name: str) -> Invariant:
+        bad = self.wrong + self.unexpected
+        return Invariant(
+            name, not bad,
+            "; ".join(bad[:5])
+            or "every answer finite and equal to the float64 reference; "
+               "every failure a typed, phase-expected error")
+
+    def on_time(self, name: str) -> Invariant:
+        return Invariant(
+            name, not self.late,
+            "; ".join(self.late[:5])
+            or "no deadline-bearing request was answered past its budget")
+
+    def request_counts(self) -> dict[str, int]:
+        return {**self.phases, "submitted": self.submitted,
+                "shed": self.shed}
 
 
 def _plan_by_phase(plan: list[dict]) -> dict[str, dict[str, str]]:
-    registry = faults.registry()
-    known = registry.known()
+    known = faults.registry().known()
     by_phase: dict[str, dict[str, str]] = {p: {} for p in PHASES}
     for entry in plan:
         name = entry["failpoint"]
@@ -279,10 +433,9 @@ def run_chaos(seed: int = 0, requests: int = 200, workload: str = "mlp",
     registry.seed(seed)
 
     graph = CHAOS_WORKLOADS[workload]()
-    gpu = get_gpu("ampere")
+    wl = graph.name
     metrics = ServeMetrics()
     t_start = time.perf_counter()
-    phase_counts: dict[str, int] = {}
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmpdir:
         cache = TieredScheduleCache(
@@ -291,18 +444,21 @@ def run_chaos(seed: int = 0, requests: int = 200, workload: str = "mlp",
                                      max_delay_s=0.02, seed=seed))
         breaker = CircuitBreaker(failure_threshold=breaker_threshold,
                                  reset_timeout_s=breaker_reset_s)
-        session = InferenceSession(graph, gpu, cache=cache, metrics=metrics,
-                                   breaker=breaker)
-        server = FusionServer({graph.name: session}, workers=workers,
+        session = InferenceSession(graph, get_gpu("ampere"), cache=cache,
+                                   metrics=metrics, breaker=breaker)
+        server = FusionServer({wl: session}, workers=workers,
                               max_batch=8, max_wait_ms=1.0,
                               metrics=metrics, max_queue_depth=queue_depth)
-        run = _Run(graph, server, graph.name)
+        run = Run(server.submit, Overloaded, {wl: graph}, ref_seeds=8)
 
-        def run_phase(name: str, count: int, fn) -> None:
-            before = run.submitted
-            with registry.armed(by_phase.get(name, {})):
-                fn(count)
-            phase_counts[name] = run.submitted - before
+        def answer(i: int, phase: str) -> None:
+            # Submit-and-wait; a shed is retried until accepted.
+            while run.infer(wl, i, phase) is None:
+                time.sleep(0.002)
+
+        def run_phase(name: str, fn, *args) -> None:
+            with registry.armed(by_phase[name]):
+                run.phase(name, fn, *args)
 
         # Phase budget: the special phases have fixed shapes; everything
         # left over becomes steady/drain traffic.
@@ -310,23 +466,22 @@ def run_chaos(seed: int = 0, requests: int = 200, workload: str = "mlp",
         special = 1 + (breaker_threshold + 4) + 1 + burst
         leftover = max(0, requests - special)
         steady_n = leftover // 2
-        drain_n = leftover - steady_n
 
-        def phase_compile(_count: int) -> None:
+        def phase_compile() -> None:
             # Faults on the cold path: disk read error, one failed
             # compile attempt (retried), one failed autotune campaign
             # (also absorbed by the retry), one failed lowering
             # (retried), disk write error.  The first request must still
             # be answered correctly.
             server.start()
-            run.infer_one(0)
+            answer(0, "compile")
 
-        def phase_steady(count: int) -> None:
+        def phase_steady(name: str, count: int) -> None:
             clients = min(4, max(1, count))
 
             def client(cid: int) -> None:
                 for i in range(cid, count, clients):
-                    run.infer_one(i)
+                    answer(i, name)
 
             threads = [threading.Thread(target=client, args=(c,))
                        for c in range(clients)]
@@ -335,29 +490,27 @@ def run_chaos(seed: int = 0, requests: int = 200, workload: str = "mlp",
             for t in threads:
                 t.join()
 
-        def phase_breaker(_count: int) -> None:
+        def phase_breaker() -> None:
             # `fail_n_times(threshold)` on runtime.execute: each failure
             # is answered via the reference, the breaker opens on the
             # last one.  Requests while open degrade immediately; after
             # the reset timeout one half-open probe succeeds (the
             # failpoint is exhausted) and the breaker closes.
             for i in range(breaker_threshold):
-                run.infer_one(i)
+                answer(i, "breaker")
             for i in range(3):
-                run.infer_one(i)          # breaker open → reference path
+                answer(i, "breaker")      # breaker open → reference path
             time.sleep(breaker_reset_s * 1.5)
-            run.infer_one(0)              # half-open probe → close
+            answer(0, "breaker")          # half-open probe → close
 
-        def phase_quarantine(_count: int) -> None:
-            run.infer_one(0)
-
-        def phase_overload(_count: int) -> None:
+        def phase_overload() -> None:
             # Workers stalled by the serve.batch delay; a concurrent
             # burst well past the queue bound must shed.  Shed requests
             # never enqueue; accepted ones all complete after the phase.
             for _attempt in range(5):
                 before = run.shed
-                threads = [threading.Thread(target=run.submit_one, args=(i,))
+                threads = [threading.Thread(target=run.submit,
+                                            args=(wl, i, "overload"))
                            for i in range(burst)]
                 for t in threads:
                     t.start()
@@ -367,37 +520,18 @@ def run_chaos(seed: int = 0, requests: int = 200, workload: str = "mlp",
                     break
             run.check_all_pending()
 
-        run_phase("compile", 1, phase_compile)
-        run_phase("steady", steady_n, phase_steady)
-        run_phase("breaker", breaker_threshold + 4, phase_breaker)
-        run_phase("quarantine", 1, phase_quarantine)
-        run_phase("overload", burst, phase_overload)
-        run_phase("drain", drain_n, phase_steady)
+        run_phase("compile", phase_compile)
+        run_phase("steady", phase_steady, "steady", steady_n)
+        run_phase("breaker", phase_breaker)
+        run_phase("quarantine", answer, 0, "quarantine")
+        run_phase("overload", phase_overload)
+        run_phase("drain", phase_steady, "drain", leftover - steady_n)
 
         run.check_all_pending()
         server.stop(drain=True)
-        health = server.health()
         queue_left = server.queue.depth()
 
-        # ---- invariants ------------------------------------------------
-        snap = metrics.snapshot()
-        report = ChaosReport(
-            seed=seed, workload=workload, fault_plan=plan,
-            breaker_transitions=list(breaker.transitions),
-            health=health, metrics=snap,
-            elapsed_s=time.perf_counter() - t_start)
-        report.requests = dict(phase_counts)
-        report.requests.update(
-            submitted=run.submitted,
-            accepted=len(run.accepted),
-            shed=run.shed,
-        )
-
-        unresolved = [r.seq for r, _ in run.accepted if not r.done()]
-        multi = [r.seq for r, _ in run.accepted if r.resolutions != 1]
-        retries = (metrics.get("cache.compile_retries")
-                   + metrics.get("lower.retries"))
-        report.exercised = {
+        exercised = {
             "compile_retries": metrics.get("cache.compile_retries"),
             "lower_retries": metrics.get("lower.retries"),
             "breaker_cycles": breaker.cycles,
@@ -405,42 +539,25 @@ def run_chaos(seed: int = 0, requests: int = 200, workload: str = "mlp",
             "quarantines": metrics.get("plans.quarantined"),
             "disk_errors": metrics.get("cache.disk_errors"),
         }
-
-        inv = report.invariants.append
-        inv(Invariant(
-            "answered_exactly_once",
-            not unresolved and not multi,
-            (f"unresolved={unresolved[:5]} multi={multi[:5]}"
-             if unresolved or multi else
-             f"{len(run.accepted)} accepted requests, one resolution "
-             f"each")))
-        inv(Invariant(
-            "all_answers_correct",
-            not run.wrong and not run.errors,
-            "; ".join((run.wrong + run.errors)[:5])
-            or "all outputs finite and equal to the unfused reference"))
-        inv(Invariant(
-            "drains_clean", queue_left == 0,
-            f"queue depth after stop: {queue_left}"))
-        inv(Invariant(
-            "retry_exercised", retries >= 1,
-            f"compile+lower retries: {retries}"))
-        inv(Invariant(
-            "breaker_cycle_exercised", breaker.cycles >= 1,
-            f"open→half-open→close cycles: {breaker.cycles}, "
-            f"transitions: {breaker.transitions}"))
-        inv(Invariant(
-            "shed_exercised", run.shed >= 1,
-            f"load sheds: {run.shed}"))
-        inv(Invariant(
-            "quarantine_exercised",
-            metrics.get("plans.quarantined") >= 1,
-            f"plans quarantined: {metrics.get('plans.quarantined')}"))
-        inv(Invariant(
-            "disk_errors_absorbed",
-            metrics.get("cache.disk_errors") >= 1,
-            f"disk-tier errors counted as misses: "
-            f"{metrics.get('cache.disk_errors')}"))
+        report = ChaosReport(
+            mode="server", seed=seed,
+            sections={
+                "workload": workload, "fault_plan": plan,
+                "breaker_transitions": [list(t)
+                                        for t in breaker.transitions],
+                "health": server.health(), "metrics": metrics.snapshot(),
+            },
+            requests={**run.request_counts(),
+                      "accepted": len(run.flights)},
+            exercised=exercised,
+            invariants=[
+                run.exactly_once("answered_exactly_once"),
+                run.correct("all_answers_correct"),
+                Invariant("drains_clean", queue_left == 0,
+                          f"queue depth after stop: {queue_left}"),
+                *fault_invariants(exercised, SERVER_FAULTS),
+            ],
+            elapsed_s=time.perf_counter() - t_start)
 
     if report_path:
         report.write(report_path)

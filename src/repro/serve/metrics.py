@@ -128,8 +128,8 @@ class ServeMetrics:
         """Gauges computed from counters at read time (lock held).
 
         ``shed_rate`` is the fraction of submit attempts rejected by
-        admission control — exported directly so the loadtest report and
-        scrapers don't each re-derive it from two counters.
+        admission control — exported directly so reports and scrapers
+        don't each re-derive it from two counters.
         """
         shed = self.counters.get("requests.shed", 0)
         submitted = self.counters.get("requests.submitted", 0)

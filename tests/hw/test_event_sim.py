@@ -4,10 +4,21 @@ import math
 
 import pytest
 
-from repro.hw import AMPERE, VOLTA, DeviceSimulator
-from repro.hw.event_sim import EventDrivenSimulator, cross_check
-from repro.models import layernorm_graph, mha_graph, mlp_graph
+from repro.hw import AMPERE, ARCHITECTURES, VOLTA, DeviceSimulator
+from repro.hw.event_sim import (
+    EventDrivenSimulator,
+    cross_check,
+    cross_check_hierarchy,
+)
+from repro.models import (
+    layernorm_graph,
+    lstm_cell_graph,
+    mha_graph,
+    mlp_graph,
+)
 from repro.pipeline import compile_for
+from repro.runtime import random_feeds
+from repro.runtime.tracing import trace_program
 
 
 def _kernels():
@@ -146,7 +157,6 @@ class TestHierarchyReplay:
     def test_replay_hit_rate_close_to_analytic(self, kernels):
         """The granule replay and the closed-form hit model agree on the
         read hit rate for every compiled kernel."""
-        from repro.hw.event_sim import cross_check_hierarchy
         for kernel in kernels:
             r = cross_check_hierarchy(kernel, AMPERE)
             if not r["replayed"]:
@@ -163,3 +173,48 @@ class TestHierarchyReplay:
             # Normalised to the analytical totals, so never far apart.
             assert 0.5 * b.dram_bytes <= result.dram_bytes \
                 <= 1.5 * b.dram_bytes
+
+
+#: The calibration zoo: the Fig. 11-13 workload shapes at sizes small
+#: enough to execute under the tracing executor on every preset (the
+#: ragged MHA makes the grids indivisible).
+CALIBRATION_SHAPES = {
+    "mlp": lambda: mlp_graph(8, 256, 64, 64),
+    "lstm": lambda: lstm_cell_graph(64, 128),
+    "layernorm": lambda: layernorm_graph(256, 256),
+    "mha": lambda: mha_graph(1, 8, 128, 128, 64),
+    "mha-ragged": lambda: mha_graph(1, 4, 120, 120, 64),
+}
+
+
+class TestCalibration:
+    """Three models, one set of books, on every preset: the traced run,
+    the analytic model and the event simulator (docs/cost_model.md,
+    "Calibration")."""
+
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    @pytest.mark.parametrize("shape", sorted(CALIBRATION_SHAPES))
+    def test_bytes_rank_and_hit_rate(self, shape, arch):
+        gpu = ARCHITECTURES[arch]
+        graph = CALIBRATION_SHAPES[shape]()
+        schedule, _stats = compile_for(graph, gpu)
+        _env, traces = trace_program(schedule, random_feeds(graph, seed=0))
+        sim = DeviceSimulator(gpu)
+        ev = EventDrivenSimulator(gpu)
+        for kernel in schedule.kernels:
+            # Bytes: what the tracing executor really loaded is what the
+            # model charged, to the byte.
+            _c, breakdown = sim.kernel_cost(kernel)
+            assert traces[kernel.name].load_bytes == breakdown.load_bytes, \
+                kernel.name
+            # Rank: the analytic winner also wins (ties by value) under
+            # the event simulator - rankings are what the tuner consumes.
+            if not kernel.meta.get("barrier") \
+                    and len(kernel.search_space) >= 2:
+                winner = sim.sweep_configs(kernel)[0][0]
+                best = ev.rank_configs(kernel)[0][1]
+                assert ev.simulate_kernel(kernel, winner).time_s \
+                    <= 1.001 * best, kernel.name
+            # Hit rate: granule replay vs the closed form.
+            hier = cross_check_hierarchy(kernel, gpu)
+            assert hier["hit_rate_delta"] <= 0.15, (kernel.name, hier)

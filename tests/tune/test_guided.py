@@ -204,3 +204,34 @@ class TestAccounting:
         prom = metrics.to_prometheus()
         assert "repro_tunedb_hits 1" in prom
         assert "repro_tunedb_wall_saved_s" in prom
+
+
+class TestModelLevelAmortization:
+    def test_warm_db_amortizes_and_preserves_configs(self, tmp_path):
+        """BERT compiled with no database, a cold one and a warm one
+        (a *new* TuneDB over the same directory: an empty LRU forces the
+        disk tier, the restart / sibling-worker case).  The database buys
+        tuning wall-clock, never schedule quality: every chosen config is
+        identical, the warm recompile cuts the simulated tuning wall
+        >= 5x and cold guided search beats plain enumeration."""
+        from repro.models.zoo import build_model
+        from repro.pipeline import compile_model_for
+
+        def chosen(model):
+            return [(k.name, k.config and (k.config.block, k.config.tile))
+                    for sub in model.subprograms
+                    for k in sub.schedule.kernels]
+
+        program = build_model("bert", batch=1, seq=64)
+        metrics = ServeMetrics()
+        baseline = compile_model_for(program, AMPERE)
+        cold, warm = (
+            compile_model_for(program, AMPERE, tune_metrics=metrics,
+                              tune_db=TuneDB(str(tmp_path / "db")))
+            for _ in range(2))
+        assert chosen(cold) == chosen(warm) == chosen(baseline)
+        wall = baseline.stats.tuning_wall_time
+        assert wall / warm.stats.tuning_wall_time >= 5.0
+        assert wall / cold.stats.tuning_wall_time > 1.0
+        assert metrics.get("tunedb.hits") > 0
+        assert metrics.get_gauge("tunedb.wall_saved_s") > 0.0
