@@ -13,6 +13,9 @@ Scales :mod:`repro.serve` past one process:
 * :mod:`~repro.cluster.arena` — the per-worker memfd slot arena that
   carries feeds and replies across the process boundary without pickle
   (only small descriptors ride the pipe);
+* :class:`~repro.cluster.book.RequestBook` — the clocked, I/O-free
+  book where every open request's resolve / expire / hedge / crash-drain
+  decision is made;
 * :class:`ClusterSupervisor` — forks the workers, routes requests along
   the ring (with replica failover), health-checks with heartbeats,
   restarts crashed workers behind per-worker circuit breakers, and
@@ -32,13 +35,6 @@ from .admission import (
     AdmissionPolicy,
 )
 from .sharding import HashRing
-from .supervisor import (
-    ClusterConfig,
-    ClusterError,
-    ClusterShed,
-    ClusterSupervisor,
-)
-from .worker import WorkerConfig, build_server, worker_main
 
 __all__ = [
     "AdmissionController",
@@ -60,3 +56,15 @@ __all__ = [
     "build_server",
     "worker_main",
 ]
+
+
+def __getattr__(name: str):
+    # The forking half loads on first use: importing a pure module of
+    # this package (book, admission, sharding) must not pull in
+    # multiprocessing, signal, the worker or the arena.
+    if name in __all__:
+        from . import supervisor, worker
+
+        return getattr(supervisor if hasattr(supervisor, name) else worker,
+                       name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,9 @@ Delivery guarantees:
 * every accepted (admitted) request is answered **exactly once** — with
   outputs, a typed rejection, or :class:`~repro.serve.batching.WorkerCrashed`
   when its worker died mid-flight; nothing ever hangs a submitter past
-  its timeout;
+  its timeout.  Those decisions are all made in
+  :class:`~repro.cluster.book.RequestBook`; this module routes, writes
+  the arena, sends, and carries out the book's verdicts;
 * a key is **compiled once fleet-wide**: workers share one disk schedule
   cache directory, and the per-key advisory file lock in
   :class:`~repro.serve.cache.TieredScheduleCache` extends single-flight
@@ -23,18 +25,13 @@ Delivery guarantees:
   finish their queues, and report their final metrics, which the
   supervisor aggregates into the cluster report.
 
-The degradation ladder under overload, from the outside in: tenant
-fair-share shed → priority-class shed → capacity shed (all supervisor
-side, cheap) → worker-queue shed (:class:`~repro.serve.batching.Overloaded`
-over the wire) → per-session compiled→reference fallback inside the
-worker (never an error).
+The degradation ladder under overload is described once, in
+``docs/resilience.md``.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import math
 import multiprocessing as mp
 import signal as _signal
 import threading
@@ -49,6 +46,7 @@ from ..obs import event as obs_event
 from ..resilience import faults as _faults
 from ..resilience.retry import CircuitBreaker
 from ..serve import (
+    InvalidRequestError,
     Overloaded,
     Request,
     ServeMetrics,
@@ -63,6 +61,7 @@ from .admission import (
     AdmissionPolicy,
 )
 from .arena import SlotArena, slot_bytes_for
+from .book import DEADLINE, EXPIRE, RESOLVE, Entry, RequestBook, Verdict
 from .sharding import HashRing
 from .worker import (
     ERR_CRASHED,
@@ -111,8 +110,6 @@ def _rebuild_error(kind: str, msg: str, worker: str) -> Exception:
     if kind == ERR_TIMEOUT:
         return TimeoutError(msg)
     if kind == ERR_INVALID:
-        from ..serve import InvalidRequestError
-
         return InvalidRequestError(msg)
     return ClusterError(f"worker {worker}: {msg}")
 
@@ -172,43 +169,8 @@ class ClusterConfig:
     compile_deadline_s: float | None = None
 
 
-class _Tracked:
-    """Supervisor-side book entry for one *logical* client request.
-
-    A request has one :class:`~repro.serve.batching.Request` the client
-    holds and one or two *wire copies* (the routed original plus at most
-    one hedge), each outstanding on some worker under its own wire id.
-    All completion paths — replies, wire errors, crash drains, deadline
-    expiry — converge on :meth:`ClusterSupervisor._finish_copy`, which
-    uses ``done_handled`` under ``lock`` as the single exactly-once
-    latch: whatever races, the client's Request resolves exactly once.
-    """
-
-    __slots__ = ("request", "workload", "tenant", "priority", "deadline",
-                 "lock", "copies", "done_handled", "first_error",
-                 "hedged", "hedge_req_id", "sent_at")
-
-    def __init__(self, request: Request, workload: str, tenant: str,
-                 priority: int, deadline: float | None) -> None:
-        self.request = request
-        self.workload = workload
-        self.tenant = tenant
-        self.priority = priority
-        #: Absolute monotonic end-to-end deadline (None = unbounded).
-        self.deadline = deadline
-        self.lock = threading.Lock()
-        #: Outstanding wire copies: wire req_id → worker name.
-        self.copies: dict[int, str] = {}
-        self.done_handled = False
-        #: First copy error, held while another copy may still answer.
-        self.first_error: Exception | None = None
-        self.hedged = False
-        self.hedge_req_id: int | None = None
-        self.sent_at = time.monotonic()
-
-
 class _Worker:
-    """One worker generation: process, pipe, receiver, in-flight book."""
+    """One worker generation: process, pipe, receiver."""
 
     def __init__(self, name: str, proc, conn, generation: int,
                  arena: SlotArena | None = None) -> None:
@@ -220,8 +182,6 @@ class _Worker:
         #: generations; None = every request travels in-band).
         self.arena = arena
         self.send_lock = threading.Lock()
-        self.inflight: dict[int, _Tracked] = {}
-        self.inflight_lock = threading.Lock()
         self.up = True
         self.draining = False
         self.ready = threading.Event()
@@ -238,16 +198,6 @@ class _Worker:
     def send(self, msg: tuple) -> None:
         with self.send_lock:
             self.conn.send(msg)
-
-    def take_inflight(self, req_id: int) -> _Tracked | None:
-        with self.inflight_lock:
-            return self.inflight.pop(req_id, None)
-
-    def drain_inflight(self) -> list[tuple[int, _Tracked]]:
-        with self.inflight_lock:
-            items = list(self.inflight.items())
-            self.inflight.clear()
-            return items
 
 
 class ClusterSupervisor:
@@ -278,7 +228,8 @@ class ClusterSupervisor:
         self._breakers: dict[str, CircuitBreaker] = {}
         self._restarts: dict[str, int] = {}
         self._worker_stats: dict[str, dict] = {}
-        self._req_ids = itertools.count(1)
+        self.book = RequestBook(self.admission, self.config,
+                                self.metrics.workload_latency_quantile)
         self._generations = itertools.count(1)
         self._lock = threading.Lock()
         self._started = False
@@ -286,20 +237,15 @@ class ClusterSupervisor:
         self._health_thread: threading.Thread | None = None
         self._ping_seq = itertools.count(1)
         self._stats_seq = itertools.count(1)
-        # Hedge/deadline timer machinery: one heap of (at, seq, kind,
-        # tracked) events drained by a single timer thread.
-        self._timer_heap: list[tuple[float, int, str, _Tracked]] = []
-        self._timer_cond = threading.Condition()
-        self._timer_seq = itertools.count()
+        #: Set when the book's earliest due-time moved (or at stop).
+        self._timer_wake = threading.Event()
         self._timer_thread: threading.Thread | None = None
-        self._hedge_lock = threading.Lock()
-        self._hedges_out = 0
 
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
 
-    def _worker_names(self) -> list[str]:
+    def worker_names(self) -> list[str]:
         return [f"w{i}" for i in range(self.config.workers)]
 
     def _hosted_by(self, worker: str) -> dict[str, dict]:
@@ -328,17 +274,20 @@ class ClusterSupervisor:
         if self._started:
             return self
         self._started = True
-        for name in self._worker_names():
+        for name in self.worker_names():
             self.ring.add(name)
             self._breakers[name] = CircuitBreaker(
                 failure_threshold=self.config.restart_breaker_threshold,
                 reset_timeout_s=self.config.restart_breaker_reset_s)
             self._restarts[name] = 0
-        for name in self._worker_names():
+        for name in self.worker_names():
             self._spawn(name)
         deadline = time.monotonic() + self.config.start_timeout_s
         for w in list(self._workers.values()):
             if not w.ready.wait(max(0.0, deadline - time.monotonic())):
+                # __enter__ raising means __exit__ never runs: take the
+                # children, receivers, pipes and memfds down first.
+                self.stop(drain=False)
                 raise ClusterError(
                     f"worker {w.name} failed to become ready within "
                     f"{self.config.start_timeout_s:.0f}s")
@@ -397,8 +346,7 @@ class ClusterSupervisor:
         if self._stopping:
             return
         self._stopping = True
-        with self._timer_cond:
-            self._timer_cond.notify_all()
+        self._timer_wake.set()
         if self._health_thread is not None:
             self._health_thread.join(
                 timeout=self.config.health_interval_s * 4 + 1.0)
@@ -414,8 +362,6 @@ class ClusterSupervisor:
             for w in workers:
                 if w.up:
                     w.drained.wait(max(0.1, deadline - time.monotonic()))
-                    if w.final_stats:
-                        self._worker_stats[w.name] = w.final_stats
         for w in workers:
             if w.up:
                 self._try_send(w, ("stop",))
@@ -424,23 +370,10 @@ class ClusterSupervisor:
             if w.final_stats:
                 self._worker_stats[w.name] = w.final_stats
             w.proc.join(timeout=5.0)
-            if w.proc.is_alive():
-                w.proc.terminate()
-                w.proc.join(timeout=5.0)
             self._reap(w)
             # Anything still in flight after a full drain+stop cycle is
             # dead — never strand the submitter.
-            for req_id, tracked in w.drain_inflight():
-                self.metrics.inc("requests.worker_crashed")
-                self._finish_copy(w, req_id, tracked,
-                                  error=WorkerCrashed(
-                                      w.name,
-                                      "cluster stopped with request "
-                                      "in flight"))
-            try:
-                w.conn.close()
-            except OSError:
-                pass
+            self._fail_inflight(w, "cluster stopped with request in flight")
         for arena in self._arenas.values():
             arena.close()
 
@@ -529,52 +462,41 @@ class ClusterSupervisor:
         worker = self._route(workload)
         if worker is None:
             self._shed(SHED_WORKER_DOWN, workload)
-        reason = self.admission.admit(worker.name, tenant, priority)
-        if reason is not None:
-            self._shed(reason, workload, worker.name)
-        req_id = next(self._req_ids)
         request = Request(workload=workload, feeds=feeds,
                           timeout_s=timeout, on_done=on_done,
                           deadline_s=deadline)
-        tracked = _Tracked(request, workload, tenant, priority, deadline)
-        remaining = None
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                # The budget died on the supervisor (routing/queue
-                # time): never dispatch a dead deadline.
-                self.admission.release(worker.name, tenant)
-                self.metrics.inc("deadline.expired_dispatch")
-                tracked.done_handled = True
-                request.fail(TimeoutError(
-                    f"request for {workload!r} spent its whole "
-                    f"{timeout:.3g}s budget before dispatch"))
-                return request
-        with tracked.lock:
-            tracked.copies[req_id] = worker.name
-        with worker.inflight_lock:
-            worker.inflight[req_id] = tracked
-        try:
-            worker.send(self._request_msg(worker, req_id, workload, feeds,
-                                          remaining))
-        except (OSError, ValueError, BrokenPipeError):
-            # The worker died between routing and send: fail typed, give
-            # the slot back, and let the health loop handle the corpse.
-            self._release_slot(worker, req_id)    # never delivered
-            if worker.take_inflight(req_id) is not None:
-                self.metrics.inc("requests.worker_crashed")
-                self._finish_copy(worker, req_id, tracked,
-                                  error=WorkerCrashed(
-                                      worker.name,
-                                      "pipe broke at dispatch"))
-            return request
-        if deadline is not None:
-            self._schedule_at(deadline, "deadline", tracked)
-        hedge_delay = self._hedge_delay(workload)
-        if hedge_delay is not None:
-            self._schedule_at(time.monotonic() + hedge_delay,
-                              "hedge", tracked)
+        shed = self._issue(
+            self.book.open(request, workload, tenant, priority, deadline),
+            worker).shed
+        if shed is not None:
+            self._shed(shed, workload, worker.name)
         return request
+
+    def _issue(self, entry: Entry, worker: _Worker,
+               hedge: bool = False) -> Verdict:
+        """The one admit → book → send → un-book sequence, for the
+        routed original and a hedge alike; ``wire_id`` is None on return
+        unless the copy is on the wire."""
+        issued = self.book.issue(entry, worker.name, hedge)
+        self._carry_out(issued, worker)
+        if issued.wire_id is None:
+            return issued
+        if issued.head_moved:
+            self._timer_wake.set()
+        if self._try_send(worker, self._request_msg(
+                worker, issued.wire_id, entry.workload,
+                issued.request.feeds, issued.remaining)):
+            if not hedge and self.book.arm_hedge(entry):
+                self._timer_wake.set()
+            return issued
+        # The worker died between routing and send: the slot was never
+        # delivered; the health loop handles the corpse.
+        self._release_slot(worker, issued.wire_id)
+        verdict = self.book.retract(issued.wire_id)
+        if verdict is not None:
+            self._carry_out(verdict, worker, error=WorkerCrashed(
+                worker.name, "pipe broke at dispatch"))
+        return issued._replace(wire_id=None)
 
     def infer(self, workload: str, feeds: dict[str, np.ndarray],
               timeout: float | None = None, tenant: str = "default",
@@ -613,223 +535,82 @@ class ClusterSupervisor:
                   reason=reason)
         raise ClusterShed(reason, worker)
 
-    def _route(self, workload: str) -> _Worker | None:
-        """Primary owner, else the first live replica in owner order."""
+    def _route(self, workload: str,
+               exclude: str | None = None) -> _Worker | None:
+        """Primary owner, else the first live replica in owner order
+        (``exclude``: the worker a hedge must not go back to)."""
         with self._lock:
             for name in self.owners_for(workload):
                 w = self._workers.get(name)
-                if w is not None and w.up and not w.draining:
+                if (w is not None and name != exclude and w.up
+                        and not w.draining):
                     return w
         return None
 
     # ------------------------------------------------------------------
-    # Completion (exactly-once) and hedging
+    # Carrying out the book's verdicts; the timer thread
     # ------------------------------------------------------------------
 
-    def _finish_copy(self, worker: _Worker, req_id: int,
-                     tracked: _Tracked, payload: dict | None = None,
-                     error: Exception | None = None) -> None:
-        """One wire copy finished (reply, wire error, or crash drain).
-
-        Every copy passes through here exactly once — ``take_inflight``
-        /``drain_inflight`` pop atomically — so the admission slot it
-        held is released exactly once, and the ``done_handled`` latch
-        resolves the client's Request exactly once no matter how the
-        copies race.
-        """
-        self.admission.release(worker.name, tracked.tenant)
-        now = time.monotonic()
-        outcome = None
-        with tracked.lock:
-            tracked.copies.pop(req_id, None)
-            copies_left = len(tracked.copies)
-            was_done = tracked.done_handled
-            is_hedge_copy = (req_id == tracked.hedge_req_id)
-            was_hedged = tracked.hedged
-            late = (tracked.deadline is not None
-                    and now > tracked.deadline)
-            if not was_done:
-                if payload is not None:
-                    tracked.done_handled = True
-                    outcome = "late" if late else "resolve"
-                elif error is not None:
-                    if copies_left:
-                        # Another copy may still answer: hold the error.
-                        tracked.first_error = error
-                    else:
-                        tracked.done_handled = True
-                        outcome = "fail"
-        if is_hedge_copy:
-            with self._hedge_lock:
-                self._hedges_out -= 1
-        if outcome == "resolve":
+    def _carry_out(self, verdict: Verdict, worker: _Worker | None = None,
+                   payload: dict | None = None,
+                   error: Exception | None = None) -> None:
+        """Do what the book decided: ``payload`` is the reply a RESOLVE
+        publishes, ``error`` what a FAIL does (deadline verdicts bring
+        their own)."""
+        for name, by in verdict.counters:
+            self.metrics.inc(name, by)
+        request = verdict.request
+        if verdict.action == RESOLVE:
             self.metrics.observe_request(payload["latency_s"],
-                                         workload=tracked.workload)
+                                         workload=request.workload)
             if payload["degraded"]:
                 self.metrics.record_fallback(payload["reason"]
                                              or "unknown")
-            if is_hedge_copy:
-                self.metrics.inc("hedge.won")
+            if ("hedge.won", 1) in verdict.counters:
                 obs_event("hedge_won", category="cluster",
-                          workload=tracked.workload, worker=worker.name)
-            tracked.request.resolve(SessionReply(**payload))
-            self._cancel_copies(tracked)
-        elif outcome == "late":
-            # The answer exists but the budget is spent: a strict
-            # deadline is never answered late, at any boundary.
-            self.metrics.inc("deadline.expired_reply")
-            tracked.request.fail(TimeoutError(
-                f"request for {tracked.workload!r} answered past its "
-                "end-to-end deadline; result withheld"))
-            self._cancel_copies(tracked)
-        elif outcome == "fail":
-            tracked.request.fail(error)
-        elif was_done and was_hedged:
-            # The losing copy of a settled hedge pair came back.
-            self.metrics.inc("hedge.wasted")
-
-    def _cancel_copies(self, tracked: _Tracked) -> None:
-        """Best-effort cancel of every still-outstanding wire copy."""
-        with tracked.lock:
-            copies = dict(tracked.copies)
-        for rid, wname in copies.items():
+                          workload=request.workload, worker=worker.name)
+            request.resolve(SessionReply(**payload))
+        elif verdict.action is not None:
+            if verdict.action == EXPIRE:
+                obs_event("deadline_expired", category="cluster",
+                          workload=request.workload)
+            request.fail(verdict.error or error)
+        # Best-effort cancel of every copy the settled request left out.
+        for wname, wire_id in verdict.cancel:
             with self._lock:
                 w = self._workers.get(wname)
             if w is not None and w.up:
-                self._try_send(w, ("cancel", rid))
+                self._try_send(w, ("cancel", wire_id))
 
-    def _hedge_delay(self, workload: str) -> float | None:
-        """Seconds to wait before hedging, or None = don't hedge."""
-        cfg = self.config
-        if not cfg.hedge or cfg.workers < 2 or cfg.replication < 2:
-            return None
-        if cfg.hedge_delay_s is not None:
-            return max(cfg.hedge_delay_s, cfg.hedge_min_delay_s)
-        p95 = self.metrics.workload_latency_quantile(
-            workload, 0.95, min_samples=cfg.hedge_min_samples)
-        if p95 is None:
-            return None
-        return max(p95, cfg.hedge_min_delay_s)
-
-    def _schedule_at(self, at: float, kind: str,
-                     tracked: _Tracked) -> None:
-        with self._timer_cond:
-            heapq.heappush(self._timer_heap,
-                           (at, next(self._timer_seq), kind, tracked))
-            self._timer_cond.notify_all()
+    def _fail_inflight(self, worker: _Worker, why: str) -> None:
+        """``worker`` is gone: fail what the book says was out on it."""
+        for _, verdict in self.book.drain(worker.name):
+            self.metrics.inc("requests.worker_crashed")
+            self._carry_out(verdict, worker,
+                            error=WorkerCrashed(worker.name, why))
 
     def _timer_loop(self) -> None:
         while not self._stopping:
-            with self._timer_cond:
-                if not self._timer_heap:
-                    self._timer_cond.wait(0.5)
-                    continue
-                at = self._timer_heap[0][0]
-                delay = at - time.monotonic()
-                if delay > 0:
-                    self._timer_cond.wait(min(delay, 0.5))
-                    continue
-                _, _, kind, tracked = heapq.heappop(self._timer_heap)
-            if kind == "deadline":
-                self._expire_tracked(tracked)
-            else:
-                self._maybe_hedge(tracked)
+            due, delay = self.book.pop_due()
+            for kind, entry in due:
+                if kind == DEADLINE:
+                    self._carry_out(self.book.expire(entry))
+                else:
+                    self._hedge(entry)
+            if not due:
+                self._timer_wake.wait(0.5 if delay is None
+                                      else min(delay, 0.5))
+                self._timer_wake.clear()
 
-    def _expire_tracked(self, tracked: _Tracked) -> None:
-        """Deadline fired supervisor-side: fail now, cancel the copies."""
-        with tracked.lock:
-            if tracked.done_handled:
-                return
-            tracked.done_handled = True
-        self.metrics.inc("deadline.expired_supervisor")
-        obs_event("deadline_expired", category="cluster",
-                  workload=tracked.workload)
-        tracked.request.fail(TimeoutError(
-            f"request for {tracked.workload!r} exceeded its "
-            "end-to-end budget"))
-        self._cancel_copies(tracked)
-
-    def _maybe_hedge(self, tracked: _Tracked) -> None:
-        """Hedge timer fired: re-issue to the next replica if warranted."""
-        with tracked.lock:
-            if (tracked.done_handled or tracked.hedged
-                    or len(tracked.copies) != 1):
-                return
-            routed = next(iter(tracked.copies.values()))
-        if (tracked.deadline is not None
-                and time.monotonic() >= tracked.deadline):
-            return
-        # Next live replica in owner order that isn't the routed worker.
-        target = None
-        with self._lock:
-            for name in self.owners_for(tracked.workload):
-                w = self._workers.get(name)
-                if (name != routed and w is not None and w.up
-                        and not w.draining):
-                    target = w
-                    break
-        if target is None:
-            return
-        # Budget cap: outstanding hedges never exceed the configured
-        # fraction of open requests (but one is always allowed, or
-        # light traffic could never hedge at all).
-        open_total = max(1, self.admission.outstanding_total())
-        cap = max(1, math.floor(
-            self.config.hedge_max_fraction * open_total))
-        with self._hedge_lock:
-            if self._hedges_out >= cap:
-                self.metrics.inc("hedge.suppressed")
-                return
-            self._hedges_out += 1
-            peak = max(self.metrics.get_gauge("hedge.peak_outstanding"),
-                       self._hedges_out)
-        self.metrics.set_gauge("hedge.peak_outstanding", peak)
-        self.metrics.set_gauge(
-            "hedge.peak_open_requests",
-            max(self.metrics.get_gauge("hedge.peak_open_requests"),
-                open_total))
-        reason = self.admission.admit(target.name, tracked.tenant,
-                                      tracked.priority)
-        if reason is not None:
-            with self._hedge_lock:
-                self._hedges_out -= 1
-            self.metrics.inc("hedge.suppressed")
-            return
-        hedge_id = next(self._req_ids)
-        with tracked.lock:
-            if tracked.done_handled:        # settled while we admitted
-                self.admission.release(target.name, tracked.tenant)
-                with self._hedge_lock:
-                    self._hedges_out -= 1
-                return
-            tracked.hedged = True
-            tracked.hedge_req_id = hedge_id
-            tracked.copies[hedge_id] = target.name
-        with target.inflight_lock:
-            target.inflight[hedge_id] = tracked
-        remaining = (tracked.deadline - time.monotonic()
-                     if tracked.deadline is not None else None)
-        # Counted before the send: the hedge's answer can resolve the
-        # client before this thread runs again.
-        self.metrics.inc("hedge.issued")
-        try:
-            target.send(self._request_msg(target, hedge_id, tracked.workload,
-                                          tracked.request.feeds, remaining))
-        except (OSError, ValueError, BrokenPipeError):
-            self.metrics.inc("hedge.issued", -1)
-            self._release_slot(target, hedge_id)
-            if target.take_inflight(hedge_id) is not None:
-                self.admission.release(target.name, tracked.tenant)
-                with tracked.lock:
-                    tracked.copies.pop(hedge_id, None)
-                    tracked.hedge_req_id = None
-                    tracked.hedged = False
-                with self._hedge_lock:
-                    self._hedges_out -= 1
-            return
-        obs_event("hedge_issued", category="cluster",
-                  workload=tracked.workload, original=routed,
-                  hedge=target.name)
+    def _hedge(self, entry: Entry) -> None:
+        """Hedge timer fired: re-issue to the next live replica that
+        isn't the routed worker — if the book allows it."""
+        target = self._route(entry.workload, exclude=entry.routed)
+        if (target is not None
+                and self._issue(entry, target, hedge=True).wire_id is not None):
+            obs_event("hedge_issued", category="cluster",
+                      workload=entry.workload, original=entry.routed,
+                      hedge=target.name)
 
     # ------------------------------------------------------------------
     # Receive / health / crash handling
@@ -846,30 +627,8 @@ class ClusterSupervisor:
                 # closes the pipe from another thread): same as EOF.
                 break
             kind = msg[0]
-            if kind == "reply":
-                tracked = worker.take_inflight(msg[1])
-                # None: already failed (crash race); count dupes
-                if tracked is not None:
-                    payload = msg[2]
-                    if len(msg) > 3 and not tracked.done_handled:
-                        # Outputs are in the slot; a settled request's
-                        # losing copy is not worth reading.
-                        outputs = worker.arena.read(msg[1], msg[3])
-                        payload["outputs"] = outputs
-                        self.metrics.inc(
-                            "wire.arena_bytes",
-                            sum(a.nbytes for a in outputs.values()))
-                    self._finish_copy(worker, msg[1], tracked,
-                                      payload=payload)
-                self._release_slot(worker, msg[1])   # terminal message
-            elif kind == "error":
-                tracked = worker.take_inflight(msg[1])
-                if tracked is not None:
-                    self.metrics.inc("requests.remote_errors")
-                    self._finish_copy(worker, msg[1], tracked,
-                                      error=_rebuild_error(msg[2], msg[3],
-                                                           worker.name))
-                self._release_slot(worker, msg[1])   # terminal message
+            if kind == "reply" or kind == "error":
+                self._on_terminal(worker, msg)
             elif kind == "pong":
                 worker.last_pong = time.monotonic()
                 worker.health = msg[2]
@@ -891,6 +650,28 @@ class ClusterSupervisor:
         if not self._stopping and worker.proc is not None:
             self._handle_crash(worker)
 
+    def _on_terminal(self, worker: _Worker, msg: tuple) -> None:
+        """``worker``'s one reply or error for a wire id.  (Its own
+        frame: the receiver's loop must not keep a settled Request alive
+        until the next message.)"""
+        kind, wire_id = msg[0], msg[1]
+        verdict = self.book.settle(wire_id, failed=kind == "error")
+        if verdict is None:
+            pass        # a crash drain already took the id
+        elif kind == "error":
+            self.metrics.inc("requests.remote_errors")
+            self._carry_out(verdict, worker, error=_rebuild_error(
+                msg[2], msg[3], worker.name))
+        else:
+            payload = msg[2]
+            if len(msg) > 3 and verdict.action == RESOLVE:
+                # Outputs are in the slot; read them only to publish.
+                payload["outputs"] = worker.arena.read(wire_id, msg[3])
+                self.metrics.inc("wire.arena_bytes", sum(
+                    a.nbytes for a in payload["outputs"].values()))
+            self._carry_out(verdict, worker, payload=payload)
+        self._release_slot(worker, wire_id)     # terminal message
+
     def _handle_crash(self, worker: _Worker) -> None:
         """Fail the dead worker's in-flight, then breaker-gate a restart."""
         with self._lock:
@@ -901,22 +682,7 @@ class ClusterSupervisor:
         self.metrics.inc("workers.crashed")
         obs_event("worker_crash", category="cluster", worker=worker.name,
                   generation=worker.generation)
-        for req_id, tracked in worker.drain_inflight():
-            self.metrics.inc("requests.worker_crashed")
-            # Through the same exactly-once funnel as replies: a request
-            # that already resolved (hedge won, reply raced the crash)
-            # is not failed again, and a hedged request with a live copy
-            # elsewhere survives the crash entirely.
-            self._finish_copy(worker, req_id, tracked,
-                              error=WorkerCrashed(
-                                  worker.name, "process died mid-flight"))
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        if worker.proc.is_alive():
-            worker.proc.terminate()
-        worker.proc.join(timeout=5.0)
+        self._fail_inflight(worker, "process died mid-flight")
         self._reap(worker)
         breaker = self._breakers[worker.name]
         breaker.record_failure()
@@ -931,10 +697,11 @@ class ClusterSupervisor:
     def _reap(self, worker: _Worker) -> None:
         """Make sure the process is gone, then — and only then — take
         back the arena slots it could still have been reading: a worker
-        that ignored SIGTERM (draining, wedged) is killed first."""
-        if worker.proc.is_alive():
-            worker.proc.kill()
-            worker.proc.join(timeout=5.0)
+        that ignores SIGTERM (draining, wedged) is killed."""
+        for end in (worker.proc.terminate, worker.proc.kill):
+            if worker.proc.is_alive():
+                end()
+                worker.proc.join(timeout=5.0)
         receiver = worker.receiver
         if receiver is not None and receiver is not threading.current_thread():
             # EOF follows the exit: let the receiver finish the replies
@@ -942,6 +709,10 @@ class ClusterSupervisor:
             receiver.join(timeout=2.0)
         if worker.arena is not None and not worker.proc.is_alive():
             worker.arena.release_all()
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
 
     def _restart(self, name: str) -> None:
         self.metrics.inc("workers.restarts")
@@ -966,20 +737,17 @@ class ClusterSupervisor:
                 if self._stopping:
                     return
                 if w.up:
-                    if not w.proc.is_alive():
+                    if not w.proc.is_alive() or not self._try_send(
+                            w, ("ping", next(self._ping_seq))):
                         self._handle_crash(w)
-                        continue
-                    if not self._try_send(w, ("ping", next(self._ping_seq))):
-                        self._handle_crash(w)
-                        continue
-                    if (time.monotonic() - w.last_pong
+                    elif (time.monotonic() - w.last_pong
                             > self.config.heartbeat_timeout_s):
                         # Hung, not dead: a worker that cannot answer a
-                        # ping cannot answer requests either.
+                        # ping cannot answer requests either (the crash
+                        # path terminates it).
                         self.metrics.inc("workers.hung")
                         obs_event("worker_hung", category="cluster",
                                   worker=w.name)
-                        w.proc.terminate()
                         self._handle_crash(w)
                 else:
                     # Down with the restart breaker open: probe once the
@@ -992,22 +760,23 @@ class ClusterSupervisor:
     # Test / chaos hooks
     # ------------------------------------------------------------------
 
-    def kill_worker(self, name: str, code: int = 1) -> None:
-        """Hard-kill one worker (crash testing); the health/receiver
-        machinery must detect it and recover."""
+    def _worker(self, name: str) -> _Worker:
         with self._lock:
             w = self._workers.get(name)
         if w is None:
             raise ClusterError(f"unknown worker {name!r}")
+        return w
+
+    def kill_worker(self, name: str, code: int = 1) -> None:
+        """Hard-kill one worker (crash testing); the health/receiver
+        machinery must detect it and recover."""
+        w = self._worker(name)
         if not self._try_send(w, ("kill", code)) and w.proc.is_alive():
             w.proc.terminate()
 
     def arm_faults(self, name: str, plan: dict[str, str],
                    timeout: float = 5.0) -> bool:
-        with self._lock:
-            w = self._workers.get(name)
-        if w is None:
-            raise ClusterError(f"unknown worker {name!r}")
+        w = self._worker(name)
         w.armed.clear()
         if not self._try_send(w, ("arm", dict(plan))):
             return False
@@ -1016,9 +785,6 @@ class ClusterSupervisor:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def worker_names(self) -> list[str]:
-        return self._worker_names()
 
     def restarts(self) -> dict[str, int]:
         return dict(self._restarts)
@@ -1046,7 +812,7 @@ class ClusterSupervisor:
         live workers are polled on demand)."""
         out = dict(self._worker_stats)
         if not self._stopping:
-            for name in self._worker_names():
+            for name in self.worker_names():
                 snap = self.request_stats(name)
                 if snap is not None:
                     out[name] = snap

@@ -80,10 +80,9 @@ def evaluate_search_space(
     """Run the tuning campaign over ``kernel.search_space`` without
     mutating the kernel.
 
-    Pure with respect to the kernel, so concurrent workers (the parallel
-    compilation path in :mod:`repro.serve.parallel`) can evaluate kernels
-    that other threads hold references to; callers then commit the choice
-    with :func:`apply_tune_result` at a deterministic merge point.
+    Pure with respect to the kernel, so concurrent callers can evaluate
+    kernels that other threads hold references to; callers then commit
+    the choice with :func:`apply_tune_result`.
 
     ``candidates`` overrides the *evaluation order* (it must be a
     permutation of the search space — the guided policy in

@@ -236,9 +236,7 @@ class SpaceFusionCompiler:
         """Compile one (possibly barrier) subprogram of a model program.
 
         This is the unit of work :meth:`compile_model` performs per unique
-        subprogram; the parallel compilation path
-        (:func:`repro.serve.parallel.compile_model_parallel`) fans these
-        across a worker pool and merges the results deterministically.
+        subprogram.
         """
         if any(op.is_barrier for op in sub.graph.ops):
             sched = self._barrier_schedule(sub.graph)

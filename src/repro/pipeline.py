@@ -74,26 +74,6 @@ def compile_model_for(program: TensorProgram, gpu: GPUSpec,
                          tune_metrics=tune_metrics).compile_model(program)
 
 
-def compile_model_parallel_for(program: TensorProgram, gpu: GPUSpec,
-                               options: FusionOptions | None = None,
-                               max_workers: int | None = None,
-                               tune_db=None,
-                               tune_metrics=None,
-                               ) -> CompiledModel:
-    """Like :func:`compile_model_for` with subprograms tuned concurrently.
-
-    The merge is deterministic: chosen configurations and modelled kernel
-    times are identical to the serial path (see
-    :mod:`repro.serve.parallel`).
-    """
-    from .serve.parallel import compile_model_parallel
-
-    return compile_model_parallel(program, gpu, options,
-                                  max_workers=max_workers,
-                                  tune_db=tune_db,
-                                  tune_metrics=tune_metrics)
-
-
 def simulate(schedule: ProgramSchedule, gpu: GPUSpec,
              cuda_graphs: bool | None = None) -> PerfCounters:
     """Model the execution cost of a compiled schedule on ``gpu``."""

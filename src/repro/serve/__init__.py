@@ -8,8 +8,6 @@ The layer that amortises SpaceFusion's compilation cost across traffic:
 * :class:`InferenceSession` — owns one compiled workload (compile through
   the cache, lower once via the compiled execution engine — or interpret
   with ``engine="interpreter"`` — execute requests, degrade gracefully);
-* :func:`compile_model_parallel` — per-subprogram parallel compilation
-  with a deterministic merge matching the serial path;
 * :class:`FusionServer` — thread-pooled front-end with dynamic batching
   and per-request timeouts;
 * :class:`ServeMetrics` — the counters/histograms behind ``repro serve``'s
@@ -28,7 +26,6 @@ from .batching import (
 from ..store import HAVE_FCNTL, FileLock
 from .cache import TieredScheduleCache
 from .metrics import Histogram, ServeMetrics
-from .parallel import compile_model_parallel, default_max_workers
 from .server import FusionServer, ServerError
 from .session import (
     ENGINE_COMPILED,
@@ -62,6 +59,4 @@ __all__ = [
     "TieredScheduleCache",
     "batch_key",
     "validate_feeds",
-    "compile_model_parallel",
-    "default_max_workers",
 ]

@@ -1,0 +1,394 @@
+"""The request book, driven without a fork, a thread or a sleep.
+
+A hypothesis state machine plays the supervisor shell against
+:class:`repro.cluster.book.RequestBook` on a virtual clock — open,
+issue, start the hedge clock, hedge, retract, reply, wire error,
+crash-drain, advance the clock and pop what is due, in any order — and
+checks the delivery invariants after every step.  Named examples below it pin the hedge timing and the
+memory rule; the six completion races are in ``test_deadlines.py``.
+"""
+
+import collections
+import gc
+import math
+import pathlib
+import subprocess
+import sys
+import weakref
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.cluster import AdmissionController, AdmissionPolicy, ClusterConfig
+from repro.cluster import book as bk
+from repro.cluster.book import RequestBook
+from repro.serve import Request, WorkerCrashed
+
+WORKERS = ("wa", "wb", "wc")
+#: "Any one of the candidates": an index, wrapped to however many there
+#: are when the rule runs (cheaper to generate than ``st.data()`` draws).
+PICK = st.integers(min_value=0, max_value=31)
+
+
+def pick_from(candidates: list, pick: int):
+    return candidates[pick % len(candidates)]
+
+
+class Clock:
+    def __init__(self) -> None:
+        self.now = 100.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+class CountingAdmission(AdmissionController):
+    """The real controller, plus a ledger that refuses a release nobody
+    holds (the real one clamps at zero, which would hide a double)."""
+
+    def __init__(self, per_worker: int = 64) -> None:
+        super().__init__(AdmissionPolicy(
+            max_outstanding_per_worker=per_worker, tenant_share=None))
+        self.held = collections.Counter()
+
+    def admit(self, worker, tenant="default", priority=1):
+        reason = super().admit(worker, tenant, priority)
+        if reason is None:
+            self.held[worker] += 1
+        return reason
+
+    def release(self, worker, tenant="default"):
+        assert self.held[worker] > 0, f"slot on {worker} released twice"
+        self.held[worker] -= 1
+        super().release(worker, tenant)
+
+
+class Shell:
+    """What ``ClusterSupervisor`` does with a verdict, minus the I/O."""
+
+    def __init__(self, per_worker: int = 64, **config) -> None:
+        self.clock = Clock()
+        self.admission = CountingAdmission(per_worker)
+        self.config = ClusterConfig(**config)
+        self.counters = collections.Counter()
+        self.book = RequestBook(self.admission, self.config,
+                                lambda *a, **k: None, self.clock)
+
+    def open(self, timeout=None):
+        request = Request(workload="mlp", feeds={}, timeout_s=timeout)
+        deadline = None if timeout is None else self.clock.now + timeout
+        return self.book.open(request, "mlp", "default", 1, deadline), request
+
+    def carry_out(self, verdict, error=None):
+        for name, by in verdict.counters:
+            self.counters[name] += by
+        if verdict.action == bk.RESOLVE:
+            verdict.request.resolve("reply")
+        elif verdict.action is not None:
+            assert (verdict.error is None) == (verdict.action == bk.FAIL)
+            verdict.request.fail(verdict.error or error)
+        return verdict
+
+    def hedged_pair(self, timeout=None):
+        """One request out on ``wa`` with its hedge out on ``wb``."""
+        entry, request = self.open(timeout)
+        original = self.carry_out(self.book.issue(entry, "wa")).wire_id
+        hedge = self.carry_out(
+            self.book.issue(entry, "wb", hedge=True)).wire_id
+        return entry, request, original, hedge
+
+
+class BookMachine(RuleBasedStateMachine):
+    @initialize(fraction=st.sampled_from([0.1, 0.34, 1.0]),
+                delay=st.sampled_from([None, 0.05]))
+    def boot(self, fraction, delay):
+        self.shell = Shell(per_worker=3, workers=3, replication=2,
+                           hedge_delay_s=delay, hedge_max_fraction=fraction)
+        self.book = self.shell.book
+        #: One record per logical request the "client" holds.
+        self.reqs = []
+        #: Copies out, as the shell believes: wire id → (record, worker).
+        self.live = {}
+        self.terminal = set()
+
+    # -- the shell's side of each event ----------------------------------
+
+    def copies_of(self, rec):
+        return {(w, wid) for wid, (r, w) in self.live.items() if r is rec}
+
+    def apply(self, verdict, rec, error=None):
+        """Carry out a verdict about ``rec``, checking what it publishes."""
+        deadline = rec["entry"].deadline
+        if verdict.action == bk.RESOLVE:
+            assert deadline is None or self.shell.clock.now <= deadline, \
+                "payload published past its deadline"
+        if verdict.action == bk.FAIL:
+            assert not self.copies_of(rec), \
+                "error published while a copy is still out"
+        if verdict.action is not None:
+            assert verdict.request is rec["request"]
+            assert set(verdict.cancel) == self.copies_of(rec)
+        self.shell.carry_out(verdict, error)
+
+    def finish(self, wire_id, verdict, error=None):
+        """A verdict from settle/drain: the wire id is terminal."""
+        assert wire_id not in self.terminal, "wire id terminal twice"
+        self.terminal.add(wire_id)
+        rec, _ = self.live.pop(wire_id)
+        self.apply(verdict, rec, error)
+
+    def try_hedge(self, rec, worker):
+        open_before = self.shell.admission.outstanding_total()
+        verdict = self.book.issue(rec["entry"], worker, hedge=True)
+        self.shell.carry_out(verdict)
+        if verdict.wire_id is None:
+            return
+        assert rec["request"].resolutions == 0 and not rec["hedged"]
+        assert self.book.hedges_out <= max(1, math.floor(
+            self.shell.config.hedge_max_fraction * max(1, open_before)))
+        rec["hedged"] = verdict.wire_id
+        self.live[verdict.wire_id] = (rec, worker)
+
+    # -- rules ------------------------------------------------------------
+
+    @rule(timeout=st.sampled_from([None, 0.0, 0.04, 0.2, 5.0]))
+    def open(self, timeout):
+        entry, request = self.shell.open(timeout)
+        self.reqs.append({"entry": entry, "request": request,
+                          "state": "open", "hedged": None})
+
+    @precondition(lambda self: any(r["state"] == "open" for r in self.reqs))
+    @rule(pick=PICK, worker=st.sampled_from(WORKERS))
+    def issue(self, pick, worker):
+        rec = pick_from([r for r in self.reqs if r["state"] == "open"], pick)
+        verdict = self.book.issue(rec["entry"], worker)
+        if verdict.shed is not None:        # the shell raises ClusterShed
+            rec["state"] = "shed"
+            assert verdict.wire_id is None and verdict.action is None
+            return
+        rec["state"] = "issued"
+        assert verdict.head_moved <= (rec["entry"].deadline is not None)
+        if verdict.wire_id is None:
+            assert verdict.action == bk.DEAD
+        else:
+            self.live[verdict.wire_id] = (rec, worker)
+        self.apply(verdict, rec)
+
+    @precondition(lambda self: any(r["state"] == "issued" for r in self.reqs))
+    @rule(pick=PICK)
+    def sent(self, pick):
+        rec = pick_from([r for r in self.reqs if r["state"] == "issued"],
+                        pick)
+        moved = self.book.arm_hedge(rec["entry"])   # however late it runs
+        if rec["request"].resolutions or self.book.hedge_delay("mlp") is None:
+            assert not moved
+
+    @precondition(lambda self: any(r["state"] == "issued" for r in self.reqs))
+    @rule(pick=PICK, worker=st.sampled_from(WORKERS))
+    def hedge(self, pick, worker):
+        rec = pick_from([r for r in self.reqs if r["state"] == "issued"],
+                        pick)
+        if worker != rec["entry"].routed:
+            self.try_hedge(rec, worker)
+
+    @precondition(lambda self: self.live)
+    @rule(pick=PICK)
+    def retract(self, pick):
+        wire_id = pick_from(sorted(self.live), pick)
+        rec, worker = self.live.pop(wire_id)
+        if rec["hedged"] == wire_id:
+            rec["hedged"] = None
+        self.apply(self.book.retract(wire_id), rec,
+                   WorkerCrashed(worker, "pipe broke at dispatch"))
+        assert self.book.retract(wire_id) is None
+
+    @precondition(lambda self: self.live)
+    @rule(pick=PICK, failed=st.booleans())
+    def terminal_message(self, pick, failed):
+        wire_id = pick_from(sorted(self.live), pick)
+        self.finish(wire_id, self.book.settle(wire_id, failed),
+                    RuntimeError("wire error"))
+        assert self.book.settle(wire_id, failed) is None    # a duplicate
+
+    @rule(worker=st.sampled_from(WORKERS))
+    def crash(self, worker):
+        drained = self.book.drain(worker)
+        assert {wid for wid, _ in drained} == {
+            wid for wid, (_, w) in self.live.items() if w == worker}
+        for wire_id, verdict in drained:
+            self.finish(wire_id, verdict, WorkerCrashed(worker, "died"))
+
+    @rule(dt=st.sampled_from([0.03, 0.05, 0.2, 10.0]))
+    def advance(self, dt):
+        self.shell.clock.now += dt      # the timer thread has not run yet
+
+    @rule()
+    def timer(self):
+        due, delay = self.book.pop_due()
+        assert delay is None or delay > 0
+        recs = [next(r for r in self.reqs if r["entry"] is entry)
+                for _, entry in due]
+        assert not any(r["request"].resolutions for r in recs)  # skipped
+        for (kind, entry), rec in zip(due, recs):
+            if kind == bk.DEADLINE:
+                assert self.shell.clock.now >= entry.deadline
+                self.apply(self.book.expire(entry), rec)
+            else:
+                self.try_hedge(rec, next(
+                    w for w in WORKERS if w != entry.routed))
+
+    # -- invariants -------------------------------------------------------
+
+    @invariant()
+    def exactly_once(self):
+        for rec in self.reqs:
+            n = rec["request"].resolutions
+            assert n <= 1, "client Request resolved twice"
+            if rec["state"] == "issued" and not self.copies_of(rec):
+                assert n == 1, "no copy out, yet the client still waits"
+            if rec["state"] != "issued":
+                assert n == 0
+
+    @invariant()
+    def books_balance(self):
+        held = self.shell.admission.held
+        assert +held == +collections.Counter(
+            w for _, w in self.live.values())
+        assert self.shell.admission.outstanding_total() == len(self.live)
+        assert self.book.hedges_out == sum(
+            1 for wid, (rec, _) in self.live.items()
+            if rec["hedged"] == wid)
+
+    def teardown(self):
+        for worker in WORKERS:
+            self.crash(worker)
+        self.exactly_once()
+        assert not self.live and not +self.shell.admission.held
+        assert self.book.hedges_out == 0
+
+
+# Pinned, not inherited: the tier-1 budget is >= 1,000 interleavings
+# whatever HYPOTHESIS_PROFILE says (CI's profile caps unpinned tests at 20).
+TestBookMachine = BookMachine.TestCase
+TestBookMachine.settings = settings(max_examples=1000, stateful_step_count=14,
+                                    deadline=None)
+
+
+class TestHedgeTiming:
+    """What ``test_hedge_wins_on_slow_replica`` used to bound with a wall
+    clock and two gauges, on a virtual one."""
+
+    def test_hedge_due_at_delay_then_replica_wins_and_original_is_wasted(self):
+        shell = Shell(workers=2, replication=2, hedge_delay_s=0.05,
+                      hedge_max_fraction=0.5)
+        book, t0 = shell.book, shell.clock.now
+        entry, request = shell.open(timeout=30.0)
+        issued = book.issue(entry, "wa")
+        assert issued.head_moved and issued.remaining == 30.0
+        assert book.arm_hedge(entry)        # sent: now the earliest due-time
+        shell.clock.now = t0 + 0.049
+        due, delay = book.pop_due()
+        assert due == [] and math.isclose(delay, 0.001)
+        shell.clock.now = t0 + 0.05
+        due, delay = book.pop_due()
+        assert due == [(bk.HEDGE, entry)] and math.isclose(delay, 29.95)
+        hedge = shell.carry_out(book.issue(entry, "wb", hedge=True))
+        assert math.isclose(hedge.remaining, 30.0 - 0.05)   # same budget
+        assert book.hedges_out == 1
+        shell.clock.now = t0 + 0.06         # the replica answers
+        won = shell.carry_out(book.settle(hedge.wire_id))
+        assert won.action == bk.RESOLVE
+        assert won.cancel == (("wa", issued.wire_id),)
+        assert request.reply == "reply" and book.hedges_out == 0
+        shell.clock.now = t0 + 1.5          # the slow original, at last
+        assert shell.carry_out(book.settle(issued.wire_id)).action is None
+        assert request.resolutions == 1
+        assert shell.counters == {"hedge.issued": 1, "hedge.won": 1,
+                                  "hedge.wasted": 1}
+        assert shell.admission.outstanding_total() == 0
+
+    def test_hedges_capped_at_fraction_of_open_copies(self):
+        shell = Shell(workers=2, replication=2, hedge_delay_s=0.05,
+                      hedge_max_fraction=0.5)
+        entries = [shell.open()[0] for _ in range(4)]
+        for entry in entries:
+            shell.book.issue(entry, "wa")
+        for entry in entries:       # 4 open -> 2; 5 open -> 2; 6 open -> 3
+            shell.carry_out(shell.book.issue(entry, "wb", hedge=True))
+        assert shell.book.hedges_out == 3
+        assert shell.counters == {"hedge.issued": 3, "hedge.suppressed": 1}
+
+    def test_one_hedge_always_allowed(self):
+        shell = Shell(workers=2, replication=2, hedge_max_fraction=0.01)
+        entry, _ = shell.open()
+        shell.book.issue(entry, "wa")
+        assert shell.book.issue(entry, "wb", hedge=True).wire_id is not None
+        again = shell.book.issue(entry, "wb", hedge=True)    # at most one
+        assert again.wire_id is None and again.counters == ()
+
+    def test_no_hedge_due_time_without_replica_or_when_disabled(self):
+        for config in (dict(hedge=False), dict(replication=1),
+                       dict(workers=1), dict(hedge_delay_s=None)):
+            shell = Shell(**{"workers": 2, "replication": 2,
+                             "hedge_delay_s": 0.01, **config})
+            assert shell.book.hedge_delay("mlp") is None
+            entry, _ = shell.open()
+            shell.book.issue(entry, "wa")
+            assert not shell.book.arm_hedge(entry)
+            assert shell.book.pop_due() == ([], None)
+
+    def test_timer_woken_only_when_the_earliest_due_time_moves(self):
+        shell = Shell(hedge=False)
+        moved = [shell.book.issue(shell.open(timeout=t)[0], "wa").head_moved
+                 for t in (5.0, 9.0, 5.0, 2.0, None)]
+        assert moved == [True, False, False, True, False]
+
+
+class TestSettledEntriesPinNothing:
+    def test_request_collectable_once_resolved_with_deadline_ahead(self):
+        shell = Shell(workers=2, replication=2, hedge_delay_s=0.05)
+        entry, request = shell.open(timeout=30.0)
+        wire_id = shell.book.issue(entry, "wa").wire_id
+        shell.book.arm_hedge(entry)
+        shell.carry_out(shell.book.settle(wire_id))
+        ref = weakref.ref(request)
+        del request
+        gc.collect()
+        assert ref() is None
+        # Its two due-times were still booked; they are dropped unfired.
+        assert shell.book.pop_due() == ([], None)
+
+    def test_settled_due_times_at_the_head_do_not_delay_the_next(self):
+        shell = Shell(hedge=False)
+        first, _ = shell.open(timeout=1.0)
+        second, _ = shell.open(timeout=2.0)
+        wire_id = shell.book.issue(first, "wa").wire_id
+        shell.book.issue(second, "wa")
+        shell.book.settle(wire_id)
+        assert shell.book.pop_due() == ([], 2.0)
+
+
+class TestLayering:
+    def test_importing_the_book_loads_no_process_machinery(self):
+        code = ("import sys, repro.cluster.book; "
+                "bad = sorted({'multiprocessing', 'signal', "
+                "'repro.cluster.worker', 'repro.cluster.arena', "
+                "'repro.cluster.supervisor'} & set(sys.modules)); "
+                "assert not bad, bad")
+        src = pathlib.Path(__file__).parent.parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={"PYTHONPATH": str(src), "PATH": ""},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_book_source_has_no_thread_sleep_or_send(self):
+        source = pathlib.Path(bk.__file__).read_text()
+        for needle in ("Thread(", "sleep(", ".send("):
+            assert needle not in source, needle

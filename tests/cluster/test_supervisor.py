@@ -5,7 +5,11 @@ stay fast, and every cluster is context-managed so a failing assert
 never leaks processes.
 """
 
+import gc
+import multiprocessing
+import os
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -116,6 +120,42 @@ class TestServing:
                 assert req.result(timeout=10.0).outputs
         stats = sup.worker_stats()
         assert stats  # drain collected final per-worker snapshots
+
+
+class TestNothingLeaks:
+    def test_fleet_that_cannot_become_ready_is_torn_down(self, tmp_path):
+        """``__enter__`` raising means ``__exit__`` never runs: start()
+        itself must take down what it forked."""
+        def census():
+            gc.collect()        # Process objects own a sentinel fd each
+            return len(os.listdir("/proc/self/fd"))
+
+        before = census()
+        sup = ClusterSupervisor(_graphs(),
+                                _config(tmp_path, start_timeout_s=0.0))
+        with pytest.raises(ClusterError, match="failed to become ready"):
+            sup.__enter__()
+        procs = [w.proc for w in sup._workers.values()]
+        assert len(procs) == 2
+        assert not any(p.is_alive() for p in procs)
+        assert not multiprocessing.active_children()
+        assert _wait(lambda: not any(w.receiver.is_alive()
+                                     for w in sup._workers.values()),
+                     timeout_s=5.0)
+        del sup, procs
+        assert census() == before
+
+    def test_settled_request_is_collectable_before_its_deadline(
+            self, tmp_path):
+        graphs = _graphs()
+        with ClusterSupervisor(graphs, _config(tmp_path)) as sup:
+            request = sup.submit("mlp", random_feeds(graphs["mlp"], seed=0),
+                                 timeout=60.0)
+            request.result(timeout=60.0)
+            ref = weakref.ref(request)
+            del request
+            gc.collect()
+            assert ref() is None
 
 
 class TestAdmission:
