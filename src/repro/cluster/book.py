@@ -7,6 +7,9 @@ under its own wire id.  Replies, wire errors, crash drains, sends that
 never left, deadline expiry and hedge timers all land here, under one
 lock, and each is answered with a :class:`Verdict` telling the caller
 (:class:`~repro.cluster.supervisor.ClusterSupervisor`) what to do now.
+Which owner a new original goes to is the book's too (:meth:`route`):
+every copy out carries the execute time its workload is expected to
+take, so the book knows how far behind each worker is.
 
 The book does no I/O and starts nothing — no thread, pipe, process or
 arena, and time only through the injected ``clock`` — so every decision
@@ -41,6 +44,14 @@ _EXPIRED = {
 }
 #: Due-time kinds handed back by :meth:`RequestBook.pop_due`.
 DEADLINE, HEDGE = "deadline", "hedge"
+#: :meth:`RequestBook.route` sends a new original past its primary only
+#: when the primary has both this much more expected execution out than
+#: the least-loaded other owner and at least this many more copies.  The
+#: time keeps sub-millisecond plans on their primary however many are
+#: out; the count keeps a slow copy or two (a compile, a stall) from
+#: moving the next request.
+SPILL_AFTER_S = 0.005
+SPILL_AFTER_COPIES = 3
 
 
 @dataclass(eq=False)
@@ -62,7 +73,7 @@ class Entry:
 
 class Verdict(NamedTuple):
     """What the caller must do after one event.  From :meth:`settle` and
-    :meth:`drain` it also means the wire id is terminal; the last four
+    :meth:`drain` it also means the wire id is terminal; the last three
     fields are :meth:`issue`'s."""
 
     action: str | None = None
@@ -71,7 +82,6 @@ class Verdict(NamedTuple):
     cancel: tuple = ()              # ((worker, wire_id), ...) still out
     counters: tuple = ()            # ((metric name, delta), ...)
     wire_id: int | None = None      # the copy booked; None = refused
-    remaining: float | None = None  # budget left, for the wire
     head_moved: bool = False        # earliest due-time moved: wake the timer
     shed: str | None = None         # admission's refusal
 
@@ -105,6 +115,12 @@ class RequestBook:
         #: Heap of (at, seq, kind, entry); settled entries are skipped.
         self._due: list[tuple[float, int, str, Entry]] = []
         self._due_seq = itertools.count()
+        #: Expected execute seconds per workload, learned from replies.
+        self._execute: dict[str, float] = {}
+        #: What each copy out was booked at, and the sums by worker.
+        self._cost: dict[int, float] = {}
+        self._load: dict[str, float] = {}
+        self._out: dict[str, int] = {}
 
     def hedge_delay(self, workload: str) -> float | None:
         """Seconds to wait before hedging, or None = don't hedge."""
@@ -120,6 +136,34 @@ class RequestBook:
     def open(self, request, workload: str, tenant: str, priority: int,
              deadline: float | None) -> Entry:
         return Entry(request, workload, tenant, priority, deadline)
+
+    def backlog(self, worker: str) -> tuple[int, float]:
+        """Copies out on ``worker`` and their expected execute seconds."""
+        return self._out.get(worker, 0), self._load.get(worker, 0.0)
+
+    def route(self, owners: list[str]) -> str:
+        """Which of a workload's live ``owners`` (primary first) a new
+        original goes to: the primary, unless it is behind the
+        least-loaded other owner by more than ``SPILL_AFTER_S`` of
+        expected execution *and* ``SPILL_AFTER_COPIES`` copies.  A worker
+        runs warm requests one at a time, so with the primary always
+        chosen a closed loop over two workloads whose primaries differ
+        runs at about twice the slower worker's rate while the faster
+        one idles.
+
+        Read without the lock: a stale sum moves one routing decision at
+        most, and the submitting thread must not queue behind a
+        receiver's ``settle``."""
+        out, load = self.backlog(owners[0])
+        if (len(owners) < 2 or load <= SPILL_AFTER_S
+                or out < SPILL_AFTER_COPIES):
+            return owners[0]
+        spare = min(owners[1:], key=lambda w: self._load.get(w, 0.0))
+        spare_out, spare_load = self.backlog(spare)
+        if (load - spare_load > SPILL_AFTER_S
+                and out - spare_out >= SPILL_AFTER_COPIES):
+            return spare
+        return owners[0]
 
     def issue(self, entry: Entry, worker: str,
               hedge: bool = False) -> Verdict:
@@ -151,17 +195,19 @@ class RequestBook:
             wire_id = next(self._wire_ids)
             entry.copies[wire_id] = worker
             self._wire[wire_id] = entry
-            remaining = (None if entry.deadline is None
-                         else entry.deadline - now)
+            cost = self._cost[wire_id] = self._execute.get(entry.workload,
+                                                           0.0)
+            self._load[worker] = self._load.get(worker, 0.0) + cost
+            self._out[worker] = self._out.get(worker, 0) + 1
             if hedge:
                 entry.hedge_id = wire_id
                 self.hedges_out += 1
                 return Verdict(None, entry.request, None, (),
-                               (("hedge.issued", 1),), wire_id, remaining)
+                               (("hedge.issued", 1),), wire_id)
             entry.routed = worker
             return Verdict(
-                None, entry.request, None, (), (), wire_id, remaining,
-                remaining is not None
+                None, entry.request, None, (), (), wire_id,
+                entry.deadline is not None
                 and self._arm(entry.deadline, DEADLINE, entry))
 
     def arm_hedge(self, entry: Entry) -> bool:
@@ -189,14 +235,28 @@ class RequestBook:
             return self._finish(entry, wire_id, True,
                                 (("hedge.issued", -1),))
 
-    def settle(self, wire_id: int, failed: bool = False) -> Verdict | None:
+    def settle(self, wire_id: int, failed: bool = False,
+               execute_s: float | None = None) -> Verdict | None:
         """The worker's terminal message for ``wire_id`` — a reply, or
         (``failed``) a wire error.  None: the id is not out (a crash
-        drain already took it)."""
+        drain already took it).
+
+        ``execute_s`` is the execute time a reply reports (an error's is
+        ignored); it is what later copies of the workload are booked at.
+        The estimate drops to a faster reply at once and rises a fifth of
+        the way towards a slower one, so a cold compile or a stall is
+        soon forgotten and a lasting slowdown is followed within a few
+        replies."""
         with self._lock:
             entry = self._take(wire_id)
-            return None if entry is None else \
-                self._finish(entry, wire_id, failed)
+            if entry is None:
+                return None
+            if execute_s is not None and not failed:
+                est = self._execute.get(entry.workload)
+                self._execute[entry.workload] = (
+                    execute_s if est is None or execute_s < est
+                    else est + (execute_s - est) / 5)
+            return self._finish(entry, wire_id, failed)
 
     def drain(self, worker: str) -> list[tuple[int, Verdict]]:
         """``worker`` is gone: every copy out on it fails, through the
@@ -234,10 +294,17 @@ class RequestBook:
 
     def _take(self, wire_id: int) -> Entry | None:
         """Remove one copy from the book — the only way out, so its
-        admission slot and hedge-budget unit are given back exactly once."""
+        admission slot, hedge-budget unit and share of its worker's
+        backlog are given back exactly once."""
         entry = self._wire.pop(wire_id, None)
         if entry is not None:
-            self._admission.release(entry.copies.pop(wire_id), entry.tenant)
+            worker = entry.copies.pop(wire_id)
+            self._admission.release(worker, entry.tenant)
+            cost = self._cost.pop(wire_id)
+            self._out[worker] -= 1
+            # Exactly zero once nothing is out: no float residue to drift.
+            self._load[worker] = (self._load[worker] - cost
+                                  if self._out[worker] else 0.0)
             if wire_id == entry.hedge_id:
                 self.hedges_out -= 1
         return entry

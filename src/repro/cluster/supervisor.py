@@ -44,6 +44,7 @@ import numpy as np
 from ..ir.graph import DataflowGraph
 from ..obs import event as obs_event
 from ..resilience import faults as _faults
+from ..resilience.retry import CLOSED as BREAKER_CLOSED
 from ..resilience.retry import CircuitBreaker
 from ..serve import (
     InvalidRequestError,
@@ -129,7 +130,7 @@ class ClusterConfig:
     #: once cluster-wide — see :mod:`repro.tune`).
     tune_db_dir: str | None = None
     #: How many distinct workers host each workload (primary + warm
-    #: fallbacks for routing around a down worker).
+    #: fallbacks for routing around a down or far-behind worker).
     replication: int = 2
     vnodes: int = 64
     max_batch: int = 8
@@ -188,7 +189,8 @@ class _Worker:
         self.armed = threading.Event()
         self.drained = threading.Event()
         self.stopped = threading.Event()
-        self.last_pong = time.monotonic()
+        #: When the receiver last read *any* message from this worker.
+        self.last_heard = time.monotonic()
         self.health: dict = {}
         self.final_stats: dict = {}
         self.stats_replies: dict[int, dict] = {}
@@ -434,9 +436,9 @@ class ClusterSupervisor:
         """Route one request to its shard; returns a future-like handle.
 
         ``timeout`` is the request's whole end-to-end budget, anchored
-        *here* at ingress: supervisor-side routing, queueing, and wire
-        time are deducted before the worker sees the remaining budget,
-        and the request is never answered past it.
+        *here* at ingress as one absolute deadline that the worker
+        checks too: supervisor-side routing, queueing, and wire time
+        all spend it, and the request is never answered past it.
 
         Raises :class:`ClusterShed` (a typed
         :class:`~repro.serve.batching.Overloaded`) when admission policy
@@ -485,7 +487,7 @@ class ClusterSupervisor:
             self._timer_wake.set()
         if self._try_send(worker, self._request_msg(
                 worker, issued.wire_id, entry.workload,
-                issued.request.feeds, issued.remaining)):
+                issued.request.feeds, entry.deadline)):
             if not hedge and self.book.arm_hedge(entry):
                 self._timer_wake.set()
             return issued
@@ -506,21 +508,22 @@ class ClusterSupervisor:
                            priority=priority).result(timeout=timeout)
 
     def _request_msg(self, worker: _Worker, req_id: int, workload: str,
-                     feeds: dict, remaining: float | None) -> tuple:
+                     feeds: dict, deadline: float | None) -> tuple:
         """The wire form of one request copy: the feeds go into a slot
         of the worker's arena and only ``(slot, descriptor, end)``
         crosses the pipe.  The one in-band case — no arena on this
         platform, no free slot, or feeds larger than a slot — sends the
-        arrays."""
+        arrays.  ``deadline`` is absolute on this host's monotonic
+        clock, which every worker process shares."""
         placed = (worker.arena.put(req_id, feeds)
                   if worker.arena is not None else None)
         if placed is None:
             self.metrics.inc("wire.inband_requests")
-            return ("req", req_id, workload, feeds, remaining)
+            return ("req", req_id, workload, feeds, deadline)
         ref, nbytes = placed
         self.metrics.inc("wire.arena_requests")
         self.metrics.inc("wire.arena_bytes", nbytes)
-        return ("req", req_id, workload, ref, remaining)
+        return ("req", req_id, workload, ref, deadline)
 
     @staticmethod
     def _release_slot(worker: _Worker, req_id: int) -> None:
@@ -537,15 +540,18 @@ class ClusterSupervisor:
 
     def _route(self, workload: str,
                exclude: str | None = None) -> _Worker | None:
-        """Primary owner, else the first live replica in owner order
-        (``exclude``: the worker a hedge must not go back to)."""
+        """The live owner the book picks — the primary unless it is far
+        behind a replica (:meth:`RequestBook.route`) — or, for a hedge
+        (``exclude``: the worker it must not go back to), the first live
+        owner in ring order."""
         with self._lock:
-            for name in self.owners_for(workload):
-                w = self._workers.get(name)
-                if (w is not None and name != exclude and w.up
-                        and not w.draining):
-                    return w
-        return None
+            live = {name: w for name in self.owners_for(workload)
+                    if (w := self._workers.get(name)) is not None
+                    and name != exclude and w.up and not w.draining}
+        if not live:
+            return None
+        return live[next(iter(live)) if exclude is not None
+                    else self.book.route(list(live))]
 
     # ------------------------------------------------------------------
     # Carrying out the book's verdicts; the timer thread
@@ -561,8 +567,12 @@ class ClusterSupervisor:
             self.metrics.inc(name, by)
         request = verdict.request
         if verdict.action == RESOLVE:
-            self.metrics.observe_request(payload["latency_s"],
-                                         workload=request.workload)
+            # Ingress to reply, as the supervisor sees it: the adaptive
+            # hedge delay is this workload's p95, and the hedge timer
+            # races this clock, not the worker's execute time.
+            self.metrics.observe_request(
+                time.monotonic() - request.enqueued_at,
+                workload=request.workload)
             if payload["degraded"]:
                 self.metrics.record_fallback(payload["reason"]
                                              or "unknown")
@@ -626,11 +636,14 @@ class ClusterSupervisor:
                 # conn.close() raced the blocking recv (crash handling
                 # closes the pipe from another thread): same as EOF.
                 break
+            # Any message is proof of life: a worker's pipe thread
+            # answers a ping only after the warm executions ahead of it,
+            # but their replies keep arriving meanwhile.
+            worker.last_heard = time.monotonic()
             kind = msg[0]
             if kind == "reply" or kind == "error":
                 self._on_terminal(worker, msg)
             elif kind == "pong":
-                worker.last_pong = time.monotonic()
                 worker.health = msg[2]
             elif kind == "ready":
                 worker.ready.set()
@@ -655,7 +668,9 @@ class ClusterSupervisor:
         frame: the receiver's loop must not keep a settled Request alive
         until the next message.)"""
         kind, wire_id = msg[0], msg[1]
-        verdict = self.book.settle(wire_id, failed=kind == "error")
+        verdict = self.book.settle(
+            wire_id, failed=kind == "error",
+            execute_s=None if kind == "error" else msg[2]["latency_s"])
         if verdict is None:
             pass        # a crash drain already took the id
         elif kind == "error":
@@ -740,10 +755,10 @@ class ClusterSupervisor:
                     if not w.proc.is_alive() or not self._try_send(
                             w, ("ping", next(self._ping_seq))):
                         self._handle_crash(w)
-                    elif (time.monotonic() - w.last_pong
+                    elif (time.monotonic() - w.last_heard
                             > self.config.heartbeat_timeout_s):
-                        # Hung, not dead: a worker that cannot answer a
-                        # ping cannot answer requests either (the crash
+                        # Hung, not dead: nothing at all from it for the
+                        # whole timeout — no pong, no reply (the crash
                         # path terminates it).
                         self.metrics.inc("workers.hung")
                         obs_event("worker_hung", category="cluster",
@@ -751,9 +766,12 @@ class ClusterSupervisor:
                         self._handle_crash(w)
                 else:
                     # Down with the restart breaker open: probe once the
-                    # reset timeout elapses (half-open semantics).
+                    # reset timeout elapses (half-open semantics).  Down
+                    # with it closed, the crash path is restarting the
+                    # worker right now; a second restart would fork a
+                    # generation nothing ever stops.
                     breaker = self._breakers[w.name]
-                    if breaker.allow():
+                    if breaker.state != BREAKER_CLOSED and breaker.allow():
                         self._restart(w.name)
 
     # ------------------------------------------------------------------
@@ -767,12 +785,11 @@ class ClusterSupervisor:
             raise ClusterError(f"unknown worker {name!r}")
         return w
 
-    def kill_worker(self, name: str, code: int = 1) -> None:
-        """Hard-kill one worker (crash testing); the health/receiver
+    def kill_worker(self, name: str) -> None:
+        """SIGKILL one worker (crash testing) — at once, not behind the
+        execution its pipe thread is busy with; the health/receiver
         machinery must detect it and recover."""
-        w = self._worker(name)
-        if not self._try_send(w, ("kill", code)) and w.proc.is_alive():
-            w.proc.terminate()
+        self._worker(name).proc.kill()
 
     def arm_faults(self, name: str, plan: dict[str, str],
                    timeout: float = 5.0) -> bool:

@@ -11,35 +11,35 @@ and speaks a small tuple protocol with the supervisor:
 supervisor → worker        meaning
 ========================  =====================================================
 ``("req", id, wl, feeds,
-remaining_s)``             answer one inference request within the *remaining*
-                           end-to-end budget (the supervisor already deducted
-                           its own routing/queue time; the worker re-anchors
-                           the deadline on its own monotonic clock at receipt).
-                           ``feeds`` is an arena reference ``(slot,
-                           descriptor, end)`` — the arrays are already in
+deadline)``                answer one inference request by the supervisor's
+                           absolute deadline (None: none) — every worker
+                           shares its host's monotonic clock, so time in the
+                           pipe is spent budget.  ``feeds`` is an arena
+                           reference ``(slot, descriptor, end)`` — the
+                           arrays are already in
                            this worker's :mod:`~repro.cluster.arena` slot —
                            or, in the one in-band case, the dict of arrays
 ``("cancel", id)``         best-effort cancel (hedge lost / deadline expired
-                           supervisor-side): a request still waiting is
-                           failed, one already executing runs to its own
-                           terminal message; idempotent, never an error
+                           supervisor-side): a cold-path request still in
+                           the in-process queue is failed, anything else
+                           runs to its own terminal message; idempotent
 ``("ping", seq)``          heartbeat; worker answers ``("pong", seq, health)``
 ``("stats", seq)``         request a metrics snapshot
 ``("arm", plan)``          arm failpoints in *this* process (tests/chaos)
-``("kill", code)``         hard ``os._exit`` — crash-test hook
 ``("drain",)``             stop accepting, finish in-flight, report stats
 ``("stop",)``              shut down and exit
 ========================  =====================================================
 
-Replies flow back through one dedicated sender thread (``("reply", id,
-meta, descriptor)`` with the outputs in the request's arena slot,
-``("reply", id, payload)`` with them in-band, ``("error", id, kind,
-msg)``, control acks), so the pipe is never written concurrently.  Each
-wire id gets exactly one ``reply`` or ``error`` — its *terminal* message,
-sent only once nothing in this process will touch the request's slot
-again; the supervisor frees the slot on it.  Request completions are
-pushed by the :attr:`~repro.serve.batching.Request.on_done` hook — the
-worker never polls or blocks a thread per request.
+A request whose session is not still compiling runs to completion on
+the pipe thread that received it (:meth:`FusionServer.run_inline`),
+which also sends its terminal message; only one for a session still
+compiling goes through the server's queue and executor threads (so pings
+are answered through a cold compile) and is answered by its
+:attr:`~repro.serve.batching.Request.on_done` hook.  Every writer takes
+one send lock.  Each wire id gets exactly one ``reply`` (outputs in its
+arena slot, or in-band) or ``error`` — its *terminal* message, sent only
+once nothing in this process touches the request's slot again; the
+supervisor frees the slot on it.
 
 The schedule cache's disk tier points at the supervisor's shared
 directory: together with the per-key advisory file lock in
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import functools
 import os
-import queue
 import signal
 import threading
 import time
@@ -72,6 +71,7 @@ from ..serve import (
     TieredScheduleCache,
     WorkerCrashed,
 )
+from ..serve.session import PENDING
 from .arena import SlotViews
 
 #: Chaos failpoints in the worker's pipe loop (armed only by tests):
@@ -179,12 +179,19 @@ def worker_main(conn, config: WorkerConfig,
 
     # Graceful termination: SIGTERM drains (no orphaned in-flight work),
     # SIGINT is ignored — a terminal Ctrl-C signals the whole process
-    # group, and shutdown must stay the supervisor's decision.
+    # group, and shutdown must stay the supervisor's decision.  It
+    # raises only while the pipe thread waits for a message: one landing
+    # mid-execution or mid-send is acted on after that message is done.
+    waiting = terminated = False
+
     def _on_sigterm(signum, frame):
+        nonlocal terminated
         # The supervisor terminate()s a worker whose pipe closed: a
         # second SIGTERM landing mid-drain must not abort the drain.
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
-        raise _SigTerm()
+        terminated = True
+        if waiting:
+            raise _SigTerm()
 
     try:
         signal.signal(signal.SIGTERM, _on_sigterm)
@@ -202,32 +209,25 @@ def worker_main(conn, config: WorkerConfig,
     # scratch.  Nothing can fire in between — serving starts below.
     for name, spec in config.fault_plan.items():
         registry.arm(name, spec)
-    outbox: "queue.Queue" = queue.Queue()
+    send_lock = threading.Lock()
     accepting = True
-    #: Live request handles by wire id — the ``cancel`` book.
+    #: Cold-path request handles by wire id — the ``cancel`` book.
     handles: dict[int, object] = {}
     handles_lock = threading.Lock()
 
-    def sender() -> None:
-        while True:
-            msg = outbox.get()
-            if msg is None:
-                return
+    def send(msg: tuple) -> None:
+        with send_lock:
             try:
                 conn.send(msg)
-            except (OSError, ValueError, BrokenPipeError):
-                return  # supervisor went away; nothing left to tell
-
-    send_thread = threading.Thread(target=sender, name="worker-sender",
-                                   daemon=True)
-    send_thread.start()
+            except (OSError, ValueError):
+                pass    # supervisor went away; nothing left to tell
 
     def on_done(req_id: int, slot: int | None, tail: int, request) -> None:
         with handles_lock:
             handles.pop(req_id, None)
         if request.error is not None:
-            outbox.put(("error", req_id, error_kind(request.error),
-                        f"{type(request.error).__name__}: {request.error}"))
+            send(("error", req_id, error_kind(request.error),
+                  f"{type(request.error).__name__}: {request.error}"))
             return
         reply: SessionReply = request.reply
         meta = {"degraded": reply.degraded, "reason": reply.reason,
@@ -235,9 +235,9 @@ def worker_main(conn, config: WorkerConfig,
         desc = (views.put_outputs(slot, tail, reply.outputs)
                 if slot is not None else None)
         if desc is not None:
-            outbox.put(("reply", req_id, meta, desc))
+            send(("reply", req_id, meta, desc))
         else:
-            outbox.put(("reply", req_id, {**meta, "outputs": reply.outputs}))
+            send(("reply", req_id, {**meta, "outputs": reply.outputs}))
 
     def snapshot() -> dict:
         snap = metrics.snapshot()
@@ -246,12 +246,15 @@ def worker_main(conn, config: WorkerConfig,
         return snap
 
     server.start()
-    outbox.put(("ready", config.name, sorted(config.workloads)))
+    send(("ready", config.name, sorted(config.workloads)))
 
     stopping = False
     graceful = False
     try:
         while not stopping:
+            waiting = True
+            if terminated:
+                raise _SigTerm()
             try:
                 msg = conn.recv()
             except (EOFError, OSError):
@@ -263,18 +266,15 @@ def worker_main(conn, config: WorkerConfig,
                 faults.fire(FP_HANG)
             except faults.FaultInjected:
                 metrics.inc("faults.worker_hang")
+            waiting = False
             kind = msg[0]
             if kind == "req":
-                _, req_id, workload, feeds, remaining_s = msg
-                # Re-anchor the end-to-end deadline on this process's
-                # clock *now*, before any local processing: failpoint
-                # delays and queue time below burn the request's
-                # remaining budget, never a fresh one.
-                deadline = (time.monotonic() + remaining_s
-                            if remaining_s is not None else None)
+                # The supervisor's own deadline: a copy that waited in
+                # the pipe behind warm executions is refused below.
+                _, req_id, workload, feeds, deadline = msg
                 if not accepting:
-                    outbox.put(("error", req_id, ERR_DRAINING,
-                                f"worker {config.name} is draining"))
+                    send(("error", req_id, ERR_DRAINING,
+                          f"worker {config.name} is draining"))
                     continue
                 try:
                     faults.fire(FP_SLOW)    # slow replica (chaos)
@@ -283,38 +283,38 @@ def worker_main(conn, config: WorkerConfig,
                 if (deadline is not None
                         and time.monotonic() >= deadline):
                     metrics.inc("deadline.expired_ingress")
-                    outbox.put(("error", req_id, ERR_TIMEOUT,
-                                f"request {req_id} reached worker "
-                                f"{config.name} past its deadline"))
+                    send(("error", req_id, ERR_TIMEOUT,
+                          f"request {req_id} reached worker "
+                          f"{config.name} past its deadline"))
                     continue
                 slot, tail = None, 0
                 if not isinstance(feeds, dict):     # arena reference
                     slot, desc, tail = feeds
                     feeds = views.feeds(slot, desc)
+                done = functools.partial(on_done, req_id, slot, tail)
                 try:
                     # The supervisor validated these feeds at ingress.
-                    handle = server.submit(
-                        workload, feeds, deadline_s=deadline,
-                        validated=True,
-                        on_done=functools.partial(on_done, req_id, slot,
-                                                  tail))
+                    if server.session(workload).state != PENDING:
+                        done(server.run_inline(workload, feeds, deadline))
+                        continue
+                    # Cold: the executor threads wait out the compile.
+                    handle = server.submit(workload, feeds,
+                                           deadline_s=deadline,
+                                           validated=True, on_done=done)
                     with handles_lock:
                         handles[req_id] = handle
                     if handle.done():   # answered before we booked it
                         with handles_lock:
                             handles.pop(req_id, None)
                 except Exception as exc:  # noqa: BLE001 — typed over the wire
-                    outbox.put(("error", req_id, error_kind(exc),
-                                f"{type(exc).__name__}: {exc}"))
+                    send(("error", req_id, error_kind(exc),
+                          f"{type(exc).__name__}: {exc}"))
             elif kind == "cancel":
-                # Best-effort and idempotent: the request may be done,
-                # unknown (already answered), executing, or still
-                # waiting.  Only a waiting one is failed here —
-                # ``cancel`` and the executing thread's ``start`` exclude
-                # each other, so no thread will ever read its feeds.  An
-                # executing one is left to finish: its own completion is
-                # its terminal message, and until then its arena slot
-                # must stay its own.
+                # Only a cold-path request still queued is failed here
+                # (``cancel`` and ``start`` exclude each other: no thread
+                # will read its feeds).  Anything else is done, executing
+                # or behind this message in the pipe, and keeps its slot
+                # until its own terminal message.
                 with handles_lock:
                     handle = handles.pop(msg[1], None)
                 if handle is not None and handle.cancel(TimeoutError(
@@ -322,31 +322,27 @@ def worker_main(conn, config: WorkerConfig,
                     metrics.inc("requests.cancelled")
             elif kind == "ping":
                 health = server.health()
-                outbox.put(("pong", msg[1], {
+                send(("pong", msg[1], {
                     "status": health["status"],
                     "queue_depth": health["queue_depth"],
                 }))
             elif kind == "stats":
-                outbox.put(("stats_reply", msg[1], snapshot()))
+                send(("stats_reply", msg[1], snapshot()))
             elif kind == "arm":
                 for name, spec in msg[1].items():
                     registry.arm(name, spec)
-                outbox.put(("armed",))
-            elif kind == "kill":
-                os._exit(msg[1] if len(msg) > 1 else 1)
+                send(("armed",))
             elif kind == "drain":
                 accepting = False
                 server.stop(drain=True)
-                outbox.put(("drained", snapshot()))
+                send(("drained", snapshot()))
             elif kind == "stop":
                 stopping = True
     except _SigTerm:
         graceful = True
 
     server.stop(drain=graceful)
-    outbox.put(("stopped", snapshot()))
-    outbox.put(None)
-    send_thread.join(timeout=5.0)
+    send(("stopped", snapshot()))
     if views is not None:
         views.close()
     try:

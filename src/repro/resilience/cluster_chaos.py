@@ -20,7 +20,7 @@ cannot reach:
   reap and replace it;
 * **slow replica → hedge** — a ``cluster.worker.slow`` delay on the
   routed worker forces the supervisor's hedge timer to re-issue to the
-  next replica; the hedge must win and the loser must be cancelled;
+  next replica; the hedge must win and the loser's reply is dropped;
 * **deadline storm** — tiny budgets plus a ``cluster.dispatch`` delay
   burn requests' budgets supervisor-side; expired work is cancelled at
   the boundary and **nothing is ever answered past its deadline**;
@@ -155,7 +155,7 @@ def run_cluster_chaos(seed: int = 0, workers: int = 2,
                 inflight = [run.submit("chaos_mlp", i, "crash",
                                        expect=_CRASHABLE)
                             for i in range(3)]
-                time.sleep(0.15)        # let them reach the executor
+                time.sleep(0.15)        # let the first start executing
                 kill_and_await_restart(mlp_primary)
                 for flight in inflight:
                     if flight is not None:

@@ -180,6 +180,28 @@ class FusionServer:
         """Synchronous convenience: submit and wait for the reply."""
         return self.submit(workload, feeds, timeout=timeout).result()
 
+    def run_inline(self, workload: str, feeds: dict[str, np.ndarray],
+                   deadline_s: float | None = None) -> Request:
+        """Answer one already-validated request on the calling thread.
+
+        The synchronous counterpart of ``submit(validated=True)``: no
+        queue, no batch, no executor hand-off — the returned request is
+        already complete (resolved, or failed with the error ``submit``'s
+        handle would carry).  It counts ``requests.submitted`` like any
+        request, but not ``queue_wait`` or a batch; the ``request`` span,
+        the publish gate and ``request_errors`` are the executor
+        threads' own (``_answer``).  The cluster worker calls this from
+        its pipe thread for every workload that is not still compiling.
+        """
+        if self._stopped:
+            raise ServerError("server is stopped")
+        self.metrics.inc("requests.submitted")
+        session = self.session(workload)
+        request = Request(workload=workload, feeds=feeds,
+                          deadline_s=deadline_s)
+        self._answer(session, request, queued=False)
+        return request
+
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
@@ -246,11 +268,12 @@ class FusionServer:
                 raise
 
     def _answer(self, session: InferenceSession | None,
-                request: Request) -> None:
+                request: Request, queued: bool = True) -> None:
         if not request.start():
             return  # cancelled while it waited in the batch
         queue_wait_s = time.monotonic() - request.enqueued_at
-        self.metrics.observe_queue_wait(queue_wait_s)
+        if queued:
+            self.metrics.observe_queue_wait(queue_wait_s)
         if session is None:
             request.fail(ServerError(
                 f"workload {request.workload!r} was unregistered"))

@@ -4,7 +4,8 @@ A hypothesis state machine plays the supervisor shell against
 :class:`repro.cluster.book.RequestBook` on a virtual clock — open,
 issue, start the hedge clock, hedge, retract, reply, wire error,
 crash-drain, advance the clock and pop what is due, in any order — and
-checks the delivery invariants after every step.  Named examples below it pin the hedge timing and the
+checks the delivery invariants and each worker's backlog after every
+step.  Named examples below it pin the hedge timing, routing and the
 memory rule; the six completion races are in ``test_deadlines.py``.
 """
 
@@ -107,15 +108,22 @@ class Shell:
 
 class BookMachine(RuleBasedStateMachine):
     @initialize(fraction=st.sampled_from([0.1, 0.34, 1.0]),
-                delay=st.sampled_from([None, 0.05]))
-    def boot(self, fraction, delay):
+                delay=st.sampled_from([None, 0.05]),
+                execute_s=st.sampled_from([0.0005, 0.004, 0.3]))
+    def boot(self, fraction, delay, execute_s):
         self.shell = Shell(per_worker=3, workers=3, replication=2,
                            hedge_delay_s=delay, hedge_max_fraction=fraction)
         self.book = self.shell.book
+        # One reply before the client's requests, so every copy they
+        # book carries a non-zero expected execute time.
+        wire_id = self.book.issue(self.shell.open()[0], "wa").wire_id
+        self.shell.carry_out(self.book.settle(wire_id, execute_s=execute_s))
         #: One record per logical request the "client" holds.
         self.reqs = []
         #: Copies out, as the shell believes: wire id → (record, worker).
         self.live = {}
+        #: What each copy out added to its worker's backlog when booked.
+        self.cost = {}
         self.terminal = set()
 
     # -- the shell's side of each event ----------------------------------
@@ -142,10 +150,17 @@ class BookMachine(RuleBasedStateMachine):
         assert wire_id not in self.terminal, "wire id terminal twice"
         self.terminal.add(wire_id)
         rec, _ = self.live.pop(wire_id)
+        del self.cost[wire_id]
         self.apply(verdict, rec, error)
+
+    def book_copy(self, wire_id, rec, worker, load_before):
+        self.live[wire_id] = (rec, worker)
+        self.cost[wire_id] = self.book.backlog(worker)[1] - load_before
+        assert self.cost[wire_id] >= 0.0
 
     def try_hedge(self, rec, worker):
         open_before = self.shell.admission.outstanding_total()
+        load_before = self.book.backlog(worker)[1]
         verdict = self.book.issue(rec["entry"], worker, hedge=True)
         self.shell.carry_out(verdict)
         if verdict.wire_id is None:
@@ -154,7 +169,7 @@ class BookMachine(RuleBasedStateMachine):
         assert self.book.hedges_out <= max(1, math.floor(
             self.shell.config.hedge_max_fraction * max(1, open_before)))
         rec["hedged"] = verdict.wire_id
-        self.live[verdict.wire_id] = (rec, worker)
+        self.book_copy(verdict.wire_id, rec, worker, load_before)
 
     # -- rules ------------------------------------------------------------
 
@@ -168,6 +183,7 @@ class BookMachine(RuleBasedStateMachine):
     @rule(pick=PICK, worker=st.sampled_from(WORKERS))
     def issue(self, pick, worker):
         rec = pick_from([r for r in self.reqs if r["state"] == "open"], pick)
+        load_before = self.book.backlog(worker)[1]
         verdict = self.book.issue(rec["entry"], worker)
         if verdict.shed is not None:        # the shell raises ClusterShed
             rec["state"] = "shed"
@@ -178,7 +194,7 @@ class BookMachine(RuleBasedStateMachine):
         if verdict.wire_id is None:
             assert verdict.action == bk.DEAD
         else:
-            self.live[verdict.wire_id] = (rec, worker)
+            self.book_copy(verdict.wire_id, rec, worker, load_before)
         self.apply(verdict, rec)
 
     @precondition(lambda self: any(r["state"] == "issued" for r in self.reqs))
@@ -203,6 +219,7 @@ class BookMachine(RuleBasedStateMachine):
     def retract(self, pick):
         wire_id = pick_from(sorted(self.live), pick)
         rec, worker = self.live.pop(wire_id)
+        del self.cost[wire_id]
         if rec["hedged"] == wire_id:
             rec["hedged"] = None
         self.apply(self.book.retract(wire_id), rec,
@@ -210,12 +227,13 @@ class BookMachine(RuleBasedStateMachine):
         assert self.book.retract(wire_id) is None
 
     @precondition(lambda self: self.live)
-    @rule(pick=PICK, failed=st.booleans())
-    def terminal_message(self, pick, failed):
+    @rule(pick=PICK, failed=st.booleans(),
+          execute_s=st.sampled_from([0.0005, 0.004, 0.3]))
+    def terminal_message(self, pick, failed, execute_s):
         wire_id = pick_from(sorted(self.live), pick)
-        self.finish(wire_id, self.book.settle(wire_id, failed),
+        self.finish(wire_id, self.book.settle(wire_id, failed, execute_s),
                     RuntimeError("wire error"))
-        assert self.book.settle(wire_id, failed) is None    # a duplicate
+        assert self.book.settle(wire_id, failed, execute_s) is None
 
     @rule(worker=st.sampled_from(WORKERS))
     def crash(self, worker):
@@ -265,6 +283,14 @@ class BookMachine(RuleBasedStateMachine):
         assert self.book.hedges_out == sum(
             1 for wid, (rec, _) in self.live.items()
             if rec["hedged"] == wid)
+        for worker in WORKERS:
+            mine = [wid for wid, (_, w) in self.live.items() if w == worker]
+            out, load = self.book.backlog(worker)
+            assert out == len(mine)
+            assert math.isclose(load, sum(self.cost[w] for w in mine),
+                                abs_tol=1e-9)
+            if not mine:
+                assert load == 0.0, "backlog left behind by a copy"
 
     def teardown(self):
         for worker in WORKERS:
@@ -272,6 +298,7 @@ class BookMachine(RuleBasedStateMachine):
         self.exactly_once()
         assert not self.live and not +self.shell.admission.held
         assert self.book.hedges_out == 0
+        assert all(self.book.backlog(w) == (0, 0.0) for w in WORKERS)
 
 
 # Pinned, not inherited: the tier-1 budget is >= 1,000 interleavings
@@ -291,7 +318,7 @@ class TestHedgeTiming:
         book, t0 = shell.book, shell.clock.now
         entry, request = shell.open(timeout=30.0)
         issued = book.issue(entry, "wa")
-        assert issued.head_moved and issued.remaining == 30.0
+        assert issued.head_moved and entry.deadline == t0 + 30.0
         assert book.arm_hedge(entry)        # sent: now the earliest due-time
         shell.clock.now = t0 + 0.049
         due, delay = book.pop_due()
@@ -300,7 +327,7 @@ class TestHedgeTiming:
         due, delay = book.pop_due()
         assert due == [(bk.HEDGE, entry)] and math.isclose(delay, 29.95)
         hedge = shell.carry_out(book.issue(entry, "wb", hedge=True))
-        assert math.isclose(hedge.remaining, 30.0 - 0.05)   # same budget
+        assert entry.deadline == t0 + 30.0  # the wire's deadline: same budget
         assert book.hedges_out == 1
         shell.clock.now = t0 + 0.06         # the replica answers
         won = shell.carry_out(book.settle(hedge.wire_id))
@@ -349,6 +376,75 @@ class TestHedgeTiming:
         moved = [shell.book.issue(shell.open(timeout=t)[0], "wa").head_moved
                  for t in (5.0, 9.0, 5.0, 2.0, None)]
         assert moved == [True, False, False, True, False]
+
+
+class TestRouting:
+    """Where a new original goes, from the backlog the book keeps."""
+
+    @staticmethod
+    def teach(shell, execute_s):
+        """One copy out on ``wc`` and back, reporting ``execute_s``."""
+        wire_id = shell.book.issue(shell.open()[0], "wc").wire_id
+        shell.carry_out(shell.book.settle(wire_id, execute_s=execute_s))
+
+    def out_on(self, shell, worker, n):
+        for _ in range(n):
+            shell.book.issue(shell.open()[0], worker)
+
+    def test_estimate_drops_at_once_and_rises_a_fifth(self):
+        shell = Shell()
+        booked = []
+        for execute_s in (0.5, 0.002, 0.012, 0.0005):
+            self.teach(shell, execute_s)
+            before = shell.book.backlog("wa")[1]
+            self.out_on(shell, "wa", 1)
+            booked.append(shell.book.backlog("wa")[1] - before)
+        assert [round(b, 9) for b in booked] == [0.5, 0.002, 0.004, 0.0005]
+
+    def test_a_failed_copy_teaches_nothing(self):
+        shell = Shell()
+        self.teach(shell, 0.002)
+        wire_id = shell.book.issue(shell.open()[0], "wa").wire_id
+        shell.carry_out(shell.book.settle(wire_id, failed=True,
+                                          execute_s=1.0),
+                        RuntimeError("wire error"))
+        self.out_on(shell, "wa", 1)
+        assert shell.book.backlog("wa") == (1, 0.002)
+
+    def test_primary_keeps_requests_until_far_enough_behind(self):
+        shell = Shell()
+        self.teach(shell, 0.002)
+        pair = ["wa", "wb"]
+        self.out_on(shell, "wa", 2)         # 4 ms out: not past 5 ms
+        assert shell.book.route(pair) == "wa"
+        self.out_on(shell, "wa", 1)         # 6 ms, three copies
+        assert shell.book.route(pair) == "wb"
+        self.out_on(shell, "wb", 1)         # 4 ms ahead of wb: keep wa
+        assert shell.book.route(pair) == "wa"
+        assert shell.book.route(["wa"]) == "wa"     # no other live owner
+
+    def test_sub_millisecond_plans_stay_on_their_primary(self):
+        shell = Shell()
+        self.teach(shell, 0.0005)
+        self.out_on(shell, "wa", 8)         # a closed loop's window: 4 ms
+        assert shell.book.backlog("wa")[0] == 8
+        assert shell.book.route(["wa", "wb"]) == "wa"
+
+    def test_two_slow_copies_never_move_the_next(self):
+        shell = Shell()
+        self.teach(shell, 2.0)              # e.g. a reply that compiled
+        for _ in range(2):
+            self.out_on(shell, "wa", 1)
+            assert shell.book.route(["wa", "wb"]) == "wa"
+        self.out_on(shell, "wa", 1)
+        assert shell.book.route(["wa", "wb"]) == "wb"
+
+    def test_least_loaded_spare_of_several(self):
+        shell = Shell()
+        self.teach(shell, 0.004)
+        self.out_on(shell, "wa", 3)
+        self.out_on(shell, "wb", 1)
+        assert shell.book.route(["wa", "wb", "wc"]) == "wc"
 
 
 class TestSettledEntriesPinNothing:

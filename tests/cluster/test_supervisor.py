@@ -102,6 +102,32 @@ class TestServing:
         assert first[0] not in sup.owners_for("mlp")
         assert walks == ["mlp", "mlp"]
 
+    def test_primary_far_behind_loses_the_next_request_to_its_replica(
+            self, tmp_path):
+        """Four requests at once behind 0.3 s executions on the primary:
+        the first three queue there (a slow copy or two moves nothing),
+        the fourth goes to the replica."""
+        graphs = _graphs()
+        feeds = [random_feeds(graphs["mlp"], seed=s) for s in range(4)]
+        with ClusterSupervisor(graphs, _config(tmp_path, hedge=False)) as sup:
+            primary, replica = sup.owners_for("mlp")
+            assert sup.arm_faults(primary, {"runtime.execute": "delay(300)"})
+            # Answered by the primary: teaches the book it takes 0.3 s.
+            sup.infer("mlp", feeds[0], timeout=60.0)
+            before = {w: sup.request_stats(w).get("requests.submitted", 0)
+                      for w in (primary, replica)}
+            pending = [sup.submit("mlp", f, timeout=60.0) for f in feeds]
+            for f, req in zip(feeds, pending):
+                reply = req.result(timeout=60.0)
+                for name, arr in execute_graph_reference(graphs["mlp"],
+                                                         f).items():
+                    np.testing.assert_allclose(reply.outputs[name], arr,
+                                               atol=1e-8)
+            after = {w: sup.request_stats(w)["requests.submitted"]
+                     for w in (primary, replica)}
+        assert after[primary] - before[primary] == 3
+        assert after[replica] - before[replica] == 1
+
     def test_unknown_workload_rejected(self, tmp_path):
         with ClusterSupervisor(_graphs(), _config(tmp_path)) as sup:
             with pytest.raises(ClusterError, match="unknown workload"):
@@ -209,6 +235,29 @@ class TestCrashRecovery:
             reply = sup.infer("ln", random_feeds(graphs["ln"], seed=2),
                               timeout=60.0)
             assert reply.outputs
+
+    def test_crash_path_restarts_alone(self, tmp_path, monkeypatch):
+        """While the crash path is still tearing a dead worker down, the
+        health loop sees it down with its restart breaker closed.  The
+        restart is the crash path's; a second would fork a generation
+        that nothing ever stops."""
+        graphs = {"ln": _graphs()["ln"]}
+        with ClusterSupervisor(graphs, _config(tmp_path, workers=1)) as sup:
+            sup.infer("ln", random_feeds(graphs["ln"], seed=0),
+                      timeout=60.0)
+            reap = sup._reap
+            monkeypatch.setattr(sup, "_reap", lambda w: (
+                time.sleep(0.5), reap(w)))     # five health-loop rounds
+            dead = sup._workers["w0"]
+            sup.kill_worker("w0")
+            assert _wait(lambda: sup.metrics.get("workers.restarts") >= 1
+                         and sup.health()["workers"]["w0"]["up"])
+            # The dead generation's receiver ends after its crash path.
+            assert _wait(lambda: not dead.receiver.is_alive())
+            assert sup.metrics.get("workers.restarts") == 1
+            assert sup.infer("ln", random_feeds(graphs["ln"], seed=1),
+                             timeout=60.0).outputs
+        assert not multiprocessing.active_children()
 
     def test_breaker_keeps_crashlooper_down_then_probes(self, tmp_path):
         graphs = {"ln": _graphs()["ln"]}

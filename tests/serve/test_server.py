@@ -341,6 +341,43 @@ class TestRequestClaims:
         assert req.result() == "r"
 
 
+class TestRunInline:
+    def test_answers_on_the_calling_thread_without_queue_or_batch(
+            self, small_ln):
+        """``run_inline`` is ``submit`` minus the hand-off: the same
+        counters, span and publish gate, but no queue wait, no batch."""
+        metrics = ServeMetrics()
+        session = InferenceSession(small_ln, AMPERE, metrics=metrics,
+                                   eager=True)
+        feeds = random_feeds(small_ln, seed=0)
+        expected = execute_graph_reference(small_ln, feeds)
+        threads = []
+        real = session.execute
+        session.execute = lambda *a, **k: (
+            threads.append(threading.current_thread()) or real(*a, **k))
+        with FusionServer({"ln": session}, metrics=metrics) as server:
+            request = server.run_inline("ln", feeds)
+            assert request.done() and request.resolutions == 1
+            reply = request.result(timeout=0)
+            for name, arr in expected.items():
+                np.testing.assert_allclose(reply.outputs[name], arr,
+                                           atol=1e-8)
+            late = server.run_inline("ln", feeds,
+                                     deadline_s=time.monotonic() - 1.0)
+            with pytest.raises(TimeoutError, match="result withheld"):
+                late.result(timeout=0)
+            with pytest.raises(ServerError, match="unknown workload"):
+                server.run_inline("missing", feeds)
+        with pytest.raises(ServerError, match="stopped"):
+            server.run_inline("ln", feeds)
+        assert threads == [threading.current_thread()] * 2
+        snap = metrics.snapshot()
+        assert snap["requests.submitted"] == 3
+        assert snap["deadline.expired_publish"] == 1
+        assert snap.get("batches_dispatched", 0) == 0
+        assert snap["queue_wait.count"] == 0
+
+
 class TestValidateOnce:
     def _count_validations(self, monkeypatch):
         import repro.serve.server as server_mod
