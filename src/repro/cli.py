@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "forked worker processes (default: 2)")
     p.add_argument("--cluster", action="store_true",
                    help="run the cluster-tier chaos plan instead: forked "
-                        "workers, crash/hang recovery, hedged replicas, "
+                        "workers, crash/hang recovery, a slow worker, "
                         "end-to-end deadline enforcement (ignores "
                         "--workload/--faults/--queue-depth)")
     p.add_argument("--report", default="BENCH_robustness.json",

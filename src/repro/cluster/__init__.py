@@ -14,8 +14,8 @@ Scales :mod:`repro.serve` past one process:
   carries feeds and replies across the process boundary without pickle
   (only small descriptors ride the pipe);
 * :class:`~repro.cluster.book.RequestBook` — the clocked, I/O-free
-  book where every open request's resolve / expire / hedge / crash-drain
-  decision is made;
+  book where every open request's routing / resolve / expire /
+  crash-drain decision is made;
 * :class:`ClusterSupervisor` — forks the workers, routes requests along
   the ring (with replica failover), health-checks with heartbeats,
   restarts crashed workers behind per-worker circuit breakers, and

@@ -130,12 +130,6 @@ class AdmissionController:
         with self._lock:
             return self._outstanding.get(worker, 0)
 
-    def outstanding_total(self) -> int:
-        """Outstanding slots across every worker (the hedger's view of
-        open load — its hedge-fraction cap is computed against this)."""
-        with self._lock:
-            return sum(self._outstanding.values())
-
     def snapshot(self) -> dict:
         with self._lock:
             return {

@@ -1,13 +1,12 @@
 """RequestBook: the one place a cluster request's lifecycle is decided.
 
 A *logical* request is one client-held
-:class:`~repro.serve.batching.Request` plus one or two *wire copies* —
-the routed original and at most one hedge — each out on some worker
-under its own wire id.  Replies, wire errors, crash drains, sends that
-never left, deadline expiry and hedge timers all land here, under one
-lock, and each is answered with a :class:`Verdict` telling the caller
+:class:`~repro.serve.batching.Request` and one *wire copy* of it, out on
+one worker under its wire id.  Replies, wire errors, crash drains, sends
+that never left and deadline expiry all land here, under one lock, and
+each is answered with a :class:`Verdict` telling the caller
 (:class:`~repro.cluster.supervisor.ClusterSupervisor`) what to do now.
-Which owner a new original goes to is the book's too (:meth:`route`):
+Which owner a new request goes to is the book's too (:meth:`route`):
 every copy out carries the execute time its workload is expected to
 take, so the book knows how far behind each worker is.
 
@@ -22,16 +21,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-#: Verdict actions: publish the reply this copy carried / a reply exists
-#: but the budget is spent, withhold it / the deadline fired with copies
-#: still out / the budget died before the first dispatch / the last copy
-#: failed, publish its error.
+#: Verdict actions: publish the reply the copy carried / a reply exists
+#: but the budget is spent, withhold it / the deadline fired with the
+#: copy still out / the budget died before dispatch / the copy failed,
+#: publish its error.
 RESOLVE, LATE, EXPIRE, DEAD, FAIL = "resolve", "late", "expire", "dead", "fail"
 #: Each deadline verdict's counter, and how it reads to the caller
 #: (``{0}``: the Request).
@@ -42,9 +40,7 @@ _EXPIRED = {
     DEAD: ("deadline.expired_dispatch",
            "spent its whole {0.timeout_s:.3g}s budget before dispatch"),
 }
-#: Due-time kinds handed back by :meth:`RequestBook.pop_due`.
-DEADLINE, HEDGE = "deadline", "hedge"
-#: :meth:`RequestBook.route` sends a new original past its primary only
+#: :meth:`RequestBook.route` sends a new request past its primary only
 #: when the primary has both this much more expected execution out than
 #: the least-loaded other owner and at least this many more copies.  The
 #: time keeps sub-millisecond plans on their primary however many are
@@ -64,11 +60,9 @@ class Entry:
     tenant: str
     priority: int
     deadline: float | None      # absolute, on the book's clock
-    #: Wire copies still out: wire id → worker name.
-    copies: dict[int, str] = field(default_factory=dict)
-    #: Worker the original went to (a hedge must go elsewhere).
-    routed: str | None = None
-    hedge_id: int | None = None     # the hedge copy's wire id, once issued
+    #: The worker its one wire copy went to; None until booked and
+    #: again once that copy's terminal message (or a crash) is in.
+    worker: str | None = None
 
 
 class Verdict(NamedTuple):
@@ -79,41 +73,27 @@ class Verdict(NamedTuple):
     action: str | None = None
     request: object = None          # the client Request ``action`` is about
     error: Exception | None = None  # what a deadline verdict fails it with
-    cancel: tuple = ()              # ((worker, wire_id), ...) still out
     counters: tuple = ()            # ((metric name, delta), ...)
     wire_id: int | None = None      # the copy booked; None = refused
-    head_moved: bool = False        # earliest due-time moved: wake the timer
+    head_moved: bool = False        # earliest deadline moved: wake the timer
     shed: str | None = None         # admission's refusal
 
 
-_SUPPRESSED = Verdict(counters=(("hedge.suppressed", 1),))
-
-
 class RequestBook:
-    """Open requests, their wire copies, the hedge budget and the
-    deadline/hedge due-times.
+    """Open requests, their wire copies, each worker's backlog and the
+    deadline due-times."""
 
-    ``config`` is anything carrying ``ClusterConfig``'s ``hedge*``,
-    ``workers`` and ``replication`` fields, read on every call (cluster
-    chaos mutates them on a live fleet); ``latency_quantile`` is
-    ``ServeMetrics.workload_latency_quantile``.
-    """
-
-    def __init__(self, admission, config, latency_quantile: Callable,
+    def __init__(self, admission,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self._admission = admission
-        self._config = config
-        self._quantile = latency_quantile
         self._clock = clock
         self._lock = threading.Lock()
         self._wire_ids = itertools.count(1)
         #: The one index of copies out: wire id → entry (its worker is
-        #: ``entry.copies[wire_id]``).
+        #: ``entry.worker``).
         self._wire: dict[int, Entry] = {}
-        #: Hedge copies out (read-only outside the book).
-        self.hedges_out = 0
-        #: Heap of (at, seq, kind, entry); settled entries are skipped.
-        self._due: list[tuple[float, int, str, Entry]] = []
+        #: Heap of (deadline, seq, entry); settled entries are skipped.
+        self._due: list[tuple[float, int, Entry]] = []
         self._due_seq = itertools.count()
         #: Expected execute seconds per workload, learned from replies.
         self._execute: dict[str, float] = {}
@@ -121,17 +101,6 @@ class RequestBook:
         self._cost: dict[int, float] = {}
         self._load: dict[str, float] = {}
         self._out: dict[str, int] = {}
-
-    def hedge_delay(self, workload: str) -> float | None:
-        """Seconds to wait before hedging, or None = don't hedge."""
-        cfg = self._config
-        if not cfg.hedge or cfg.workers < 2 or cfg.replication < 2:
-            return None
-        if cfg.hedge_delay_s is not None:
-            return max(cfg.hedge_delay_s, cfg.hedge_min_delay_s)
-        p95 = self._quantile(workload, 0.95,
-                             min_samples=cfg.hedge_min_samples)
-        return None if p95 is None else max(p95, cfg.hedge_min_delay_s)
 
     def open(self, request, workload: str, tenant: str, priority: int,
              deadline: float | None) -> Entry:
@@ -143,13 +112,14 @@ class RequestBook:
 
     def route(self, owners: list[str]) -> str:
         """Which of a workload's live ``owners`` (primary first) a new
-        original goes to: the primary, unless it is behind the
+        request goes to: the primary, unless it is behind the
         least-loaded other owner by more than ``SPILL_AFTER_S`` of
         expected execution *and* ``SPILL_AFTER_COPIES`` copies.  A worker
         runs warm requests one at a time, so with the primary always
         chosen a closed loop over two workloads whose primaries differ
         runs at about twice the slower worker's rate while the faster
-        one idles.
+        one idles; and a worker that turns slow keeps only the copies it
+        already has.
 
         Read without the lock: a stale sum moves one routing decision at
         most, and the submitting thread must not queue behind a
@@ -165,75 +135,41 @@ class RequestBook:
             return spare
         return owners[0]
 
-    def issue(self, entry: Entry, worker: str,
-              hedge: bool = False) -> Verdict:
-        """Admit and book one wire copy of ``entry`` on ``worker``: the
-        original (which also arms the deadline due-time) or the hedge
-        (at most one, within the hedge budget)."""
+    def issue(self, entry: Entry, worker: str) -> Verdict:
+        """Admit ``entry`` on ``worker`` and book its wire copy, arming
+        its deadline due-time."""
         with self._lock:
-            now = self._clock()
-            dead = entry.deadline is not None and now >= entry.deadline
-            if hedge:
-                if entry.request is None or entry.hedge_id is not None or dead:
-                    return Verdict()
-                # Outstanding hedges never exceed the configured fraction
-                # of open copies — but one is always allowed, or light
-                # traffic could never hedge at all.
-                if self.hedges_out >= max(1, math.floor(
-                        self._config.hedge_max_fraction
-                        * max(1, self._admission.outstanding_total()))):
-                    return _SUPPRESSED
             shed = self._admission.admit(worker, entry.tenant,
                                          entry.priority)
             if shed is not None:
-                return (_SUPPRESSED if hedge else Verdict())._replace(shed=shed)
-            if dead:
+                return Verdict(shed=shed)
+            if entry.deadline is not None and self._clock() >= entry.deadline:
                 # The budget died on the supervisor (routing, queueing):
                 # never dispatch a dead deadline.
                 self._admission.release(worker, entry.tenant)
                 return self._close(entry, DEAD)
             wire_id = next(self._wire_ids)
-            entry.copies[wire_id] = worker
+            entry.worker = worker
             self._wire[wire_id] = entry
             cost = self._cost[wire_id] = self._execute.get(entry.workload,
                                                            0.0)
             self._load[worker] = self._load.get(worker, 0.0) + cost
             self._out[worker] = self._out.get(worker, 0) + 1
-            if hedge:
-                entry.hedge_id = wire_id
-                self.hedges_out += 1
-                return Verdict(None, entry.request, None, (),
-                               (("hedge.issued", 1),), wire_id)
-            entry.routed = worker
-            return Verdict(
-                None, entry.request, None, (), (), wire_id,
-                entry.deadline is not None
-                and self._arm(entry.deadline, DEADLINE, entry))
-
-    def arm_hedge(self, entry: Entry) -> bool:
-        """The original is on the wire: start its hedge clock (from now,
-        not from ``issue`` — the send is not the worker's time).  True
-        when the earliest due-time moved."""
-        delay = self.hedge_delay(entry.workload)
-        with self._lock:
-            return (delay is not None and entry.request is not None
-                    and self._arm(self._clock() + delay, HEDGE, entry))
+            moved = entry.deadline is not None and (
+                not self._due or entry.deadline < self._due[0][0])
+            if entry.deadline is not None:
+                heapq.heappush(self._due, (entry.deadline,
+                                           next(self._due_seq), entry))
+            return Verdict(request=entry.request, wire_id=wire_id,
+                           head_moved=moved)
 
     def retract(self, wire_id: int) -> Verdict | None:
-        """A send that never left the supervisor: un-book the copy.  A
-        hedge is undone (the request may hedge again); either way the
-        request fails if this was its last copy.  None: a crash drain
-        got there first."""
+        """A send that never left the supervisor: un-book the copy and
+        fail the request.  None: a crash drain got there first."""
         with self._lock:
             entry = self._take(wire_id)
-            if entry is None:
-                return None
-            if wire_id != entry.hedge_id:
-                return self._finish(entry, wire_id, True,
-                                    (("requests.worker_crashed", 1),))
-            entry.hedge_id = None
-            return self._finish(entry, wire_id, True,
-                                (("hedge.issued", -1),))
+            return None if entry is None else self._finish(
+                entry, True, (("requests.worker_crashed", 1),))
 
     def settle(self, wire_id: int, failed: bool = False,
                execute_s: float | None = None) -> Verdict | None:
@@ -256,77 +192,64 @@ class RequestBook:
                 self._execute[entry.workload] = (
                     execute_s if est is None or execute_s < est
                     else est + (execute_s - est) / 5)
-            return self._finish(entry, wire_id, failed)
+            return self._finish(entry, failed)
 
     def drain(self, worker: str) -> list[tuple[int, Verdict]]:
         """``worker`` is gone: every copy out on it fails, through the
-        same funnel as a wire error — a request that already resolved is
-        not failed again, one with a live copy elsewhere survives."""
+        same funnel as a wire error — a request that already settled
+        (expired) is not failed again."""
         with self._lock:
-            return [(wid, self._finish(self._take(wid), wid, True))
+            return [(wid, self._finish(self._take(wid), True))
                     for wid in [wid for wid, entry in self._wire.items()
-                                if entry.copies[wid] == worker]]
+                                if entry.worker == worker]]
 
     def expire(self, entry: Entry) -> Verdict:
-        """``entry``'s deadline fired: fail it now, cancel its copies."""
+        """``entry``'s deadline fired: fail it now.  Its copy stays
+        booked until the worker's terminal message for it."""
         with self._lock:
             return Verdict() if entry.request is None else \
                 self._close(entry, EXPIRE)
 
-    def pop_due(self) -> tuple[list[tuple[str, Entry]], float | None]:
-        """Due-times that have come, as ``(kind, entry)`` in due order,
-        and the seconds until the next one (None = nothing scheduled)."""
+    def pop_due(self) -> tuple[list[Entry], float | None]:
+        """Entries whose deadline has come, in deadline order, and the
+        seconds until the next one (None = nothing scheduled)."""
         with self._lock:
             now, due = self._clock(), []
-            while self._due and (self._due[0][3].request is None
+            while self._due and (self._due[0][2].request is None
                                  or self._due[0][0] <= now):
-                _, _, kind, entry = heapq.heappop(self._due)
+                entry = heapq.heappop(self._due)[2]
                 if entry.request is not None:
-                    due.append((kind, entry))
+                    due.append(entry)
             return due, (self._due[0][0] - now if self._due else None)
 
     # -- under the lock -------------------------------------------------
 
-    def _arm(self, at: float, kind: str, entry: Entry) -> bool:
-        moved = not self._due or at < self._due[0][0]
-        heapq.heappush(self._due, (at, next(self._due_seq), kind, entry))
-        return moved
-
     def _take(self, wire_id: int) -> Entry | None:
-        """Remove one copy from the book — the only way out, so its
-        admission slot, hedge-budget unit and share of its worker's
-        backlog are given back exactly once."""
+        """Remove the copy from the book — the only way out, so its
+        admission slot and share of its worker's backlog are given back
+        exactly once."""
         entry = self._wire.pop(wire_id, None)
         if entry is not None:
-            worker = entry.copies.pop(wire_id)
+            worker, entry.worker = entry.worker, None
             self._admission.release(worker, entry.tenant)
             cost = self._cost.pop(wire_id)
             self._out[worker] -= 1
             # Exactly zero once nothing is out: no float residue to drift.
             self._load[worker] = (self._load[worker] - cost
                                   if self._out[worker] else 0.0)
-            if wire_id == entry.hedge_id:
-                self.hedges_out -= 1
         return entry
 
-    def _finish(self, entry: Entry, wire_id: int, failed: bool,
+    def _finish(self, entry: Entry, failed: bool,
                 counters: tuple = ()) -> Verdict:
-        """One copy came back: what that means for its request."""
-        if entry.request is None:
-            # The losing copy of a settled hedge pair.
-            if entry.hedge_id is not None:
-                counters += (("hedge.wasted", 1),)
-        elif failed:
-            if not entry.copies:    # else another copy may still answer
-                return self._close(entry, FAIL, counters)
-        elif entry.deadline is not None and self._clock() > entry.deadline:
+        """The copy came back: what that means for its request."""
+        if entry.request is None:       # expired while the copy was out
+            return Verdict(counters=counters)
+        if failed:
+            return self._close(entry, FAIL, counters)
+        if entry.deadline is not None and self._clock() > entry.deadline:
             # A strict deadline is never answered late, at any boundary.
             return self._close(entry, LATE, counters)
-        else:
-            if wire_id == entry.hedge_id:
-                counters += (("hedge.won", 1),)
-            return self._close(entry, RESOLVE, counters)
-        return Verdict(counters=counters)
+        return self._close(entry, RESOLVE, counters)
 
     @staticmethod
     def _close(entry: Entry, action: str, counters: tuple = ()) -> Verdict:
@@ -339,5 +262,4 @@ class RequestBook:
             counters += ((counter, 1),)
             error = TimeoutError(
                 f"request for {entry.workload!r} " + why.format(request))
-        return Verdict(action, request, error, tuple(
-            (w, wid) for wid, w in entry.copies.items()), counters)
+        return Verdict(action, request, error, counters)

@@ -62,7 +62,7 @@ from .admission import (
     AdmissionPolicy,
 )
 from .arena import SlotArena, slot_bytes_for
-from .book import DEADLINE, EXPIRE, RESOLVE, Entry, RequestBook, Verdict
+from .book import EXPIRE, RESOLVE, RequestBook, Verdict
 from .sharding import HashRing
 from .worker import (
     ERR_CRASHED,
@@ -150,21 +150,6 @@ class ClusterConfig:
     drain_timeout_s: float = 60.0
     #: Failpoint plan armed inside every worker at boot (chaos/tests).
     fault_plan: dict[str, str] = field(default_factory=dict)
-    #: Hedged replica requests: when the routed worker has not answered
-    #: within the hedge delay, re-issue to the next live replica; first
-    #: response wins, the loser is cancelled.
-    hedge: bool = True
-    #: Fixed hedge delay in seconds; ``None`` adapts online to each
-    #: workload's observed p95 reply latency (no hedging until
-    #: ``hedge_min_samples`` replies have been seen — cold workloads
-    #: include compile time and must not be double-compiled by hedges).
-    hedge_delay_s: float | None = None
-    hedge_min_delay_s: float = 0.01
-    hedge_min_samples: int = 50
-    #: Cap on concurrently outstanding hedges as a fraction of open
-    #: requests (a brown-out must not double the fleet's load); at least
-    #: one hedge is always allowed so light traffic can still hedge.
-    hedge_max_fraction: float = 0.1
     #: Per-session compile budget inside workers: retry backoff never
     #: sleeps past it (``retry.deadline_capped`` counts when it bites).
     compile_deadline_s: float | None = None
@@ -230,8 +215,7 @@ class ClusterSupervisor:
         self._breakers: dict[str, CircuitBreaker] = {}
         self._restarts: dict[str, int] = {}
         self._worker_stats: dict[str, dict] = {}
-        self.book = RequestBook(self.admission, self.config,
-                                self.metrics.workload_latency_quantile)
+        self.book = RequestBook(self.admission)
         self._generations = itertools.count(1)
         self._lock = threading.Lock()
         self._started = False
@@ -467,38 +451,26 @@ class ClusterSupervisor:
         request = Request(workload=workload, feeds=feeds,
                           timeout_s=timeout, on_done=on_done,
                           deadline_s=deadline)
-        shed = self._issue(
+        issued = self.book.issue(
             self.book.open(request, workload, tenant, priority, deadline),
-            worker).shed
-        if shed is not None:
-            self._shed(shed, workload, worker.name)
-        return request
-
-    def _issue(self, entry: Entry, worker: _Worker,
-               hedge: bool = False) -> Verdict:
-        """The one admit → book → send → un-book sequence, for the
-        routed original and a hedge alike; ``wire_id`` is None on return
-        unless the copy is on the wire."""
-        issued = self.book.issue(entry, worker.name, hedge)
-        self._carry_out(issued, worker)
-        if issued.wire_id is None:
-            return issued
+            worker.name)
+        if issued.shed is not None:
+            self._shed(issued.shed, workload, worker.name)
+        if issued.wire_id is None:      # the budget died before dispatch
+            self._carry_out(issued)
+            return request
         if issued.head_moved:
             self._timer_wake.set()
-        if self._try_send(worker, self._request_msg(
-                worker, issued.wire_id, entry.workload,
-                issued.request.feeds, entry.deadline)):
-            if not hedge and self.book.arm_hedge(entry):
-                self._timer_wake.set()
-            return issued
-        # The worker died between routing and send: the slot was never
-        # delivered; the health loop handles the corpse.
-        self._release_slot(worker, issued.wire_id)
-        verdict = self.book.retract(issued.wire_id)
-        if verdict is not None:
-            self._carry_out(verdict, worker, error=WorkerCrashed(
-                worker.name, "pipe broke at dispatch"))
-        return issued._replace(wire_id=None)
+        if not self._try_send(worker, self._request_msg(
+                worker, issued.wire_id, workload, feeds, deadline)):
+            # The worker died between routing and send: the slot was
+            # never delivered; the health loop handles the corpse.
+            self._release_slot(worker, issued.wire_id)
+            verdict = self.book.retract(issued.wire_id)
+            if verdict is not None:
+                self._carry_out(verdict, error=WorkerCrashed(
+                    worker.name, "pipe broke at dispatch"))
+        return request
 
     def infer(self, workload: str, feeds: dict[str, np.ndarray],
               timeout: float | None = None, tenant: str = "default",
@@ -538,27 +510,27 @@ class ClusterSupervisor:
                   reason=reason)
         raise ClusterShed(reason, worker)
 
-    def _route(self, workload: str,
-               exclude: str | None = None) -> _Worker | None:
-        """The live owner the book picks — the primary unless it is far
-        behind a replica (:meth:`RequestBook.route`) — or, for a hedge
-        (``exclude``: the worker it must not go back to), the first live
-        owner in ring order."""
+    def _route(self, workload: str) -> _Worker | None:
+        """The live owner the book picks: the primary unless it is far
+        behind a replica (:meth:`RequestBook.route`, ``routing.spilled``
+        when it is)."""
         with self._lock:
-            live = {name: w for name in self.owners_for(workload)
+            live = [w for name in self.owners_for(workload)
                     if (w := self._workers.get(name)) is not None
-                    and name != exclude and w.up and not w.draining}
+                    and w.up and not w.draining]
         if not live:
             return None
-        return live[next(iter(live)) if exclude is not None
-                    else self.book.route(list(live))]
+        chosen = self.book.route([w.name for w in live])
+        if chosen == live[0].name:
+            return live[0]
+        self.metrics.inc("routing.spilled")
+        return next(w for w in live if w.name == chosen)
 
     # ------------------------------------------------------------------
     # Carrying out the book's verdicts; the timer thread
     # ------------------------------------------------------------------
 
-    def _carry_out(self, verdict: Verdict, worker: _Worker | None = None,
-                   payload: dict | None = None,
+    def _carry_out(self, verdict: Verdict, payload: dict | None = None,
                    error: Exception | None = None) -> None:
         """Do what the book decided: ``payload`` is the reply a RESOLVE
         publishes, ``error`` what a FAIL does (deadline verdicts bring
@@ -567,60 +539,35 @@ class ClusterSupervisor:
             self.metrics.inc(name, by)
         request = verdict.request
         if verdict.action == RESOLVE:
-            # Ingress to reply, as the supervisor sees it: the adaptive
-            # hedge delay is this workload's p95, and the hedge timer
-            # races this clock, not the worker's execute time.
+            # Ingress to reply, as the supervisor sees it.
             self.metrics.observe_request(
                 time.monotonic() - request.enqueued_at,
                 workload=request.workload)
             if payload["degraded"]:
                 self.metrics.record_fallback(payload["reason"]
                                              or "unknown")
-            if ("hedge.won", 1) in verdict.counters:
-                obs_event("hedge_won", category="cluster",
-                          workload=request.workload, worker=worker.name)
             request.resolve(SessionReply(**payload))
         elif verdict.action is not None:
             if verdict.action == EXPIRE:
                 obs_event("deadline_expired", category="cluster",
                           workload=request.workload)
             request.fail(verdict.error or error)
-        # Best-effort cancel of every copy the settled request left out.
-        for wname, wire_id in verdict.cancel:
-            with self._lock:
-                w = self._workers.get(wname)
-            if w is not None and w.up:
-                self._try_send(w, ("cancel", wire_id))
 
     def _fail_inflight(self, worker: _Worker, why: str) -> None:
         """``worker`` is gone: fail what the book says was out on it."""
         for _, verdict in self.book.drain(worker.name):
             self.metrics.inc("requests.worker_crashed")
-            self._carry_out(verdict, worker,
-                            error=WorkerCrashed(worker.name, why))
+            self._carry_out(verdict, error=WorkerCrashed(worker.name, why))
 
     def _timer_loop(self) -> None:
         while not self._stopping:
             due, delay = self.book.pop_due()
-            for kind, entry in due:
-                if kind == DEADLINE:
-                    self._carry_out(self.book.expire(entry))
-                else:
-                    self._hedge(entry)
+            for entry in due:
+                self._carry_out(self.book.expire(entry))
             if not due:
                 self._timer_wake.wait(0.5 if delay is None
                                       else min(delay, 0.5))
                 self._timer_wake.clear()
-
-    def _hedge(self, entry: Entry) -> None:
-        """Hedge timer fired: re-issue to the next live replica that
-        isn't the routed worker — if the book allows it."""
-        target = self._route(entry.workload, exclude=entry.routed)
-        if (target is not None
-                and self._issue(entry, target, hedge=True).wire_id is not None):
-            obs_event("hedge_issued", category="cluster",
-                      workload=entry.workload, original=entry.routed,
-                      hedge=target.name)
 
     # ------------------------------------------------------------------
     # Receive / health / crash handling
@@ -646,6 +593,9 @@ class ClusterSupervisor:
             elif kind == "pong":
                 worker.health = msg[2]
             elif kind == "ready":
+                # A full ready cycle is the restart breaker's "success": a
+                # crash-looping worker keeps the failure streak instead.
+                self._breakers[worker.name].record_success()
                 worker.ready.set()
             elif kind == "armed":
                 worker.armed.set()
@@ -675,7 +625,7 @@ class ClusterSupervisor:
             pass        # a crash drain already took the id
         elif kind == "error":
             self.metrics.inc("requests.remote_errors")
-            self._carry_out(verdict, worker, error=_rebuild_error(
+            self._carry_out(verdict, error=_rebuild_error(
                 msg[2], msg[3], worker.name))
         else:
             payload = msg[2]
@@ -684,7 +634,7 @@ class ClusterSupervisor:
                 payload["outputs"] = worker.arena.read(wire_id, msg[3])
                 self.metrics.inc("wire.arena_bytes", sum(
                     a.nbytes for a in payload["outputs"].values()))
-            self._carry_out(verdict, worker, payload=payload)
+            self._carry_out(verdict, payload=payload)
         self._release_slot(worker, wire_id)     # terminal message
 
     def _handle_crash(self, worker: _Worker) -> None:
@@ -730,17 +680,14 @@ class ClusterSupervisor:
             pass
 
     def _restart(self, name: str) -> None:
+        """Fork a fresh generation and return: its ``ready`` closes the
+        breaker (receiver), and the health loop reaps one that is not
+        ready within ``start_timeout_s`` — no thread waits for it."""
         self.metrics.inc("workers.restarts")
         self._restarts[name] += 1
         obs_event("worker_restart", category="cluster", worker=name,
                   restarts=self._restarts[name])
-        fresh = self._spawn(name)
-        if fresh.ready.wait(self.config.start_timeout_s):
-            # A full ready cycle is the restart breaker's "success": a
-            # crash-looping worker keeps the failure streak instead.
-            self._breakers[name].record_success()
-        else:
-            self._handle_crash(fresh)
+        self._spawn(name)
 
     def _health_loop(self) -> None:
         interval = self.config.health_interval_s
@@ -755,6 +702,12 @@ class ClusterSupervisor:
                     if not w.proc.is_alive() or not self._try_send(
                             w, ("ping", next(self._ping_seq))):
                         self._handle_crash(w)
+                    elif not w.ready.is_set():
+                        # Forked but never ready: ``ready`` is the first
+                        # message a worker sends.
+                        if (time.monotonic() - w.last_heard
+                                > self.config.start_timeout_s):
+                            self._handle_crash(w)
                     elif (time.monotonic() - w.last_heard
                             > self.config.heartbeat_timeout_s):
                         # Hung, not dead: nothing at all from it for the
@@ -839,7 +792,7 @@ class ClusterSupervisor:
     _AGG_PREFIXES = ("cache.", "breaker.", "fallbacks", "requests",
                      "plans.", "faults.", "workers.", "lower.",
                      "compile_failures", "batches_dispatched",
-                     "request_errors", "deadline.", "hedge.", "retry.",
+                     "request_errors", "deadline.", "retry.",
                      "tunedb.")
 
     def aggregate(self) -> dict:

@@ -19,10 +19,6 @@ deadline)``                answer one inference request by the supervisor's
                            arrays are already in
                            this worker's :mod:`~repro.cluster.arena` slot —
                            or, in the one in-band case, the dict of arrays
-``("cancel", id)``         best-effort cancel (hedge lost / deadline expired
-                           supervisor-side): a cold-path request still in
-                           the in-process queue is failed, anything else
-                           runs to its own terminal message; idempotent
 ``("ping", seq)``          heartbeat; worker answers ``("pong", seq, health)``
 ``("stats", seq)``         request a metrics snapshot
 ``("arm", plan)``          arm failpoints in *this* process (tests/chaos)
@@ -74,12 +70,10 @@ from ..serve import (
 from ..serve.session import PENDING
 from .arena import SlotViews
 
-#: Chaos failpoints in the worker's pipe loop (armed only by tests):
-#: ``hang`` with a big delay makes the worker unresponsive to pings —
-#: the reap-a-hung-worker path; ``slow`` delays request intake only —
-#: the slow-replica path that forces supervisor hedges.
+#: Chaos failpoint in the worker's pipe loop (armed only by tests): a
+#: big delay makes the worker unresponsive to pings — the
+#: reap-a-hung-worker path.
 FP_HANG = faults.register("cluster.worker.hang")
-FP_SLOW = faults.register("cluster.worker.slow")
 
 #: Wire error kinds (worker → supervisor) and the exceptions they map to.
 ERR_OVERLOADED = "overloaded"
@@ -211,9 +205,6 @@ def worker_main(conn, config: WorkerConfig,
         registry.arm(name, spec)
     send_lock = threading.Lock()
     accepting = True
-    #: Cold-path request handles by wire id — the ``cancel`` book.
-    handles: dict[int, object] = {}
-    handles_lock = threading.Lock()
 
     def send(msg: tuple) -> None:
         with send_lock:
@@ -223,8 +214,6 @@ def worker_main(conn, config: WorkerConfig,
                 pass    # supervisor went away; nothing left to tell
 
     def on_done(req_id: int, slot: int | None, tail: int, request) -> None:
-        with handles_lock:
-            handles.pop(req_id, None)
         if request.error is not None:
             send(("error", req_id, error_kind(request.error),
                   f"{type(request.error).__name__}: {request.error}"))
@@ -276,10 +265,6 @@ def worker_main(conn, config: WorkerConfig,
                     send(("error", req_id, ERR_DRAINING,
                           f"worker {config.name} is draining"))
                     continue
-                try:
-                    faults.fire(FP_SLOW)    # slow replica (chaos)
-                except faults.FaultInjected:
-                    metrics.inc("faults.worker_slow")
                 if (deadline is not None
                         and time.monotonic() >= deadline):
                     metrics.inc("deadline.expired_ingress")
@@ -298,28 +283,11 @@ def worker_main(conn, config: WorkerConfig,
                         done(server.run_inline(workload, feeds, deadline))
                         continue
                     # Cold: the executor threads wait out the compile.
-                    handle = server.submit(workload, feeds,
-                                           deadline_s=deadline,
-                                           validated=True, on_done=done)
-                    with handles_lock:
-                        handles[req_id] = handle
-                    if handle.done():   # answered before we booked it
-                        with handles_lock:
-                            handles.pop(req_id, None)
+                    server.submit(workload, feeds, deadline_s=deadline,
+                                  validated=True, on_done=done)
                 except Exception as exc:  # noqa: BLE001 — typed over the wire
                     send(("error", req_id, error_kind(exc),
                           f"{type(exc).__name__}: {exc}"))
-            elif kind == "cancel":
-                # Only a cold-path request still queued is failed here
-                # (``cancel`` and ``start`` exclude each other: no thread
-                # will read its feeds).  Anything else is done, executing
-                # or behind this message in the pipe, and keeps its slot
-                # until its own terminal message.
-                with handles_lock:
-                    handle = handles.pop(msg[1], None)
-                if handle is not None and handle.cancel(TimeoutError(
-                        f"request {msg[1]} cancelled by supervisor")):
-                    metrics.inc("requests.cancelled")
             elif kind == "ping":
                 health = server.health()
                 send(("pong", msg[1], {

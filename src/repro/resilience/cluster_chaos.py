@@ -6,7 +6,7 @@ A phase script over the core in :mod:`repro.resilience.chaos` (``Run``,
 :class:`~repro.cluster.supervisor.ClusterSupervisor` — forked worker
 processes behind duplex pipes, consistent-hash sharding with replicas,
 admission control, heartbeat health checks, breaker-gated restarts,
-end-to-end deadlines, and hedged replica requests — then walks a seeded
+end-to-end deadlines, and backlog routing — then walks a seeded
 phase plan through every cluster-level failure mode the server target
 cannot reach:
 
@@ -18,11 +18,12 @@ cannot reach:
 * **hung worker reaped** — a ``cluster.worker.hang`` delay makes a
   worker stop answering pings without exiting; the health loop must
   reap and replace it;
-* **slow replica → hedge** — a ``cluster.worker.slow`` delay on the
-  routed worker forces the supervisor's hedge timer to re-issue to the
-  next replica; the hedge must win and the loser's reply is dropped;
+* **slow worker routed around** — every execution on a workload's
+  primary turns slow; its replies teach the request book the longer
+  execute time, and a burst must then spill past the primary to the
+  replica (``routing.spilled``) with every answer still right;
 * **deadline storm** — tiny budgets plus a ``cluster.dispatch`` delay
-  burn requests' budgets supervisor-side; expired work is cancelled at
+  burn requests' budgets supervisor-side; expired work is refused at
   the boundary and **nothing is ever answered past its deadline**;
 * **cold-path disk faults after restart** — the restarted worker
   re-arms the supervisor's fault plan at boot and must absorb schedule
@@ -38,10 +39,10 @@ cannot reach:
 Fleet-wide invariants asserted over the whole run: every accepted
 request resolves **exactly once**; every successful answer is finite
 and matches the unfused float64 reference to 1e-8; **zero** replies
-land past their end-to-end deadline; at least one hedge won, one
-restart recovered, one hung worker was reaped, one retry chain was
-deadline-capped, and the disk faults really fired; the final drain is
-clean.  The report lands in the ``cluster`` section of
+land past their end-to-end deadline; at least one request spilled past
+a slow primary, one restart recovered, one hung worker was reaped, one
+retry chain was deadline-capped, and the disk faults really fired; the
+final drain is clean.  The report lands in the ``cluster`` section of
 ``BENCH_robustness.json`` (merged next to the single-process chaos
 report, never clobbering it).
 """
@@ -73,8 +74,8 @@ _EXPIRABLE = (TimeoutError, ClusterShed)
 #: Rows for :func:`~repro.resilience.chaos.fault_invariants`: every
 #: fault path must leave evidence, not just "no errors".
 FLEET_FAULTS = (
-    ("hedge_won", (("hedges_issued",), ("hedges_won",)),
-     "hedges issued={hedges_issued} won={hedges_won}"),
+    ("slow_worker_spilled", (("requests_spilled",),),
+     "requests routed past a slow primary: {requests_spilled}"),
     ("restart_recovered", (("workers_crashed",), ("workers_restarted",)),
      "crashes={workers_crashed} restarts={workers_restarted}"),
     ("hung_worker_reaped", (("workers_hung",),),
@@ -102,7 +103,7 @@ def run_cluster_chaos(seed: int = 0, workers: int = 2,
     for invariant violations — the caller checks ``report.ok``)."""
     if workers < 2:
         raise ChaosError("cluster chaos needs at least 2 workers "
-                         "(hedging and failover target a replica)")
+                         "(failover and spilling target a replica)")
     faults.registry().seed(seed)
     graphs = {g.name: g for g in (make() for make in
                                   CHAOS_WORKLOADS.values())}
@@ -119,10 +120,6 @@ def run_cluster_chaos(seed: int = 0, workers: int = 2,
             restart_breaker_threshold=4,
             restart_breaker_reset_s=0.5,
             worker_queue_depth=64,
-            # Adaptive hedging stays quiet this early (< min samples);
-            # the slow-replica phase switches to a fixed delay.
-            hedge=True,
-            hedge_min_samples=10_000,
         )
         sup = ClusterSupervisor(graphs, config, metrics=ServeMetrics())
         sup.start()
@@ -177,26 +174,28 @@ def run_cluster_chaos(seed: int = 0, workers: int = 2,
                 run.infer("chaos_ln", 0, "hang_recovered", timeout=60.0,
                           expect=_SHEDDABLE)
 
-            # -- phase 4: slow replica forces a winning hedge ----------
-            def phase_hedge() -> None:
-                sup.config.hedge_delay_s = 0.05
-                sup.config.hedge_max_fraction = 0.5
-                arm(mlp_primary, {"cluster.worker.slow": "delay(400)"})
+            # -- phase 4: a slow worker is routed around ---------------
+            def phase_slow_worker() -> None:
+                # Slow replies raise the book's execute estimate for the
+                # workload; a burst then leaves the primary far enough
+                # behind its replica for the next copies to spill.
+                arm(mlp_primary, {"runtime.execute": "delay(40)"})
                 try:
-                    for i in range(4):
-                        run.infer("chaos_mlp", i, "hedge", timeout=20.0,
-                                  expect=_SHEDDABLE, wait=30.0)
-                        if sup.metrics.get("hedge.won") >= 2:
+                    for _ in range(4):
+                        burst = [run.submit("chaos_mlp", i, "slow_worker",
+                                            timeout=60.0, expect=_SHEDDABLE)
+                                 for i in range(8)]
+                        for flight in burst:
+                            if flight is not None:
+                                run.check(flight, wait=60.0)
+                        if sup.metrics.get("routing.spilled"):
                             break
                 finally:
-                    sup.config.hedge_delay_s = None
-                    sup.config.hedge_max_fraction = 0.1
                     sup.arm_faults(mlp_primary,
-                                   {"cluster.worker.slow": "delay(0)"})
+                                   {"runtime.execute": "delay(0)"})
 
             # -- phase 5: deadline storm — budgets die at the boundary -
             def phase_deadlines() -> None:
-                sup.config.hedge = False
                 # 30ms of supervisor-side routing burns a 15ms budget
                 # whole: the request must die at dispatch, typed, and
                 # never cross the wire.
@@ -212,13 +211,11 @@ def run_cluster_chaos(seed: int = 0, workers: int = 2,
                         run.infer("chaos_mlp", i, "deadline_tight",
                                   timeout=0.08, expect=_EXPIRABLE,
                                   wait=10.0)
-                sup.config.hedge = True
 
             # -- phases 6 and 7: a worker reborn into a boot fault plan -
             def phase_reborn(phase: str, worker: str, workload: str,
                              fault_plan: dict,
                              compile_deadline_s: float | None) -> None:
-                sup.config.hedge = False
                 sup.config.fault_plan = fault_plan
                 sup.config.compile_deadline_s = compile_deadline_s
                 try:
@@ -229,7 +226,6 @@ def run_cluster_chaos(seed: int = 0, workers: int = 2,
                 finally:
                     sup.config.fault_plan = {}
                     sup.config.compile_deadline_s = None
-                    sup.config.hedge = True
 
             # -- phase 8: burst deeper than the arena -----------------
             def phase_arena_overflow() -> None:
@@ -253,7 +249,7 @@ def run_cluster_chaos(seed: int = 0, workers: int = 2,
                       max(4, min(16, requests // 4)))
             run.phase("crash_recovery", phase_crash)
             run.phase("hang_reap", phase_hang)
-            run.phase("slow_hedge", phase_hedge)
+            run.phase("slow_worker", phase_slow_worker)
             run.phase("deadline_storm", phase_deadlines)
             # The reborn worker armed the plan at boot: its first compile
             # must absorb a disk-cache read error (counted miss ⇒ full
@@ -292,8 +288,7 @@ def run_cluster_chaos(seed: int = 0, workers: int = 2,
             "workers_crashed": snap.get("workers.crashed", 0),
             "workers_hung": snap.get("workers.hung", 0),
             "workers_restarted": snap.get("workers.restarts", 0),
-            "hedges_issued": snap.get("hedge.issued", 0),
-            "hedges_won": snap.get("hedge.won", 0),
+            "requests_spilled": snap.get("routing.spilled", 0),
             "deadline_expired_dispatch":
                 snap.get("deadline.expired_dispatch", 0),
             "deadline_expired_total":
@@ -302,7 +297,6 @@ def run_cluster_chaos(seed: int = 0, workers: int = 2,
             "retry_deadline_capped": total("retry.deadline_capped"),
             "cache_disk_errors": total("cache.disk_errors"),
             "tunedb_disk_errors": total("tunedb.disk_errors"),
-            "requests_cancelled": totals.get("requests.cancelled", 0),
             "arena_requests": snap.get("wire.arena_requests", 0),
             "inband_requests": snap.get("wire.inband_requests", 0),
             "arena_bytes": snap.get("wire.arena_bytes", 0),

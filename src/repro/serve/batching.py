@@ -301,8 +301,8 @@ class RequestQueue:
         while i < len(self._items):
             req = self._items[i]
             if req.done():
-                # Cancelled (or hedge-lost) while queued: the resolution
-                # already happened elsewhere, just drop it silently.
+                # Cancelled while queued: the resolution already
+                # happened elsewhere, just drop it silently.
                 del self._items[i]
                 continue
             remaining = req.remaining()

@@ -83,8 +83,7 @@ class ServeMetrics:
         self.queue_wait = Histogram()
         self.batch_sizes = Histogram(buckets=(1, 2, 4, 8, 16, 32, 64))
         self.queue_depths = Histogram(buckets=(0, 1, 2, 4, 8, 16, 32, 64))
-        #: Per-workload request latency — the online estimate behind the
-        #: supervisor's adaptive hedge delay (p95 per workload).
+        #: Per-workload request latency (exported as count and p95).
         self._workload_latency: dict[str, Histogram] = {}
 
     def _histograms(self) -> tuple[tuple[str, Histogram], ...]:
@@ -146,21 +145,6 @@ class ServeMetrics:
                 if hist is None:
                     hist = self._workload_latency[workload] = Histogram()
                 hist.observe(latency_s)
-
-    def workload_latency_quantile(self, workload: str, q: float,
-                                  min_samples: int = 1) -> float | None:
-        """Online latency quantile for one workload, or ``None`` until at
-        least ``min_samples`` requests have been observed.
-
-        The ``min_samples`` gate matters for hedging: the first requests
-        of a cold workload include compile time, and hedging off those
-        samples would double-compile the fleet for nothing.
-        """
-        with self._lock:
-            hist = self._workload_latency.get(workload)
-            if hist is None or hist.samples < min_samples:
-                return None
-            return hist.quantile(q)
 
     def observe_compile(self, latency_s: float) -> None:
         with self._lock:

@@ -137,8 +137,7 @@ def _graphs():
 
 def _config(tmp_path, **overrides):
     defaults = dict(workers=2, cache_dir=str(tmp_path / "cache"),
-                    health_interval_s=0.1, heartbeat_timeout_s=10.0,
-                    hedge=False)
+                    health_interval_s=0.1, heartbeat_timeout_s=10.0)
     defaults.update(overrides)
     return ClusterConfig(**defaults)
 

@@ -2,11 +2,11 @@
 
 A hypothesis state machine plays the supervisor shell against
 :class:`repro.cluster.book.RequestBook` on a virtual clock — open,
-issue, start the hedge clock, hedge, retract, reply, wire error,
-crash-drain, advance the clock and pop what is due, in any order — and
-checks the delivery invariants and each worker's backlog after every
-step.  Named examples below it pin the hedge timing, routing and the
-memory rule; the six completion races are in ``test_deadlines.py``.
+issue, retract, reply, wire error, crash-drain, advance the clock and
+pop what is due, in any order — and checks the delivery invariants and
+each worker's backlog after every step.  Named examples below it pin
+the deadline timer, routing and the memory rule; the completion races
+are in ``test_deadlines.py``.
 """
 
 import collections
@@ -27,7 +27,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.cluster import AdmissionController, AdmissionPolicy, ClusterConfig
+from repro.cluster import AdmissionController, AdmissionPolicy
 from repro.cluster import book as bk
 from repro.cluster.book import RequestBook
 from repro.serve import Request, WorkerCrashed
@@ -74,13 +74,11 @@ class CountingAdmission(AdmissionController):
 class Shell:
     """What ``ClusterSupervisor`` does with a verdict, minus the I/O."""
 
-    def __init__(self, per_worker: int = 64, **config) -> None:
+    def __init__(self, per_worker: int = 64) -> None:
         self.clock = Clock()
         self.admission = CountingAdmission(per_worker)
-        self.config = ClusterConfig(**config)
         self.counters = collections.Counter()
-        self.book = RequestBook(self.admission, self.config,
-                                lambda *a, **k: None, self.clock)
+        self.book = RequestBook(self.admission, self.clock)
 
     def open(self, timeout=None):
         request = Request(workload="mlp", feeds={}, timeout_s=timeout)
@@ -97,22 +95,11 @@ class Shell:
             verdict.request.fail(verdict.error or error)
         return verdict
 
-    def hedged_pair(self, timeout=None):
-        """One request out on ``wa`` with its hedge out on ``wb``."""
-        entry, request = self.open(timeout)
-        original = self.carry_out(self.book.issue(entry, "wa")).wire_id
-        hedge = self.carry_out(
-            self.book.issue(entry, "wb", hedge=True)).wire_id
-        return entry, request, original, hedge
-
 
 class BookMachine(RuleBasedStateMachine):
-    @initialize(fraction=st.sampled_from([0.1, 0.34, 1.0]),
-                delay=st.sampled_from([None, 0.05]),
-                execute_s=st.sampled_from([0.0005, 0.004, 0.3]))
-    def boot(self, fraction, delay, execute_s):
-        self.shell = Shell(per_worker=3, workers=3, replication=2,
-                           hedge_delay_s=delay, hedge_max_fraction=fraction)
+    @initialize(execute_s=st.sampled_from([0.0005, 0.004, 0.3]))
+    def boot(self, execute_s):
+        self.shell = Shell(per_worker=3)
         self.book = self.shell.book
         # One reply before the client's requests, so every copy they
         # book carries a non-zero expected execute time.
@@ -129,7 +116,7 @@ class BookMachine(RuleBasedStateMachine):
     # -- the shell's side of each event ----------------------------------
 
     def copies_of(self, rec):
-        return {(w, wid) for wid, (r, w) in self.live.items() if r is rec}
+        return {wid for wid, (r, _) in self.live.items() if r is rec}
 
     def apply(self, verdict, rec, error=None):
         """Carry out a verdict about ``rec``, checking what it publishes."""
@@ -139,37 +126,21 @@ class BookMachine(RuleBasedStateMachine):
                 "payload published past its deadline"
         if verdict.action == bk.FAIL:
             assert not self.copies_of(rec), \
-                "error published while a copy is still out"
+                "error published while the copy is still out"
         if verdict.action is not None:
             assert verdict.request is rec["request"]
-            assert set(verdict.cancel) == self.copies_of(rec)
         self.shell.carry_out(verdict, error)
+
+    def take(self, wire_id):
+        rec, _ = self.live.pop(wire_id)
+        del self.cost[wire_id]
+        return rec
 
     def finish(self, wire_id, verdict, error=None):
         """A verdict from settle/drain: the wire id is terminal."""
         assert wire_id not in self.terminal, "wire id terminal twice"
         self.terminal.add(wire_id)
-        rec, _ = self.live.pop(wire_id)
-        del self.cost[wire_id]
-        self.apply(verdict, rec, error)
-
-    def book_copy(self, wire_id, rec, worker, load_before):
-        self.live[wire_id] = (rec, worker)
-        self.cost[wire_id] = self.book.backlog(worker)[1] - load_before
-        assert self.cost[wire_id] >= 0.0
-
-    def try_hedge(self, rec, worker):
-        open_before = self.shell.admission.outstanding_total()
-        load_before = self.book.backlog(worker)[1]
-        verdict = self.book.issue(rec["entry"], worker, hedge=True)
-        self.shell.carry_out(verdict)
-        if verdict.wire_id is None:
-            return
-        assert rec["request"].resolutions == 0 and not rec["hedged"]
-        assert self.book.hedges_out <= max(1, math.floor(
-            self.shell.config.hedge_max_fraction * max(1, open_before)))
-        rec["hedged"] = verdict.wire_id
-        self.book_copy(verdict.wire_id, rec, worker, load_before)
+        self.apply(verdict, self.take(wire_id), error)
 
     # -- rules ------------------------------------------------------------
 
@@ -177,7 +148,7 @@ class BookMachine(RuleBasedStateMachine):
     def open(self, timeout):
         entry, request = self.shell.open(timeout)
         self.reqs.append({"entry": entry, "request": request,
-                          "state": "open", "hedged": None})
+                          "state": "open"})
 
     @precondition(lambda self: any(r["state"] == "open" for r in self.reqs))
     @rule(pick=PICK, worker=st.sampled_from(WORKERS))
@@ -194,34 +165,19 @@ class BookMachine(RuleBasedStateMachine):
         if verdict.wire_id is None:
             assert verdict.action == bk.DEAD
         else:
-            self.book_copy(verdict.wire_id, rec, worker, load_before)
+            assert verdict.action is None
+            self.live[verdict.wire_id] = (rec, worker)
+            self.cost[verdict.wire_id] = (self.book.backlog(worker)[1]
+                                          - load_before)
+            assert self.cost[verdict.wire_id] >= 0.0
         self.apply(verdict, rec)
-
-    @precondition(lambda self: any(r["state"] == "issued" for r in self.reqs))
-    @rule(pick=PICK)
-    def sent(self, pick):
-        rec = pick_from([r for r in self.reqs if r["state"] == "issued"],
-                        pick)
-        moved = self.book.arm_hedge(rec["entry"])   # however late it runs
-        if rec["request"].resolutions or self.book.hedge_delay("mlp") is None:
-            assert not moved
-
-    @precondition(lambda self: any(r["state"] == "issued" for r in self.reqs))
-    @rule(pick=PICK, worker=st.sampled_from(WORKERS))
-    def hedge(self, pick, worker):
-        rec = pick_from([r for r in self.reqs if r["state"] == "issued"],
-                        pick)
-        if worker != rec["entry"].routed:
-            self.try_hedge(rec, worker)
 
     @precondition(lambda self: self.live)
     @rule(pick=PICK)
     def retract(self, pick):
         wire_id = pick_from(sorted(self.live), pick)
-        rec, worker = self.live.pop(wire_id)
-        del self.cost[wire_id]
-        if rec["hedged"] == wire_id:
-            rec["hedged"] = None
+        worker = self.live[wire_id][1]
+        rec = self.take(wire_id)
         self.apply(self.book.retract(wire_id), rec,
                    WorkerCrashed(worker, "pipe broke at dispatch"))
         assert self.book.retract(wire_id) is None
@@ -251,16 +207,11 @@ class BookMachine(RuleBasedStateMachine):
     def timer(self):
         due, delay = self.book.pop_due()
         assert delay is None or delay > 0
-        recs = [next(r for r in self.reqs if r["entry"] is entry)
-                for _, entry in due]
-        assert not any(r["request"].resolutions for r in recs)  # skipped
-        for (kind, entry), rec in zip(due, recs):
-            if kind == bk.DEADLINE:
-                assert self.shell.clock.now >= entry.deadline
-                self.apply(self.book.expire(entry), rec)
-            else:
-                self.try_hedge(rec, next(
-                    w for w in WORKERS if w != entry.routed))
+        for entry in due:
+            rec = next(r for r in self.reqs if r["entry"] is entry)
+            assert not rec["request"].resolutions     # settled: skipped
+            assert self.shell.clock.now >= entry.deadline
+            self.apply(self.book.expire(entry), rec)
 
     # -- invariants -------------------------------------------------------
 
@@ -269,6 +220,7 @@ class BookMachine(RuleBasedStateMachine):
         for rec in self.reqs:
             n = rec["request"].resolutions
             assert n <= 1, "client Request resolved twice"
+            assert len(self.copies_of(rec)) <= 1, "a second wire copy"
             if rec["state"] == "issued" and not self.copies_of(rec):
                 assert n == 1, "no copy out, yet the client still waits"
             if rec["state"] != "issued":
@@ -279,10 +231,6 @@ class BookMachine(RuleBasedStateMachine):
         held = self.shell.admission.held
         assert +held == +collections.Counter(
             w for _, w in self.live.values())
-        assert self.shell.admission.outstanding_total() == len(self.live)
-        assert self.book.hedges_out == sum(
-            1 for wid, (rec, _) in self.live.items()
-            if rec["hedged"] == wid)
         for worker in WORKERS:
             mine = [wid for wid, (_, w) in self.live.items() if w == worker]
             out, load = self.book.backlog(worker)
@@ -297,7 +245,6 @@ class BookMachine(RuleBasedStateMachine):
             self.crash(worker)
         self.exactly_once()
         assert not self.live and not +self.shell.admission.held
-        assert self.book.hedges_out == 0
         assert all(self.book.backlog(w) == (0, 0.0) for w in WORKERS)
 
 
@@ -308,71 +255,9 @@ TestBookMachine.settings = settings(max_examples=1000, stateful_step_count=14,
                                     deadline=None)
 
 
-class TestHedgeTiming:
-    """What ``test_hedge_wins_on_slow_replica`` used to bound with a wall
-    clock and two gauges, on a virtual one."""
-
-    def test_hedge_due_at_delay_then_replica_wins_and_original_is_wasted(self):
-        shell = Shell(workers=2, replication=2, hedge_delay_s=0.05,
-                      hedge_max_fraction=0.5)
-        book, t0 = shell.book, shell.clock.now
-        entry, request = shell.open(timeout=30.0)
-        issued = book.issue(entry, "wa")
-        assert issued.head_moved and entry.deadline == t0 + 30.0
-        assert book.arm_hedge(entry)        # sent: now the earliest due-time
-        shell.clock.now = t0 + 0.049
-        due, delay = book.pop_due()
-        assert due == [] and math.isclose(delay, 0.001)
-        shell.clock.now = t0 + 0.05
-        due, delay = book.pop_due()
-        assert due == [(bk.HEDGE, entry)] and math.isclose(delay, 29.95)
-        hedge = shell.carry_out(book.issue(entry, "wb", hedge=True))
-        assert entry.deadline == t0 + 30.0  # the wire's deadline: same budget
-        assert book.hedges_out == 1
-        shell.clock.now = t0 + 0.06         # the replica answers
-        won = shell.carry_out(book.settle(hedge.wire_id))
-        assert won.action == bk.RESOLVE
-        assert won.cancel == (("wa", issued.wire_id),)
-        assert request.reply == "reply" and book.hedges_out == 0
-        shell.clock.now = t0 + 1.5          # the slow original, at last
-        assert shell.carry_out(book.settle(issued.wire_id)).action is None
-        assert request.resolutions == 1
-        assert shell.counters == {"hedge.issued": 1, "hedge.won": 1,
-                                  "hedge.wasted": 1}
-        assert shell.admission.outstanding_total() == 0
-
-    def test_hedges_capped_at_fraction_of_open_copies(self):
-        shell = Shell(workers=2, replication=2, hedge_delay_s=0.05,
-                      hedge_max_fraction=0.5)
-        entries = [shell.open()[0] for _ in range(4)]
-        for entry in entries:
-            shell.book.issue(entry, "wa")
-        for entry in entries:       # 4 open -> 2; 5 open -> 2; 6 open -> 3
-            shell.carry_out(shell.book.issue(entry, "wb", hedge=True))
-        assert shell.book.hedges_out == 3
-        assert shell.counters == {"hedge.issued": 3, "hedge.suppressed": 1}
-
-    def test_one_hedge_always_allowed(self):
-        shell = Shell(workers=2, replication=2, hedge_max_fraction=0.01)
-        entry, _ = shell.open()
-        shell.book.issue(entry, "wa")
-        assert shell.book.issue(entry, "wb", hedge=True).wire_id is not None
-        again = shell.book.issue(entry, "wb", hedge=True)    # at most one
-        assert again.wire_id is None and again.counters == ()
-
-    def test_no_hedge_due_time_without_replica_or_when_disabled(self):
-        for config in (dict(hedge=False), dict(replication=1),
-                       dict(workers=1), dict(hedge_delay_s=None)):
-            shell = Shell(**{"workers": 2, "replication": 2,
-                             "hedge_delay_s": 0.01, **config})
-            assert shell.book.hedge_delay("mlp") is None
-            entry, _ = shell.open()
-            shell.book.issue(entry, "wa")
-            assert not shell.book.arm_hedge(entry)
-            assert shell.book.pop_due() == ([], None)
-
+class TestDeadlineTimer:
     def test_timer_woken_only_when_the_earliest_due_time_moves(self):
-        shell = Shell(hedge=False)
+        shell = Shell()
         moved = [shell.book.issue(shell.open(timeout=t)[0], "wa").head_moved
                  for t in (5.0, 9.0, 5.0, 2.0, None)]
         assert moved == [True, False, False, True, False]
@@ -439,6 +324,17 @@ class TestRouting:
         self.out_on(shell, "wa", 1)
         assert shell.book.route(["wa", "wb"]) == "wb"
 
+    def test_a_primary_turning_slow_spills_to_its_replica(self):
+        """No second copy rescues a request stuck on a slow worker; the
+        next ones go elsewhere once its replies teach the slowdown."""
+        shell = Shell()
+        self.teach(shell, 0.0005)
+        self.out_on(shell, "wa", 3)         # 1.5 ms out: stays
+        assert shell.book.route(["wa", "wb"]) == "wa"
+        self.teach(shell, 0.040)            # a slow reply: estimate 8.4 ms
+        self.out_on(shell, "wa", 1)
+        assert shell.book.route(["wa", "wb"]) == "wb"
+
     def test_least_loaded_spare_of_several(self):
         shell = Shell()
         self.teach(shell, 0.004)
@@ -449,20 +345,19 @@ class TestRouting:
 
 class TestSettledEntriesPinNothing:
     def test_request_collectable_once_resolved_with_deadline_ahead(self):
-        shell = Shell(workers=2, replication=2, hedge_delay_s=0.05)
+        shell = Shell()
         entry, request = shell.open(timeout=30.0)
         wire_id = shell.book.issue(entry, "wa").wire_id
-        shell.book.arm_hedge(entry)
         shell.carry_out(shell.book.settle(wire_id))
         ref = weakref.ref(request)
         del request
         gc.collect()
         assert ref() is None
-        # Its two due-times were still booked; they are dropped unfired.
+        # Its deadline was still booked; it is dropped unfired.
         assert shell.book.pop_due() == ([], None)
 
     def test_settled_due_times_at_the_head_do_not_delay_the_next(self):
-        shell = Shell(hedge=False)
+        shell = Shell()
         first, _ = shell.open(timeout=1.0)
         second, _ = shell.open(timeout=2.0)
         wire_id = shell.book.issue(first, "wa").wire_id

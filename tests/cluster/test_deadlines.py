@@ -1,5 +1,5 @@
-"""End-to-end deadline propagation, hedged replicas, graceful signals,
-and the exactly-once completion funnel.
+"""End-to-end deadline propagation, graceful signals, and the
+exactly-once completion funnel.
 
 The process-level tests fork real workers (chaos-sized workloads, all
 context-managed); the race tests drive the request book directly, where
@@ -15,11 +15,10 @@ import pytest
 
 from repro.cluster import ClusterConfig, ClusterSupervisor
 from repro.cluster import book
-from repro.cluster.admission import PRIORITY_NORMAL
 from repro.models import layernorm_graph, mlp_graph
 from repro.resilience import faults
 from repro.runtime.kernels import execute_graph_reference, random_feeds
-from repro.serve import HAVE_FCNTL, Request, WorkerCrashed
+from repro.serve import HAVE_FCNTL, WorkerCrashed
 
 from .test_book import Shell
 
@@ -100,66 +99,6 @@ class TestDeadlinePropagation:
             assert sup.metrics.get("deadline.expired_dispatch") == 0
 
 
-class TestHedging:
-    def test_hedge_wins_on_slow_replica(self, tmp_path):
-        """A slow routed worker forces the hedge timer to re-issue to
-        the replica, and the hedge answers correctly.  (When the hedge
-        falls due, that the late original is counted wasted, and the
-        cap on outstanding hedges are virtual-clock examples in
-        ``test_book.py::TestHedgeTiming``.)"""
-        graphs = _graphs()
-        config = _config(tmp_path, replication=2, hedge_delay_s=0.05,
-                         hedge_max_fraction=0.5)
-        expected = execute_graph_reference(graphs["mlp"],
-                                           random_feeds(graphs["mlp"],
-                                                        seed=0))
-        with ClusterSupervisor(graphs, config) as sup:
-            for name in graphs:        # warm both shards' compiles
-                sup.infer(name, random_feeds(graphs[name], seed=0),
-                          timeout=60.0)
-            primary = sup.owners_for("mlp")[0]
-            assert sup.arm_faults(primary,
-                                  {"cluster.worker.slow": "delay(1500)"})
-            for _ in range(2):      # the first may find the replica cold
-                reply = sup.infer("mlp",
-                                  random_feeds(graphs["mlp"], seed=0),
-                                  timeout=30.0)
-                for name, arr in expected.items():
-                    np.testing.assert_allclose(reply.outputs[name], arr,
-                                               atol=1e-8)
-            assert sup.metrics.get("hedge.issued") >= 1
-            _wait(lambda: sup.metrics.get("hedge.won") >= 1, timeout_s=5.0)
-            assert sup.metrics.get("hedge.won") >= 1
-
-    def test_adaptive_delay_is_the_supervisors_latency(self, tmp_path):
-        """The hedge timer races ingress-to-reply, so the adaptive delay
-        is the p95 of that — never of the worker's execute time, which
-        every reply also reports (``latency_s``) and which a request
-        waiting behind others on its worker far outlives."""
-        sup = ClusterSupervisor(_graphs(),
-                                _config(tmp_path, hedge_min_samples=5))
-        for _ in range(5):
-            request = Request(workload="mlp", feeds={})
-            request.enqueued_at -= 0.2      # 200 ms since ingress
-            entry = sup.book.open(request, "mlp", "default",
-                                  PRIORITY_NORMAL, None)
-            wire_id = sup.book.issue(entry, "w0").wire_id
-            sup._carry_out(sup.book.settle(wire_id), payload={
-                "outputs": {}, "degraded": False, "reason": None,
-                "latency_s": 1e-5})
-            assert request.result(timeout=0).latency_s == 1e-5
-        assert sup.book.hedge_delay("mlp") >= 0.2
-
-    def test_no_hedge_without_replica_or_when_disabled(self, tmp_path):
-        graphs = _graphs()
-        config = _config(tmp_path, hedge=False, hedge_delay_s=0.01)
-        with ClusterSupervisor(graphs, config) as sup:
-            sup.infer("mlp", random_feeds(graphs["mlp"], seed=0),
-                      timeout=60.0)
-            assert sup.metrics.get("hedge.issued") == 0
-            assert sup.book.hedge_delay("mlp") is None
-
-
 class TestGracefulSignals:
     def test_worker_sigterm_drains_and_exits_zero(self, tmp_path):
         """SIGTERM to one worker process: it finishes in-flight work and
@@ -215,45 +154,22 @@ class TestExactlyOnceRaces:
     through the request book's public methods on a virtual clock (the
     book is where the supervisor decides all of them)."""
 
-    def test_hedge_winner_then_original_resolves_once(self):
-        shell = Shell(workers=2, replication=2)
-        _, request, original, hedge = shell.hedged_pair()
-        won = shell.carry_out(shell.book.settle(hedge))       # hedge wins
-        assert won.action == book.RESOLVE
-        assert won.cancel == (("wa", original),)
-        shell.carry_out(shell.book.settle(original))          # loser lands
-        assert request.resolutions == 1
-        assert request.error is None
-        assert shell.counters["hedge.won"] == 1
-        assert shell.counters["hedge.wasted"] == 1
-        assert shell.book.hedges_out == 0
-
-    def test_original_beats_hedge_no_double_resolution(self):
-        shell = Shell(workers=2, replication=2)
-        _, request, original, hedge = shell.hedged_pair()
-        won = shell.carry_out(shell.book.settle(original))
-        assert won.cancel == (("wb", hedge),)
-        shell.carry_out(shell.book.settle(hedge))
-        assert request.resolutions == 1
-        assert shell.counters["hedge.won"] == 0
-        assert shell.counters["hedge.wasted"] == 1
-        assert shell.book.hedges_out == 0
-
     def test_expiry_racing_reply_withholds_the_result(self):
-        shell = Shell(hedge=False)
+        shell = Shell()
         entry, request = shell.open(timeout=10.0)
         wire_id = shell.book.issue(entry, "wa").wire_id
         shell.clock.now += 10.0
-        assert shell.book.pop_due() == ([(book.DEADLINE, entry)], None)
+        assert shell.book.pop_due() == ([entry], None)
         expired = shell.carry_out(shell.book.expire(entry))   # timer first
-        assert expired.cancel == (("wa", wire_id),)
+        assert expired.action == book.EXPIRE
+        assert shell.book.backlog("wa") == (1, 0.0)   # still out on wa
         assert shell.carry_out(shell.book.settle(wire_id)).action is None
         assert request.resolutions == 1
         assert isinstance(request.error, TimeoutError)
         assert shell.counters == {"deadline.expired_supervisor": 1}
 
     def test_reply_past_deadline_is_never_published(self):
-        shell = Shell(hedge=False)
+        shell = Shell()
         entry, request = shell.open(timeout=1.0)
         wire_id = shell.book.issue(entry, "wa").wire_id
         shell.clock.now += 1.01         # the timer thread has not run yet
@@ -265,29 +181,18 @@ class TestExactlyOnceRaces:
 
     def test_crash_drain_skips_already_resolved_requests(self):
         """A crash drains the dead worker's copies through the same
-        funnel: a request whose reply already resolved it must not be
+        funnel: a request the deadline already resolved must not be
         failed again by the crash sweep."""
-        shell = Shell(workers=2, replication=2)
-        _, request, original, hedge = shell.hedged_pair()
-        shell.carry_out(shell.book.settle(hedge))
-        (wire_id, verdict), = shell.book.drain("wa")
+        shell = Shell()
+        entry, request = shell.open(timeout=1.0)
+        wire_id = shell.book.issue(entry, "wa").wire_id
+        shell.clock.now += 1.0
+        shell.carry_out(shell.book.expire(entry))
+        (drained, verdict), = shell.book.drain("wa")
         shell.carry_out(verdict, WorkerCrashed("wa", "died mid-flight"))
-        assert wire_id == original and verdict.action is None
+        assert drained == wire_id and verdict.action is None
         assert request.resolutions == 1
-        assert request.error is None
-
-    def test_first_copy_error_held_until_last_copy_fails(self):
-        """An error on one copy while another is still out must wait:
-        only the final copy's failure fails the request."""
-        shell = Shell(workers=2, replication=2)
-        _, request, _, hedge = shell.hedged_pair()
-        (_, verdict), = shell.book.drain("wa")
-        shell.carry_out(verdict, WorkerCrashed("wa", "died mid-flight"))
-        assert not request.done()                 # hedge may still win
-        shell.carry_out(shell.book.settle(hedge, failed=True),
-                        WorkerCrashed("wb", "also died"))
-        assert request.resolutions == 1
-        assert isinstance(request.error, WorkerCrashed)
+        assert isinstance(request.error, TimeoutError)
 
 
 class TestSlotLifetime:
@@ -296,16 +201,14 @@ class TestSlotLifetime:
 
     def test_slot_outlives_expiry_until_the_workers_terminal_message(
             self, tmp_path, monkeypatch):
-        """Two copies expire client-side while the first executes on the
-        worker's pipe thread and the second waits in the pipe behind it.
-        Neither cancel takes — ``cancel`` stops only a cold-path request
-        still in the worker's in-process queue — so the first keeps its
-        slot until its execution's terminal message.  The copy behind is
+        """Two requests expire client-side while the first executes on
+        the worker's pipe thread and the second waits in the pipe behind
+        it.  Nothing is sent to the worker on expiry, so the first keeps
+        its slot until its execution's terminal message.  The one behind is
         read only then, past the supervisor's deadline it carries, and is
         refused at ingress without executing; its error frees its slot."""
         graphs = _graphs()
-        config = _config(tmp_path, hedge=False)
-        with ClusterSupervisor(graphs, config) as sup:
+        with ClusterSupervisor(graphs, _config(tmp_path)) as sup:
             sup.infer("mlp", random_feeds(graphs["mlp"], seed=0),
                       timeout=60.0)
             name = sup.owners_for("mlp")[0]
@@ -330,52 +233,7 @@ class TestSlotLifetime:
                          interval_s=0.01)
             assert released == held
             stats = sup.request_stats(name)
-            assert stats.get("requests.cancelled", 0) == 0
             assert stats["deadline.expired_publish"] == 1
             assert stats["deadline.expired_ingress"] == 1
             assert stats["requests.submitted"] == submitted + 1
             assert executing.resolutions == behind.resolutions == 1
-
-    def test_hedge_lives_in_the_targets_arena_and_loser_frees_its_own(
-            self, tmp_path):
-        graphs = _graphs()
-        config = _config(tmp_path, replication=2, hedge_delay_s=0.05,
-                         hedge_max_fraction=0.5)
-        feeds = random_feeds(graphs["mlp"], seed=3)
-        expected = execute_graph_reference(graphs["mlp"], feeds)
-        with ClusterSupervisor(graphs, config) as sup:
-            primary, replica = sup.owners_for("mlp")[:2]
-            sup.infer("mlp", random_feeds(graphs["mlp"], seed=0),
-                      timeout=60.0)
-            assert _wait(lambda: not sup._workers[primary].arena.held()
-                         and not sup._workers[replica].arena.held(),
-                         timeout_s=30.0)    # a cold compile may hedge too
-            issued_before = sup.metrics.get("hedge.issued")
-            a_primary = sup._workers[primary].arena
-            a_replica = sup._workers[replica].arena
-            assert a_primary is not a_replica
-            assert sup.arm_faults(primary,
-                                  {"cluster.worker.slow": "delay(600)"})
-            seen = []
-            req = sup.submit("mlp", feeds, timeout=30.0,
-                             on_done=lambda _r: seen.append(
-                                 (a_primary.held(), a_replica.held())))
-            reply = req.result(timeout=30.0)
-            for out, arr in expected.items():
-                np.testing.assert_allclose(reply.outputs[out], arr,
-                                           atol=1e-8)
-            assert sup.metrics.get("hedge.issued") == issued_before + 1
-            # When the hedge answered, each copy sat in its own worker's
-            # arena; the winner's slot goes with its reply, the loser's
-            # only when the slow worker finally sends its own.
-            at_win_primary, at_win_replica = seen[0]
-            assert len(at_win_primary) == 1 and len(at_win_replica) == 1
-            assert set(at_win_primary).isdisjoint(at_win_replica)
-            assert _wait(lambda: not a_replica.held(), timeout_s=1.0,
-                         interval_s=0.01)
-            assert len(a_primary.held()) == 1
-            assert _wait(lambda: not a_primary.held(), timeout_s=5.0)
-            assert _wait(lambda: sup.metrics.get("hedge.wasted")
-                         + sup.metrics.get("requests.remote_errors") >= 1,
-                         timeout_s=5.0)
-            assert req.resolutions == 1

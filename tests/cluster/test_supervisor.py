@@ -21,6 +21,7 @@ from repro.cluster import (
     ClusterShed,
     ClusterSupervisor,
 )
+from repro.cluster import supervisor as supervisor_module
 from repro.models import layernorm_graph, mlp_graph
 from repro.runtime.kernels import execute_graph_reference, random_feeds
 from repro.serve import HAVE_FCNTL, InvalidRequestError, WorkerCrashed
@@ -41,6 +42,11 @@ def _config(tmp_path, **overrides):
                     health_interval_s=0.1, heartbeat_timeout_s=10.0)
     defaults.update(overrides)
     return ClusterConfig(**defaults)
+
+
+def _never_ready(conn, config, arena=None):
+    """A worker process that forks fine and never says ``ready``."""
+    time.sleep(60.0)
 
 
 def _wait(predicate, timeout_s=60.0, interval_s=0.05):
@@ -109,7 +115,7 @@ class TestServing:
         the fourth goes to the replica."""
         graphs = _graphs()
         feeds = [random_feeds(graphs["mlp"], seed=s) for s in range(4)]
-        with ClusterSupervisor(graphs, _config(tmp_path, hedge=False)) as sup:
+        with ClusterSupervisor(graphs, _config(tmp_path)) as sup:
             primary, replica = sup.owners_for("mlp")
             assert sup.arm_faults(primary, {"runtime.execute": "delay(300)"})
             # Answered by the primary: teaches the book it takes 0.3 s.
@@ -125,6 +131,7 @@ class TestServing:
                                                atol=1e-8)
             after = {w: sup.request_stats(w)["requests.submitted"]
                      for w in (primary, replica)}
+            assert sup.metrics.get("routing.spilled") == 1
         assert after[primary] - before[primary] == 3
         assert after[replica] - before[replica] == 1
 
@@ -259,6 +266,36 @@ class TestCrashRecovery:
                              timeout=60.0).outputs
         assert not multiprocessing.active_children()
 
+    def test_restart_that_never_becomes_ready_blocks_no_thread(
+            self, tmp_path, monkeypatch):
+        """A restart forks and returns.  The health loop that probed it
+        keeps pinging the rest of the fleet while the fresh generation
+        boots, and reaps one that is not ready within
+        ``start_timeout_s``; the next probe brings a real worker back."""
+        graphs = _graphs()
+        config = _config(tmp_path, start_timeout_s=2.0,
+                         restart_breaker_threshold=1,
+                         restart_breaker_reset_s=0.2)
+        with ClusterSupervisor(graphs, config) as sup:
+            monkeypatch.setattr(supervisor_module, "worker_main",
+                                _never_ready)
+            sup.kill_worker("w0")
+            # The breaker opens at the kill; the health loop's half-open
+            # probe forks the generation that never becomes ready.
+            assert _wait(lambda: sup.metrics.get("workers.restarts") >= 1)
+            probed, stale = time.monotonic(), 0.0
+            while (sup.metrics.get("workers.crashed") < 2
+                   and time.monotonic() - probed < 30.0):
+                stale = max(stale, time.monotonic()
+                            - sup._workers["w1"].last_heard)
+                time.sleep(0.02)
+            assert sup.metrics.get("workers.crashed") == 2
+            assert stale < 1.0      # w1 answered a ping every round
+            monkeypatch.undo()
+            assert _wait(lambda: sup._workers["w0"].ready.is_set())
+            assert sup.infer("mlp", random_feeds(graphs["mlp"], seed=0),
+                             timeout=60.0).outputs
+
     def test_breaker_keeps_crashlooper_down_then_probes(self, tmp_path):
         graphs = {"ln": _graphs()["ln"]}
         config = _config(tmp_path, workers=1,
@@ -319,8 +356,7 @@ class TestArenaOwnership:
         process is reaped, and the restarted generation answers
         correctly out of the very same arena."""
         graphs = _graphs()
-        config = _config(tmp_path, hedge=False)
-        with ClusterSupervisor(graphs, config) as sup:
+        with ClusterSupervisor(graphs, _config(tmp_path)) as sup:
             sup.infer("mlp", random_feeds(graphs["mlp"], seed=0),
                       timeout=60.0)
             name = sup.owners_for("mlp")[0]

@@ -228,8 +228,8 @@ class TestRunCore:
     def test_duplicate_resolution_fails_exactly_once(self, harness):
         target, run = harness
         target.script = [{}, {"resolutions": 2}]
-        run.infer("mlp", 0, "hedge")
-        run.infer("mlp", 1, "hedge")
+        run.infer("mlp", 0, "steady")
+        run.infer("mlp", 1, "steady")
         verdict = run.exactly_once("once")
         assert not verdict.ok and "multi=[2]" in verdict.detail
 
@@ -274,7 +274,7 @@ class TestReportMerge:
             invariants=[Invariant("drains_clean", True)])
         cluster = ChaosReport(
             mode="cluster", seed=2, sections={"workers": 2},
-            requests={"warmup": 4}, exercised={"hedges_won": 1},
+            requests={"warmup": 4}, exercised={"requests_spilled": 1},
             invariants=[Invariant("drains_clean", False, "stranded")])
         return server, cluster
 
