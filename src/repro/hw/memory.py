@@ -20,18 +20,20 @@ from __future__ import annotations
 from collections import OrderedDict
 
 
-def streaming_hit_rate(footprint: int, capacity: int) -> float:
+def streaming_hit_rate(footprint, capacity: int, hi=max):
     """Fraction of *re-accessed* bytes that hit a cache of ``capacity``
     while a working set of ``footprint`` bytes streams through it.
 
     Reuse-distance approximation: a re-access hits iff the bytes touched
     since the previous access fit in the cache.  For a uniformly mixed
     stream the expected fraction is ``capacity / footprint``, clamped to
-    [0, 1]; a footprint that fits entirely always hits.
+    [0, 1]; a footprint that fits entirely always hits.  ``footprint`` is
+    an int with ``hi=max``, or an int64 array (one working set per
+    configuration) with ``hi=np.maximum``.
     """
-    if footprint <= 0:
-        return 1.0
-    return max(0.0, min(1.0, capacity / footprint))
+    if capacity <= 0:
+        return 1.0 * (footprint <= 0)  # only an empty working set fits
+    return capacity / hi(footprint, capacity)
 
 
 class L2State:

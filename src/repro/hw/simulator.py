@@ -38,8 +38,10 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from ..core.autotuner import config_sort_key
-from ..core.resources import BlockFootprint
+from ..core.resources import BlockFootprint, footprint_of
 from ..core.schedule import KernelSchedule, ProgramSchedule, ScheduleConfig
 from ..ir.ops import ceil_div
 from ..ir.tensor import DTYPE_BYTES
@@ -58,6 +60,11 @@ _DRAM_EFFICIENCY = 0.80
 #: block rasterisation (swizzled scheduling shares slices between
 #: neighbours even when the working set overflows the cache).
 _L2_SPILL_REUSE = 0.25
+#: The formula's operators ``(lo, hi, where, to_int)``: plain Python for
+#: one configuration, numpy for a whole search space at once (``np.int64``
+#: truncates an array toward zero the way ``int`` truncates a float).
+_SCALAR = (min, max, lambda c, a, b: a if c else b, int)
+_ARRAYS = (np.minimum, np.maximum, np.where, np.int64)
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,7 @@ class KernelTrafficPlan:
         #: ``(dim, size)`` of the spatially sliced dimensions, grid order.
         self.spatial = [(d, kernel.smg.dim_size(d))
                         for d in kernel.spatial_dims]
-        self.footprint = BlockFootprint(kernel)
+        self.footprint: BlockFootprint = footprint_of(kernel)
         inputs = set(graph.input_tensors)
         if plan is None:
             ops = graph.ops
@@ -184,6 +191,8 @@ class KernelTrafficPlan:
         #: Streamed inputs in name order, then what the kernel stores.
         self.inputs = [row(t, reads[t] * multiplier) for t in sorted(reads)]
         self.outputs = [row(t, 0.0) for t in graph.output_tensors]
+        #: Whether any input is read twice (only re-reads can hit in L1).
+        self.rereads = any(row.passes > 1 for row in self.inputs)
 
 
 class KernelNumbers(NamedTuple):
@@ -232,6 +241,9 @@ class DeviceSimulator:
         # so remembering the last kernel's plan is enough.  One tuple,
         # matched by identity: (kernel, plan, *this architecture's terms).
         self._last_plan: tuple | None = None
+        # Beside it, once a campaign is under way: (kernel, (efficiency,
+        # output_spill_factor), {config: seconds}) over its search space.
+        self._last_times: tuple | None = None
 
     def _plan(self, kernel: KernelSchedule) -> tuple:
         """``(kernel, plan, tensor-core flops, weighted SIMT flops, raw L2
@@ -266,22 +278,26 @@ class DeviceSimulator:
     # Efficiency factors
     # ------------------------------------------------------------------
 
-    def _gemm_efficiency(self, kernel: KernelSchedule,
-                         config: ScheduleConfig) -> float:
+    def _gemm_efficiency(self, kernel: KernelSchedule, config,
+                         ops=_SCALAR) -> float:
         """Tensor-core utilisation as a function of block geometry: small
         blocks cannot feed the MMA pipelines (this is what makes block-size
         tuning matter)."""
+        lo, hi, where, _ = ops
         extents = [b for _d, b in config.block]
         if config.tile is not None:
             extents.append(config.tile)
-        extents = sorted((e for e in extents if e > 1), reverse=True)
-        first = extents[0] if extents else 1
-        second = extents[1] if len(extents) > 1 else first
-        shape_factor = min(1.0, first / 64.0) ** 0.5 * min(1.0, second / 32.0) ** 0.5
+        # The two largest extents above 1 (the second is the first if alone).
+        first = second = 1
+        for e in extents:
+            second = hi(second, lo(first, e))
+            first = hi(first, e)
+        second = where(second > 1, second, first)
+        shape_factor = lo(1.0, first / 64.0) ** 0.5 * lo(1.0, second / 32.0) ** 0.5
         manual = kernel.meta.get("efficiency", 1.0)
-        return max(0.05, _GEMM_BASE_EFFICIENCY * shape_factor * manual)
+        return hi(0.05, _GEMM_BASE_EFFICIENCY * shape_factor * manual)
 
-    def _occupancy(self, footprint: BlockFootprint, config: ScheduleConfig,
+    def _occupancy(self, footprint: BlockFootprint, config, ops=_SCALAR,
                    ) -> tuple[int, float]:
         """(blocks per SM, memory-latency-hiding factor).
 
@@ -290,26 +306,31 @@ class DeviceSimulator:
         flight; each resident block sustains ``mlp_per_block`` outstanding
         cache lines, so low occupancy leaves the memory pipeline
         under-fed and caps achievable bandwidth."""
+        lo, hi, _, _ = ops
         spec = self.spec
-        res = footprint.estimate(config, self._rc)
-        by_smem = max(1, spec.smem_per_sm // max(res.smem_bytes, 1))
-        by_regs = max(1, spec.regfile_per_sm // max(res.reg_bytes, 1))
-        bps = max(1, min(spec.max_blocks_per_sm, by_smem, by_regs))
-        inflight = bps * spec.mlp_per_block * spec.line_bytes * spec.sm_count
+        smem, regs = footprint.usage(config.block, config.tile, self._rc,
+                                     lo, hi)
+        by_smem = hi(1, spec.smem_per_sm // hi(smem, 1))
+        by_regs = hi(1, spec.regfile_per_sm // hi(regs, 1))
+        bps = hi(1, lo(lo(spec.max_blocks_per_sm, by_smem), by_regs))
+        inflight = bps * (spec.mlp_per_block * spec.line_bytes
+                          * spec.sm_count)
         needed = spec.dram_bandwidth * _DRAM_EFFICIENCY * spec.dram_latency
-        hide = min(1.0, inflight / max(needed, 1.0))
+        hide = lo(1.0, inflight / max(needed, 1.0))
         return bps, hide
 
     # ------------------------------------------------------------------
     # Kernel cost
     # ------------------------------------------------------------------
 
-    def _evaluate(self, kernel: KernelSchedule,
-                  config: ScheduleConfig | None, l2: L2State | None,
-                  launch_overhead: float | None) -> KernelNumbers:
+    def _evaluate(self, kernel: KernelSchedule, config, l2: L2State | None,
+                  launch_overhead: float | None, ops=_SCALAR) -> KernelNumbers:
         """The one place the traffic and time formulas live: arithmetic
-        on the kernel's plan, nothing read from the graph."""
+        on the kernel's plan, nothing read from the graph.  ``config``
+        (``None``: the kernel's effective one) holds ints (``_SCALAR``) or
+        a search space's int64 arrays (``_ARRAYS``: the numbers too)."""
         spec = self.spec
+        lo, hi, where, to_int = ops
         _, plan, ftc, fsimt, l2_hit_raw, reuse_miss_frac = self._plan(kernel)
         cfg = config or kernel.effective_config()
         blocks = dict(reversed(cfg.block))  # first entry for a dim wins
@@ -328,15 +349,15 @@ class DeviceSimulator:
         # slice: the temporal dimension is streamed, so it contributes its
         # full extent; spatial dimensions contribute the block size.
         extent = {dim: size if (block := blocks.get(dim)) is None
-                  or block > size else block
-                  for dim, size in plan.dims.items()}
+                  else lo(block, size) for dim, size in plan.dims.items()}
         staged = []
         for row in plan.inputs + plan.outputs:
             nbytes = row.width
             for dim in row.dims:
                 nbytes *= extent[dim]
             staged.append(nbytes)
-        l1_hit_frac = streaming_hit_rate(sum(staged), spec.l1_capacity)
+        l1_hit_frac = (streaming_hit_rate(sum(staged), spec.l1_capacity, hi)
+                       if plan.rereads else 0.0)
 
         rows = []
         load_bytes = dram_bytes = l1_hit_bytes = l2_access_bytes = 0
@@ -349,21 +370,23 @@ class DeviceSimulator:
                 dup *= counts[i]
             pass_bytes = row.full_bytes * dup
             rows.append((pass_bytes, block_bytes, dup))
-            total_loads = int(pass_bytes * row.passes)
+            total_loads = l2_access = to_int(pass_bytes * row.passes)
             load_bytes += total_loads
-            # Only the re-read passes can hit in L1.
-            l1_hits = int((total_loads - pass_bytes) * l1_hit_frac) \
-                if total_loads > pass_bytes else 0
-            l1_hit_bytes += l1_hits
-            l2_access = total_loads - l1_hits
+            if row.passes > 1:
+                # Only the re-read passes can hit in L1.
+                l1_hits = to_int((total_loads - pass_bytes) * l1_hit_frac)
+                l1_hit_bytes += l1_hits
+                l2_access = total_loads - l1_hits
             l2_access_bytes += l2_access
             if l2 is not None and l2.is_resident(row.tensor):
                 # Still resident from a producer kernel: no DRAM at all.
                 l2.touch(row.tensor)
             else:
-                compulsory = min(row.full_bytes, l2_access)
-                reuse = l2_access - compulsory
-                dram_bytes += compulsory + int(reuse * reuse_miss_frac)
+                compulsory = lo(row.full_bytes, l2_access)
+                dram_bytes += compulsory
+                if reuse_miss_frac:
+                    reuse = l2_access - compulsory
+                    dram_bytes += to_int(reuse * reuse_miss_frac)
         read_l2_access = l2_access_bytes
         read_dram = dram_bytes
 
@@ -390,34 +413,32 @@ class DeviceSimulator:
         l2_access_bytes += store_bytes
 
         # --- timing -----------------------------------------------------
-        eff = self._gemm_efficiency(kernel, cfg)
+        eff = self._gemm_efficiency(kernel, cfg, ops)
         manual = kernel.meta.get("efficiency", 1.0)
         tc_time = ftc / (spec.tensor_flops * eff) if ftc else 0.0
         simt_time = (fsimt / (spec.simt_flops * _SIMT_EFFICIENCY * manual)
                      if fsimt else 0.0)
         compute_raw = tc_time + simt_time
 
-        bps, hide = self._occupancy(plan.footprint, cfg)
-        if grid >= spec.sm_count:
-            waves = math.ceil(grid / spec.sm_count)
-            quant = waves / (grid / spec.sm_count)
-            compute_time = compute_raw * quant
-        else:
-            par_frac = grid / spec.sm_count
-            compute_time = compute_raw / max(par_frac, 1e-6)
+        bps, hide = self._occupancy(plan.footprint, cfg, ops)
+        # Full waves are quantised; a partial one leaves SMs idle.
+        par_frac = grid / spec.sm_count
+        compute_time = where(
+            grid >= spec.sm_count,
+            compute_raw * (ceil_div(grid, spec.sm_count) / par_frac),
+            compute_raw / hi(par_frac, 1e-6))
 
-        bw_frac = min(1.0, grid / (spec.sm_count * 0.5)) * hide
+        bw_frac = hi(lo(1.0, grid / (spec.sm_count * 0.5)) * hide, 1e-6)
         dram_time = dram_bytes / (spec.dram_bandwidth * _DRAM_EFFICIENCY
-                                  * max(bw_frac, 1e-6))
-        l2_time = l2_access_bytes / (spec.l2_bandwidth * max(bw_frac, 1e-6))
-        l1_frac = min(1.0, grid / spec.sm_count)
+                                  * bw_frac)
+        l2_time = l2_access_bytes / (spec.l2_bandwidth * bw_frac)
         l1_time = (load_bytes + store_bytes) / (spec.l1_bandwidth
-                                                * max(l1_frac, 1e-6))
+                                                * hi(lo(1.0, par_frac), 1e-6))
         overhead = (spec.kernel_launch_overhead
                     if launch_overhead is None else launch_overhead)
-        memory_time = max(dram_time, l2_time, l1_time)
+        memory_time = hi(hi(dram_time, l2_time), l1_time)
         return KernelNumbers(
-            max(compute_time, memory_time) + overhead, grid, counts, rows,
+            hi(compute_time, memory_time) + overhead, grid, counts, rows,
             staged[len(rows):], load_bytes, store_bytes, dram_bytes,
             l1_hit_bytes, l2_access_bytes, read_l2_access, read_dram,
             compute_time, memory_time, bps, hide, eff)
@@ -498,10 +519,46 @@ class DeviceSimulator:
     def kernel_time(self, kernel: KernelSchedule,
                     config: ScheduleConfig | None = None) -> float:
         """Timing-only entry point used by the auto-tuner: the same
-        arithmetic as :meth:`kernel_cost`, no result objects built."""
-        if kernel.meta.get("barrier"):
+        arithmetic as :meth:`kernel_cost`, no result objects built.  The
+        first call for a kernel prices one configuration; from the second
+        on (its campaign is under way) the answer is looked up in a time
+        vector priced once over the kernel's whole search space."""
+        meta = kernel.meta
+        if meta.get("barrier"):
             return self._barrier_cost(kernel, None, None)[0].time_s
-        return self._evaluate(kernel, config, None, None).time_s
+        factors = (meta.get("efficiency", 1.0),
+                   meta.get("output_spill_factor", 1.0))
+        memo = self._last_times
+        if memo is None or memo[0] is not kernel or memo[1] != factors:
+            if self._last_plan is None or self._last_plan[0] is not kernel:
+                return self._evaluate(kernel, config, None, None).time_s
+            memo = self._last_times = (kernel, factors,
+                                       self._space_times(kernel))
+        t = memo[2].get(config)
+        if t is None:
+            return self._evaluate(kernel, config, None, None).time_s
+        return t
+
+    def _space_times(self, kernel: KernelSchedule,
+                     ) -> dict[ScheduleConfig, float]:
+        """``{config: seconds}`` over the kernel's search space: one
+        :meth:`_evaluate` of a configuration whose sizes are int64 arrays,
+        an entry per point.  Empty unless every point names the same
+        block dims in the same order and agrees on having a tile."""
+        space = kernel.search_space
+        tiles = [cfg.tile for cfg in space]
+        # Per block entry: (every point's dim, every point's size).
+        columns = [tuple(zip(*col)) for col in zip(*(c.block for c in space))]
+        if (len({len(cfg.block) for cfg in space}) != 1
+                or tiles.count(None) not in (0, len(tiles))
+                or any(len(set(dims)) != 1 for dims, _sizes in columns)):
+            return {}
+        points = ScheduleConfig(
+            tuple((dims[0], np.array(sizes, np.int64))
+                  for dims, sizes in columns),
+            None if tiles[0] is None else np.array(tiles, np.int64))
+        times = self._evaluate(kernel, points, None, None, _ARRAYS).time_s
+        return dict(zip(space, np.broadcast_to(times, len(space)).tolist()))
 
     def sweep_configs(self, kernel: KernelSchedule,
                       ) -> list[tuple[ScheduleConfig, float]]:

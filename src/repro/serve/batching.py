@@ -114,7 +114,6 @@ class Request:
     #: handle would otherwise pay that for each request it ever sent.
     _pending: threading.Lock = field(default_factory=_held_lock, repr=False)
     _finished: bool = field(default=False, repr=False)
-    _started: bool = field(default=False, repr=False)
     _resolve_lock: threading.Lock = field(default_factory=threading.Lock,
                                           repr=False)
     reply: Any = None
@@ -156,27 +155,6 @@ class Request:
         with self._resolve_lock:
             self.resolutions += 1
             return self.resolutions == 1
-
-    def start(self) -> bool:
-        """Claim the request for execution; False when it has already
-        completed (cancelled or expired while it waited) and must not be
-        run.  Once started, :meth:`cancel` leaves it alone."""
-        with self._resolve_lock:
-            self._started = not self.resolutions
-            return self._started
-
-    def cancel(self, error: Exception) -> bool:
-        """Fail the request unless a thread has begun executing it (or it
-        is already complete); True when this call completed it.  Unlike
-        :meth:`fail` it never races an execution: after a True return
-        nothing will read the request's feeds again."""
-        with self._resolve_lock:
-            if self._started or self.resolutions:
-                return False
-            self.resolutions += 1
-        self.error = error
-        self._notify_done()
-        return True
 
     def resolve(self, reply) -> None:
         if self._first_completion():

@@ -269,8 +269,8 @@ class FusionServer:
 
     def _answer(self, session: InferenceSession | None,
                 request: Request, queued: bool = True) -> None:
-        if not request.start():
-            return  # cancelled while it waited in the batch
+        if request.done():
+            return  # already answered (expired) while it waited
         queue_wait_s = time.monotonic() - request.enqueued_at
         if queued:
             self.metrics.observe_queue_wait(queue_wait_s)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from ..core.resources import BlockFootprint
+from ..core.resources import BlockFootprint, footprint_of
 from ..core.schedule import KernelSchedule, ScheduleConfig
 from ..ir.tensor import DTYPE_BYTES
 
@@ -81,7 +81,7 @@ def config_features(kernel: KernelSchedule, cfg: ScheduleConfig,
         volume *= block
     grid = kernel.grid_size(cfg)
     intra = kernel.num_intra_blocks(cfg)
-    block_elems = (footprint or BlockFootprint(kernel)).total_block_elems(cfg)
+    block_elems = (footprint or footprint_of(kernel)).total_block_elems(cfg)
     return [
         _log2(volume),
         _log2(cfg.tile or 1),

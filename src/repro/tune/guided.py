@@ -45,7 +45,7 @@ from ..core.autotuner import (
     apply_tune_result,
     evaluate_search_space,
 )
-from ..core.resources import BlockFootprint
+from ..core.resources import BlockFootprint, footprint_of
 from ..core.schedule import KernelSchedule, ScheduleConfig
 from ..core.serialize import _config_from_dict, _config_to_dict
 from ..obs import event as obs_event
@@ -256,7 +256,7 @@ class GuidedTuner:
                    alpha: float, keep_timings: bool) -> TuneResult:
         self._inc("tunedb.misses")
         kfeats = kernel_features(kernel)
-        footprint = BlockFootprint(kernel)
+        footprint = footprint_of(kernel)
         candidates = self._order_candidates(kernel, kfeats, footprint)
 
         samples: list[list] = []

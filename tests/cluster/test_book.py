@@ -4,7 +4,10 @@ A hypothesis state machine plays the supervisor shell against
 :class:`repro.cluster.book.RequestBook` on a virtual clock — open,
 issue, retract, reply, wire error, crash-drain, advance the clock and
 pop what is due, in any order — and checks the delivery invariants and
-each worker's backlog after every step.  Named examples below it pin
+each worker's backlog after every step.  Beside the book it drives each
+worker's :class:`repro.cluster.arena.SlotArena` the way the supervisor
+does (a slot per copy sent, released on its terminal message or retract,
+all of them after a crash) and checks the slot book too.  Named examples below it pin
 the deadline timer, routing and the memory rule; the completion races
 are in ``test_deadlines.py``.
 """
@@ -17,6 +20,7 @@ import subprocess
 import sys
 import weakref
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -29,6 +33,7 @@ from hypothesis.stateful import (
 
 from repro.cluster import AdmissionController, AdmissionPolicy
 from repro.cluster import book as bk
+from repro.cluster.arena import ARENA_SLOTS, SlotArena
 from repro.cluster.book import RequestBook
 from repro.serve import Request, WorkerCrashed
 
@@ -36,6 +41,9 @@ WORKERS = ("wa", "wb", "wc")
 #: "Any one of the candidates": an index, wrapped to however many there
 #: are when the rule runs (cheaper to generate than ``st.data()`` draws).
 PICK = st.integers(min_value=0, max_value=31)
+#: One page per slot: the small feeds fit, the large ones go in-band.
+SLOT_BYTES = 4096
+FEEDS = {False: {"x": np.arange(4.0)}, True: {"x": np.zeros(1024)}}
 
 
 def pick_from(candidates: list, pick: int):
@@ -112,6 +120,9 @@ class BookMachine(RuleBasedStateMachine):
         #: What each copy out added to its worker's backlog when booked.
         self.cost = {}
         self.terminal = set()
+        #: Each worker's arena, and the copies whose feeds went in a slot.
+        self.arenas = {w: SlotArena(SLOT_BYTES) for w in WORKERS}
+        self.slotted = set()
 
     # -- the shell's side of each event ----------------------------------
 
@@ -151,8 +162,8 @@ class BookMachine(RuleBasedStateMachine):
                           "state": "open"})
 
     @precondition(lambda self: any(r["state"] == "open" for r in self.reqs))
-    @rule(pick=PICK, worker=st.sampled_from(WORKERS))
-    def issue(self, pick, worker):
+    @rule(pick=PICK, worker=st.sampled_from(WORKERS), large=st.booleans())
+    def issue(self, pick, worker, large):
         rec = pick_from([r for r in self.reqs if r["state"] == "open"], pick)
         load_before = self.book.backlog(worker)[1]
         verdict = self.book.issue(rec["entry"], worker)
@@ -167,6 +178,10 @@ class BookMachine(RuleBasedStateMachine):
         else:
             assert verdict.action is None
             self.live[verdict.wire_id] = (rec, worker)
+            placed = self.arenas[worker].put(verdict.wire_id, FEEDS[large])
+            assert (placed is None) == large
+            if placed is not None:
+                self.slotted.add(verdict.wire_id)
             self.cost[verdict.wire_id] = (self.book.backlog(worker)[1]
                                           - load_before)
             assert self.cost[verdict.wire_id] >= 0.0
@@ -178,6 +193,7 @@ class BookMachine(RuleBasedStateMachine):
         wire_id = pick_from(sorted(self.live), pick)
         worker = self.live[wire_id][1]
         rec = self.take(wire_id)
+        self.arenas[worker].release(wire_id)    # the copy never left
         self.apply(self.book.retract(wire_id), rec,
                    WorkerCrashed(worker, "pipe broke at dispatch"))
         assert self.book.retract(wire_id) is None
@@ -187,9 +203,12 @@ class BookMachine(RuleBasedStateMachine):
           execute_s=st.sampled_from([0.0005, 0.004, 0.3]))
     def terminal_message(self, pick, failed, execute_s):
         wire_id = pick_from(sorted(self.live), pick)
+        arena = self.arenas[self.live[wire_id][1]]
         self.finish(wire_id, self.book.settle(wire_id, failed, execute_s),
                     RuntimeError("wire error"))
+        arena.release(wire_id)
         assert self.book.settle(wire_id, failed, execute_s) is None
+        arena.release(wire_id)                  # a second release: no-op
 
     @rule(worker=st.sampled_from(WORKERS))
     def crash(self, worker):
@@ -198,6 +217,8 @@ class BookMachine(RuleBasedStateMachine):
             wid for wid, (_, w) in self.live.items() if w == worker}
         for wire_id, verdict in drained:
             self.finish(wire_id, verdict, WorkerCrashed(worker, "died"))
+        self.arenas[worker].release_all()       # reaped: nothing reads them
+        assert self.arenas[worker].held() == {}
 
     @rule(dt=st.sampled_from([0.03, 0.05, 0.2, 10.0]))
     def advance(self, dt):
@@ -240,12 +261,27 @@ class BookMachine(RuleBasedStateMachine):
             if not mine:
                 assert load == 0.0, "backlog left behind by a copy"
 
+    @invariant()
+    def slots_balance(self):
+        """Held + free is every slot, each once; a held slot belongs to
+        exactly one copy the book has out on that worker, and every copy
+        out that was given a slot still holds it."""
+        for worker, arena in self.arenas.items():
+            held = arena.held()
+            assert sorted([*held.values(), *arena._free]) \
+                == list(range(ARENA_SLOTS))
+            out = {wid for wid, (_, w) in self.live.items() if w == worker}
+            assert set(held) == out & self.slotted
+
     def teardown(self):
         for worker in WORKERS:
             self.crash(worker)
         self.exactly_once()
+        self.slots_balance()
         assert not self.live and not +self.shell.admission.held
         assert all(self.book.backlog(w) == (0, 0.0) for w in WORKERS)
+        for arena in self.arenas.values():
+            arena.close()
 
 
 # Pinned, not inherited: the tier-1 budget is >= 1,000 interleavings

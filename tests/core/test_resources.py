@@ -21,8 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import scheduler
-from repro.core.autotuner import evaluate_search_space
+from repro.core import resources, scheduler
 from repro.core.builder import build_smg
 from repro.core.resources import (
     BlockFootprint,
@@ -52,6 +51,7 @@ from repro.models import (
     softmax_gemm_graph,
 )
 from repro.pipeline import make_compiler
+from repro.tune import GuidedTuner, RidgePredictor, TuneDB, gpu_fingerprint
 from tests.test_fuzz_compile import random_graph
 
 _ACCUM_BYTES = 4
@@ -552,13 +552,18 @@ class TestTheGraphIsWalkedOncePerKernel:
 
             monkeypatch.setattr(DataflowGraph, "topological_ops", counting)
             assert len(oracle_lattice(kernel)) > 1
+            # Slicing already enumerated it: forget that footprint.
+            monkeypatch.setattr(resources, "_recent", ())
             enumerate_configs(kernel, rc)
             monkeypatch.setattr(DataflowGraph, "topological_ops", real)
             assert len(calls) == 1
 
     def test_a_tuning_campaign_builds_one_footprint_per_kernel(
-            self, monkeypatch):
-        """... and one traffic plan, which is what holds the footprint."""
+            self, monkeypatch, tmp_path):
+        """enumCfg builds each candidate's footprint; the memory plan, the
+        device model's traffic plan and the guided tuner's features reuse
+        it.  One footprint and one traffic plan per candidate kernel, with
+        a slicing round's candidates enumerated before either is tuned."""
         plans, footprints = [], []
 
         class CountingPlan(KernelTrafficPlan):
@@ -572,15 +577,21 @@ class TestTheGraphIsWalkedOncePerKernel:
                 super().__init__(kernel)
 
         monkeypatch.setattr(hw_simulator, "KernelTrafficPlan", CountingPlan)
-        monkeypatch.setattr(hw_simulator, "BlockFootprint",
-                            CountingFootprint)
+        monkeypatch.setattr(resources, "BlockFootprint", CountingFootprint)
         sim = DeviceSimulator(AMPERE)
-        kernels = [k for build in SUBGRAPHS.values()
-                   for k in _candidates(build())]
+        # A small training threshold, so later campaigns are reordered by
+        # the predictor (features of every point) as well as recorded.
+        tuner = GuidedTuner(TuneDB(tmp_path), gpu_fingerprint(AMPERE),
+                            predictor=RidgePredictor(min_samples=8))
+        kernels = []
+        for build in SUBGRAPHS.values():
+            candidates = _candidates(build())  # enumCfg + memory plan
+            for kernel in candidates:
+                result = tuner.tune(kernel, sim.kernel_time)
+                assert result.configs_evaluated == len(kernel.search_space)
+            kernels += candidates
         assert sum(len(k.search_space) for k in kernels) > 5 * len(kernels)
-        for kernel in kernels:
-            result = evaluate_search_space(kernel, sim.kernel_time)
-            assert result.configs_evaluated == len(kernel.search_space)
+        assert tuner.predictor.ready
         for built in (plans, footprints):
             assert len(built) == len(kernels)
             assert all(a is b for a, b in zip(built, kernels))

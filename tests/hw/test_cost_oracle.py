@@ -7,10 +7,14 @@ not a property worth testing: every result must be ``==`` the oracle's in
 ``tests/hw/oracle_cost.py``, float for float, and a carried ``L2State``
 must end up holding the same tensors in the same order.  (The count guards
 — one plan per campaign, no graph access after it — sit with the footprint's
-in ``tests/core/test_resources.py``.)
+in ``tests/core/test_resources.py``.)  ``kernel_time`` answers a
+campaign from one time vector priced over the kernel's whole search space;
+every answer it gives must be the oracle's too, in any order the tuner
+may ask.
 """
 
 import copy
+import random
 
 import pytest
 
@@ -34,6 +38,7 @@ from repro.pipeline import (
     simulate,
     simulate_model,
 )
+from repro.tune import GuidedTuner
 from tests.core.test_resources import SUBGRAPHS, zoo_programs
 from tests.hw.oracle_cost import OracleSimulator
 
@@ -191,3 +196,134 @@ class TestSweepHeadIsTheTunersPick:
         # Exact ties at the top are common; enumeration order used to
         # decide them.
         assert tied >= 2
+
+
+@pytest.fixture(scope="module", params=[AMPERE, VOLTA], ids=lambda g: g.name)
+def campaigns(request):
+    """``(gpu, kernels)``: every kernel with two or more configurations
+    the tuner timed while compiling the zoo and the seven subgraphs."""
+    gpu = request.param
+    timed = {}
+    real = DeviceSimulator.kernel_time
+
+    def kernel_time(self, kernel, config=None):
+        if len(kernel.search_space) > 1:
+            timed.setdefault(id(kernel), kernel)  # compiled kernels live on
+        return real(self, kernel, config)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DeviceSimulator, "kernel_time", kernel_time)
+        for program in zoo_programs():
+            compile_model_for(program, gpu)
+        for build in SUBGRAPHS.values():
+            compile_for(build(), gpu)
+    kernels = list(timed.values())
+    assert len(kernels) > 400
+    return gpu, kernels
+
+
+@pytest.fixture()
+def broadcasts(monkeypatch):
+    """Counts the whole-space pricings ``kernel_time`` makes."""
+    seen = []
+    real = DeviceSimulator._space_times
+
+    def space_times(self, kernel):
+        seen.append(kernel)
+        return real(self, kernel)
+
+    monkeypatch.setattr(DeviceSimulator, "_space_times", space_times)
+    return seen
+
+
+def _oracle_times(oracle, kernel):
+    return {cfg: oracle.kernel_cost(kernel, cfg)[0].time_s
+            for cfg in kernel.search_space}
+
+
+class TestTheBroadcastEqualsTheOracle:
+    @pytest.mark.parametrize("order", ["tuner", "promoted", "shuffled"])
+    def test_in_any_order(self, campaigns, broadcasts, order):
+        """The tuner's order, ``GuidedTuner._promote``'s (two configs
+        moved to the front) and a shuffled one: one broadcast per
+        campaign, every answer ``==`` the oracle's."""
+        gpu, kernels = campaigns
+        sim, oracle = DeviceSimulator(gpu), OracleSimulator(gpu)
+        rng = random.Random(7)
+        for kernel in kernels:
+            space = kernel.search_space
+            if order == "promoted":
+                space = GuidedTuner._promote(
+                    space, [space[-1], space[len(space) // 2]])
+            elif order == "shuffled":
+                space = rng.sample(space, len(space))
+            want = _oracle_times(oracle, kernel)
+            for cfg in space:
+                assert sim.kernel_time(kernel, cfg) == want[cfg], \
+                    (kernel.name, cfg)
+        assert len(broadcasts) == len(kernels)
+        assert all(a is b for a, b in zip(broadcasts, kernels))
+
+    def test_meta_factors_flipped_mid_campaign(self, campaigns):
+        """``efficiency`` and ``output_spill_factor`` are read at every
+        call: changed halfway through a campaign, the rest of it is
+        priced with the new values, then with the old ones again."""
+        gpu, kernels = campaigns
+        sim, oracle = DeviceSimulator(gpu), OracleSimulator(gpu)
+        flipped = {"efficiency": 0.5, "output_spill_factor": 3.0}
+        for kernel in kernels:
+            space = kernel.search_space
+            half = len(space) // 2
+            base = _oracle_times(oracle, kernel)
+            saved = {key: kernel.meta[key] for key in flipped
+                     if key in kernel.meta}
+            kernel.meta.update(flipped)
+            try:
+                changed = _oracle_times(oracle, kernel)
+                for cfg in space[half:]:
+                    assert sim.kernel_time(kernel, cfg) == changed[cfg]
+            finally:
+                for key in flipped:
+                    kernel.meta.pop(key)
+                kernel.meta.update(saved)
+            for cfg in space:
+                assert sim.kernel_time(kernel, cfg) == base[cfg]
+            assert any(changed[cfg] != base[cfg] for cfg in space)
+
+    def test_a_config_outside_the_space(self, campaigns, broadcasts):
+        """Priced mid-campaign by the scalar formula; the campaign goes
+        on answering from its vector."""
+        gpu, kernels = campaigns
+        sim, oracle = DeviceSimulator(gpu), OracleSimulator(gpu)
+        for kernel in kernels:
+            space = kernel.search_space
+            first = space[0]
+            outside = ScheduleConfig(
+                tuple((dim, 3 * b) for dim, b in first.block), first.tile)
+            assert outside not in space
+            want = _oracle_times(oracle, kernel)
+            for i, cfg in enumerate(space):
+                if i == 1:
+                    assert sim.kernel_time(kernel, outside) == \
+                        oracle.kernel_cost(kernel, outside)[0].time_s
+                assert sim.kernel_time(kernel, cfg) == want[cfg]
+        assert len(broadcasts) == len(kernels)
+
+    def test_sweep_configs_is_one_broadcast(self, campaigns, broadcasts):
+        gpu, kernels = campaigns
+        sim, oracle = DeviceSimulator(gpu), OracleSimulator(gpu)
+        for kernel in kernels[::10]:
+            want = _oracle_times(oracle, kernel)
+            assert [t for _cfg, t in sim.sweep_configs(kernel)] \
+                == sorted(want.values())
+        assert len(broadcasts) == len(kernels[::10])
+
+    def test_a_kernel_timed_once_pays_for_no_broadcast(self, campaigns,
+                                                       broadcasts):
+        """A TuneDB replay's confirmation or a single-op fallback times a
+        kernel once: one configuration priced, no vector."""
+        gpu, kernels = campaigns
+        sim = DeviceSimulator(gpu)
+        for kernel in kernels:
+            sim.kernel_time(kernel, kernel.search_space[-1])
+        assert broadcasts == [] and sim._last_times is None

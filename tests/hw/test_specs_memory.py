@@ -1,5 +1,6 @@
 """Tests for GPU specs and the cache models (L2 residency, granule LRU)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +93,17 @@ class TestStreamingHitRate:
 
     def test_clamped(self):
         assert 0.0 <= streaming_hit_rate(10**12, 4000) <= 1.0
+
+    def test_no_cache(self):
+        assert streaming_hit_rate(0, 0) == 1.0
+        assert streaming_hit_rate(1000, 0) == 0.0
+
+    def test_a_working_set_per_configuration(self):
+        footprints = np.array([0, 1000, 8000, 400000], dtype=np.int64)
+        for capacity in (4000, 0):
+            rates = streaming_hit_rate(footprints, capacity, np.maximum)
+            assert rates.tolist() == [streaming_hit_rate(int(f), capacity)
+                                      for f in footprints]
 
 
 class TestL2State:

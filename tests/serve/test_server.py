@@ -284,46 +284,6 @@ class TestServerIntegration:
 
 
 class TestRequestClaims:
-    def test_cancel_and_start_exclude_each_other(self, small_ln):
-        """``cancel`` only ever fails a request no thread is executing:
-        whichever of ``start``/``cancel`` comes first wins, so a
-        cancelled request's feeds are never read afterwards."""
-        feeds = random_feeds(small_ln, seed=0)
-        started = Request("w", feeds)
-        assert started.start()
-        assert not started.cancel(TimeoutError("too late"))
-        assert not started.done()
-        started.resolve("answer")
-        assert started.result(timeout=0) == "answer"
-
-        done = []
-        cancelled = Request("w", feeds, on_done=done.append)
-        assert cancelled.cancel(TimeoutError("cancelled"))
-        assert not cancelled.cancel(TimeoutError("again"))
-        assert not cancelled.start()
-        assert done == [cancelled] and cancelled.resolutions == 1
-        with pytest.raises(TimeoutError, match="cancelled"):
-            cancelled.result(timeout=0)
-
-    def test_batch_member_cancelled_while_waiting_is_never_executed(
-            self, small_ln):
-        """A request coalesced into a batch behind a slow one can still
-        be cancelled; the worker thread then skips it."""
-        metrics = ServeMetrics()
-        session = InferenceSession(small_ln, AMPERE, metrics=metrics)
-        with FusionServer({"ln": session}, workers=1, max_wait_ms=0.0,
-                          metrics=metrics) as server:
-            server.infer("ln", random_feeds(small_ln, seed=0))   # compile
-            with faults.registry().armed({"runtime.execute": "delay(200)"}):
-                first = server.submit("ln", random_feeds(small_ln, seed=1))
-                second = server.submit("ln", random_feeds(small_ln, seed=2))
-                time.sleep(0.05)            # first is executing by now
-                assert not first.cancel(TimeoutError("no"))
-                assert second.cancel(TimeoutError("cancelled"))
-                first.result(timeout=10.0)
-        assert second.resolutions == 1
-        assert metrics.get("requests_served") == 2      # warm-up + first
-
     def test_result_serves_many_waiters_and_times_out(self, small_ln):
         req = Request("w", random_feeds(small_ln, seed=0))
         with pytest.raises(TimeoutError, match="still pending"):
