@@ -75,7 +75,7 @@ class Verdict(NamedTuple):
     error: Exception | None = None  # what a deadline verdict fails it with
     counters: tuple = ()            # ((metric name, delta), ...)
     wire_id: int | None = None      # the copy booked; None = refused
-    head_moved: bool = False        # earliest deadline moved: wake the timer
+    head_moved: bool = False        # earliest deadline moved: wake the loop
     shed: str | None = None         # admission's refusal
 
 
@@ -122,8 +122,8 @@ class RequestBook:
         already has.
 
         Read without the lock: a stale sum moves one routing decision at
-        most, and the submitting thread must not queue behind a
-        receiver's ``settle``."""
+        most, and the submitting thread must not queue behind the
+        loop's ``settle``."""
         out, load = self.backlog(owners[0])
         if (len(owners) < 2 or load <= SPILL_AFTER_S
                 or out < SPILL_AFTER_COPIES):

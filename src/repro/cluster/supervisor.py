@@ -7,7 +7,7 @@ sessions behind its own in-process server, see
 consistent-hash ring, admits requests under a priority/tenant-aware
 policy *before* they cross the process boundary, health-checks the fleet
 with heartbeats, and restarts crashed workers behind a per-worker
-circuit breaker.
+circuit breaker — on one thread, :meth:`ClusterSupervisor._loop`.
 
 Delivery guarantees:
 
@@ -32,7 +32,11 @@ The degradation ladder under overload is described once, in
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing as mp
+import os
+import select
+import selectors
 import signal as _signal
 import threading
 import time
@@ -44,7 +48,6 @@ import numpy as np
 from ..ir.graph import DataflowGraph
 from ..obs import event as obs_event
 from ..resilience import faults as _faults
-from ..resilience.retry import CLOSED as BREAKER_CLOSED
 from ..resilience.retry import CircuitBreaker
 from ..serve import (
     InvalidRequestError,
@@ -156,7 +159,7 @@ class ClusterConfig:
 
 
 class _Worker:
-    """One worker generation: process, pipe, receiver."""
+    """One worker generation: process and pipe."""
 
     def __init__(self, name: str, proc, conn, generation: int,
                  arena: SlotArena | None = None) -> None:
@@ -172,19 +175,11 @@ class _Worker:
         self.draining = False
         self.ready = threading.Event()
         self.armed = threading.Event()
-        self.drained = threading.Event()
-        self.stopped = threading.Event()
-        #: When the receiver last read *any* message from this worker.
+        #: When the loop last read *any* message from this worker.
         self.last_heard = time.monotonic()
         self.health: dict = {}
-        self.final_stats: dict = {}
         self.stats_replies: dict[int, dict] = {}
-        self.stats_event = threading.Event()
-        self.receiver: threading.Thread | None = None
-
-    def send(self, msg: tuple) -> None:
-        with self.send_lock:
-            self.conn.send(msg)
+        self.stats_ready = threading.Condition()
 
 
 class ClusterSupervisor:
@@ -220,12 +215,15 @@ class ClusterSupervisor:
         self._lock = threading.Lock()
         self._started = False
         self._stopping = False
-        self._health_thread: threading.Thread | None = None
-        self._ping_seq = itertools.count(1)
-        self._stats_seq = itertools.count(1)
-        #: Set when the book's earliest due-time moved (or at stop).
-        self._timer_wake = threading.Event()
-        self._timer_thread: threading.Thread | None = None
+        self._seq = itertools.count(1)      # ping and stats messages
+        #: Made by start(): the loop, its selector (every live worker pipe
+        #: and the read end of ``_wake_r, _wake_w``, a pipe that takes a
+        #: byte when a submit moves the earliest deadline).
+        self._loop_thread: threading.Thread | None = None
+        self._selector: selectors.BaseSelector | None = None
+        #: Next health tick; never until start() has seen the fleet ready.
+        self._health_due = math.inf
+        self._closing = False   # stop(): read what is left, then exit
 
     # ------------------------------------------------------------------
     # Placement
@@ -266,23 +264,27 @@ class ClusterSupervisor:
                 failure_threshold=self.config.restart_breaker_threshold,
                 reset_timeout_s=self.config.restart_breaker_reset_s)
             self._restarts[name] = 0
+        self._selector = selectors.DefaultSelector()
+        self._wake_r, self._wake_w = os.pipe()
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
         for name in self.worker_names():
             self._spawn(name)
+        # Invariant 3: the loop reads each fork's ``ready``; its health
+        # tick waits for the whole fleet, not racing the teardown below.
+        self._loop_thread = threading.Thread(
+            target=self._loop, name="cluster-loop", daemon=True)
+        self._loop_thread.start()
         deadline = time.monotonic() + self.config.start_timeout_s
         for w in list(self._workers.values()):
             if not w.ready.wait(max(0.0, deadline - time.monotonic())):
                 # __enter__ raising means __exit__ never runs: take the
-                # children, receivers, pipes and memfds down first.
+                # children, the loop, pipes and memfds down first.
                 self.stop(drain=False)
                 raise ClusterError(
                     f"worker {w.name} failed to become ready within "
                     f"{self.config.start_timeout_s:.0f}s")
-        self._health_thread = threading.Thread(
-            target=self._health_loop, name="cluster-health", daemon=True)
-        self._health_thread.start()
-        self._timer_thread = threading.Thread(
-            target=self._timer_loop, name="cluster-timer", daemon=True)
-        self._timer_thread.start()
+        self._health_due = time.monotonic() + self.config.health_interval_s
+        os.write(self._wake_w, b"\0")
         return self
 
     def _arena_for(self, name: str) -> SlotArena | None:
@@ -318,48 +320,43 @@ class ClusterSupervisor:
         child_conn.close()
         worker = _Worker(name, proc, parent_conn,
                          next(self._generations), arena)
-        worker.receiver = threading.Thread(
-            target=self._receive_loop, args=(worker,),
-            name=f"recv-{name}", daemon=True)
+        # By start() before the loop runs, then by the loop: one user.
+        self._selector.register(parent_conn, selectors.EVENT_READ, worker)
         with self._lock:
             self._workers[name] = worker
-        worker.receiver.start()
         return worker
 
     def stop(self, drain: bool = True) -> None:
         """Shut the fleet down; with ``drain`` every queued request is
         answered first and each worker's final metrics are collected."""
-        if self._stopping:
-            return
+        if self._stopping or self._loop_thread is None:
+            return      # stopped already, or never started
         self._stopping = True
-        self._timer_wake.set()
-        if self._health_thread is not None:
-            self._health_thread.join(
-                timeout=self.config.health_interval_s * 4 + 1.0)
-        if self._timer_thread is not None:
-            self._timer_thread.join(timeout=2.0)
         workers = list(self._workers.values())
-        if drain:
-            deadline = time.monotonic() + self.config.drain_timeout_s
-            for w in workers:
-                if w.up:
-                    w.draining = True
-                    self._try_send(w, ("drain",))
-            for w in workers:
-                if w.up:
-                    w.drained.wait(max(0.1, deadline - time.monotonic()))
         for w in workers:
             if w.up:
+                if drain:       # a worker reads "stop" once it has drained
+                    w.draining = True
+                    self._try_send(w, ("drain",))
                 self._try_send(w, ("stop",))
+        end = time.monotonic() + 10.0 + (
+            self.config.drain_timeout_s if drain else 0.0)
         for w in workers:
-            w.stopped.wait(timeout=5.0)
-            if w.final_stats:
-                self._worker_stats[w.name] = w.final_stats
-            w.proc.join(timeout=5.0)
+            w.proc.join(timeout=max(0.0, end - time.monotonic()))
+        # Invariant 2: the loop reads what is left in the pipes and exits
+        # before anything is reaped, so no reply is mid-read when slots
+        # return; and once it is joined, ``_workers`` is final.
+        self._closing = True
+        os.write(self._wake_w, b"\0")
+        self._loop_thread.join()
+        for w in list(self._workers.values()):
             self._reap(w)
             # Anything still in flight after a full drain+stop cycle is
             # dead — never strand the submitter.
             self._fail_inflight(w, "cluster stopped with request in flight")
+        self._selector.close()
+        os.close(self._wake_r)
+        os.close(self._wake_w)
         for arena in self._arenas.values():
             arena.close()
 
@@ -403,9 +400,10 @@ class ClusterSupervisor:
 
     def _try_send(self, worker: _Worker, msg: tuple) -> bool:
         try:
-            worker.send(msg)
+            with worker.send_lock:
+                worker.conn.send(msg)
             return True
-        except (OSError, ValueError, BrokenPipeError):
+        except (OSError, ValueError):
             return False
 
     # ------------------------------------------------------------------
@@ -460,12 +458,13 @@ class ClusterSupervisor:
             self._carry_out(issued)
             return request
         if issued.head_moved:
-            self._timer_wake.set()
+            os.write(self._wake_w, b"\0")
         if not self._try_send(worker, self._request_msg(
                 worker, issued.wire_id, workload, feeds, deadline)):
             # The worker died between routing and send: the slot was
-            # never delivered; the health loop handles the corpse.
-            self._release_slot(worker, issued.wire_id)
+            # never delivered; the loop handles the corpse.
+            if worker.arena is not None:
+                worker.arena.release(issued.wire_id)
             verdict = self.book.retract(issued.wire_id)
             if verdict is not None:
                 self._carry_out(verdict, error=WorkerCrashed(
@@ -497,11 +496,6 @@ class ClusterSupervisor:
         self.metrics.inc("wire.arena_bytes", nbytes)
         return ("req", req_id, workload, ref, deadline)
 
-    @staticmethod
-    def _release_slot(worker: _Worker, req_id: int) -> None:
-        if worker.arena is not None:
-            worker.arena.release(req_id)
-
     def _shed(self, reason: str, workload: str,
               worker: str | None = None) -> None:
         self.metrics.inc("requests.shed")
@@ -527,7 +521,7 @@ class ClusterSupervisor:
         return next(w for w in live if w.name == chosen)
 
     # ------------------------------------------------------------------
-    # Carrying out the book's verdicts; the timer thread
+    # Carrying out the book's verdicts
     # ------------------------------------------------------------------
 
     def _carry_out(self, verdict: Verdict, payload: dict | None = None,
@@ -559,90 +553,99 @@ class ClusterSupervisor:
             self.metrics.inc("requests.worker_crashed")
             self._carry_out(verdict, error=WorkerCrashed(worker.name, why))
 
-    def _timer_loop(self) -> None:
-        while not self._stopping:
-            due, delay = self.book.pop_due()
-            for entry in due:
-                self._carry_out(self.book.expire(entry))
-            if not due:
-                self._timer_wake.wait(0.5 if delay is None
-                                      else min(delay, 0.5))
-                self._timer_wake.clear()
-
     # ------------------------------------------------------------------
-    # Receive / health / crash handling
+    # The loop: receive / expire / health / crash handling
     # ------------------------------------------------------------------
 
-    def _receive_loop(self, worker: _Worker) -> None:
+    def _loop(self) -> None:
+        """The supervisor's one thread.  Each pass reads a message from
+        every ready pipe, carries out the expiries that have come (each
+        pass: a reply stream cannot starve them) and the health tick when
+        due.  Only it handles crashes: one reap, at most one restart."""
+        timeout, due_at = None, math.inf
         while True:
-            try:
-                msg = worker.conn.recv()
-            except (EOFError, OSError):
-                break
-            except (TypeError, ValueError):
-                # conn.close() raced the blocking recv (crash handling
-                # closes the pipe from another thread): same as EOF.
-                break
-            # Any message is proof of life: a worker's pipe thread
-            # answers a ping only after the warm executions ahead of it,
-            # but their replies keep arriving meanwhile.
-            worker.last_heard = time.monotonic()
-            kind = msg[0]
-            if kind == "reply" or kind == "error":
-                self._on_terminal(worker, msg)
-            elif kind == "pong":
-                worker.health = msg[2]
-            elif kind == "ready":
-                # A full ready cycle is the restart breaker's "success": a
-                # crash-looping worker keeps the failure streak instead.
-                self._breakers[worker.name].record_success()
-                worker.ready.set()
-            elif kind == "armed":
-                worker.armed.set()
-            elif kind == "stats_reply":
-                worker.stats_replies[msg[1]] = msg[2]
-                worker.stats_event.set()
-            elif kind == "drained":
-                worker.final_stats = msg[1]
-                worker.drained.set()
-            elif kind == "stopped":
-                worker.final_stats = msg[1]
-                worker.stopped.set()
-        # Pipe gone.  During shutdown that is expected; otherwise the
-        # worker crashed and the receiver is the first to know.
-        if not self._stopping and worker.proc is not None:
-            self._handle_crash(worker)
+            closing = self._closing
+            events = self._selector.select(0 if closing else timeout)
+            for key, _ in events:
+                if key.data is None:        # the earliest deadline moved
+                    os.read(self._wake_r, 65536)
+                    due_at = 0.0
+                else:
+                    self._receive(key.data)
+            if closing and not events:
+                return
+            now = time.monotonic()
+            tick = now >= self._health_due
+            if tick or now >= due_at:
+                # A tick pops settled heads too, so the deadline of a
+                # request that is not the earliest wakes nobody.
+                due, delay = self.book.pop_due()
+                for entry in due:
+                    self._carry_out(self.book.expire(entry))
+                due_at = math.inf if delay is None else now + delay
+            if tick:
+                self._health_due = now + self.config.health_interval_s
+                if not self._stopping:
+                    self._health_tick()
+            wake = min(due_at, self._health_due)
+            timeout = None if wake == math.inf else wake - time.monotonic()
 
-    def _on_terminal(self, worker: _Worker, msg: tuple) -> None:
-        """``worker``'s one reply or error for a wire id.  (Its own
-        frame: the receiver's loop must not keep a settled Request alive
-        until the next message.)"""
-        kind, wire_id = msg[0], msg[1]
-        verdict = self.book.settle(
-            wire_id, failed=kind == "error",
-            execute_s=None if kind == "error" else msg[2]["latency_s"])
-        if verdict is None:
-            pass        # a crash drain already took the id
-        elif kind == "error":
-            self.metrics.inc("requests.remote_errors")
-            self._carry_out(verdict, error=_rebuild_error(
-                msg[2], msg[3], worker.name))
-        else:
-            payload = msg[2]
-            if len(msg) > 3 and verdict.action == RESOLVE:
-                # Outputs are in the slot; read them only to publish.
-                payload["outputs"] = worker.arena.read(wire_id, msg[3])
-                self.metrics.inc("wire.arena_bytes", sum(
-                    a.nbytes for a in payload["outputs"].values()))
-            self._carry_out(verdict, payload=payload)
-        self._release_slot(worker, wire_id)     # terminal message
+    def _receive(self, worker: _Worker) -> None:
+        """One message from ``worker``, or its EOF."""
+        try:
+            msg = worker.conn.recv()
+        except (EOFError, OSError):
+            # Pipe gone: expected at shutdown, else the worker crashed.
+            if self._stopping:
+                self._reap(worker)
+            else:
+                self._handle_crash(worker)
+            return
+        # Any message is proof of life: a worker's pipe thread answers a
+        # ping only after the warm executions ahead of it, but their
+        # replies keep arriving meanwhile.
+        worker.last_heard = time.monotonic()
+        kind = msg[0]
+        if kind == "reply" or kind == "error":
+            wire_id = msg[1]
+            verdict = self.book.settle(
+                wire_id, failed=kind == "error",
+                execute_s=None if kind == "error" else msg[2]["latency_s"])
+            if verdict is None:
+                pass        # a crash drain already took the id
+            elif kind == "error":
+                self.metrics.inc("requests.remote_errors")
+                self._carry_out(verdict, error=_rebuild_error(
+                    msg[2], msg[3], worker.name))
+            else:
+                payload = msg[2]
+                if len(msg) > 3 and verdict.action == RESOLVE:
+                    # Outputs are in the slot; read them only to publish.
+                    payload["outputs"] = worker.arena.read(wire_id, msg[3])
+                    self.metrics.inc("wire.arena_bytes", sum(
+                        a.nbytes for a in payload["outputs"].values()))
+                self._carry_out(verdict, payload=payload)
+            if worker.arena is not None:        # terminal message
+                worker.arena.release(wire_id)
+        elif kind == "pong":
+            worker.health = msg[2]
+        elif kind == "ready":
+            # A full ready cycle is the restart breaker's "success": a
+            # crash-looping worker keeps the failure streak instead.
+            self._breakers[worker.name].record_success()
+            worker.ready.set()
+        elif kind == "armed":
+            worker.armed.set()
+        elif kind == "stats_reply":
+            with worker.stats_ready:
+                worker.stats_replies[msg[1]] = msg[2]
+                worker.stats_ready.notify_all()
+        elif kind == "drained" or kind == "stopped":
+            self._worker_stats[worker.name] = msg[1]
 
     def _handle_crash(self, worker: _Worker) -> None:
         """Fail the dead worker's in-flight, then breaker-gate a restart."""
         with self._lock:
-            current = self._workers.get(worker.name)
-            if current is not worker or not worker.up:
-                return  # an older generation, or already handled
             worker.up = False
         self.metrics.inc("workers.crashed")
         obs_event("worker_crash", category="cluster", worker=worker.name,
@@ -651,8 +654,6 @@ class ClusterSupervisor:
         self._reap(worker)
         breaker = self._breakers[worker.name]
         breaker.record_failure()
-        if self._stopping:
-            return
         if breaker.allow():
             self._restart(worker.name)
         else:
@@ -660,72 +661,75 @@ class ClusterSupervisor:
                       worker=worker.name, breaker=breaker.state)
 
     def _reap(self, worker: _Worker) -> None:
-        """Make sure the process is gone, then — and only then — take
-        back the arena slots it could still have been reading: a worker
-        that ignores SIGTERM (draining, wedged) is killed."""
-        for end in (worker.proc.terminate, worker.proc.kill):
-            if worker.proc.is_alive():
-                end()
-                worker.proc.join(timeout=5.0)
-        receiver = worker.receiver
-        if receiver is not None and receiver is not threading.current_thread():
-            # EOF follows the exit: let the receiver finish the replies
-            # already in the pipe, so none is mid-read when slots return.
-            receiver.join(timeout=2.0)
+        """Join the process (its pipe closed, it was killed or told to
+        stop), SIGKILLing one still there after 5 s; drop its pipe; only
+        once the process is gone take back the slots it could still be
+        reading.  The loop is the caller or joined: none is mid-read."""
+        if worker.conn.closed:
+            return      # reaped already
+        worker.proc.join(timeout=5.0)
+        if worker.proc.is_alive():
+            worker.proc.kill()
+            worker.proc.join(timeout=5.0)
+        self._selector.unregister(worker.conn)
+        worker.conn.close()
         if worker.arena is not None and not worker.proc.is_alive():
             worker.arena.release_all()
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
 
     def _restart(self, name: str) -> None:
         """Fork a fresh generation and return: its ``ready`` closes the
-        breaker (receiver), and the health loop reaps one that is not
-        ready within ``start_timeout_s`` — no thread waits for it."""
+        breaker, and the health tick reaps one that is not ready within
+        ``start_timeout_s`` — nothing waits for it."""
         self.metrics.inc("workers.restarts")
         self._restarts[name] += 1
         obs_event("worker_restart", category="cluster", worker=name,
                   restarts=self._restarts[name])
         self._spawn(name)
 
-    def _health_loop(self) -> None:
-        interval = self.config.health_interval_s
-        while not self._stopping:
-            time.sleep(interval)
-            with self._lock:
-                workers = list(self._workers.values())
-            for w in workers:
-                if self._stopping:
-                    return
-                if w.up:
-                    if not w.proc.is_alive() or not self._try_send(
-                            w, ("ping", next(self._ping_seq))):
+    def _health_tick(self) -> None:
+        # Only the loop changes ``_workers`` once started: no lock.
+        for w in list(self._workers.values()):
+            if w.up:
+                silent = time.monotonic() - w.last_heard
+                if not w.proc.is_alive() or not self._ping(w):
+                    self._handle_crash(w)
+                elif not w.ready.is_set():
+                    # Forked but never ready: ``ready`` is the first
+                    # message a worker sends.
+                    if silent > self.config.start_timeout_s:
+                        w.proc.kill()   # SIGTERM's grace would hold the loop
                         self._handle_crash(w)
-                    elif not w.ready.is_set():
-                        # Forked but never ready: ``ready`` is the first
-                        # message a worker sends.
-                        if (time.monotonic() - w.last_heard
-                                > self.config.start_timeout_s):
-                            self._handle_crash(w)
-                    elif (time.monotonic() - w.last_heard
-                            > self.config.heartbeat_timeout_s):
-                        # Hung, not dead: nothing at all from it for the
-                        # whole timeout — no pong, no reply (the crash
-                        # path terminates it).
-                        self.metrics.inc("workers.hung")
-                        obs_event("worker_hung", category="cluster",
-                                  worker=w.name)
-                        self._handle_crash(w)
-                else:
-                    # Down with the restart breaker open: probe once the
-                    # reset timeout elapses (half-open semantics).  Down
-                    # with it closed, the crash path is restarting the
-                    # worker right now; a second restart would fork a
-                    # generation nothing ever stops.
-                    breaker = self._breakers[w.name]
-                    if breaker.state != BREAKER_CLOSED and breaker.allow():
-                        self._restart(w.name)
+                elif silent > self.config.heartbeat_timeout_s:
+                    # Hung, not dead: nothing at all from it for the
+                    # whole timeout — no pong, no reply.
+                    self.metrics.inc("workers.hung")
+                    obs_event("worker_hung", category="cluster",
+                              worker=w.name)
+                    w.proc.kill()
+                    self._handle_crash(w)
+            elif self._breakers[w.name].allow():
+                # Down with its restart breaker open: probe once the
+                # reset timeout elapses (half-open semantics).
+                self._restart(w.name)
+
+    def _ping(self, worker: _Worker) -> bool:
+        """Ping ``worker`` unless that could block; False: pipe broken.
+
+        Invariant 1 — the loop never blocks on a worker: stuck sending
+        into a full socket buffer, it would never read the in-band reply
+        the worker's pipe thread is stuck sending.  So a ping needs the
+        send lock free and the socket writable (on Linux: a quarter of
+        its buffer queued at most, so a ping fits).  A hung worker is
+        reaped anyway: that reads ``last_heard``, not ping success."""
+        if worker.send_lock.acquire(blocking=False):
+            try:
+                if select.select((), (worker.conn,), (), 0)[1]:
+                    worker.conn.send(("ping", next(self._seq)))
+            except (OSError, ValueError):
+                return False
+            finally:
+                worker.send_lock.release()
+        return True
 
     # ------------------------------------------------------------------
     # Test / chaos hooks
@@ -739,9 +743,8 @@ class ClusterSupervisor:
         return w
 
     def kill_worker(self, name: str) -> None:
-        """SIGKILL one worker (crash testing) — at once, not behind the
-        execution its pipe thread is busy with; the health/receiver
-        machinery must detect it and recover."""
+        """SIGKILL one worker (crash tests) at once, not behind the
+        execution its pipe thread is busy with; the loop recovers."""
         self._worker(name).proc.kill()
 
     def arm_faults(self, name: str, plan: dict[str, str],
@@ -765,17 +768,14 @@ class ClusterSupervisor:
             w = self._workers.get(name)
         if w is None or not w.up:
             return self._worker_stats.get(name)
-        seq = next(self._stats_seq)
-        w.stats_event.clear()
+        seq = next(self._seq)
         if not self._try_send(w, ("stats", seq)):
             return None
-        deadline = time.monotonic() + timeout
-        while seq not in w.stats_replies:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not w.stats_event.wait(remaining):
-                return None
-            w.stats_event.clear()
-        return w.stats_replies.pop(seq)
+        with w.stats_ready:
+            if w.stats_ready.wait_for(lambda: seq in w.stats_replies,
+                                      timeout):
+                return w.stats_replies.pop(seq)
+        return None
 
     def worker_stats(self) -> dict[str, dict]:
         """Final per-worker metrics snapshots (populated by drain/stop;

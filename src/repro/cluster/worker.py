@@ -251,7 +251,7 @@ def worker_main(conn, config: WorkerConfig,
             try:
                 # A delay() armed here makes the worker *hung*, not
                 # dead: it stops answering pings without exiting — the
-                # health loop's reap path, untestable any other way.
+                # health tick's reap path, untestable any other way.
                 faults.fire(FP_HANG)
             except faults.FaultInjected:
                 metrics.inc("faults.worker_hang")

@@ -86,7 +86,7 @@ DEFAULT_FAULT_PLAN = [
 PHASES = ("compile", "steady", "breaker", "quarantine", "overload", "drain")
 
 #: Slack added to a deadline before a completion counts as "late": the
-#: supervisor's expiry/publish gates run on timer threads, so a reply
+#: supervisor's expiry/publish gates run on its loop thread, so a reply
 #: can legitimately land a scheduling quantum after the exact deadline
 #: while still having been *decided* before it.
 DEADLINE_SLACK_S = 0.1

@@ -16,7 +16,7 @@ cannot reach:
   restart brings the worker back, and post-restart traffic is answered
   correctly;
 * **hung worker reaped** — a ``cluster.worker.hang`` delay makes a
-  worker stop answering pings without exiting; the health loop must
+  worker stop answering pings without exiting; the health tick must
   reap and replace it;
 * **slow worker routed around** — every execution on a workload's
   primary turns slow; its replies teach the request book the longer
@@ -163,7 +163,7 @@ def run_cluster_chaos(seed: int = 0, workers: int = 2,
                     run.infer("chaos_mlp", i, "crash_recovered",
                               timeout=60.0, expect=_SHEDDABLE)
 
-            # -- phase 3: hung worker reaped by the health loop --------
+            # -- phase 3: hung worker reaped by the health tick --------
             def phase_hang() -> None:
                 hung_before = sup.metrics.get("workers.hung")
                 arm(ln_primary, {"cluster.worker.hang": "delay(6000)"})

@@ -58,6 +58,7 @@ from ..store import LRU
 # bf16_round/resolve_dtype are re-exported: they used to live here and
 # existing callers import them from this module.
 from .dtypes import all_finite, bf16_round, resolve_dtype  # noqa: F401
+from .dtypes import QUIET_SUM, sum_finite
 from .executor import ExecutionError
 
 #: Failpoints in the lower/execute path (armed only by tests/chaos).
@@ -75,7 +76,8 @@ class LoweringError(Exception):
 
 def outputs_finite(env: dict, tensors) -> bool:
     """True iff every named tensor in ``env`` is fully finite."""
-    return all(all_finite(env[t]) for t in tensors)
+    with np.errstate(**QUIET_SUM):      # once, not once per tensor
+        return all(sum_finite(env[t]) for t in tensors)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,12 @@ import math
 
 import numpy as np
 
-__all__ = ["resolve_dtype", "bf16_round", "all_finite"]
+__all__ = ["resolve_dtype", "bf16_round", "all_finite", "sum_finite",
+           "QUIET_SUM"]
+
+#: The floating-point state :func:`sum_finite` runs under: a sum that
+#: overflows, or meets inf - inf, is an answer there, not an error.
+QUIET_SUM = {"over": "ignore", "invalid": "ignore"}
 
 
 def resolve_dtype(dtype) -> tuple[np.dtype, str]:
@@ -40,12 +45,22 @@ def bf16_round(arr: np.ndarray) -> np.ndarray:
 
 
 def all_finite(arr: np.ndarray) -> bool:
-    """True iff every element is finite, decided by one reduction.
+    """True iff every element is finite: :func:`sum_finite` under its
+    own ``np.errstate``.  A check over many arrays enters
+    :data:`QUIET_SUM` once around its loop and calls :func:`sum_finite`
+    instead — entering an errstate costs about as much as summing a
+    64x64 array."""
+    with np.errstate(**QUIET_SUM):
+        return sum_finite(arr)
+
+
+def sum_finite(arr: np.ndarray) -> bool:
+    """True iff every element is finite, decided by one reduction; call
+    it under ``np.errstate(**QUIET_SUM)``.
 
     NaN and +-inf survive a sum, so a finite total proves every element
     finite without a per-element bool array; a non-finite total (or the
     overflow of large finite values) falls through to the exact test.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.add.reduce(arr, axis=None)
+    total = np.add.reduce(arr, axis=None)
     return math.isfinite(total) or bool(np.isfinite(arr).all())

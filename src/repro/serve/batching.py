@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..runtime.dtypes import all_finite
+from ..runtime.dtypes import QUIET_SUM, sum_finite
 
 _seq = itertools.count()
 
@@ -76,15 +76,16 @@ def validate_feeds(feeds: dict[str, np.ndarray],
     if not isinstance(feeds, dict):
         raise InvalidRequestError(
             f"feeds must be a dict of arrays, got {type(feeds).__name__}")
-    for name, value in feeds.items():
-        arr = np.asarray(value)
-        if arr.dtype.kind not in "fiub":
-            raise InvalidRequestError(
-                f"feed {name!r} has unsupported dtype {arr.dtype} "
-                f"(would not cast cleanly to the engine dtype)")
-        if arr.dtype.kind == "f" and not all_finite(arr):
-            raise InvalidRequestError(
-                f"feed {name!r} contains non-finite values")
+    with np.errstate(**QUIET_SUM):      # once, not once per feed
+        for name, value in feeds.items():
+            arr = np.asarray(value)
+            if arr.dtype.kind not in "fiub":
+                raise InvalidRequestError(
+                    f"feed {name!r} has unsupported dtype {arr.dtype} "
+                    f"(would not cast cleanly to the engine dtype)")
+            if arr.dtype.kind == "f" and not sum_finite(arr):
+                raise InvalidRequestError(
+                    f"feed {name!r} contains non-finite values")
     if required is not None:
         missing = sorted(set(required) - set(feeds))
         if missing:
@@ -125,8 +126,9 @@ class Request:
     #: Optional completion hook, called exactly once — after the first
     #: resolve/fail, outside the resolve lock.  The cluster worker uses
     #: it to push replies back over the supervisor pipe and the load
-    #: harness to timestamp completions without polling.  Keep it cheap
-    #: and non-raising; it runs on the answering worker's thread.
+    #: harness to timestamp completions without polling.  Keep it cheap,
+    #: non-raising and non-blocking; it runs on the answering thread —
+    #: for a ``ClusterSupervisor``, the one loop reading every pipe.
     on_done: Callable[["Request"], None] | None = field(default=None,
                                                        repr=False)
     #: Absolute monotonic deadline (end-to-end budget).  When set it wins

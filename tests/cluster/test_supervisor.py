@@ -8,6 +8,7 @@ never leaks processes.
 import gc
 import multiprocessing
 import os
+import threading
 import time
 import weakref
 
@@ -22,6 +23,7 @@ from repro.cluster import (
     ClusterSupervisor,
 )
 from repro.cluster import supervisor as supervisor_module
+from repro.cluster.arena import SlotArena
 from repro.models import layernorm_graph, mlp_graph
 from repro.runtime.kernels import execute_graph_reference, random_feeds
 from repro.serve import HAVE_FCNTL, InvalidRequestError, WorkerCrashed
@@ -47,6 +49,11 @@ def _config(tmp_path, **overrides):
 def _never_ready(conn, config, arena=None):
     """A worker process that forks fine and never says ``ready``."""
     time.sleep(60.0)
+
+
+def _new_threads(before):
+    """Names of the threads alive now that were not in ``before``."""
+    return sorted(t.name for t in set(threading.enumerate()) - before)
 
 
 def _wait(predicate, timeout_s=60.0, interval_s=0.05):
@@ -163,7 +170,7 @@ class TestNothingLeaks:
             gc.collect()        # Process objects own a sentinel fd each
             return len(os.listdir("/proc/self/fd"))
 
-        before = census()
+        before, threads = census(), set(threading.enumerate())
         sup = ClusterSupervisor(_graphs(),
                                 _config(tmp_path, start_timeout_s=0.0))
         with pytest.raises(ClusterError, match="failed to become ready"):
@@ -172,11 +179,48 @@ class TestNothingLeaks:
         assert len(procs) == 2
         assert not any(p.is_alive() for p in procs)
         assert not multiprocessing.active_children()
-        assert _wait(lambda: not any(w.receiver.is_alive()
-                                     for w in sup._workers.values()),
-                     timeout_s=5.0)
+        assert _new_threads(threads) == []      # the loop is joined
         del sup, procs
         assert census() == before
+
+    def test_a_started_fleet_runs_one_supervisor_thread(self, tmp_path):
+        """Every worker pipe, the deadline timer and the health check
+        share one thread, however many workers; stop() joins it."""
+        graphs = _graphs()
+        threads = set(threading.enumerate())
+        sup = ClusterSupervisor(graphs, _config(tmp_path)).start()
+        try:
+            assert len(sup._workers) == 2
+            assert _new_threads(threads) == ["cluster-loop"]
+            sup.infer("mlp", random_feeds(graphs["mlp"], seed=0),
+                      timeout=60.0)
+            sup.submit("ln", random_feeds(graphs["ln"], seed=0),
+                       timeout=60.0).result(timeout=60.0)
+            assert _new_threads(threads) == ["cluster-loop"]
+        finally:
+            sup.stop()
+        assert _new_threads(threads) == []
+
+    def test_the_loop_sleeps_while_stop_waits_for_a_drain(self, tmp_path):
+        """stop() ends the health ticks, not the loop: while it waits for
+        a slow drain the loop still sleeps between messages instead of
+        polling the pipes."""
+        graphs = {"ln": _graphs()["ln"]}
+        sup = ClusterSupervisor(graphs, _config(tmp_path, workers=1)).start()
+        try:
+            sup.infer("ln", random_feeds(graphs["ln"], seed=0),
+                      timeout=60.0)
+            assert sup.arm_faults("w0", {"runtime.execute": "delay(1500)"})
+            request = sup.submit("ln", random_feeds(graphs["ln"], seed=1),
+                                 timeout=60.0)
+            cpu, wall = time.process_time(), time.monotonic()
+            sup.stop(drain=True)
+            cpu, wall = time.process_time() - cpu, time.monotonic() - wall
+        finally:
+            sup.stop()          # a no-op once stopped
+        assert request.result(timeout=10.0).outputs
+        assert wall > 1.0
+        assert cpu < 0.25 * wall
 
     def test_settled_request_is_collectable_before_its_deadline(
             self, tmp_path):
@@ -244,23 +288,26 @@ class TestCrashRecovery:
             assert reply.outputs
 
     def test_crash_path_restarts_alone(self, tmp_path, monkeypatch):
-        """While the crash path is still tearing a dead worker down, the
-        health loop sees it down with its restart breaker closed.  The
-        restart is the crash path's; a second would fork a generation
-        that nothing ever stops."""
+        """A crash is seen twice — the pipe's EOF and the health tick's
+        dead process — but handled once: reaping and restarting happen
+        on the one loop thread, so however slow the reap, the worker is
+        restarted once and no second generation is forked."""
         graphs = {"ln": _graphs()["ln"]}
+        threads = set(threading.enumerate())
         with ClusterSupervisor(graphs, _config(tmp_path, workers=1)) as sup:
             sup.infer("ln", random_feeds(graphs["ln"], seed=0),
                       timeout=60.0)
             reap = sup._reap
             monkeypatch.setattr(sup, "_reap", lambda w: (
-                time.sleep(0.5), reap(w)))     # five health-loop rounds
+                time.sleep(0.5), reap(w)))     # five health intervals
             dead = sup._workers["w0"]
             sup.kill_worker("w0")
             assert _wait(lambda: sup.metrics.get("workers.restarts") >= 1
                          and sup.health()["workers"]["w0"]["up"])
-            # The dead generation's receiver ends after its crash path.
-            assert _wait(lambda: not dead.receiver.is_alive())
+            assert dead.conn.closed and not dead.proc.is_alive()
+            assert _new_threads(threads) == ["cluster-loop"]
+            time.sleep(0.5)                     # five more ticks
+            assert sup.metrics.get("workers.crashed") == 1
             assert sup.metrics.get("workers.restarts") == 1
             assert sup.infer("ln", random_feeds(graphs["ln"], seed=1),
                              timeout=60.0).outputs
@@ -326,6 +373,50 @@ class TestCrashRecovery:
                     return False
 
             assert _wait(healed, 60.0)
+
+
+class TestTheLoopNeverBlocksOnAWorker:
+    def test_inband_traffic_both_ways_with_pings_every_10ms(
+            self, tmp_path, monkeypatch):
+        """Both directions in-band and full: submitters block sending
+        128 kB feeds to a worker that executes slowly, and the worker's
+        pipe thread blocks sending 128 kB replies back.  The loop must
+        keep reading them: were it stuck sending a ping (the send lock
+        held by a blocked submitter, or the socket full), the worker
+        would never read again and every request would hang."""
+        monkeypatch.setattr(SlotArena, "supported", staticmethod(
+            lambda: False))
+        graphs = {"ln": layernorm_graph(128, 128, name="clu_ln_big")}
+        config = _config(tmp_path, workers=1, health_interval_s=0.01)
+        with ClusterSupervisor(graphs, config) as sup:
+            feeds = [random_feeds(graphs["ln"], seed=s) for s in range(4)]
+            assert feeds[0]["X"].nbytes > 64 * 1024
+            expected = [execute_graph_reference(graphs["ln"], f)["Y"]
+                        for f in feeds]
+            assert sup.infer("ln", feeds[0], timeout=60.0)  # warm
+            assert sup.arm_faults("w0", {"runtime.execute": "delay(5)"})
+            replies: dict[tuple[int, int], object] = {}
+
+            def client(c: int) -> None:
+                pending = [(i, sup.submit("ln", feeds[i % 4],
+                                          timeout=60.0))
+                           for i in range(12)]
+                for i, req in pending:
+                    replies[c, i] = req.result(timeout=60.0)
+
+            clients = [threading.Thread(target=client, args=(c,))
+                       for c in range(4)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=90.0)
+            assert not any(t.is_alive() for t in clients)
+            assert len(replies) == 48
+            for (_, i), reply in replies.items():
+                np.testing.assert_allclose(reply.outputs["Y"],
+                                           expected[i % 4], atol=1e-8)
+            assert sup.metrics.get("wire.inband_requests") == 49
+            assert sup.metrics.get("workers.crashed") == 0
 
 
 class TestTuneDBSharing:
