@@ -566,27 +566,32 @@ class ClusterSupervisor:
         while True:
             closing = self._closing
             events = self._selector.select(0 if closing else timeout)
-            for key, _ in events:
-                if key.data is None:        # the earliest deadline moved
-                    os.read(self._wake_r, 65536)
-                    due_at = 0.0
-                else:
-                    self._receive(key.data)
             if closing and not events:
                 return
-            now = time.monotonic()
-            tick = now >= self._health_due
-            if tick or now >= due_at:
-                # A tick pops settled heads too, so the deadline of a
-                # request that is not the earliest wakes nobody.
-                due, delay = self.book.pop_due()
-                for entry in due:
-                    self._carry_out(self.book.expire(entry))
-                due_at = math.inf if delay is None else now + delay
-            if tick:
-                self._health_due = now + self.config.health_interval_s
-                if not self._stopping:
-                    self._health_tick()
+            try:
+                for key, _ in events:
+                    if key.data is None:    # the earliest deadline moved
+                        os.read(self._wake_r, 65536)
+                        due_at = 0.0
+                    else:
+                        self._receive(key.data)
+                now = time.monotonic()
+                tick = now >= self._health_due
+                if tick or now >= due_at:
+                    # A tick pops settled heads too, so the deadline of a
+                    # request that is not the earliest wakes nobody.
+                    due, delay = self.book.pop_due()
+                    for entry in due:
+                        self._carry_out(self.book.expire(entry))
+                    due_at = math.inf if delay is None else now + delay
+                if tick:
+                    self._health_due = now + self.config.health_interval_s
+                    if not self._stopping:
+                        self._health_tick()
+            except Exception as exc:  # noqa: BLE001 — the one thread lives on
+                self.metrics.inc("loop.errors")
+                obs_event("cluster_loop_error", category="cluster",
+                          error=f"{type(exc).__name__}: {exc}")
             wake = min(due_at, self._health_due)
             timeout = None if wake == math.inf else wake - time.monotonic()
 
@@ -684,7 +689,11 @@ class ClusterSupervisor:
         self._restarts[name] += 1
         obs_event("worker_restart", category="cluster", worker=name,
                   restarts=self._restarts[name])
-        self._spawn(name)
+        try:
+            self._spawn(name)
+        except Exception:   # still down: the health tick retries it
+            self._breakers[name].record_failure()
+            raise
 
     def _health_tick(self) -> None:
         # Only the loop changes ``_workers`` once started: no lock.

@@ -581,6 +581,11 @@ class _FusedEmitter:
                   f" ({'temporal' if kernel.plan else 'plain'}) ---")
         if kernel.meta.get("barrier"):
             return self.emit_barrier(kernel)
+        # For ``dying``: arena locals of this scope, what outlives the
+        # kernel, each tensor's last reader (set per scope; none: no reuse).
+        self.owned: set[str] = set()
+        self.keep = self.later_consumed(kernel) | set(self.outputs)
+        self.last_reader: dict[str, str] = {}
         for t in graph.output_tensors:
             if t not in set(graph.input_tensors) | \
                     {op.output for op in graph.ops}:
@@ -654,11 +659,13 @@ class _FusedEmitter:
 
     # -- blocked matmul ------------------------------------------------
 
-    def blocked_dims(self, kernel: KernelSchedule, op: Op,
-                     sizes: dict) -> list[tuple[str, int]]:
-        """Spatially blocked gemm-free dims of a matmul's output: the
-        dims along which the interpreter's blocking must be replayed."""
-        cfg = kernel.effective_config()
+    @staticmethod
+    def blocked_dims(kernel: KernelSchedule, op: Op, sizes: dict,
+                     cfg=None) -> list[tuple[str, int]]:
+        """Spatially blocked gemm-free dims of a matmul's output (at
+        ``cfg``, default the kernel's): the dims along which the
+        interpreter's blocking must be replayed."""
+        cfg = cfg or kernel.effective_config()
         free = gemm_free_dims(op.input_axes[0], op.input_axes[1],
                               op.output_axes)
         out = []
@@ -685,13 +692,21 @@ class _FusedEmitter:
         v = nm(op.output)
         if not blocked:
             out_expr = (None if published
-                        else f"_A.get({self.new_site()}, "
-                             f"{shape_of(op.output_axes)})")
-            expr, _used = _op_call(kernel.exec_graph, op, names, out_expr)
+                        else self.dying(kernel.exec_graph, op, nm)
+                        or f"_A.get({self.new_site()}, "
+                           f"{shape_of(op.output_axes)})")
+            expr, used = _op_call(kernel.exec_graph, op, names, out_expr)
             self.emit(f"{v} = {expr}", indent)
+            if used:
+                self.owned.add(v)
+            elif op.kind in ("identity", "cast"):   # ``v`` is its operand
+                self.owned.difference_update(map(nm, op.inputs))
+                if published:
+                    self.maybe_alias.add(op.output)
             return
         if self._emit_matmul_inline(op, sizes, nm, indent, published,
                                     blocked, tsub):
+            self.owned.add(v)
             return
         # One batched BLAS call replaying the interpreter's per-block
         # gemms (see matmul_blocked for the bitwise argument).
@@ -703,6 +718,19 @@ class _FusedEmitter:
                   f"{tuple(op.input_axes[1])!r}, "
                   f"{tuple(op.output_axes)!r}, "
                   f"{tuple(blocked)!r}{tail})", indent)
+
+    def dying(self, graph: DataflowGraph, op: Op, nm) -> str | None:
+        """An operand's local ``op`` may write its result into: an arena
+        buffer of this scope, of the output's shape, that ``op`` reads
+        last (rule 4 of docs/runtime.md)."""
+        if not _tdim_elementwise(op):
+            return None
+        for t in op.inputs:
+            if (nm(t) in self.owned and t not in self.keep
+                    and self.last_reader.get(t) == op.name
+                    and tuple(graph.tensors[t].dims) == tuple(op.output_axes)):
+                return nm(t)
+        return None
 
     def _emit_matmul_inline(self, op: Op, sizes: dict, nm, indent: int,
                             published: bool, blocked, tsub) -> bool:
@@ -785,6 +813,8 @@ class _FusedEmitter:
         # Validate every op lowers before emitting any line, so the
         # whole-kernel fallback starts from a clean slate.
         seen = set(self.defined) | self.program_inputs
+        self.last_reader = {t: op.name for op in graph.topological_ops()
+                            for t in op.inputs}
         for op in graph.topological_ops():
             for t in op.inputs:
                 if t not in seen:
@@ -797,10 +827,8 @@ class _FusedEmitter:
             for t in op.inputs:
                 if t in self.program_inputs:
                     self.load(t)
-            pub = op.output in published
-            self.emit_op(kernel, op, sizes, None, shape_of, 1, pub)
-            if pub and op.kind in ("identity", "cast"):
-                self.maybe_alias.add(op.output)
+            self.emit_op(kernel, op, sizes, None, shape_of, 1,
+                         op.output in published)
             self.defined.add(op.output)
         return "vector"
 
@@ -893,6 +921,10 @@ class _FusedEmitter:
                 names_map.setdefault(op.output, f"t_{_var(op.output)}")
         nm = lambda t: names_map.get(t, _var(t))  # noqa: E731
 
+        # What hoisted ops made, every tile reads: not ``owned`` in here.
+        order = tile_ops + [graph.op(n) for n in plan.pass2_op_names]
+        self.last_reader = {t: op.name for op in order for t in op.inputs}
+        self.owned = set()
         self.emit(f"for _lo_t in range(0, {tsize}, {tile}):")
         ind = 2
         self.emit(f"s_t = slice(_lo_t, min(_lo_t + {tile}, {tsize}))", ind)

@@ -76,12 +76,6 @@ class AuditReport:
     def errors(self) -> list[AuditFinding]:
         return [f for f in self.findings if f.severity == "error"]
 
-    def by_check(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for f in self.findings:
-            counts[f.check] = counts.get(f.check, 0) + 1
-        return counts
-
     def render(self) -> str:
         status = "OK" if self.ok else f"{len(self.errors)} violation(s)"
         lines = [f"audit {self.program} on {self.target}: "

@@ -377,13 +377,6 @@ def transcendental_weight(kind: str, table=None) -> float:
     return GENERIC_INSTRUCTION_WEIGHTS.get(kind, 1.0)
 
 
-def op_summary(op: Op, registry: DimRegistry) -> str:
-    """Compact single-line description used in logs and error messages."""
-    dims = ",".join(f"{d}={registry.size(d)}" for d in op.iter_dims)
-    red = f" reduce[{op.reduce_kind}:{','.join(op.reduce_dims)}]" if op.reduce_dims else ""
-    return f"{op.name}<{op.kind}>({dims}){red}"
-
-
 def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 

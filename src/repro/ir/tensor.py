@@ -9,7 +9,7 @@ paper's Space-Mapping Graph abstraction (SpaceFusion, EuroSys '25, section 4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 #: Bytes per element for the supported datatypes.  The paper evaluates in
@@ -115,15 +115,3 @@ class TensorSpec:
             return self.dims.index(dim)
         except ValueError:
             raise ValueError(f"tensor {self.name!r} has no dimension {dim!r}") from None
-
-
-@dataclass
-class TensorValueInfo:
-    """Mutable bookkeeping attached to a tensor during scheduling.
-
-    ``memory_level`` is filled in by the memory planner (section 5.4):
-    one of ``"register"``, ``"shared"``, ``"global"``.
-    """
-
-    memory_level: str | None = None
-    extra: dict = field(default_factory=dict)

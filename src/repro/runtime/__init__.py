@@ -9,7 +9,6 @@ from .compiled import (
     compile_schedule,
     default_plan_cache,
     execute_compiled,
-    lower_kernel,
     lower_program,
     plan_key,
     schedule_fingerprint,
@@ -36,7 +35,6 @@ __all__ = [
     "execute_compiled",
     "execute_graph_reference",
     "execute_schedule",
-    "lower_kernel",
     "lower_program",
     "plan_key",
     "random_feeds",

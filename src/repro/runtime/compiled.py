@@ -39,19 +39,21 @@ sizes)**; lowering, cache hits/misses, and execution are all visible as
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..codegen.python_backend import (
     CodegenError,
     FusedProgram,
+    _FusedEmitter,
     generate_fused_program,
 )
 from ..core.schedule import KernelSchedule, ProgramSchedule
+from ..ir.ops import ceil_div
 from ..obs import span as obs_span
 from ..resilience import faults as _faults
 from ..store import LRU
@@ -109,23 +111,14 @@ def plan_key(program: ProgramSchedule, dtype=np.float64,
 
 @dataclass
 class LoweredKernel:
-    """Per-kernel slice of a fused plan: kind, source section, and (for
-    standalone kernels lowered via :func:`lower_kernel`) a callable."""
+    """Per-kernel slice of a fused plan: its kind and source section."""
 
     name: str
     kind: str  # "vector" | "loopnest" | "whole" | "barrier"
-    fn: Callable[[dict], None] | None = None
     source: str | None = None
     #: spatial blocks the interpreted schedule would have launched; the
     #: fused plan collapses them for everything except blocked gemms.
     grid_blocks: int = 1
-
-    def __call__(self, env: dict) -> None:
-        if self.fn is None:
-            raise ExecutionError(
-                f"kernel {self.name!r} is part of a fused plan and is not "
-                f"individually executable")
-        self.fn(env)
 
 
 def _grid_blocks(kernel: KernelSchedule) -> int:
@@ -133,26 +126,6 @@ def _grid_blocks(kernel: KernelSchedule) -> int:
         return kernel.grid_size()
     except ValueError:
         return 1
-
-
-def lower_kernel(kernel: KernelSchedule, dtype=np.float64) -> LoweredKernel:
-    """Lower one kernel schedule into its executable artifact.
-
-    Standalone entry point (tests, tooling): wraps the kernel in a
-    single-kernel program and fuses it, so the lowering semantics are
-    identical to program lowering.
-    """
-    compute, _token = resolve_dtype(dtype)
-    program = ProgramSchedule(kernel.name, [kernel])
-    try:
-        fused = generate_fused_program(
-            program, compute, outputs=list(kernel.exec_graph.output_tensors))
-    except CodegenError as exc:
-        raise LoweringError(str(exc)) from exc
-    seg = fused.segments[0]
-    return LoweredKernel(name=kernel.name, kind=seg.kind, fn=fused.fn,
-                         source=fused.source,
-                         grid_blocks=_grid_blocks(kernel))
 
 
 # ----------------------------------------------------------------------
@@ -260,6 +233,42 @@ def lower_program(program: ProgramSchedule, dtype=np.float64,
         key=key if key is not None else plan_key(program, dtype),
         kernels=kernels, dtype=compute, fused=fused, dtype_token=token,
         lower_time_s=time.perf_counter() - t0)
+
+
+# ----------------------------------------------------------------------
+# The host plan
+# ----------------------------------------------------------------------
+
+
+def host_counts(kernel: KernelSchedule, config) -> tuple[int, int]:
+    """What a fused plan of ``kernel`` at ``config`` costs the host: (tile
+    loop trips, blocked-gemm calls per trip or 1 without a blocked gemm)."""
+    graph = kernel.exec_graph
+    sizes = {d: graph.dims.size(d) for d in graph.dims.names()}
+    blocked = [_FusedEmitter.blocked_dims(kernel, op, sizes, config)
+               for op in graph.ops if op.kind == "matmul"]
+    calls = sum(math.prod(ceil_div(sizes[d], b) for d, b in dims)
+                for dims in blocked if dims)
+    return kernel.num_intra_blocks(config), calls or 1
+
+
+def host_plan(program: ProgramSchedule) -> tuple[ProgramSchedule, list]:
+    """``program`` with each kernel at the config of its search space with
+    the fewest :func:`host_counts` (a tie keeps the GPU config), and a
+    record per tunable kernel of both configs and their counts."""
+    kernels, report = [], []
+    for k in program.kernels:
+        if k.search_space:
+            gpu = k.effective_config()
+            counts = {c: host_counts(k, c) for c in {*k.search_space, gpu}}
+            host = min(k.search_space, key=counts.__getitem__)
+            host = gpu if counts[host] == counts[gpu] else host
+            report.append({"kernel": k.name, "gpu": gpu.describe(),
+                           "host": host.describe(), "gpu_counts": counts[gpu],
+                           "host_counts": counts[host]})
+            k = replace(k, config=host)
+        kernels.append(k)
+    return replace(program, kernels=kernels), report
 
 
 # ----------------------------------------------------------------------

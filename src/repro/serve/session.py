@@ -3,7 +3,8 @@
 An :class:`InferenceSession` owns everything needed to answer requests for
 one workload graph on one GPU: it compiles through the two-tier cache
 (:class:`~repro.serve.cache.TieredScheduleCache`), lowers the schedule
-through the plan cache of the compiled execution engine
+at host configs (:func:`~repro.runtime.compiled.host_plan`) through the
+plan cache of the compiled execution engine
 (:mod:`repro.runtime.compiled`), and executes request feeds.  Lowered
 programs are pure functions over a per-request environment dict, so any
 number of threads can execute concurrently on one session.
@@ -56,6 +57,7 @@ from ..runtime.compiled import (
     PlanCache,
     compile_schedule,
     default_plan_cache,
+    host_plan,
     outputs_finite,
 )
 from ..runtime.executor import ScheduleExecutor
@@ -145,9 +147,13 @@ class InferenceSession:
         self._compile_started = threading.Lock()
         self._compile_thread: threading.Thread | None = None
         self.compile_error: str | None = None
+        #: The cached GPU-tuned schedule, and the copy both engines run:
+        #: its configs re-picked for the host (``host_plan``).
         self.schedule: ProgramSchedule | None = None
+        self.host_schedule: ProgramSchedule | None = None
+        self._host_report: list = []
         self.program: CompiledProgram | None = None
-        self._interpreter: ScheduleExecutor | None = None
+        self._interpreter = ScheduleExecutor()
         self._requests = 0
         self._degraded = 0
         self._count_lock = threading.Lock()
@@ -194,20 +200,19 @@ class InferenceSession:
                     self._options_repr(), deadline_s=deadline)
             with obs_span("session_lower", category="compile",
                           workload=self.graph.name, engine=self.engine):
+                host, self._host_report = host_plan(schedule)
                 if self.engine == ENGINE_COMPILED:
                     # Lowering gets the same transient-fault retry
                     # treatment as the compile itself.
                     self.program = self.cache.retry_policy.call(
                         lambda: compile_schedule(
-                            schedule, cache=self.plan_cache),
+                            host, cache=self.plan_cache),
                         on_retry=lambda n, exc, d:
                             self.metrics.inc("lower.retries"),
                         deadline_s=deadline,
                         on_deadline=lambda n, exc, d:
                             self.metrics.inc("retry.deadline_capped"))
-                else:
-                    self._interpreter = ScheduleExecutor()
-            self.schedule = schedule
+            self.schedule, self.host_schedule = schedule, host
             self._state = READY
         except Exception as exc:  # noqa: BLE001 — any compile failure degrades
             self.compile_error = f"{type(exc).__name__}: {exc}"
@@ -260,8 +265,7 @@ class InferenceSession:
             assert self.program is not None
             env = self.program.execute(feeds)
         else:
-            assert self._interpreter is not None and self.schedule is not None
-            env = self._interpreter.execute_program(self.schedule, feeds)
+            env = self._interpreter.execute_program(self.host_schedule, feeds)
         return {t: env[t] for t in self.graph.output_tensors}
 
     def _execute_reference(self, feeds: dict[str, np.ndarray],
@@ -281,11 +285,6 @@ class InferenceSession:
         obs_event("breaker_transition", category="serve",
                   workload=self.graph.name, old=old, new=new)
 
-    def _get_interpreter(self) -> ScheduleExecutor:
-        if self._interpreter is None:
-            self._interpreter = ScheduleExecutor()
-        return self._interpreter
-
     def _quarantine_and_reanswer(self, feeds: dict[str, np.ndarray],
                                  ) -> tuple[dict[str, np.ndarray], str]:
         """The compiled engine produced non-finite outputs: re-answer via
@@ -296,8 +295,8 @@ class InferenceSession:
         interpreter agrees the result is non-finite, the data (not the
         plan) produced it, and the plan stays.
         """
-        assert self.schedule is not None and self.program is not None
-        env = self._get_interpreter().execute_program(self.schedule, feeds)
+        assert self.host_schedule is not None and self.program is not None
+        env = self._interpreter.execute_program(self.host_schedule, feeds)
         outputs = {t: env[t] for t in self.graph.output_tensors}
         if not outputs_finite(outputs, self.graph.output_tensors):
             self.metrics.inc("plans.nonfinite_data")
@@ -307,7 +306,7 @@ class InferenceSession:
         self.metrics.inc("plans.quarantined")
         obs_event("plan_quarantine", category="serve",
                   workload=self.graph.name, program=self.program.name)
-        self.program = compile_schedule(self.schedule, cache=cache)
+        self.program = compile_schedule(self.host_schedule, cache=cache)
         return outputs, "plan_quarantined"
 
     def execute(self, feeds: dict[str, np.ndarray],
@@ -372,6 +371,8 @@ class InferenceSession:
                 "breaker": self.breaker.snapshot()}
         if self.program is not None:
             meta["plan_kinds"] = self.program.kind_counts()
+        if self.host_schedule is not None:
+            meta["host_plan"] = self._host_report
         if self.tune_db is not None:
             meta["tunedb"] = self.tune_db.disk_stats()
         return SessionInfo(

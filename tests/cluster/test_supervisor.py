@@ -374,6 +374,38 @@ class TestCrashRecovery:
 
             assert _wait(healed, 60.0)
 
+    def test_a_restart_whose_fork_raises_does_not_end_the_loop(
+            self, tmp_path, monkeypatch):
+        """The loop owns every pipe, so an exception on it is counted,
+        not fatal: the other worker keeps answering, and the failed
+        restart is a breaker failure the next health tick retries."""
+        graphs = _graphs()
+        config = _config(tmp_path, drain_timeout_s=5.0)
+        with ClusterSupervisor(graphs, config) as sup:
+            feeds = random_feeds(graphs["ln"], seed=0)
+            assert sup.infer("ln", feeds, timeout=60.0).outputs
+            spawn, forks = sup._spawn, []
+
+            def fork_fails_once(name):
+                forks.append(name)
+                if len(forks) == 1:
+                    raise OSError("fork: resource temporarily unavailable")
+                return spawn(name)
+
+            monkeypatch.setattr(sup, "_spawn", fork_fails_once)
+            dead = sup._workers["w0"]
+            sup.kill_worker("w0")
+            assert _wait(lambda: sup.metrics.get("loop.errors") == 1, 10.0)
+            for seed in range(3):       # w1 hosts every workload
+                for name, graph in graphs.items():
+                    assert sup.infer(name, random_feeds(graph, seed=seed),
+                                     timeout=10.0).outputs
+            assert _wait(lambda: sup._workers["w0"] is not dead
+                         and sup._workers["w0"].ready.is_set(), 30.0)
+            assert forks == ["w0", "w0"]
+            assert sup.metrics.get("loop.errors") == 1
+            assert sup.health()["workers"]["w0"]["up"]
+
 
 class TestTheLoopNeverBlocksOnAWorker:
     def test_inband_traffic_both_ways_with_pings_every_10ms(

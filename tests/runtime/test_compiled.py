@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.builder import build_smg
 from repro.core.schedule import KernelSchedule, ProgramSchedule, ScheduleConfig
+from repro.core.temporal_slicer import plan_temporal_slice
 from repro.hw import AMPERE
 from repro.ir import GraphBuilder
 from repro.models import (
@@ -36,7 +37,6 @@ from repro.runtime import (
     random_feeds,
     schedule_fingerprint,
 )
-from repro.runtime.compiled import lower_kernel
 
 
 def _elementwise_graph(m=24, n=40, name="elem"):
@@ -163,7 +163,7 @@ class TestLowering:
         kernel = KernelSchedule("k", smg, ("m",), None,
                                 config=ScheduleConfig(block=(("m", 8),)))
         with pytest.raises(LoweringError, match="Z"):
-            lower_kernel(kernel)
+            lower_program(ProgramSchedule("k", [kernel]))
 
     def test_describe_mentions_collapsed_blocks(self):
         graph = _elementwise_graph(m=64, n=16)
@@ -295,6 +295,27 @@ class TestOutputOwnership:
         for t, arr in out_a.items():
             np.testing.assert_array_equal(arr, snap[t])
             assert not any(np.shares_memory(arr, buf) for buf in arena)
+
+    def test_a_two_pass_identity_output_is_copied(self):
+        """Regression: layernorm's identity-renamed ``Y`` in a vectorised
+        pass-2 epilogue was published as the arena buffer it renames
+        (``repro serve layernorm``, 4096 x 4096, answered wrong under
+        concurrent clients)."""
+        graph = layernorm_graph(16, 64, name="own_ln2")
+        smg = build_smg(graph)
+        kernel = KernelSchedule("k", smg, ("m",),
+                                plan_temporal_slice(smg, "n"),
+                                config=ScheduleConfig(block=(("m", 8),),
+                                                      tile=16))
+        program = compile_schedule(ProgramSchedule("p", [kernel]),
+                                   cache=PlanCache())
+        assert "# pass-2 epilogue, vectorised" in program.fused.source
+        env_a = program.execute(random_feeds(graph, seed=0))
+        snap = env_a["Y"].copy()
+        program.execute(random_feeds(graph, seed=1))
+        np.testing.assert_array_equal(env_a["Y"], snap)
+        arena = program.fused.arena._bufs().values()
+        assert not any(np.shares_memory(env_a["Y"], buf) for buf in arena)
 
     def test_outputs_never_alias_feeds(self):
         b = GraphBuilder("own_id")

@@ -2,9 +2,11 @@
 
 The emission rules under test (docs/runtime.md, "Emission rules"): a
 stage's update runs in three-address form, written back into the
-aggregate; a factor several stages of a tile apply is bound once; and a
+aggregate; a factor several stages of a tile apply is bound once; a
 pass-2 body that never touches the temporal axis runs once instead of
-once per tile.
+once per tile; and an elementwise op writes into a dying, same-shape
+arena operand.  Sessions serve the host plan (docs/runtime.md, "The plan
+the host runs"), so its parity is pinned here too.
 """
 
 import ast
@@ -35,6 +37,7 @@ from repro.runtime import (
     execute_schedule,
     random_feeds,
 )
+from repro.serve import InferenceSession
 
 #: The six ``exec_inproc`` shapes and ``serve_heavy``'s softmax-GEMM.
 SHAPES = {
@@ -48,6 +51,8 @@ SHAPES = {
 }
 #: Those whose schedule on AMPERE has a temporal (tile-loop) kernel.
 TEMPORAL = ("mlp", "mha", "mha-long", "softmax-gemm")
+#: What sessions serve: the shapes above plus ``serve_light``'s layernorm.
+SERVED = {**SHAPES, "layernorm-48": lambda: layernorm_graph(48, 64)}
 
 
 
@@ -57,6 +62,13 @@ def _plan(name: str):
     graph = SHAPES[name]()
     sched, _ = compile_for(graph, AMPERE)
     return graph, sched, compile_schedule(sched, cache=PlanCache())
+
+
+@functools.lru_cache(maxsize=None)
+def _session(name: str) -> InferenceSession:
+    """A ready session of one shape, serving its host plan."""
+    return InferenceSession(SERVED[name](), AMPERE, eager=True,
+                            plan_cache=PlanCache())
 
 
 def _tile_loops(source: str) -> list[ast.For]:
@@ -247,3 +259,156 @@ class TestSourceShape:
         expected = execute_schedule(sched, feeds)
         np.testing.assert_array_equal(program.execute(feeds)["Out"],
                                       expected["Out"])
+
+
+def _in_place_writes(source: str) -> list[tuple[str, str, ast.Call]]:
+    """``(name, buffer, call)`` for every ``name = f(..., out=buffer)``
+    that binds a new name to an existing buffer (an aggregate's own
+    ``v = f(v, ..., out=v)`` update is not one)."""
+    writes = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            name = getattr(node.targets[0], "id", None)
+            for kw in node.value.keywords:
+                if kw.arg == "out" and isinstance(kw.value, ast.Name) \
+                        and kw.value.id != name:
+                    writes.append((name, kw.value.id, node.value))
+    return writes
+
+
+def _plain(name: str, graph) -> KernelSchedule:
+    return KernelSchedule(name, build_smg(graph), ("m",), None,
+                          config=ScheduleConfig(block=(("m", 8),)))
+
+
+def _keep_chain(kind: str):
+    """Plain kernels with an operand that must keep its own buffer:
+    ``(graph for the feeds and outputs, schedule)``."""
+    b = GraphBuilder(f"keep_{kind}")
+    x = b.input("X", [("m", 16), ("n", 24)])
+    a = b.unary("exp", x, out_name="A")
+    if kind == "read_later":    # B is not A's last reader: C is
+        c = b.binary("add", a, b.unary("tanh", a, out_name="B"),
+                     out_name="C")
+    elif kind == "alias":       # B is A under a second name
+        c = b.binary("add", b.unary("identity", a, out_name="B"),
+                     b.unary("neg", a, out_name="N"), out_name="C")
+    elif kind == "broadcast":   # S dies in C, but C is larger than S
+        s = b.unary("exp", b.reduce("sum", a, dim="n", out_name="R"),
+                    out_name="S")
+        c = b.binary("mul", x, s, out_name="C")
+    else:                       # B is A's last reader in kernel one only
+        b.unary("tanh", a, out_name="B")
+        first = b.build()
+        first.declared_outputs = ["A", "B"]
+        b2 = GraphBuilder("keep_later_2")
+        c = b2.binary("add", b2.input("A", [("m", 16), ("n", 24)]),
+                      b2.input("B", ["m", "n"]), out_name="C")
+        b2.scalar("mul", c, 2.0, out_name="Y")
+        second = b2.build()
+        return second, ProgramSchedule("p", [_plain("k1", first),
+                                             _plain("k2", second)])
+    b.scalar("mul", c, 2.0, out_name="Y")      # C is no published output
+    graph = b.build()
+    return graph, ProgramSchedule("p", [_plain("k", graph)])
+
+
+class TestInPlaceWrites:
+    def test_attention_scores_share_one_buffer(self):
+        """QK -> QKs -> sub -> exp -> div: one arena buffer per tile."""
+        for name in ("mha", "mha-long"):
+            source = _session(name).program.fused.source
+            root = {}
+            for target, buf, _call in _in_place_writes(source):
+                root[target] = root.get(buf, buf)
+            assert len(root) == 4 and set(root.values()) == {"t_v_QK"}, root
+
+    @pytest.mark.parametrize("name", list(SERVED))
+    def test_nothing_that_outlives_the_op_is_overwritten(self, name):
+        """No in-place write targets a feed or a slice of one, an
+        aggregate, an ``old_*`` copy or a published output — in the
+        GPU-config plan or the served one."""
+        session = _session(name)
+        plans = [session.program.fused.source]
+        if name in SHAPES:
+            plans.append(_plan(name)[2].fused.source)
+        aggregates = {_var(s.output) for k in session.schedule.kernels
+                      if k.plan for s in k.plan.stages}
+        for source in plans:
+            tree = ast.parse(source)
+            feeds, published = set(), set()
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Assign):
+                    continue
+                target, value = node.targets[0], node.value
+                if isinstance(target, ast.Name) and \
+                        isinstance(value, ast.Subscript) and \
+                        getattr(value.value, "id", None) in feeds | {"env"}:
+                    feeds.add(target.id)        # env['X'] or a slice of it
+                elif isinstance(target, ast.Subscript) and \
+                        getattr(target.value, "id", None) == "env":
+                    published.update(n.id for n in ast.walk(value)
+                                     if isinstance(n, ast.Name))
+            forbidden = feeds | aggregates | published
+            for target, buf, call in _in_place_writes(source):
+                assert buf not in forbidden and not buf.startswith("old_"), \
+                    (target, ast.unparse(call))
+                assert buf in {getattr(a, "id", None) for a in call.args}
+
+    @pytest.mark.parametrize("kind, writes", [
+        ("read_later", [("v_C", "v_A")]),     # not ("v_B", "v_A")
+        ("alias", [("v_C", "v_N")]),          # not ("v_N", "v_A")
+        ("broadcast", [("v_S", "v_R")]),      # not ("v_C", "v_S")
+        ("later_kernel", []),                 # not ("v_B", "v_A")
+    ])
+    def test_an_operand_that_is_still_needed_keeps_its_buffer(
+            self, kind, writes):
+        graph, sched = _keep_chain(kind)
+        program = compile_schedule(sched, cache=PlanCache())
+        assert [(t, buf) for t, buf, _c
+                in _in_place_writes(program.fused.source)] == writes
+        feeds = random_feeds(graph, seed=4)
+        if kind == "later_kernel":
+            feeds = {"X": feeds["A"]}
+        expected = execute_schedule(sched, feeds)
+        for _ in range(2):
+            env = program.execute(feeds)
+            for t in graph.output_tensors:
+                np.testing.assert_array_equal(env[t], expected[t])
+
+    def test_mha_long_served_arena_is_at_most_25_5_mb(self):
+        """The host plan's 4x larger tiles fit in the 25.5 MB the GPU
+        config's per-statement buffers took before rule 4 (88.4 MB
+        without it)."""
+        session = _session("mha-long")
+        session.program.execute(random_feeds(session.graph, seed=1))
+        assert session.program.fused.arena.nbytes() <= 25.5e6
+
+
+class TestTheServedPlan:
+    @pytest.mark.parametrize("name", list(SERVED))
+    def test_session_plan_matches_the_interpreter_on_the_host_schedule(
+            self, name):
+        session = _session(name)
+        feeds = random_feeds(session.graph, seed=9)
+        expected = execute_schedule(session.host_schedule, feeds)
+        for _ in range(2):
+            outputs = session.execute(feeds).outputs
+            for t in session.graph.output_tensors:
+                np.testing.assert_array_equal(outputs[t], expected[t])
+
+    @pytest.mark.parametrize("name", list(SERVED))
+    def test_host_configs_come_from_the_search_space(self, name):
+        session = _session(name)
+        report = {r["kernel"]: r for r in session.info().meta["host_plan"]}
+        for gpu, host in zip(session.schedule.kernels,
+                             session.host_schedule.kernels):
+            if not gpu.search_space:
+                continue
+            assert host.config in gpu.search_space
+            row = report[gpu.name]
+            assert row["gpu"] == gpu.effective_config().describe()
+            assert row["host"] == host.config.describe()
+            assert row["host_counts"] <= row["gpu_counts"]
+            if row["host_counts"] == row["gpu_counts"]:
+                assert host.config == gpu.effective_config()

@@ -6,11 +6,17 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.compiler import FusionOptions
 from repro.core.serialize import ScheduleCache, schedule_to_json
 from repro.core.verify import audit_program
 from repro.hw import AMPERE
 from repro.models import mha_graph
+from repro.pipeline import compile_for
+from repro.resilience import faults
+from repro.runtime import PlanCache, ScheduleExecutor, execute_schedule
+from repro.runtime.compiled import plan_key
 from repro.runtime.kernels import execute_graph_reference, random_feeds
+from repro.tune.fingerprint import gpu_fingerprint
 from repro.serve import (
     ENGINE_COMPILED,
     ENGINE_INTERPRETER,
@@ -139,6 +145,54 @@ class TestExecutionEngines:
         stats = plans.stats()
         assert stats["misses"] == 1 and stats["hits"] >= 1
         assert a.program is b.program
+
+
+class TestTheHostPlan:
+    """A session keeps the cached GPU schedule and serves a copy of it at
+    host configs (docs/runtime.md, "The plan the host runs")."""
+
+    def test_the_cached_schedule_is_untouched(self, small_mha):
+        cache = TieredScheduleCache()
+        session = InferenceSession(small_mha, AMPERE, cache=cache,
+                                   eager=True)
+        cached = cache.get_or_compile(
+            small_mha, gpu_fingerprint(AMPERE),
+            lambda: pytest.fail("the cache compiled again"))
+        assert session.schedule is cached
+        fresh, _ = compile_for(small_mha, AMPERE,
+                               FusionOptions(keep_timings=False))
+        configs = [k.config for k in cached.kernels]
+        assert configs == [k.config for k in fresh.kernels]
+        assert [k.config for k in session.host_schedule.kernels] != configs
+        assert session.program.key == plan_key(session.host_schedule)
+        [row] = session.info().meta["host_plan"]
+        assert row["gpu"] == configs[0].describe()
+        assert row["host_counts"] < row["gpu_counts"]
+
+    def test_quarantine_relowers_and_reanswers_on_the_host_plan(
+            self, small_mha, monkeypatch):
+        plans = PlanCache()
+        session = InferenceSession(small_mha, AMPERE, plan_cache=plans,
+                                   eager=True)
+        interpreted = []
+        real = ScheduleExecutor.execute_program
+        monkeypatch.setattr(
+            ScheduleExecutor, "execute_program",
+            lambda self, program, feeds: interpreted.append(program)
+            or real(self, program, feeds))
+        feeds = random_feeds(small_mha, seed=2)
+        with faults.registry().armed({"runtime.poison": "fail_n_times(1)"}):
+            reply = session.execute(feeds)
+        assert reply.reason == "plan_quarantined"
+        assert interpreted == [session.host_schedule]
+        assert plans.stats()["quarantined"] == 1
+        assert session.program.key == plan_key(session.host_schedule)
+        expected = execute_schedule(session.host_schedule, feeds)
+        for name in small_mha.output_tensors:
+            np.testing.assert_array_equal(reply.outputs[name],
+                                          expected[name])
+            np.testing.assert_array_equal(
+                session.execute(feeds).outputs[name], expected[name])
 
 
 class TestGracefulDegradation:
