@@ -260,6 +260,8 @@ def cmd_tunedb(args: argparse.Namespace) -> int:
         print(f"tunedb {args.dir}")
         print(f"  entries:        {stats['disk_entries']}")
         print(f"  size:           {stats['disk_bytes']} bytes")
+        print(f"  models:         {stats['model_entries']} entries, "
+              f"{stats['model_bytes']} bytes")
         print(f"  stored tuning:  {saved:.4f} simulated seconds "
               f"(saved per warm fleet member)")
         for gpu_key in sorted(by_gpu):

@@ -16,6 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import weakref
+from typing import Callable
 
 from ..ir.graph import DataflowGraph
 from ..ir.ops import Op
@@ -184,22 +186,21 @@ def kernel_from_dict(data: dict) -> KernelSchedule:
         meta=dict(data["meta"]))
 
 
-def schedule_to_json(schedule: ProgramSchedule) -> str:
-    payload = {
+def schedule_to_dict(schedule: ProgramSchedule) -> dict:
+    return {
         "version": FORMAT_VERSION,
         "name": schedule.name,
         "meta": {k: v for k, v in schedule.meta.items()
                  if isinstance(v, (int, float, str, bool)) or v is None},
         "kernels": [kernel_to_dict(k) for k in schedule.kernels],
     }
-    return json.dumps(payload, indent=1, sort_keys=True)
 
 
-def schedule_from_json(text: str) -> ProgramSchedule:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SerializeError(f"malformed schedule JSON: {exc}") from exc
+def schedule_to_json(schedule: ProgramSchedule) -> str:
+    return json.dumps(schedule_to_dict(schedule), indent=1, sort_keys=True)
+
+
+def schedule_from_dict(payload) -> ProgramSchedule:
     if not isinstance(payload, dict):
         raise SerializeError(
             f"schedule payload must be an object, got {type(payload).__name__}")
@@ -218,6 +219,33 @@ def schedule_from_json(text: str) -> ProgramSchedule:
     return sched
 
 
+def schedule_from_json(text: str) -> ProgramSchedule:
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SerializeError(f"malformed schedule JSON: {exc}") from exc
+    return schedule_from_dict(payload)
+
+
+#: Every schedule decoded from stored text, keyed by the text's digest
+#: (plus the schedule's index when one entry holds several).  Readers of
+#: the same bytes share one read-only ``ProgramSchedule`` for as long as
+#: any of them keeps it — the weak table of :mod:`.flyweight`.
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def shared_schedule(key, decode: Callable[[], ProgramSchedule],
+                    ) -> ProgramSchedule:
+    """The live schedule under ``key``, else ``decode()``'s, now shared;
+    callers must not mutate it."""
+    found = _SHARED.get(key)
+    return found if found is not None else _SHARED.setdefault(key, decode())
+
+
 # ----------------------------------------------------------------------
 # On-disk compile cache
 # ----------------------------------------------------------------------
@@ -226,11 +254,8 @@ def schedule_from_json(text: str) -> ProgramSchedule:
 def cache_key(graph: DataflowGraph, gpu_name: str,
               options_repr: str = "") -> str:
     """Content hash identifying one (graph, GPU, options) compile."""
-    h = hashlib.sha256()
-    h.update(json.dumps(graph_to_dict(graph), sort_keys=True).encode())
-    h.update(gpu_name.encode())
-    h.update(options_repr.encode())
-    return h.hexdigest()[:24]
+    return text_digest(json.dumps(graph_to_dict(graph), sort_keys=True)
+                       + gpu_name + options_repr)[:24]
 
 
 class ScheduleCache:
@@ -254,9 +279,12 @@ class ScheduleCache:
         An unreadable, corrupt, or version-incompatible entry counts as a
         miss (and is dropped) rather than poisoning every boot that hashes
         onto it — :func:`compile_cached` then recompiles and overwrites it.
+        A hit is the :func:`shared_schedule` of the entry's bytes.
         """
         schedule, _contained = self.store.load(
-            cache_key(graph, gpu_name, options_repr), schedule_from_json,
+            cache_key(graph, gpu_name, options_repr),
+            lambda text: shared_schedule(
+                text_digest(text), lambda: schedule_from_json(text)),
             (SerializeError,))
         if schedule is None:
             self.misses += 1

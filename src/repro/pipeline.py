@@ -69,9 +69,15 @@ def compile_model_for(program: TensorProgram, gpu: GPUSpec,
                       options: FusionOptions | None = None,
                       tune_db=None,
                       tune_metrics=None) -> CompiledModel:
-    """Compile a whole model program (repeated subprograms compile once)."""
-    return make_compiler(gpu, options, tune_db=tune_db,
-                         tune_metrics=tune_metrics).compile_model(program)
+    """Compile a whole model program (repeated subprograms compile once;
+    with a disk-tier ``tune_db``, once per store: :mod:`repro.tune.models`)."""
+    compiler = make_compiler(gpu, options, tune_db=tune_db,
+                             tune_metrics=tune_metrics)
+    if tune_db is not None and tune_db.models is not None:
+        from .tune.models import compile_model_stored
+
+        return compile_model_stored(compiler, program)
+    return compiler.compile_model(program)
 
 
 def simulate(schedule: ProgramSchedule, gpu: GPUSpec,

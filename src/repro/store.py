@@ -92,11 +92,14 @@ class LRU:
 
 
 class DiskStore:
-    """Directory of ``<key>.json`` entries shared across processes."""
+    """Directory of ``<key>.json`` entries shared across processes
+    (``create=False``: made by its first writer; until then, empty)."""
 
-    def __init__(self, directory: str | os.PathLike) -> None:
+    def __init__(self, directory: str | os.PathLike,
+                 create: bool = True) -> None:
         self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        if create:
+            self.directory.mkdir(parents=True, exist_ok=True)
 
     def path(self, key: str) -> pathlib.Path:
         return self.directory / f"{key}.json"
@@ -174,8 +177,9 @@ class FileLock:
     Failure semantics are deliberately forgiving: a **crashed** holder
     cannot wedge the fleet (the kernel releases a ``flock`` the moment
     the holder's fd closes, including on SIGKILL); a **live but stuck**
-    holder is bounded by ``timeout_s``; without ``fcntl`` (Windows) the
-    lock degrades to a no-op.  Lock files are never deleted while in use
+    holder is bounded by ``timeout_s`` (``timed_out``); without ``fcntl``
+    (Windows) or a lock file (a read-only directory) the lock degrades to
+    a no-op.  Lock files are never deleted while in use
     (deleting an flock'd file re-opens a race on the inode).
 
     ``acquire``/``release`` are not thread-safe on one instance — create
@@ -196,6 +200,7 @@ class FileLock:
         #: have finished the protected work in the meantime
         #: (:func:`single_flight` re-checks only then).
         self.waited = False
+        self.timed_out = False
 
     @property
     def held(self) -> bool:
@@ -212,7 +217,10 @@ class FileLock:
             return False
         if self._fd is not None:
             raise RuntimeError(f"lock {self.path!r} already held")
-        fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+        except OSError:
+            return False
         deadline = time.monotonic() + self.timeout_s
         while True:
             try:
@@ -220,6 +228,7 @@ class FileLock:
             except OSError:
                 if time.monotonic() >= deadline:
                     os.close(fd)
+                    self.timed_out = True
                     return False
                 self.waited = True
                 time.sleep(self.poll_s)
@@ -256,7 +265,8 @@ def single_flight(disk: DiskStore | None, key: str, timeout_s: float,
     returns its result unless it is None; an instantly-free lock means
     nobody was producing when the caller looked, so its miss still
     stands and no second read is paid.  A timeout (live-but-stuck
-    holder) calls ``on_timeout()`` and produces unlocked: worst case one
+    holder) calls ``on_timeout()`` and produces unlocked (as does a lock
+    that cannot be made at all): worst case one
     duplicate production, never a wedged fleet — safe because
     :meth:`DiskStore.write` is atomic and last-writer-wins.  With no
     disk tier there is no other process to wait for.
@@ -271,7 +281,7 @@ def single_flight(disk: DiskStore | None, key: str, timeout_s: float,
                 found = recheck()
                 if found is not None:
                     return found
-        elif HAVE_FCNTL and on_timeout is not None:
+        elif lock.timed_out and on_timeout is not None:
             on_timeout()    # a real timeout, not a platform gap
         return produce()
     finally:

@@ -12,7 +12,9 @@ Both tiers come from :mod:`repro.store`; this module is the
   candidate paths dozens of times per model;
 * an optional :class:`~repro.store.DiskStore` (one JSON file per
   fingerprint) shares campaigns across processes, restarts, and — via a
-  common directory — the whole serving fleet.
+  common directory — the whole serving fleet;
+* next to it, ``models/`` holds one entry per compiled model
+  (:mod:`repro.tune.models`).
 
 A disk-tier failure is never raised into the compile path: an
 unreadable, corrupt, or version-incompatible entry is *contained* as a
@@ -42,6 +44,9 @@ FP_DB_PUT = _faults.register("tune.db.put")
 #: Bump on any incompatible change to the entry payload below.  Entries
 #: written under another version are treated as misses and removed.
 DB_FORMAT_VERSION = 1
+
+#: Subdirectory of the disk tier holding whole-model entries.
+MODELS_DIR = "models"
 
 #: Per-entry cap on retained (feature-vector, time) samples.
 MAX_ENTRY_SAMPLES = 64
@@ -145,6 +150,11 @@ class TuneDB:
         #: :func:`repro.store.single_flight` locks campaigns on.
         self.store = DiskStore(directory) if directory is not None else None
         self.directory = self.store.directory if self.store else None
+        #: Whole-model entries (:mod:`repro.tune.models`): a subdirectory,
+        #: so kernel-entry maintenance never reads one as a corrupt
+        #: campaign; it appears with the first model compile.
+        self.models = DiskStore(self.directory / MODELS_DIR, create=False) \
+            if self.store else None
         #: Optional :class:`~repro.serve.metrics.ServeMetrics` — contained
         #: disk-tier errors are counted as ``tunedb.disk_errors`` so the
         #: chaos harness can assert the faults were absorbed, not hidden.
@@ -242,13 +252,17 @@ class TuneDB:
     # -- maintenance / CLI ---------------------------------------------
 
     def disk_stats(self) -> dict:
-        paths = ([self.store.path(k) for k in self.store.keys()]
-                 if self.store else [])
+        def sizes(store: DiskStore | None) -> list[int]:
+            paths = [store.path(k) for k in store.keys()] if store else []
+            return [p.stat().st_size for p in paths if p.exists()]
+
+        kernels, models = sizes(self.store), sizes(self.models)
         return {
             "directory": str(self.directory) if self.directory else None,
-            "disk_entries": len(paths),
-            "disk_bytes": sum(p.stat().st_size for p in paths
-                              if p.exists()),
+            "disk_entries": len(kernels),
+            "disk_bytes": sum(kernels),
+            "model_entries": len(models),
+            "model_bytes": sum(models),
             "mem_entries": len(self._mem),
             "mem_hits": self.mem_hits,
             "disk_hits": self.disk_hits,
@@ -273,25 +287,37 @@ class TuneDB:
               keep: int | None = None) -> int:
         """Remove stale disk entries.
 
-        Deletes entries older than ``max_age_s`` (by their ``created``
-        stamp), unreadable entries, and — if ``keep`` is set — all but
-        the ``keep`` most recent.  Returns the number removed.
+        Deletes kernel entries older than ``max_age_s`` (by their
+        ``created`` stamp), unreadable entries, and — if ``keep`` is set —
+        all but the ``keep`` most recent.  Model entries are aged and
+        bounded the same way, by their file's modification time and
+        their own ``keep``.  Returns the number removed.
         """
         removed = 0
-        now = time.time()
-        survivors: list[tuple[float, str]] = []
+        kernels: list[tuple[float, str]] = []
         for key in (self.store.keys() if self.store else []):
             entry, contained = self.store.load(key, _decode, _DECODE_ERRORS)
             if entry is None:
                 removed += contained    # load deleted an unreadable entry
-            elif max_age_s is not None and now - entry.created > max_age_s:
-                self.invalidate(key)
-                removed += 1
             else:
-                survivors.append((entry.created, key))
-        if keep is not None and len(survivors) > keep:
-            survivors.sort(key=lambda item: item[0], reverse=True)
-            for _created, key in survivors[keep:]:
-                self.invalidate(key)
-                removed += 1
+                kernels.append((entry.created, key))
+        removed += _prune(kernels, max_age_s, keep, self.invalidate)
+        if self.models is not None:
+            models = [(self.models.path(k).stat().st_mtime, k)
+                      for k in self.models.keys()]
+            removed += _prune(models, max_age_s, keep, self.models.delete)
         return removed
+
+
+def _prune(stamped: list[tuple[float, str]], max_age_s: float | None,
+           keep: int | None, delete) -> int:
+    """``delete`` every key older than ``max_age_s`` or outside the
+    ``keep`` newest; the number deleted."""
+    now = time.time()
+    stamped = sorted(stamped, key=lambda item: item[0], reverse=True)
+    doomed = [key for rank, (stamp, key) in enumerate(stamped)
+              if (keep is not None and rank >= keep)
+              or (max_age_s is not None and now - stamp > max_age_s)]
+    for key in doomed:
+        delete(key)
+    return len(doomed)

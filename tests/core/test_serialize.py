@@ -277,3 +277,74 @@ class TestCacheIsKeyedByTheWholeDeviceModel:
             hit, stats = compile_cached(graph, gpu, cache)
             assert stats is None
             assert schedule_to_json(hit) == schedule_to_json(expected)
+
+
+class TestStoredSchedulesAreShared:
+    """Every reader of one stored entry's bytes gets the same read-only
+    schedule, alive while some reader keeps it."""
+
+    def _filled(self, graph, tmp_path):
+        compile_cached(graph, AMPERE, ScheduleCache(tmp_path))
+        return gpu_fingerprint(AMPERE)
+
+    def test_two_caches_on_one_directory_share_one_object(self, small_ln,
+                                                          tmp_path):
+        key = self._filled(small_ln, tmp_path)
+        first = ScheduleCache(tmp_path).get(small_ln, key)
+        assert ScheduleCache(tmp_path).get(small_ln, key) is first
+
+    def test_a_rewritten_entry_is_a_new_object(self, small_ln, tmp_path):
+        key = self._filled(small_ln, tmp_path)
+        cache = ScheduleCache(tmp_path)
+        first = cache.get(small_ln, key)
+        first_json = schedule_to_json(first)
+        (entry,) = tmp_path.glob("*.json")
+        entry.write_text(entry.read_text() + "\n")  # same schedule, new bytes
+        second = cache.get(small_ln, key)
+        assert second is not first
+        assert schedule_to_json(second) == first_json
+
+    def test_the_table_forgets_unreferenced_schedules(self, small_ln,
+                                                      tmp_path):
+        import gc
+
+        from repro.core import serialize
+
+        key = self._filled(small_ln, tmp_path)
+        (entry,) = tmp_path.glob("*.json")
+        digest = serialize.text_digest(entry.read_text())
+        schedule = ScheduleCache(tmp_path).get(small_ln, key)
+        assert serialize._SHARED[digest] is schedule
+        del schedule
+        gc.collect()
+        assert digest not in serialize._SHARED
+
+    def test_a_corrupt_entry_is_still_a_contained_miss(self, small_ln,
+                                                       tmp_path):
+        key = self._filled(small_ln, tmp_path)
+        (entry,) = tmp_path.glob("*.json")
+        entry.write_text(entry.read_text()[:200])
+        cache = ScheduleCache(tmp_path)
+        assert cache.get(small_ln, key) is None
+        assert cache.misses == 1 and not entry.exists()
+
+    def test_readers_leave_a_stored_schedule_unchanged(self, small_mha,
+                                                       tmp_path):
+        from repro.pipeline import simulate
+        from repro.runtime.compiled import host_plan
+        from repro.serve import InferenceSession, TieredScheduleCache
+
+        key = self._filled(small_mha, tmp_path)
+        stored = ScheduleCache(tmp_path).get(small_mha, key)
+        before = schedule_to_json(stored)
+        simulate(stored, AMPERE)
+        assert schedule_to_json(stored) == before
+        host_plan(stored)
+        assert schedule_to_json(stored) == before
+        session = InferenceSession(
+            small_mha, AMPERE, eager=True,
+            cache=TieredScheduleCache(disk=ScheduleCache(tmp_path)))
+        assert session.schedule is stored
+        session.execute(random_feeds(small_mha, seed=0))
+        session.info()
+        assert schedule_to_json(stored) == before

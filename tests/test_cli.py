@@ -34,6 +34,21 @@ class TestCommands:
         assert main(["inspect", "softmax-gemm", "--dot"]) == 0
         assert capsys.readouterr().out.startswith("digraph")
 
+    def test_tunedb_stats_reports_model_entries(self, capsys, tmp_path):
+        from repro.hw import AMPERE
+        from repro.models.zoo import build_model
+        from repro.pipeline import compile_model_for
+        from repro.tune import TuneDB
+
+        compile_model_for(build_model("bert", 1, seq=64), AMPERE,
+                          tune_db=TuneDB(tmp_path))
+        assert main(["tunedb", "stats", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "models:         1 entries" in out
+        assert main(["tunedb", "prune", str(tmp_path), "--keep", "0"]) == 0
+        assert "(0 remain)" in capsys.readouterr().out
+        assert TuneDB(tmp_path).disk_stats()["model_entries"] == 0
+
     def test_compile_reports_schedule(self, capsys):
         assert main(["compile", "softmax-gemm", "--gpu", "volta"]) == 0
         out = capsys.readouterr().out

@@ -203,6 +203,25 @@ class TestSingleFlight:
         finally:
             holder.release()
 
+    def test_unmakeable_lock_file_produces_unlocked(self, tmp_path):
+        """A lock file that cannot be created (here a directory in its
+        place, as a read-only directory would refuse it) is no lock and
+        no timeout: produce, report nothing."""
+        store = DiskStore(tmp_path)
+        store.lock_path("k").mkdir()
+        lock = FileLock(store.lock_path("k"), timeout_s=0.0)
+        assert not lock.acquire() and not lock.timed_out
+        events = []
+        out = single_flight(store, "k", 1.0, lambda: events.append("recheck"),
+                            lambda: "mine",
+                            on_timeout=lambda: events.append("timeout"))
+        assert out == "mine" and events == []
+
+    def test_missing_directory_is_empty_until_written(self, tmp_path):
+        store = DiskStore(tmp_path / "later", create=False)
+        assert store.keys() == [] and store.read("k") is None
+        assert not store.directory.exists()
+
     def test_lock_released_after_produce_raises(self, tmp_path):
         store = DiskStore(tmp_path)
         with pytest.raises(RuntimeError):

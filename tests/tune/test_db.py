@@ -131,6 +131,62 @@ class TestMaintenance:
         assert db.export() == []
 
 
+class TestModelEntryMaintenance:
+    """Model entries (``models/``) are counted, aged and bounded next to
+    the kernel entries, never mistaken for one."""
+
+    def _model(self, db, key, age_s=0.0):
+        import os
+        import time
+
+        db.models.directory.mkdir(exist_ok=True)
+        db.models.write(key, "{}")
+        stamp = time.time() - age_s
+        os.utime(db.models.path(key), (stamp, stamp))
+
+    def test_disk_stats_count_model_entries_apart(self, tmp_path):
+        db = TuneDB(tmp_path)
+        db.put(entry())
+        self._model(db, "m" * 24)
+        stats = db.disk_stats()
+        assert (stats["disk_entries"], stats["model_entries"]) == (1, 1)
+        assert stats["model_bytes"] == 2
+        assert stats["disk_bytes"] == (tmp_path / ("a" * 24 + ".json")
+                                       ).stat().st_size
+
+    def test_kernel_prune_keeps_a_fresh_model_entry(self, tmp_path):
+        db = TuneDB(tmp_path)
+        db.put(entry(fp="c" * 24, created=1.0))        # ancient kernel
+        (tmp_path / ("e" * 24 + ".json")).write_text("junk")
+        self._model(db, "m" * 24)
+        assert db.prune(max_age_s=3600.0) == 2
+        assert db.models.keys() == ["m" * 24]
+
+    def test_max_age_removes_a_stale_model_entry(self, tmp_path):
+        db = TuneDB(tmp_path)
+        self._model(db, "m" * 24, age_s=7200.0)
+        self._model(db, "n" * 24)
+        assert db.prune(max_age_s=3600.0) == 1
+        assert db.models.keys() == ["n" * 24]
+
+    def test_keep_bounds_model_entries_too(self, tmp_path):
+        db = TuneDB(tmp_path)
+        for i in range(3):
+            self._model(db, f"{i:024d}", age_s=100.0 * (3 - i))
+        db.put(entry())
+        assert db.prune(keep=1) == 2
+        assert db.models.keys() == [f"{2:024d}"]
+        assert db.disk_stats()["disk_entries"] == 1
+
+    def test_a_model_directory_is_not_made_by_reads(self, tmp_path):
+        db = TuneDB(tmp_path)
+        db.put(entry())
+        db.get("a" * 24)
+        db.prune()
+        assert db.disk_stats()["model_entries"] == 0
+        assert not (tmp_path / "models").exists()
+
+
 class TestSamplePool:
     def test_pool_fed_once_per_fingerprint(self):
         db = TuneDB()
