@@ -1,25 +1,29 @@
-"""Executable code generation: compile kernel schedules to Python source.
+"""Executable code generation: lower a program schedule to one Python function.
 
 Where :mod:`repro.codegen.triton_like` emits pseudocode for humans, this
-backend emits *runnable* Python/numpy source implementing the scheduled
-loop nest — the reproduction's analogue of the paper handing SMG schedules
-to OpenAI Triton for intra-block code generation.  The generated kernel:
+backend emits *runnable* Python/numpy source — the reproduction's analogue
+of the paper handing SMG schedules to OpenAI Triton for code generation.
+:func:`generate_fused_program` lowers a whole
+:class:`~repro.core.schedule.ProgramSchedule` into ONE ``def program(env):``
+with one segment per kernel, recorded as a :class:`LoweredKernel`:
 
-* walks the spatial block grid,
-* hoists loop-invariant loads,
-* runs the intra-block tile loop with the synthesised update functions
-  *inlined as arithmetic* (the paper: "Update Functions ... are inlined to
-  the functions in Figure 7"),
-* replays the pass-2 epilogue when the plan has one.
+* ``vector`` — a kernel without a temporal plan, as straight-line
+  whole-tensor numpy (the spatial grid collapses; gemms replay the
+  interpreter's blocking along their free dims);
+* ``loopnest`` — a temporal kernel: tile-invariant work hoisted, the tuned
+  intra-block tile loop with the synthesised update functions *inlined as
+  arithmetic* (the paper: "Update Functions ... are inlined to the
+  functions in Figure 7"), then the pass-2 epilogue when the plan has one;
+* ``barrier`` — a reshape/transpose between kernels.
 
-Being independent of the schedule interpreter, it provides an end-to-end
-cross-check: interpreter, generated code, and the unfused reference must
-all agree.
+An op the emitter cannot express raises :class:`CodegenError`; there is no
+per-op fallback.  Being independent of the schedule interpreter, the plan
+is an end-to-end cross-check: fused plan, interpreter and the unfused
+reference must all agree.
 """
 
 from __future__ import annotations
 
-import textwrap
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -177,26 +181,6 @@ def _op_call(graph: DataflowGraph, op: Op, names=None,
     raise CodegenError(f"cannot lower op kind {kind!r} to Python")
 
 
-def _op_expr(graph: DataflowGraph, op: Op) -> str:
-    return _op_call(graph, op)[0]
-
-
-def _slice_code(graph: DataflowGraph, tensor: str, spatial_vars: dict[str, str],
-                tile_var: str | None, tdim: str | None) -> str:
-    dims = graph.tensors[tensor].dims
-    idx = []
-    for d in dims:
-        if d in spatial_vars:
-            idx.append(spatial_vars[d])
-        elif tile_var is not None and d == tdim:
-            idx.append(tile_var)
-        else:
-            idx.append(":")
-    if all(i == ":" for i in idx):
-        return f"env['{tensor}']"
-    return f"env['{tensor}'][{', '.join(idx)}]"
-
-
 def _factor_expr(graph: DataflowGraph, f, dims, nm, one: str | None = None,
                  ) -> str:
     """One normalisation factor of an update, broadcast over ``dims``."""
@@ -237,167 +221,6 @@ _COMBINE = {
 }
 
 _INIT = {"sum": "0.0", "max": "-np.inf", "min": "np.inf"}
-
-
-@dataclass
-class GeneratedKernel:
-    """A compiled kernel: its source text and the callable."""
-
-    name: str
-    source: str
-    fn: Callable[[dict], None]
-
-    def __call__(self, env: dict) -> None:
-        self.fn(env)
-
-
-def generate_python_kernel(kernel: KernelSchedule) -> GeneratedKernel:
-    """Lower one kernel schedule to executable Python source."""
-    graph = kernel.exec_graph
-    cfg = kernel.effective_config()
-    sizes = {d: graph.dims.size(d) for d in graph.dims.names()}
-    inputs = set(graph.input_tensors)
-    outputs = list(graph.output_tensors)
-    body: list[str] = []
-    emit = body.append
-
-    if kernel.meta.get("barrier"):
-        op = graph.ops[0]
-        if op.kind == "reshape":
-            shape = tuple(sizes[d] for d in op.output_axes)
-            expr = f"env['{op.inputs[0]}'].reshape({shape})"
-        elif op.kind == "transpose":
-            expr = (f"np.transpose(env['{op.inputs[0]}'], "
-                    f"{tuple(op.attrs['perm'])})")
-        else:
-            expr = f"env['{op.inputs[0]}']"
-        source = _PRELUDE + textwrap.dedent(f"""
-            def kernel(env):
-                env['{op.output}'] = {expr}
-        """)
-        return compile_kernel_source(kernel.name, source)
-
-    emit("def kernel(env):")
-    for t in outputs:
-        shape = tuple(sizes[d] for d in graph.tensors[t].dims)
-        emit(f"    out_{_var(t)} = np.zeros({shape})")
-
-    spatial_vars: dict[str, str] = {}
-    indent = "    "
-    for d in kernel.spatial_dims:
-        block = cfg.block_of(d)
-        emit(f"{indent}for lo_{d} in range(0, {sizes[d]}, {block}):")
-        indent += "    "
-        emit(f"{indent}s_{d} = slice(lo_{d}, min(lo_{d} + {block}, "
-             f"{sizes[d]}))")
-        spatial_vars[d] = f"s_{d}"
-
-    plan = kernel.plan
-    if plan is None:
-        for op in graph.topological_ops():
-            for t in op.inputs:
-                if t in inputs:
-                    emit(f"{indent}{_var(t)} = "
-                         + _slice_code(graph, t, spatial_vars, None, None))
-            emit(f"{indent}{_var(op.output)} = {_op_expr(graph, op)}")
-        for t in outputs:
-            dims = graph.tensors[t].dims
-            idx = ", ".join(spatial_vars.get(d, ":") for d in dims) or "..."
-            emit(f"{indent}out_{_var(t)}[{idx}] = {_var(t)}")
-    else:
-        tdim = plan.dim
-        tile = cfg.tile or sizes[tdim]
-        tile_ops = [graph.op(n) for n in plan.tile_op_names]
-        stages = {s.op_name: s for s in plan.stages}
-
-        # Block-invariant loads, hoisted.
-        hoisted: set[str] = set()
-        for op in tile_ops:
-            for t in op.inputs:
-                if (t in inputs and t not in hoisted
-                        and tdim not in graph.tensors[t].dims):
-                    emit(f"{indent}{_var(t)} = "
-                         + _slice_code(graph, t, spatial_vars, None, None))
-                    hoisted.add(t)
-        for s in plan.stages:
-            dims = graph.tensors[s.output].dims
-            shape = ", ".join(
-                f"min(lo_{d} + {cfg.block_of(d)}, {sizes[d]}) - lo_{d}"
-                if d in spatial_vars else str(sizes[d]) for d in dims)
-            emit(f"{indent}{_var(s.output)} = np.full(({shape},), "
-                 f"{_INIT[s.combiner]})" if dims else
-                 f"{indent}{_var(s.output)} = np.float64({_INIT[s.combiner]})")
-
-        emit(f"{indent}for lo_t in range(0, {sizes[tdim]}, {tile}):")
-        indent += "    "
-        emit(f"{indent}s_t = slice(lo_t, min(lo_t + {tile}, {sizes[tdim]}))")
-        referenced: set[str] = set()
-        for stg in plan.stages:
-            referenced.update(stg.update.referenced_aggs())
-        for s in plan.stages:
-            if s.output in referenced:
-                emit(f"{indent}old_{_var(s.output)} = "
-                     f"np.copy({_var(s.output)})")
-        streamed: set[str] = set()
-        for op in tile_ops:
-            for t in op.inputs:
-                if t in inputs and t not in hoisted and t not in streamed:
-                    emit(f"{indent}{_var(t)} = "
-                         + _slice_code(graph, t, spatial_vars, "s_t", tdim))
-                    streamed.add(t)
-            if op.name in stages:
-                s = stages[op.name]
-                local = _op_expr(graph, op)
-                upd = _update_expr(graph, s)
-                emit(f"{indent}{_var(s.output)} = "
-                     + _COMBINE[s.combiner].format(upd=f"{upd}",
-                                                   local=local))
-            else:
-                emit(f"{indent}{_var(op.output)} = {_op_expr(graph, op)}")
-        indent = indent[:-4]
-
-        for s in plan.stages:
-            if s.output in outputs:
-                dims = graph.tensors[s.output].dims
-                idx = ", ".join(spatial_vars.get(d, ":") for d in dims) \
-                    or "..."
-                emit(f"{indent}out_{_var(s.output)}[{idx}] = "
-                     f"{_var(s.output)}")
-
-        if plan.pass2_op_names:
-            emit(f"{indent}for lo_t in range(0, {sizes[tdim]}, {tile}):")
-            indent += "    "
-            emit(f"{indent}s_t = slice(lo_t, min(lo_t + {tile}, "
-                 f"{sizes[tdim]}))")
-            streamed2: set[str] = set()
-            for name in plan.pass2_op_names:
-                op = graph.op(name)
-                for t in op.inputs:
-                    if t in inputs and t not in streamed2:
-                        emit(f"{indent}{_var(t)} = "
-                             + _slice_code(graph, t, spatial_vars, "s_t",
-                                           tdim))
-                        streamed2.add(t)
-                emit(f"{indent}{_var(op.output)} = {_op_expr(graph, op)}")
-                if op.output in outputs:
-                    dims = graph.tensors[op.output].dims
-                    idx = ", ".join(
-                        spatial_vars.get(d, ":") if d != tdim else "s_t"
-                        for d in dims) or "..."
-                    emit(f"{indent}out_{_var(op.output)}[{idx}] = "
-                         f"{_var(op.output)}")
-            indent = indent[:-4]
-
-    for t in outputs:
-        emit(f"    env['{t}'] = out_{_var(t)}")
-
-    source = _PRELUDE + "\n".join(body) + "\n"
-    return compile_kernel_source(kernel.name, source)
-
-
-# ----------------------------------------------------------------------
-# Whole-subprogram fused plans
-# ----------------------------------------------------------------------
 
 
 class Arena:
@@ -445,12 +268,15 @@ class Arena:
 
 
 @dataclass
-class FusedSegment:
-    """Per-kernel metadata of a fused program (for reporting/tests)."""
+class LoweredKernel:
+    """One kernel's segment of a fused plan: its kind and source section."""
 
     name: str
-    kind: str  # "vector" | "loopnest" | "whole" | "barrier"
+    kind: str  # "vector" | "loopnest" | "barrier"
     source: str
+    #: spatial blocks the interpreted schedule would have launched; the
+    #: fused plan collapses them for everything except blocked gemms.
+    grid_blocks: int = 1
 
 
 @dataclass
@@ -460,7 +286,7 @@ class FusedProgram:
     name: str
     source: str
     fn: Callable[[dict], None]
-    segments: list[FusedSegment]
+    segments: list[LoweredKernel]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     arena: Arena
@@ -497,8 +323,7 @@ class _FusedEmitter:
         self.lines: list[str] = ["def program(env):"]
         self.defined: set[str] = set()
         self.site = 0
-        self.whole_fns: dict[str, Callable] = {}
-        self.segments: list[FusedSegment] = []
+        self.segments: list[LoweredKernel] = []
 
         produced: set[str] = set()
         consumed: set[str] = set()
@@ -520,10 +345,11 @@ class _FusedEmitter:
         self.outputs = tuple(t for t in outputs)
         #: Outputs whose producing expression may ALIAS another array (an
         #: identity/cast rename of an arena-backed intermediate, a
-        #: reshape/transpose view from a barrier kernel, a whole-kernel
-        #: passthrough).  These are materialised with a copy at publish
-        #: time — an aliased env output would be silently overwritten by
-        #: the plan's next execution reusing the same arena buffers.
+        #: reshape/transpose view from a barrier kernel, a pass-2 result
+        #: left in an arena buffer).  These are materialised with a copy at
+        #: publish time — an aliased env output would be silently
+        #: overwritten by the plan's next execution reusing the same arena
+        #: buffers.
         self.maybe_alias: set[str] = set()
         for t in self.outputs:
             if t not in produced and t not in self.program_inputs:
@@ -555,11 +381,11 @@ class _FusedEmitter:
 
     # -- program assembly ---------------------------------------------
 
-    def generate(self) -> tuple[str, list[FusedSegment], dict]:
+    def generate(self) -> tuple[str, list[LoweredKernel]]:
         for kernel in self.program.kernels:
             start = len(self.lines)
             kind = self.emit_kernel(kernel)
-            self.segments.append(FusedSegment(
+            self.segments.append(LoweredKernel(
                 name=kernel.name, kind=kind,
                 source="\n".join(self.lines[start:])))
         self.emit("# publish program outputs")
@@ -573,7 +399,7 @@ class _FusedEmitter:
             else:
                 self.emit(f"env[{t!r}] = {_var(t)}")
         source = _PRELUDE + "\n".join(self.lines) + "\n"
-        return source, self.segments, dict(self.whole_fns)
+        return source, self.segments
 
     def emit_kernel(self, kernel: KernelSchedule) -> str:
         graph = kernel.exec_graph
@@ -593,10 +419,7 @@ class _FusedEmitter:
                     f"kernel {kernel.name!r}: output tensor {t!r} is "
                     f"never produced by any op")
         if kernel.plan is None:
-            try:
-                return self.emit_plain(kernel)
-            except CodegenError:
-                return self.emit_whole(kernel)
+            return self.emit_plain(kernel)
         return self.emit_loopnest(kernel)
 
     def emit_barrier(self, kernel: KernelSchedule) -> str:
@@ -617,45 +440,6 @@ class _FusedEmitter:
             self.maybe_alias.add(dst)
         self.defined.add(dst)
         return "barrier"
-
-    def emit_whole(self, kernel: KernelSchedule) -> str:
-        """Fallback for kernels with an op the lowerer cannot express:
-        an op-by-op closure over ``evaluate_op``, spliced into the fused
-        body through a private env."""
-        from ..runtime.kernels import KernelError, evaluate_op
-
-        graph = kernel.exec_graph
-        ops = graph.topological_ops()
-        sizes = {d: graph.dims.size(d) for d in graph.dims.names()}
-        dtype = self.dtype
-        name = f"_whole{len(self.whole_fns)}"
-
-        def fn(local: dict, _ops=ops, _sizes=sizes, _dt=dtype) -> None:
-            for op in _ops:
-                try:
-                    local[op.output] = np.asarray(
-                        evaluate_op(op, local, _sizes), dtype=_dt)
-                except KernelError as exc:
-                    raise CodegenError(
-                        f"op {op.name!r}: {exc}") from exc
-
-        self.whole_fns[name] = fn
-        env_var = f"_e{self.new_site()}"
-        for t in graph.input_tensors:
-            self.load(t)
-        self.emit(f"{env_var} = {{}}")
-        for t in graph.input_tensors:
-            self.emit(f"{env_var}[{t!r}] = {_var(t)}")
-        self.emit(f"{name}({env_var})")
-        for t in graph.output_tensors:
-            self.emit(f"{_var(t)} = {env_var}[{t!r}]")
-            if t in self.outputs:
-                # ``evaluate_op`` may return an input array unchanged
-                # (identity/cast), so the value can alias a feed or an
-                # earlier kernel's arena buffer.
-                self.maybe_alias.add(t)
-            self.defined.add(t)
-        return "whole"
 
     # -- blocked matmul ------------------------------------------------
 
@@ -810,23 +594,18 @@ class _FusedEmitter:
             inner = ", ".join(str(sizes[d]) for d in dims)
             return f"({inner},)" if len(dims) == 1 else f"({inner})"
 
-        # Validate every op lowers before emitting any line, so the
-        # whole-kernel fallback starts from a clean slate.
-        seen = set(self.defined) | self.program_inputs
+        # Schedules can come from disk: a read of a tensor nothing
+        # defines is an error here, not a NameError when the plan runs.
         self.last_reader = {t: op.name for op in graph.topological_ops()
                             for t in op.inputs}
         for op in graph.topological_ops():
             for t in op.inputs:
-                if t not in seen:
+                if t in self.program_inputs:
+                    self.load(t)
+                elif t not in self.defined:
                     raise CodegenError(
                         f"kernel {kernel.name!r}: op {op.name!r} reads "
                         f"undefined tensor {t!r}")
-            seen.add(op.output)
-            _op_call(graph, op)
-        for op in graph.topological_ops():
-            for t in op.inputs:
-                if t in self.program_inputs:
-                    self.load(t)
             self.emit_op(kernel, op, sizes, None, shape_of, 1,
                          op.output in published)
             self.defined.add(op.output)
@@ -857,12 +636,6 @@ class _FusedEmitter:
                      for d in dims]
             inner = ", ".join(parts)
             return f"({inner},)" if len(parts) == 1 else f"({inner})"
-
-        # Validate all ops lower before emitting anything.
-        for op in tile_ops:
-            _op_call(graph, op)
-        for n in plan.pass2_op_names:
-            _op_call(graph, graph.op(n))
 
         # Aggregate init: arena for private aggs, fresh for published.
         for s in plan.stages:
@@ -1044,8 +817,7 @@ class _FusedEmitter:
 
         # Pass-2 may only read kernel/program inputs, aggregates, earlier
         # kernels' results, and other pass-2 outputs — tile-phase locals
-        # are gone by the time the epilogue runs (same contract as the
-        # per-kernel backend).
+        # are gone by the time the epilogue runs.
         avail = (self.defined | self.program_inputs
                  | {o.output for o in p2_ops})
         for op in p2_ops:
@@ -1159,54 +931,19 @@ def generate_fused_program(program: ProgramSchedule, dtype=np.float64,
     per-kernel dispatch, no intermediate escapes.
     """
     emitter = _FusedEmitter(program, dtype, outputs)
-    source, segments, whole_fns = emitter.generate()
+    source, segments = emitter.generate()
     arena = Arena(emitter.dtype)
     dt = emitter.dtype
-    namespace = kernel_namespace({
-        "_A": arena, "_DT": dt, "_S": dt.type, **whole_fns})
-    exec(compile(source, f"<fused:{program.name}>", "exec"), namespace)
-    return FusedProgram(
-        name=program.name, source=source, fn=namespace["program"],
-        segments=segments, inputs=tuple(sorted(emitter.program_inputs)),
-        outputs=emitter.outputs, arena=arena)
-
-
-def kernel_namespace(extra: dict | None = None) -> dict:
-    """The exec namespace generated kernels run in (np + erf + extras)."""
-    namespace: dict = {}
     try:
         from scipy.special import erf as _erf
     except ImportError:  # pragma: no cover
         from math import erf as _m_erf
         _erf = np.vectorize(_m_erf)
-    namespace["_erf"] = _erf
-    namespace["_mm"] = matmul_blas
-    namespace["_mmb"] = matmul_blocked
-    namespace["np"] = np
-    if extra:
-        namespace.update(extra)
-    return namespace
-
-
-def compile_kernel_source(name: str, source: str,
-                          extra_namespace: dict | None = None,
-                          ) -> GeneratedKernel:
-    """exec-compile kernel source into a callable ``kernel(env)``."""
-    namespace = kernel_namespace(extra_namespace)
-    exec(compile(source, f"<generated:{name}>", "exec"), namespace)
-    return GeneratedKernel(name=name, source=source, fn=namespace["kernel"])
-
-
-def compile_program_to_python(program: ProgramSchedule,
-                              ) -> list[GeneratedKernel]:
-    """Lower every kernel of a program; run them in order over one env."""
-    return [generate_python_kernel(k) for k in program.kernels]
-
-
-def run_generated(program: ProgramSchedule,
-                  feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Execute a program through the codegen backend."""
-    env = {k: np.asarray(v, dtype=np.float64) for k, v in feeds.items()}
-    for gk in compile_program_to_python(program):
-        gk(env)
-    return env
+    namespace = {"np": np, "_erf": _erf, "_mm": matmul_blas,
+                 "_mmb": matmul_blocked, "_A": arena, "_DT": dt,
+                 "_S": dt.type}
+    exec(compile(source, f"<fused:{program.name}>", "exec"), namespace)
+    return FusedProgram(
+        name=program.name, source=source, fn=namespace["program"],
+        segments=segments, inputs=tuple(sorted(emitter.program_inputs)),
+        outputs=emitter.outputs, arena=arena)

@@ -69,18 +69,21 @@ def graph_to_dict(graph: DataflowGraph) -> dict:
 
 
 def graph_from_dict(data: dict) -> DataflowGraph:
+    """Decode a graph; the text comes from disk (stored schedules, model
+    entries, oracle reproducers), so every tensor and op goes through the
+    graph's own checks (known dims, defined operands, SSA)."""
     registry = DimRegistry()
     for name, size in data["dims"].items():
         registry.define(name, size)
     graph = DataflowGraph(data["name"], dims=registry)
     for t in data["tensors"]:
-        graph.tensors[t["name"]] = TensorSpec(
-            t["name"], tuple(t["dims"]), t["dtype"], t["is_weight"])
+        graph.add_tensor(TensorSpec(
+            t["name"], tuple(t["dims"]), t["dtype"], t["is_weight"]))
     for o in data["ops"]:
         attrs = dict(o["attrs"])
         if "perm" in attrs:
             attrs["perm"] = tuple(attrs["perm"])
-        graph.ops.append(Op(
+        graph.add_op(Op(
             name=o["name"], kind=o["kind"], inputs=tuple(o["inputs"]),
             output=o["output"],
             input_axes=tuple(tuple(a) for a in o["input_axes"]),

@@ -25,10 +25,12 @@ One fused plan per program means:
   interpreter's per-block calls along their free dims (see
   :mod:`repro.codegen.matmul` for why that distinction matters).
 
-Per-kernel lowering *reports* survive as :class:`LoweredKernel` records
-(kind ``vector`` / ``loopnest`` / ``whole`` / ``barrier``) carved out of
-the fused source, so observability and schedule auditing keep their
-per-kernel view.
+Each kernel's segment of the plan is a
+:class:`~repro.codegen.python_backend.LoweredKernel` record (kind
+``vector`` / ``loopnest`` / ``barrier``, its source section and the block
+grid it collapsed), so observability and schedule auditing keep their
+per-kernel view.  An op the emitter cannot express fails the lowering
+with :class:`LoweringError`; there is no per-kernel fallback.
 
 A :class:`PlanCache` bounds the set of live :class:`CompiledProgram`
 artifacts with an LRU keyed by **(schedule fingerprint, dtype token, dim
@@ -49,6 +51,7 @@ import numpy as np
 from ..codegen.python_backend import (
     CodegenError,
     FusedProgram,
+    LoweredKernel,
     _FusedEmitter,
     generate_fused_program,
 )
@@ -102,23 +105,6 @@ def plan_key(program: ProgramSchedule, dtype=np.float64,
         dims.update(kernel.exec_graph.dims.items())
     _compute, token = resolve_dtype(dtype)
     return (schedule_fingerprint(program), token, tuple(sorted(dims)))
-
-
-# ----------------------------------------------------------------------
-# Per-kernel lowering reports
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class LoweredKernel:
-    """Per-kernel slice of a fused plan: its kind and source section."""
-
-    name: str
-    kind: str  # "vector" | "loopnest" | "whole" | "barrier"
-    source: str | None = None
-    #: spatial blocks the interpreted schedule would have launched; the
-    #: fused plan collapses them for everything except blocked gemms.
-    grid_blocks: int = 1
 
 
 def _grid_blocks(kernel: KernelSchedule) -> int:
@@ -204,8 +190,8 @@ class CompiledProgram:
                  f"lowered in {self.lower_time_s * 1e3:.2f}ms"]
         for lk in self.kernels:
             collapsed = (f" (collapsed {lk.grid_blocks} blocks)"
-                         if lk.kind in ("vector", "whole")
-                         and lk.grid_blocks > 1 else "")
+                         if lk.kind == "vector" and lk.grid_blocks > 1
+                         else "")
             lines.append(f"  {lk.name}: {lk.kind}{collapsed}")
         return "\n".join(lines)
 
@@ -222,16 +208,12 @@ def lower_program(program: ProgramSchedule, dtype=np.float64,
             fused = generate_fused_program(program, compute)
         except CodegenError as exc:
             raise LoweringError(str(exc)) from exc
-        kernels = [
-            LoweredKernel(name=seg.name, kind=seg.kind,
-                          source=seg.source,
-                          grid_blocks=_grid_blocks(k))
-            for seg, k in zip(fused.segments, program.kernels)
-        ]
+        for seg, k in zip(fused.segments, program.kernels):
+            seg.grid_blocks = _grid_blocks(k)
     return CompiledProgram(
         name=program.name,
         key=key if key is not None else plan_key(program, dtype),
-        kernels=kernels, dtype=compute, fused=fused, dtype_token=token,
+        kernels=fused.segments, dtype=compute, fused=fused, dtype_token=token,
         lower_time_s=time.perf_counter() - t0)
 
 

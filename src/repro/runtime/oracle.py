@@ -30,9 +30,9 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.serialize import graph_from_dict, graph_to_dict
 from ..ir.graph import DataflowGraph
 from ..ir.ops import Op
-from ..ir.tensor import TensorSpec
 from .compiled import execute_compiled
 from .dtypes import resolve_dtype
 from .executor import execute_schedule
@@ -337,53 +337,6 @@ def shrink_to_reproducer(graph: DataflowGraph, gpu, *, seed: int = 0,
 # ----------------------------------------------------------------------
 # Reproducer (de)serialisation — the CI failure artifact
 # ----------------------------------------------------------------------
-
-
-def graph_to_dict(graph: DataflowGraph) -> dict:
-    return {
-        "name": graph.name,
-        "dims": {d: s for d, s in graph.dims.items()},
-        "tensors": [
-            {"name": t.name, "dims": list(t.dims), "dtype": t.dtype,
-             "is_weight": t.is_weight}
-            for t in graph.tensors.values()
-        ],
-        "ops": [
-            {"name": op.name, "kind": op.kind, "inputs": list(op.inputs),
-             "output": op.output,
-             "input_axes": [list(a) for a in op.input_axes],
-             "output_axes": list(op.output_axes),
-             "iter_dims": list(op.iter_dims),
-             "reduce_dims": list(op.reduce_dims),
-             "reduce_kind": op.reduce_kind,
-             "attrs": dict(op.attrs)}
-            for op in graph.ops
-        ],
-        "declared_outputs": graph.declared_outputs,
-    }
-
-
-def graph_from_dict(data: dict) -> DataflowGraph:
-    graph = DataflowGraph(data["name"])
-    for d, s in data["dims"].items():
-        graph.dims.define(d, s)
-    for t in data["tensors"]:
-        graph.add_tensor(TensorSpec(t["name"], tuple(t["dims"]),
-                                    t["dtype"], t["is_weight"]))
-    for o in data["ops"]:
-        graph.add_op(Op(
-            name=o["name"], kind=o["kind"], inputs=tuple(o["inputs"]),
-            output=o["output"],
-            input_axes=tuple(tuple(a) for a in o["input_axes"]),
-            output_axes=tuple(o["output_axes"]),
-            iter_dims=tuple(o["iter_dims"]),
-            reduce_dims=tuple(o["reduce_dims"]),
-            reduce_kind=o["reduce_kind"],
-            attrs=dict(o["attrs"])))
-    if data.get("declared_outputs") is not None:
-        graph.declared_outputs = list(data["declared_outputs"])
-    graph.validate()
-    return graph
 
 
 def save_reproducer(graph: DataflowGraph, path, *,

@@ -12,6 +12,7 @@ One import surface for everything correctness-related:
   reproducers — see :mod:`repro.runtime.oracle`.
 """
 
+from ..core.serialize import graph_from_dict, graph_to_dict
 from ..core.verify import (
     AUDIT_CHECKS,
     SEEDED_MUTATIONS,
@@ -29,8 +30,6 @@ from ..runtime.oracle import (
     OracleResult,
     differential_test,
     differential_test_model,
-    graph_from_dict,
-    graph_to_dict,
     load_reproducer,
     nan_safe_max_abs_err,
     save_reproducer,

@@ -121,7 +121,7 @@ class TestLowering:
         sched, _ = compile_for(small_ln, AMPERE)
         program = lower_program(sched)
         kinds = program.kind_counts()
-        assert set(kinds) <= {"loopnest", "vector", "barrier", "whole"}
+        assert set(kinds) <= {"loopnest", "vector", "barrier"}
 
     def test_non_float64_temporal_lowers_without_interp(self, small_ln):
         """Temporal kernels lower to real loop nests at every dtype — the
@@ -131,7 +131,7 @@ class TestLowering:
             program = lower_program(sched, dtype=dtype)
             kinds = program.kind_counts()
             assert "interp" not in kinds
-            assert set(kinds) <= {"loopnest", "vector", "whole", "barrier"}
+            assert set(kinds) <= {"loopnest", "vector", "barrier"}
             assert program.fused is not None and program.fused.fn is not None
 
     @pytest.mark.parametrize("dtype", [np.float32, "bfloat16"])

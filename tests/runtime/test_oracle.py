@@ -1,15 +1,16 @@
 """Differential-oracle tests: NaN-safe comparison, shrinking, reproducers."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.core.serialize import graph_from_dict, graph_to_dict
 from repro.hw import AMPERE
-from repro.ir import GraphBuilder
+from repro.ir import GraphBuilder, GraphError
 from repro.runtime.oracle import (
     DTYPE_TOLERANCES,
     differential_test,
-    graph_from_dict,
-    graph_to_dict,
     load_reproducer,
     nan_safe_max_abs_err,
     outputs_match,
@@ -317,3 +318,70 @@ class TestReproducerSerialisation:
         assert loaded.op(graph.ops[0].name).attrs["scalar"] == 2.5
         assert tuple(loaded.ops[1].attrs["perm"]) == (1, 0)
         assert loaded.output_tensors == ["Out"]
+
+    def test_a_transpose_barrier_round_trips_equal(self, tmp_path):
+        b = GraphBuilder("transposed")
+        x = b.input("X", [("m", 3), ("n", 4)])
+        t = b.barrier("transpose", b.unary("exp", x), ("n", "m"),
+                      perm=(1, 0))
+        b.scalar("mul", t, 0.5, out_name="Out")
+        graph = b.build()
+        graph.declared_outputs = ["Out"]
+        path = tmp_path / "rep.json"
+        save_reproducer(graph, path)
+        loaded, _meta = load_reproducer(path)
+        assert loaded.ops == graph.ops          # perm is a tuple again
+        assert loaded.tensors == graph.tensors
+        assert loaded.dims.items() == graph.dims.items()
+        assert loaded.declared_outputs == graph.declared_outputs
+
+    def test_a_payload_in_the_earlier_layout_still_loads(self, tmp_path):
+        """Reproducers saved before the oracle shared core.serialize's
+        graph codec: the same keys, with attrs written unfiltered."""
+        payload = {"repro_version": 1, "meta": {"seed": 3}, "graph": {
+            "name": "old", "dims": {"m": 3, "n": 4},
+            "tensors": [
+                {"name": "X", "dims": ["m", "n"], "dtype": "fp16",
+                 "is_weight": False},
+                {"name": "T", "dims": ["n", "m"], "dtype": "fp16",
+                 "is_weight": False},
+                {"name": "Out", "dims": ["n", "m"], "dtype": "fp16",
+                 "is_weight": False}],
+            "ops": [
+                {"name": "t0", "kind": "transpose", "inputs": ["X"],
+                 "output": "T", "input_axes": [[]],
+                 "output_axes": ["n", "m"], "iter_dims": ["n", "m"],
+                 "reduce_dims": [], "reduce_kind": None,
+                 "attrs": {"perm": [1, 0]}},
+                {"name": "s0", "kind": "scalar_mul", "inputs": ["T"],
+                 "output": "Out", "input_axes": [["n", "m"]],
+                 "output_axes": ["n", "m"], "iter_dims": ["n", "m"],
+                 "reduce_dims": [], "reduce_kind": None,
+                 "attrs": {"scalar": 2.5}}],
+            "declared_outputs": None}}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        loaded, meta = load_reproducer(path)
+        assert meta == {"seed": 3}
+        assert loaded.op("t0").attrs["perm"] == (1, 0)
+        assert loaded.output_tensors == ["Out"]
+        assert differential_test(loaded, AMPERE).ok
+
+    @pytest.mark.parametrize("defect", ["undefined_operand", "unknown_dim",
+                                        "written_twice"])
+    def test_a_malformed_reproducer_is_refused(self, tmp_path, defect):
+        """A reproducer is read from disk: the graph checks still run."""
+        b = GraphBuilder("g")
+        b.unary("exp", b.input("X", [("m", 3)]), out_name="Y")
+        data = graph_to_dict(b.build())
+        if defect == "undefined_operand":
+            data["ops"][0]["inputs"] = ["Q"]
+        elif defect == "unknown_dim":
+            data["tensors"][0]["dims"] = ["q"]
+        else:
+            data["ops"].append(dict(data["ops"][0], name="again"))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"repro_version": 1, "meta": {},
+                                    "graph": data}))
+        with pytest.raises(GraphError):
+            load_reproducer(path)

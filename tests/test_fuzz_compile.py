@@ -158,19 +158,6 @@ class TestCompileFuzz:
                 err_msg=f"{name} diverged; schedule:\n"
                         f"{schedule.describe()}")
 
-    @settings(max_examples=15, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow,
-                                     HealthCheck.data_too_large])
-    @given(graph=random_graph(), seed=st.integers(0, 1 << 16))
-    def test_generated_python_matches_too(self, graph, seed):
-        from repro.codegen.python_backend import run_generated
-        schedule, _ = compile_for(graph, AMPERE)
-        feeds = random_feeds(graph, seed=seed)
-        ref = execute_graph_reference(graph, feeds)
-        env = run_generated(schedule, feeds)
-        for name, expected in ref.items():
-            np.testing.assert_allclose(env[name], expected, atol=1e-8)
-
 
 class TestOracleFuzz:
     """Differential-oracle fuzzing: both engines vs the float64 reference."""
