@@ -508,7 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inject a seeded fault schedule into a live "
                             "server and assert resilience invariants")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for the fault schedule RNG (default: 0)")
+                   help="seed of the server target's compile retry "
+                        "jitter; both targets record it in the report "
+                        "(default: 0)")
     p.add_argument("--requests", type=int, default=200,
                    help="total request budget across all phases "
                         "(default: 200)")
@@ -517,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chaos workload (small by design; default: mlp)")
     p.add_argument("--faults", default=None, metavar="PLAN.json",
                    help="fault plan JSON (default: the canned plan that "
-                        "exercises every registered failpoint)")
+                        "arms the seven failpoints the server target "
+                        "owns; see docs/resilience.md)")
     p.add_argument("--queue-depth", type=int, default=8,
                    help="admission-control queue bound (default: 8)")
     p.add_argument("--workers", type=int, default=2,

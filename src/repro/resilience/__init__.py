@@ -1,9 +1,9 @@
 """repro.resilience — fault injection, retries, and circuit breaking.
 
-The robustness layer for the serving stack: deterministic, seeded
-failpoints (:mod:`repro.resilience.faults`) wired into every failure
-mode of the compile → cache → execute → serve pipeline; retry with
-backoff and circuit breaking (:mod:`repro.resilience.retry`); and a
+The robustness layer for the serving stack: deterministic failpoints
+(:mod:`repro.resilience.faults`) wired into every failure mode of the
+compile → cache → execute → serve pipeline; retry of transient errors
+with backoff, and circuit breaking (:mod:`repro.resilience.retry`); and a
 chaos harness (:mod:`repro.resilience.chaos`, run via ``repro chaos``)
 that injects a seeded fault schedule against a live
 :class:`~repro.serve.server.FusionServer` and asserts the end-to-end

@@ -104,7 +104,6 @@ def run_cluster_chaos(seed: int = 0, workers: int = 2,
     if workers < 2:
         raise ChaosError("cluster chaos needs at least 2 workers "
                          "(failover and spilling target a replica)")
-    faults.registry().seed(seed)
     graphs = {g.name: g for g in (make() for make in
                                   CHAOS_WORKLOADS.values())}
     t_start = time.perf_counter()

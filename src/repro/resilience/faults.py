@@ -1,21 +1,19 @@
-"""Deterministic failpoints: named, seeded fault-injection sites.
+"""Deterministic failpoints: named fault-injection sites.
 
 The serving stack registers *failpoints* at every place the real system
-can fail — disk-cache I/O, a compile attempt, plan lowering, compiled
-execution, batch assembly — following the etcd/TiKV failpoint pattern: a
-site is a single ``fire(name)`` call that does nothing until a test (or
-the chaos harness, :mod:`repro.resilience.chaos`) *arms* it with an
-action:
+can fail — disk-cache I/O, a compile attempt, compiled execution, batch
+assembly — following the etcd/TiKV failpoint pattern: a site is a single
+``fire(name)`` call that does nothing until a test (or the chaos
+harness, :mod:`repro.resilience.chaos`) *arms* it with an action:
 
-* ``fail(p)``         — raise :class:`FaultInjected` with probability ``p``
-  (``fail`` alone means ``fail(1)``);
+* ``fail``            — raise :class:`FaultInjected` on every evaluation;
 * ``fail_n_times(n)`` — raise on the next ``n`` evaluations, then pass;
 * ``delay(ms)``       — sleep ``ms`` milliseconds, then pass.
 
 Disarmed cost is one module-level bool check (``_REGISTRY.armed_any``),
-so instrumented hot paths pay nothing in production.  Probabilistic
-actions draw from one seeded :class:`random.Random`, so a chaos run with
-a fixed ``--seed`` injects the exact same fault sequence every time.
+so instrumented hot paths pay nothing in production.  No action draws
+a random number, so a chaos run injects the same fault sequence every
+time.
 
 Sites that need a *behavioural* fault rather than an exception (e.g. the
 compiled engine poisoning its outputs with NaNs) use
@@ -25,7 +23,6 @@ returns True instead of raising.
 
 from __future__ import annotations
 
-import random
 import re
 import threading
 import time
@@ -46,38 +43,33 @@ class FailpointError(Exception):
 
 
 _SPEC_RE = re.compile(
-    r"^\s*(?P<kind>fail_n_times|fail|delay)\s*"
-    r"(?:\(\s*(?P<arg>[^)]*?)\s*\))?\s*$")
+    r"^\s*(?:(?P<fail>fail)|(?P<kind>fail_n_times|delay)"
+    r"\s*\(\s*(?P<arg>[^)]*?)\s*\))\s*$")
 
 
 class _Armed:
     """One armed action; mutated under the registry lock."""
 
-    __slots__ = ("kind", "prob", "remaining", "delay_s", "hits")
+    __slots__ = ("kind", "remaining", "delay_s", "hits")
 
-    def __init__(self, kind: str, prob: float = 1.0,
-                 remaining: int | None = None,
+    def __init__(self, kind: str, remaining: int | None = None,
                  delay_s: float = 0.0) -> None:
         self.kind = kind            # "fail" | "delay"
-        self.prob = prob
         self.remaining = remaining  # None = unlimited
         self.delay_s = delay_s
         self.hits = 0
 
 
 def parse_action(spec: str) -> _Armed:
-    """Parse an action spec string (``fail(0.5)``, ``fail_n_times(2)``,
+    """Parse an action spec string (``fail``, ``fail_n_times(2)``,
     ``delay(10)``) into its armed form."""
     m = _SPEC_RE.match(spec)
     if m is None:
         raise FailpointError(f"unparsable failpoint action {spec!r}")
+    if m.group("fail"):
+        return _Armed("fail")
     kind, arg = m.group("kind"), m.group("arg")
     try:
-        if kind == "fail":
-            prob = float(arg) if arg else 1.0
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError
-            return _Armed("fail", prob=prob)
         if kind == "fail_n_times":
             n = int(arg)
             if n < 1:
@@ -96,11 +88,10 @@ def parse_action(spec: str) -> _Armed:
 class FailpointRegistry:
     """Thread-safe registry of known failpoints and their armed actions."""
 
-    def __init__(self, seed: int | None = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._known: set[str] = set()
         self._armed: dict[str, _Armed] = {}
-        self._rng = random.Random(seed)
         #: Fast-path flag read without the lock: False ⇒ fire() is a no-op.
         self.armed_any = False
 
@@ -116,11 +107,6 @@ class FailpointRegistry:
             return frozenset(self._known)
 
     # -- arming (test / chaos-harness side) -----------------------------
-
-    def seed(self, seed: int | None) -> None:
-        """Re-seed the shared RNG (chaos runs do this for determinism)."""
-        with self._lock:
-            self._rng = random.Random(seed)
 
     def arm(self, name: str, spec: str) -> None:
         if name not in self._known:
@@ -164,8 +150,6 @@ class FailpointRegistry:
                 if action.remaining <= 0:
                     return None
                 action.remaining -= 1
-            elif action.prob < 1.0 and self._rng.random() >= action.prob:
-                return None
             action.hits += 1
             return action
 
@@ -210,7 +194,7 @@ def register(name: str) -> str:
     return _REGISTRY.register(name)
 
 
-def reset_after_fork(seed: int | None = None) -> FailpointRegistry:
+def reset_after_fork() -> FailpointRegistry:
     """Replace the process-wide registry with a fresh one after ``fork``.
 
     A forked child (a :mod:`repro.cluster` worker) inherits the parent's
@@ -222,7 +206,7 @@ def reset_after_fork(seed: int | None = None) -> FailpointRegistry:
     control channel.
     """
     global _REGISTRY
-    fresh = FailpointRegistry(seed=seed)
+    fresh = FailpointRegistry()
     # Read _known without the (possibly wedged) inherited lock: the child
     # is single-threaded at this point, so nothing can be mutating it.
     for name in set(_REGISTRY._known):

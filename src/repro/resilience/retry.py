@@ -1,9 +1,15 @@
 """Retry with backoff, and circuit breaking, for the serving stack.
 
 :class:`RetryPolicy` wraps an operation that may fail transiently (a
-compile attempt, a plan lowering) in capped exponential backoff with
-seeded jitter and a total sleep budget, so a flaky dependency costs
-bounded extra latency instead of an error.
+compile attempt) in capped exponential backoff with seeded jitter, so a
+flaky dependency costs bounded extra latency instead of an error.
+
+What counts as transient is decided here and nowhere else:
+:data:`TRANSIENT` is an injected fault or an ``OSError`` (``TimeoutError``
+is one).  Every other error is deterministic — the same input fails the
+same way again — so :meth:`RetryPolicy.call` re-raises it on the first
+attempt and the caller degrades at once instead of sleeping through
+retries that cannot succeed.
 
 :class:`CircuitBreaker` is the classic closed → open → half-open state
 machine: after ``failure_threshold`` *consecutive* failures the breaker
@@ -21,35 +27,39 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from .faults import FaultInjected
+
+#: The errors a retry can fix: an armed failpoint standing in for a
+#: flaky compile or measurement, and the OS (disk, pipes, timeouts).
+TRANSIENT: tuple[type[BaseException], ...] = (FaultInjected, OSError)
+
+#: Growth of the backoff delay per retry.
+BACKOFF_MULTIPLIER = 2.0
+#: Fraction of each delay randomised away by the seeded jitter.
+JITTER = 0.5
+
 
 @dataclass
 class RetryPolicy:
-    """Budget-capped exponential backoff with decorrelating jitter."""
+    """Exponential backoff with decorrelating jitter, over
+    :data:`TRANSIENT` errors only."""
 
     max_attempts: int = 3
     base_delay_s: float = 0.005
     max_delay_s: float = 0.1
-    multiplier: float = 2.0
-    #: Fraction of each delay randomised away (0 = deterministic delays).
-    jitter: float = 0.5
-    #: Total sleeping allowed across all retries of one call.
-    sleep_budget_s: float = 1.0
-    retry_on: tuple[type[BaseException], ...] = (Exception,)
     seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
 
     def delay_for(self, retry_index: int,
                   rng: random.Random | None = None) -> float:
         """Backoff before retry number ``retry_index`` (0-based)."""
         delay = min(self.max_delay_s,
-                    self.base_delay_s * self.multiplier ** retry_index)
-        if self.jitter and rng is not None:
-            delay *= 1.0 - self.jitter * rng.random()
+                    self.base_delay_s * BACKOFF_MULTIPLIER ** retry_index)
+        if rng is not None:
+            delay *= 1.0 - JITTER * rng.random()
         return delay
 
     def call(self, fn: Callable,
@@ -61,8 +71,9 @@ class RetryPolicy:
              on_deadline: Callable[[int, BaseException, float], None]
              | None = None,
              clock: Callable[[], float] = time.monotonic):
-        """Run ``fn`` with retries; re-raises the last error when the
-        attempt count or the sleep budget is exhausted.
+        """Run ``fn``, retrying :data:`TRANSIENT` errors; re-raises the
+        last error when the attempts run out, and any other error at
+        once.
 
         ``on_retry(attempt, exc, delay_s)`` is called before each backoff
         sleep (attempt numbering starts at 1 for the first *retry*).
@@ -70,20 +81,17 @@ class RetryPolicy:
         ``deadline_s`` is an absolute monotonic deadline: a backoff sleep
         that would cross it is never scheduled — the last error is raised
         immediately instead, after ``on_deadline(attempt, exc, delay_s)``
-        (same signature as ``on_retry``).  ``None`` keeps the
-        budget-only behaviour.
+        (same signature as ``on_retry``).
         """
         if rng is None:
             rng = random.Random(self.seed)
-        slept = 0.0
         for attempt in range(self.max_attempts):
             try:
                 return fn()
-            except self.retry_on as exc:
-                delay = self.delay_for(attempt, rng)
-                if (attempt + 1 >= self.max_attempts
-                        or slept + delay > self.sleep_budget_s):
+            except TRANSIENT as exc:
+                if attempt + 1 >= self.max_attempts:
                     raise
+                delay = self.delay_for(attempt, rng)
                 if (deadline_s is not None
                         and clock() + delay > deadline_s):
                     # Sleeping would outlive the request's budget: the
@@ -96,7 +104,6 @@ class RetryPolicy:
                 if on_retry is not None:
                     on_retry(attempt + 1, exc, delay)
                 sleep(delay)
-                slept += delay
         raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -117,24 +124,20 @@ class CircuitBreaker:
 
     def __init__(self, failure_threshold: int = 5,
                  reset_timeout_s: float = 30.0,
-                 half_open_max_probes: int = 1,
                  clock: Callable[[], float] = time.monotonic,
                  on_transition: Callable[[str, str], None] | None = None,
                  ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
-        if half_open_max_probes < 1:
-            raise ValueError("half_open_max_probes must be >= 1")
         self.failure_threshold = failure_threshold
         self.reset_timeout_s = reset_timeout_s
-        self.half_open_max_probes = half_open_max_probes
         self.on_transition = on_transition
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._probes = 0
+        self._probing = False
         self.transitions: list[tuple[str, str]] = []
         self._cycles = 0
 
@@ -151,7 +154,7 @@ class CircuitBreaker:
         if new == OPEN:
             self._opened_at = self._clock()
         if new == HALF_OPEN:
-            self._probes = 0
+            self._probing = False
         if self.on_transition is not None:
             self.on_transition(old, new)
 
@@ -160,8 +163,8 @@ class CircuitBreaker:
     def allow(self) -> bool:
         """May the protected path be attempted right now?
 
-        In half-open state at most ``half_open_max_probes`` callers get
-        True until a probe outcome is recorded; everyone else falls back.
+        In half-open state one caller gets True until the probe's
+        outcome is recorded; everyone else falls back.
         """
         with self._lock:
             if self._state == CLOSED:
@@ -170,10 +173,10 @@ class CircuitBreaker:
                 if self._clock() - self._opened_at < self.reset_timeout_s:
                     return False
                 self._transition(HALF_OPEN)
-            if self._probes < self.half_open_max_probes:
-                self._probes += 1
-                return True
-            return False
+            if self._probing:
+                return False
+            self._probing = True
+            return True
 
     def record_success(self) -> None:
         with self._lock:

@@ -66,8 +66,7 @@ from .dtypes import all_finite, bf16_round, resolve_dtype  # noqa: F401
 from .dtypes import QUIET_SUM, sum_finite
 from .executor import ExecutionError
 
-#: Failpoints in the lower/execute path (armed only by tests/chaos).
-FP_LOWER = _faults.register("runtime.lower")
+#: Failpoints in the execute path (armed only by tests/chaos).
 FP_EXECUTE = _faults.register("runtime.execute")
 #: Behavioural failpoint: poisons the execution env with NaNs, modelling
 #: a miscompiled plan (the UTA online-rescaling hazard) so the session's
@@ -203,7 +202,6 @@ def lower_program(program: ProgramSchedule, dtype=np.float64,
     t0 = time.perf_counter()
     with obs_span("lower", category="runtime", program=program.name,
                   kernels=program.num_kernels, dtype=token):
-        _faults.fire(FP_LOWER)
         try:
             fused = generate_fused_program(program, compute)
         except CodegenError as exc:

@@ -19,7 +19,7 @@ from ..core.serialize import ScheduleCache, SerializeError, cache_key
 from ..ir.graph import DataflowGraph
 from ..obs import span as obs_span
 from ..resilience import faults as _faults
-from ..resilience.retry import RetryPolicy
+from ..resilience.retry import TRANSIENT, RetryPolicy
 from ..store import LRU, single_flight
 from .metrics import ServeMetrics
 
@@ -30,8 +30,10 @@ FP_DISK_GET = _faults.register("serve.cache.disk_get")
 FP_DISK_PUT = _faults.register("serve.cache.disk_put")
 FP_COMPILE = _faults.register("serve.cache.compile")
 
-#: Disk-tier errors that count as a miss instead of failing the request.
-_DISK_ERRORS = (OSError, SerializeError, _faults.FaultInjected)
+#: Disk-tier errors that count as a miss instead of failing the request:
+#: the transient ones, and an entry that does not decode (recompiling
+#: overwrites it).
+_DISK_ERRORS = TRANSIENT + (SerializeError,)
 
 
 class _Flight:
@@ -64,9 +66,9 @@ class TieredScheduleCache:
         #: stuck fleet member may cost a duplicate campaign, never a hang.
         self.lock_timeout_s = lock_timeout_s
         self.metrics = metrics or ServeMetrics()
-        #: Backoff policy around compile attempts (and, via the session,
-        #: plan lowering): transient compiler faults retry instead of
-        #: degrading the session for its whole lifetime.
+        #: Backoff policy around compile attempts: transient compiler
+        #: faults retry instead of degrading the session for its whole
+        #: lifetime; a deterministic compile error degrades it at once.
         self.retry_policy = retry_policy or RetryPolicy(
             max_attempts=3, base_delay_s=0.005, max_delay_s=0.05)
         self._memory = LRU(capacity, on_evict=lambda _key, _sched:

@@ -19,9 +19,10 @@ Two engines are available (``engine=`` constructor argument):
 
 Graceful degradation — the ladder is compiled → interpreter → reference:
 
-* if compilation fails (after the cache's retry policy is exhausted), or
-  a request's deadline expires before the compiled artifact is ready,
-  the session serves the request through the unfused reference kernels
+* if compilation or lowering fails (a transient compile fault only after
+  the cache's retry policy is exhausted), or a request's deadline
+  expires before the compiled artifact is ready, the session serves the
+  request through the unfused reference kernels
   (:func:`repro.runtime.kernels.execute_graph_reference`);
 * if the compiled engine *errors* on a request, the session answers via
   the reference and counts the failure against a per-workload
@@ -133,10 +134,10 @@ class InferenceSession:
                                    else ServeMetrics())
         self.cache = cache if cache is not None else \
             TieredScheduleCache(metrics=self.metrics)
-        #: Relative budget for the whole compile (cache resolution plus
-        #: lowering): past it, retry backoff sleeps are skipped and the
-        #: last error surfaces so the session degrades promptly instead
-        #: of retrying into a dead deadline (None = retry freely).
+        #: Relative budget for the compile's cache resolution: past it,
+        #: retry backoff sleeps are skipped and the last error surfaces
+        #: so the session degrades promptly instead of retrying into a
+        #: dead deadline (None = retry freely).
         self.compile_deadline_s = compile_deadline_s
         self.breaker = breaker or CircuitBreaker()
         if self.breaker.on_transition is None:
@@ -202,16 +203,10 @@ class InferenceSession:
                           workload=self.graph.name, engine=self.engine):
                 host, self._host_report = host_plan(schedule)
                 if self.engine == ENGINE_COMPILED:
-                    # Lowering gets the same transient-fault retry
-                    # treatment as the compile itself.
-                    self.program = self.cache.retry_policy.call(
-                        lambda: compile_schedule(
-                            host, cache=self.plan_cache),
-                        on_retry=lambda n, exc, d:
-                            self.metrics.inc("lower.retries"),
-                        deadline_s=deadline,
-                        on_deadline=lambda n, exc, d:
-                            self.metrics.inc("retry.deadline_capped"))
+                    # In-memory code generation: it fails only
+                    # deterministically, so it runs once.
+                    self.program = compile_schedule(host,
+                                                    cache=self.plan_cache)
             self.schedule, self.host_schedule = schedule, host
             self._state = READY
         except Exception as exc:  # noqa: BLE001 — any compile failure degrades

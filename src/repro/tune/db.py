@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..resilience import faults as _faults
+from ..resilience.retry import TRANSIENT
 from ..store import LRU, DiskStore
 from .features import FEATURE_VERSION
 
@@ -214,7 +215,7 @@ class TuneDB:
         try:
             _faults.fire(FP_DB_PUT)
             self.store.write(entry.fingerprint, json.dumps(entry.to_dict()))
-        except (OSError, _faults.FaultInjected):
+        except TRANSIENT:
             # Contained: the entry is already in the memory tier, only
             # warm restarts lose it.
             self._count_disk_error()

@@ -1,9 +1,20 @@
-"""Tests for the failpoint registry: arming, actions, determinism."""
+"""Tests for the failpoint registry: arming, actions, determinism, and
+that every registered failpoint has an owner that arms it."""
 
+import itertools
+import pathlib
+import re
 import time
 
 import pytest
 
+# Every module that registers a failpoint site, so ``known()`` is whole.
+import repro.cluster.supervisor  # noqa: F401
+import repro.cluster.worker  # noqa: F401
+import repro.core.autotuner  # noqa: F401
+import repro.runtime.compiled  # noqa: F401
+import repro.serve  # noqa: F401
+import repro.tune.db  # noqa: F401
 from repro.resilience import faults
 from repro.resilience.faults import (
     FailpointError,
@@ -13,11 +24,32 @@ from repro.resilience.faults import (
 )
 
 
+_ROOT = pathlib.Path(__file__).resolve().parents[2]
+_DOC = _ROOT / "docs" / "resilience.md"
+#: The mechanisms the ownership table must cover besides failpoints.
+_MECHANISMS = {"session breaker", "restart breaker", "compile retry"}
+_OWNER = re.compile(r"`repro chaos( --cluster)?` phase `(\w+)`"
+                    r"|`(tests/[\w/]+\.py)((?:::\w+)*)`")
+
+
+def _table_after(marker: str) -> dict[str, str]:
+    """First cell → rest of the row, for the table following ``marker``."""
+    lines = _DOC.read_text().splitlines()
+    after = lines[lines.index(marker) + 1:]
+    table = itertools.takewhile(
+        lambda line: line.startswith("|"),
+        itertools.dropwhile(lambda line: not line.startswith("|"), after))
+    rows = {}
+    for line in list(table)[2:]:        # past the header and its rule
+        first, *rest = (c.strip() for c in line.strip("|").split("|"))
+        rows[first.strip("`")] = " | ".join(rest)
+    return rows
+
+
 class TestSpecParsing:
     def test_fail_variants(self):
-        assert parse_action("fail").prob == 1.0
-        assert parse_action("fail(0.25)").prob == 0.25
-        assert parse_action("fail(1)").prob == 1.0
+        a = parse_action("fail")
+        assert a.kind == "fail" and a.remaining is None
         a = parse_action("fail_n_times(3)")
         assert a.remaining == 3 and a.kind == "fail"
 
@@ -26,8 +58,9 @@ class TestSpecParsing:
         assert parse_action("delay(0)").delay_s == 0.0
 
     @pytest.mark.parametrize("bad", [
-        "explode", "fail(2)", "fail(-0.5)", "fail_n_times(0)",
-        "fail_n_times(1.5)", "delay(-1)", "fail_n_times", "delay",
+        "explode", "fail(2)", "fail(-0.5)", "fail(0.3)", "fail(1)",
+        "fail_n_times(0)", "fail_n_times(1.5)", "delay(-1)",
+        "fail_n_times", "delay",
     ])
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(FailpointError):
@@ -63,23 +96,6 @@ class TestRegistry:
                 reg.fire("x")
         reg.fire("x")                       # third evaluation passes
         assert reg.hits() == {"x": 2}
-
-    def test_probabilistic_fail_is_seeded(self):
-        def fires(seed):
-            reg = FailpointRegistry(seed=seed)
-            reg.register("x")
-            reg.arm("x", "fail(0.5)")
-            outcomes = []
-            for _ in range(32):
-                try:
-                    reg.fire("x")
-                    outcomes.append(False)
-                except FaultInjected:
-                    outcomes.append(True)
-            return outcomes
-
-        assert fires(7) == fires(7)
-        assert any(fires(7)) and not all(fires(7))
 
     def test_delay_sleeps(self):
         reg = FailpointRegistry()
@@ -121,16 +137,10 @@ class TestGlobalSites:
     """The module-level hooks the instrumented call sites use."""
 
     def test_known_sites_registered_on_import(self):
-        import repro.core.autotuner      # noqa: F401
-        import repro.runtime.compiled    # noqa: F401
-        import repro.serve               # noqa: F401
-
         known = faults.registry().known()
-        for name in ("serve.cache.disk_get", "serve.cache.disk_put",
-                     "serve.cache.compile", "compile.autotune",
-                     "runtime.lower", "runtime.execute", "runtime.poison",
-                     "serve.batch"):
-            assert name in known, name
+        assert len(known) == 12
+        assert set(_table_after(
+            "Registered sites and what arming them simulates:")) == known
 
     def test_global_fire_zero_cost_when_disarmed(self):
         assert not faults.registry().armed_any
@@ -144,3 +154,44 @@ class TestGlobalSites:
                 faults.fire("serve.batch")
             faults.fire("serve.batch")
         faults.fire("serve.batch")
+
+
+class TestOwnership:
+    """docs/resilience.md's "Who exercises what" table is the contract:
+    one row per registered failpoint and per retry/breaker mechanism,
+    each naming a chaos phase or test that really arms it."""
+
+    def test_one_row_per_site_and_mechanism(self):
+        owners = set(_table_after("## Who exercises what"))
+        assert owners - _MECHANISMS == faults.registry().known()
+        assert _MECHANISMS <= owners
+
+    def test_every_row_is_armed_where_it_says(self):
+        from repro.resilience import cluster_chaos
+        from repro.resilience.chaos import DEFAULT_FAULT_PLAN, PHASES
+
+        server_plan = {(e["failpoint"], e["phase"])
+                       for e in DEFAULT_FAULT_PLAN}
+        fleet_src = pathlib.Path(cluster_chaos.__file__).read_text()
+        for what, cell in _table_after("## Who exercises what").items():
+            owners = list(_OWNER.finditer(cell))
+            assert owners, f"{what}: no owner in {cell!r}"
+            failpoint = what not in _MECHANISMS
+            for m in owners:
+                cluster, phase, path, node = m.groups()
+                if path is not None:
+                    text = (_ROOT / path).read_text()
+                    for part in filter(None, node.split("::")):
+                        assert re.search(
+                            rf"^\s*(class|def) {part}\b", text, re.M), \
+                            (what, path, part)
+                    if failpoint:
+                        assert f'"{what}"' in text, (what, path)
+                elif cluster:
+                    assert f'run.phase("{phase}"' in fleet_src, (what, phase)
+                    if failpoint:
+                        assert f'"{what}"' in fleet_src, (what, phase)
+                else:
+                    assert phase in PHASES, (what, phase)
+                    if failpoint:
+                        assert (what, phase) in server_plan, (what, phase)

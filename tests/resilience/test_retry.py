@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.resilience.faults import FaultInjected
 from repro.resilience.retry import (
     CLOSED,
     HALF_OPEN,
@@ -14,7 +15,7 @@ from repro.resilience.retry import (
 class _Flaky:
     """Callable failing the first ``n`` invocations."""
 
-    def __init__(self, n, exc=RuntimeError):
+    def __init__(self, n, exc=OSError):
         self.n = n
         self.exc = exc
         self.calls = 0
@@ -46,52 +47,53 @@ class TestRetryPolicy:
     def test_attempts_exhausted_reraises_last(self):
         fn = _Flaky(5)
         policy = RetryPolicy(max_attempts=3, seed=0)
-        with pytest.raises(RuntimeError, match="transient #3"):
+        with pytest.raises(OSError, match="transient #3"):
             policy.call(fn, sleep=lambda s: None)
         assert fn.calls == 3
 
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(base_delay_s=0.01, multiplier=2.0,
-                             max_delay_s=0.03, jitter=0.0)
+        policy = RetryPolicy(base_delay_s=0.01, max_delay_s=0.03)
         delays = [policy.delay_for(i) for i in range(4)]
         assert delays == pytest.approx([0.01, 0.02, 0.03, 0.03])
 
     def test_jitter_is_seeded_and_bounded(self):
-        a = RetryPolicy(seed=3, jitter=0.5)
-        b = RetryPolicy(seed=3, jitter=0.5)
+        a = RetryPolicy(seed=3)
+        b = RetryPolicy(seed=3)
         sa, sb = [], []
-        with pytest.raises(RuntimeError):
+        with pytest.raises(OSError):
             a.call(_Flaky(9), sleep=sa.append)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(OSError):
             b.call(_Flaky(9), sleep=sb.append)
         assert sa == sb                      # same seed, same jitter
         for i, d in enumerate(sa):
             full = a.delay_for(i)            # no-rng call: undithered
             assert 0.5 * full <= d <= full
 
-    def test_sleep_budget_stops_retrying(self):
-        fn = _Flaky(50)
-        policy = RetryPolicy(max_attempts=50, base_delay_s=0.4,
-                             max_delay_s=0.4, jitter=0.0,
-                             sleep_budget_s=1.0)
-        slept = []
-        with pytest.raises(RuntimeError):
-            policy.call(fn, sleep=slept.append)
-        assert sum(slept) <= 1.0
-        assert fn.calls == 3                 # 0.4 + 0.4, then budget hit
-
     def test_non_matching_exception_not_retried(self):
-        policy = RetryPolicy(max_attempts=5, retry_on=(ValueError,))
+        policy = RetryPolicy(max_attempts=5)
         fn = _Flaky(2, exc=KeyError)
         with pytest.raises(KeyError):
             policy.call(fn, sleep=lambda s: None)
         assert fn.calls == 1
 
+    @pytest.mark.parametrize("exc", [
+        lambda msg: FaultInjected(msg), OSError, TimeoutError])
+    def test_transient_errors_are_retried(self, exc):
+        fn = _Flaky(2, exc=exc)
+        assert RetryPolicy(max_attempts=3, seed=0).call(
+            fn, sleep=lambda s: None) == "ok"
+        assert fn.calls == 3
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
+
+
+class _NoJitter:
+    """An ``rng`` seam that never shortens a delay."""
+
+    def random(self):
+        return 0.0
 
 
 class _Clock:
@@ -118,12 +120,12 @@ class TestRetryDeadline:
         fn = _Flaky(9)
         capped = []
         slept = []
-        policy = RetryPolicy(max_attempts=5, base_delay_s=0.05,
-                             jitter=0.0, seed=0)
+        policy = RetryPolicy(max_attempts=5, base_delay_s=0.05, seed=0)
         # First retry would sleep until 100.05 > 100.02: raise instead,
         # with the deadline hook (not the retry hook) observing it.
-        with pytest.raises(RuntimeError, match="transient #1"):
+        with pytest.raises(OSError, match="transient #1"):
             policy.call(fn, sleep=slept.append, clock=clock,
+                        rng=_NoJitter(),
                         deadline_s=100.02,
                         on_deadline=lambda n, e, d: capped.append((n, d)))
         assert fn.calls == 1
@@ -134,8 +136,7 @@ class TestRetryDeadline:
         clock = _Clock()
         fn = _Flaky(2)
         capped = []
-        policy = RetryPolicy(max_attempts=3, base_delay_s=0.01,
-                             jitter=0.0, seed=0)
+        policy = RetryPolicy(max_attempts=3, base_delay_s=0.01, seed=0)
         assert policy.call(fn, sleep=lambda s: clock.__setattr__(
                                "now", clock.now + s),
                            clock=clock, deadline_s=1e9,
@@ -154,19 +155,19 @@ class TestRetryDeadline:
             clock.now += s
 
         policy = RetryPolicy(max_attempts=10, base_delay_s=0.05,
-                             multiplier=1.0, jitter=0.0, seed=0)
+                             max_delay_s=0.05, seed=0)
         # Budget fits two backoffs (0.05 + 0.05 = 0.10 ≤ 0.12); the
         # third would end at 0.15 > 0.12 and must be skipped.
-        with pytest.raises(RuntimeError, match="transient #3"):
-            policy.call(fn, sleep=sleep, clock=clock, deadline_s=0.12)
+        with pytest.raises(OSError, match="transient #3"):
+            policy.call(fn, sleep=sleep, clock=clock, deadline_s=0.12,
+                        rng=_NoJitter())
         assert fn.calls == 3
         assert slept == pytest.approx([0.05, 0.05])
 
     def test_on_deadline_is_optional(self):
         clock = _Clock()
-        policy = RetryPolicy(max_attempts=3, base_delay_s=1.0,
-                             jitter=0.0, seed=0)
-        with pytest.raises(RuntimeError):
+        policy = RetryPolicy(max_attempts=3, base_delay_s=1.0, seed=0)
+        with pytest.raises(OSError):
             policy.call(_Flaky(9), sleep=lambda s: None, clock=clock,
                         deadline_s=0.5)
 
@@ -246,5 +247,3 @@ class TestCircuitBreaker:
     def test_validation(self):
         with pytest.raises(ValueError):
             CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(half_open_max_probes=0)

@@ -200,3 +200,28 @@ class TestAnInexpressibleOpIsALoweringError:
         np.testing.assert_array_equal(reply.outputs["Y"], expected["Y"])
         np.testing.assert_allclose(reply.outputs["Y"],
                                    np.exp(feeds["X"]).reshape(32))
+
+    def test_the_session_lowers_once(self, monkeypatch):
+        """A deterministic error is not retried: one lowering, no
+        backoff, and the first answer is already the degraded one."""
+        from repro.runtime import compiled
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lower_program(*args, **kwargs)
+
+        monkeypatch.setattr(compiled, "lower_program", counting)
+        graph, schedule = _doctored_schedule()
+        session = InferenceSession(graph, AMPERE,
+                                   compile_fn=lambda: schedule,
+                                   plan_cache=PlanCache())
+        feeds = {"X": np.random.default_rng(0).standard_normal((8, 4))}
+        reply = session.execute(feeds)
+        assert reply.degraded and reply.reason == "compile_failed"
+        assert len(calls) == 1
+        assert session.metrics.get("lower.retries") == 0
+        assert session.metrics.get("retry.deadline_capped") == 0
+        np.testing.assert_array_equal(
+            reply.outputs["Y"], execute_graph_reference(graph, feeds)["Y"])

@@ -7,9 +7,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.compiler import CompileError
 from repro.core.serialize import ScheduleCache
 from repro.hw import AMPERE
 from repro.resilience import faults
+from repro.resilience.faults import FaultInjected
 from repro.resilience.retry import CLOSED, OPEN, CircuitBreaker, RetryPolicy
 from repro.runtime.compiled import PlanCache
 from repro.runtime.kernels import execute_graph_reference, random_feeds
@@ -88,7 +90,7 @@ class TestCompileRetry:
         def flaky_compile():
             calls.append(1)
             if len(calls) == 1:
-                raise RuntimeError("transient tuner crash")
+                raise FaultInjected("transient tuner crash")
             return compile_for(small_ln, AMPERE)[0]
 
         sched = cache.get_or_compile(small_ln, AMPERE.name, flaky_compile)
@@ -100,10 +102,54 @@ class TestCompileRetry:
             retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.001))
 
         def broken():
-            raise RuntimeError("permanent")
+            raise OSError("permanent")
 
-        with pytest.raises(RuntimeError, match="permanent"):
+        with pytest.raises(OSError, match="permanent"):
             cache.get_or_compile(small_ln, AMPERE.name, broken)
+
+    def test_a_deterministic_compile_error_is_not_retried(self, small_ln):
+        metrics = ServeMetrics()
+        calls = []
+
+        def broken():
+            calls.append(1)
+            raise CompileError("no legal schedule")
+
+        session = InferenceSession(small_ln, AMPERE, metrics=metrics,
+                                   compile_fn=broken)
+        feeds = random_feeds(small_ln, seed=3)
+        reply = session.execute(feeds)
+        assert len(calls) == 1
+        assert metrics.get("cache.compile_retries") == 0
+        assert reply.degraded and reply.reason == "compile_failed"
+        assert session.compile_error.startswith("CompileError")
+        expected = execute_graph_reference(small_ln, feeds)
+        for name, arr in expected.items():
+            np.testing.assert_array_equal(reply.outputs[name], arr)
+
+    @pytest.mark.parametrize("exc", [FaultInjected, OSError])
+    def test_a_transient_compile_error_is_retried(self, small_ln, exc):
+        from repro.pipeline import compile_for
+
+        metrics = ServeMetrics()
+        calls = []
+
+        def flaky():
+            calls.append(1)
+            if len(calls) == 1:
+                raise exc("flaky measurement")
+            return compile_for(small_ln, AMPERE)[0]
+
+        session = InferenceSession(
+            small_ln, AMPERE, metrics=metrics, compile_fn=flaky,
+            cache=TieredScheduleCache(
+                metrics=metrics,
+                retry_policy=RetryPolicy(base_delay_s=0.001)))
+        assert session.ensure_compiled(timeout=60.0)
+        assert session.state == "ready"
+        assert len(calls) == 2
+        assert metrics.get("cache.compile_retries") == 1
+        assert not session.execute(random_feeds(small_ln, seed=4)).degraded
 
 
 class TestSessionBreaker:

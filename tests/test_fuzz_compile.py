@@ -168,9 +168,9 @@ class TestOracleFuzz:
                                      HealthCheck.filter_too_much])
     @given(graph=random_graph(), seed=st.integers(0, 1 << 16))
     def test_oracle_float32(self, graph, seed):
-        """float32 execution hits the compiled engine's interpreter
-        fallback for temporal kernels; the dtype-aware tolerance absorbs
-        the precision loss."""
+        """float32 through the interpreter and the compiled engine (which
+        lowers temporal kernels to loop nests at every dtype): both must
+        match the float64 reference within the dtype-aware tolerance."""
         result = differential_test(graph, AMPERE, seed=seed,
                                    dtype=np.float32)
         if not result.ok:
