@@ -61,8 +61,8 @@ def config_sort_key(cfg: ScheduleConfig | None) -> tuple:
     Used to break *exact* timing ties deterministically: when two
     configurations measure identical, the winner is the one with the
     smaller key, no matter which was evaluated first.  Parallel
-    compilation, guided (reordered) search, and TuneDB replay therefore
-    all crown the same configuration.  ``None`` sorts last.
+    compilation, any order of the search space, and TuneDB replay
+    therefore all crown the same configuration.  ``None`` sorts last.
     """
     if cfg is None:
         return (1, (), -2)
@@ -75,7 +75,6 @@ def evaluate_search_space(
         alpha: float = DEFAULT_ALPHA,
         warmup_runs: int = WARMUP_RUNS,
         measure_runs: int = MEASURE_RUNS,
-        candidates: list[ScheduleConfig] | None = None,
         keep_timings: bool = True) -> TuneResult:
     """Run the tuning campaign over ``kernel.search_space`` without
     mutating the kernel.
@@ -84,14 +83,12 @@ def evaluate_search_space(
     kernels that other threads hold references to; callers then commit
     the choice with :func:`apply_tune_result`.
 
-    ``candidates`` overrides the *evaluation order* (it must be a
-    permutation of the search space — the guided policy in
-    :mod:`repro.tune` feeds candidates best-first so the early-quit rule
-    bites sooner).  The chosen winner is order-independent: a
-    configuration strictly beating the incumbent always completes its
-    full campaign, and exact ties resolve by :func:`config_sort_key`, so
-    the winner is the lexicographic minimum of ``(time, key)`` under any
-    order.  Only the accounted wall-clock depends on the order.
+    Configurations are evaluated in search-space order.  The chosen
+    winner does not depend on that order: a configuration strictly
+    beating the incumbent always completes its full campaign, and exact
+    ties resolve by :func:`config_sort_key`, so the winner is the
+    lexicographic minimum of ``(time, key)`` under any order.  Only the
+    accounted wall-clock depends on the order.
     """
     _faults.fire(FP_TUNE)
     best_cfg: ScheduleConfig | None = None
@@ -99,7 +96,7 @@ def evaluate_search_space(
     wall = 0.0
     quit_early = 0
     timings: list[tuple[ScheduleConfig, float]] = []
-    space = kernel.search_space if candidates is None else candidates
+    space = kernel.search_space
 
     for cfg in space:
         t = timing_fn(kernel, cfg)
@@ -158,13 +155,11 @@ def tune_kernel(kernel: KernelSchedule,
                 alpha: float = DEFAULT_ALPHA,
                 warmup_runs: int = WARMUP_RUNS,
                 measure_runs: int = MEASURE_RUNS,
-                candidates: list[ScheduleConfig] | None = None,
                 keep_timings: bool = True) -> TuneResult:
     """Search the kernel's config space and fix its best configuration."""
     result = evaluate_search_space(kernel, timing_fn, alpha=alpha,
                                    warmup_runs=warmup_runs,
                                    measure_runs=measure_runs,
-                                   candidates=candidates,
                                    keep_timings=keep_timings)
     apply_tune_result(result)
     return result
@@ -190,8 +185,8 @@ class DefaultTuner:
 
     :class:`~repro.core.compiler.SpaceFusionCompiler` routes every
     campaign through a tuner with this interface; the TuneDB-backed
-    :class:`repro.tune.GuidedTuner` substitutes database hits and
-    feature-guided candidate ordering while preserving the winner.
+    :class:`repro.tune.GuidedTuner` replays database hits and runs this
+    same campaign on a miss, so the winner is unchanged.
     """
 
     def tune(self, kernel: KernelSchedule,

@@ -204,8 +204,8 @@ class SpaceFusionCompiler:
         self.options = options or FusionOptions()
         #: Tuning policy every campaign routes through.  The default is
         #: the paper's enumeration-with-early-quit; a TuneDB-backed
-        #: :class:`repro.tune.GuidedTuner` reuses and reorders campaigns
-        #: while choosing bitwise-identical winners.
+        #: :class:`repro.tune.GuidedTuner` replays stored winners and runs
+        #: the same campaign on a miss, so winners are bitwise-identical.
         self.tuner = tuner or DefaultTuner()
         #: Census of distinct fusion patterns discovered (Table 6).
         self.fusion_patterns: dict[str, dict] = {}

@@ -34,8 +34,8 @@ def make_compiler(gpu: GPUSpec,
 
     ``tune_db`` (a :class:`repro.tune.TuneDB`) swaps the default tuning
     procedure for the database-backed :class:`repro.tune.GuidedTuner`:
-    previously tuned kernels replay their stored winner, cold kernels
-    search guided by database history.  Chosen configurations are
+    previously tuned kernels replay their stored winner, cold kernels run
+    the paper's campaign and store theirs.  Chosen configurations are
     identical either way; only tuning wall-clock changes.
     ``tune_metrics`` (a :class:`repro.serve.metrics.ServeMetrics`)
     receives the tuner's ``tunedb.*`` counters.

@@ -6,9 +6,10 @@ A phase script over the core in :mod:`repro.resilience.chaos` (``Run``,
 :class:`~repro.cluster.supervisor.ClusterSupervisor` — forked worker
 processes behind duplex pipes, consistent-hash sharding with replicas,
 admission control, heartbeat health checks, breaker-gated restarts,
-end-to-end deadlines, and backlog routing — then walks a seeded
-phase plan through every cluster-level failure mode the server target
-cannot reach:
+end-to-end deadlines, and backlog routing — then walks a fixed phase
+plan through every cluster-level failure mode the server target cannot
+reach (``S`` only labels the report: no phase and no feed depends on
+it):
 
 * **crash mid-flight** — a worker is hard-killed with requests
   executing; the in-flight book fails them typed
@@ -100,7 +101,8 @@ def run_cluster_chaos(seed: int = 0, workers: int = 2,
                       requests: int = 60,
                       report_path: str | None = None) -> ChaosReport:
     """Run the cluster-tier chaos plan; returns the report (never raises
-    for invariant violations — the caller checks ``report.ok``)."""
+    for invariant violations — the caller checks ``report.ok``).
+    ``seed`` is recorded in the report and seeds nothing."""
     if workers < 2:
         raise ChaosError("cluster chaos needs at least 2 workers "
                          "(failover and spilling target a replica)")

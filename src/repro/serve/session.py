@@ -125,7 +125,7 @@ class InferenceSession:
         self.gpu = gpu
         self.options = options
         #: Optional :class:`repro.tune.TuneDB` — schedule-cache misses
-        #: compile through the guided tuner, so a cold schedule cache on
+        #: compile through a GuidedTuner over it, so a cold schedule cache on
         #: a warm tuning database still skips the tuning campaigns.
         self.tune_db = tune_db
         self.engine = engine

@@ -1,4 +1,4 @@
-"""Persistent cross-run tuning database and feature-guided config search.
+"""Persistent cross-run tuning database and the policy that replays it.
 
 The paper's §6.5 tuning procedure re-runs its full
 enumeration-with-α-early-quit campaign for every kernel every process has
@@ -14,12 +14,11 @@ a sibling worker in the same fleet.  This package amortizes that work:
   :class:`~repro.core.serialize.ScheduleCache`.
 * :class:`GuidedTuner` — a tuning policy for
   :class:`~repro.core.compiler.SpaceFusionCompiler`: exact-fingerprint
-  hits skip the campaign entirely (verified by one confirmation timing),
-  near-neighbor hits warm-start the incumbent, and a lightweight
-  predictor calibrated from DB history feeds candidates to the early-quit
-  rule best-first.  Chosen winners are bitwise-identical to the
-  enumeration order (see :func:`~repro.core.autotuner.config_sort_key`);
-  only the simulated tuning wall-clock shrinks.
+  hits skip the campaign entirely (verified by one confirmation timing);
+  a miss runs the paper's campaign unchanged and stores its winner.
+  Chosen winners are bitwise-identical to
+  :class:`~repro.core.autotuner.DefaultTuner`'s; only the simulated
+  tuning wall-clock shrinks.
 
 Fleet semantics: pointing every worker's ``TuneDB`` at one shared
 directory makes a kernel's campaign run once fleet-wide — cold
@@ -29,26 +28,15 @@ winner as a one-run confirmation.
 """
 
 from .db import DB_FORMAT_VERSION, TuneDB, TuneDBError, TuneEntry
-from .features import (
-    FEATURE_VERSION,
-    config_features,
-    feature_vector,
-    kernel_features,
-)
 from .fingerprint import gpu_fingerprint, kernel_fingerprint
-from .guided import GuidedTuner, RidgePredictor
+from .guided import GuidedTuner
 
 __all__ = [
     "DB_FORMAT_VERSION",
-    "FEATURE_VERSION",
     "GuidedTuner",
-    "RidgePredictor",
     "TuneDB",
     "TuneDBError",
     "TuneEntry",
-    "config_features",
-    "feature_vector",
     "gpu_fingerprint",
-    "kernel_features",
     "kernel_fingerprint",
 ]

@@ -1,11 +1,10 @@
 """Two-tier persistent tuning database.
 
 Stores the outcome of one tuning campaign per kernel fingerprint: the
-winning configuration, its measured time, the campaign cost, and a small
-set of (feature-vector, time) samples the guided policy learns from.
+winning configuration, its measured time and the campaign cost.
 
 Both tiers come from :mod:`repro.store`; this module is the
-:class:`TuneEntry` codec, the counters and the sample pool over them:
+:class:`TuneEntry` codec and the counters over them:
 
 * an in-process :class:`~repro.store.LRU` absorbs the within-compile
   reuse — the partition search re-tunes identical subgraphs across
@@ -25,17 +24,15 @@ miss and deleted, a failed write only loses warm restarts.
 
 from __future__ import annotations
 
-import collections
 import json
 import pathlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..resilience import faults as _faults
 from ..resilience.retry import TRANSIENT
 from ..store import LRU, DiskStore
-from .features import FEATURE_VERSION
 
 #: Failpoints on the disk tier (armed only by tests/chaos): a fault here
 #: must degrade to a miss (get) or a lost persist (put), never an error.
@@ -43,17 +40,12 @@ FP_DB_GET = _faults.register("tune.db.get")
 FP_DB_PUT = _faults.register("tune.db.put")
 
 #: Bump on any incompatible change to the entry payload below.  Entries
-#: written under another version are treated as misses and removed.
+#: written under another version are treated as misses and removed; keys
+#: the payload no longer has (an older entry's ``samples``) are ignored.
 DB_FORMAT_VERSION = 1
 
 #: Subdirectory of the disk tier holding whole-model entries.
 MODELS_DIR = "models"
-
-#: Per-entry cap on retained (feature-vector, time) samples.
-MAX_ENTRY_SAMPLES = 64
-
-#: Process-wide cap on the predictor's training pool.
-MAX_SAMPLE_POOL = 2048
 
 
 class TuneDBError(Exception):
@@ -75,11 +67,6 @@ class TuneEntry:
     tuning_wall_time: float
     configs_evaluated: int
     configs_quit_early: int
-    feature_version: int = FEATURE_VERSION
-    kernel_features: list[float] = field(default_factory=list)
-    #: ``[[feature_vector, time], ...]`` — campaign measurements kept as
-    #: predictor training data, capped at MAX_ENTRY_SAMPLES.
-    samples: list[list] = field(default_factory=list)
     created: float = 0.0
 
     def to_dict(self) -> dict:
@@ -93,9 +80,6 @@ class TuneEntry:
             "tuning_wall_time": self.tuning_wall_time,
             "configs_evaluated": self.configs_evaluated,
             "configs_quit_early": self.configs_quit_early,
-            "feature_version": self.feature_version,
-            "kernel_features": self.kernel_features,
-            "samples": self.samples[:MAX_ENTRY_SAMPLES],
             "created": self.created,
         }
 
@@ -117,9 +101,6 @@ class TuneEntry:
                 tuning_wall_time=float(data["tuning_wall_time"]),
                 configs_evaluated=int(data["configs_evaluated"]),
                 configs_quit_early=int(data["configs_quit_early"]),
-                feature_version=int(data.get("feature_version", 0)),
-                kernel_features=list(data.get("kernel_features", [])),
-                samples=list(data.get("samples", [])),
                 created=float(data.get("created", 0.0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -161,10 +142,7 @@ class TuneDB:
         #: chaos harness can assert the faults were absorbed, not hidden.
         self.metrics = metrics
         self._mem = LRU(capacity)
-        self._mu = threading.Lock()     # guards the counters and the pool
-        self._pool: collections.deque = collections.deque(
-            maxlen=MAX_SAMPLE_POOL)
-        self._pooled: set[str] = set()
+        self._mu = threading.Lock()     # guards the counters
         self.mem_hits = 0
         self.disk_hits = 0
         self.misses = 0
@@ -199,17 +177,16 @@ class TuneDB:
                 self.misses += 1
                 return None
             self.disk_hits += 1
-        self._remember(entry)
+        self._mem.put(fingerprint, entry)
         return entry
 
     def put(self, entry: TuneEntry) -> None:
         """Store into both tiers; the disk write is atomic."""
         if not entry.fingerprint:
             raise TuneDBError("entry has no fingerprint")
-        entry.samples = entry.samples[:MAX_ENTRY_SAMPLES]
         if not entry.created:
             entry.created = time.time()
-        self._remember(entry)
+        self._mem.put(entry.fingerprint, entry)
         if self.store is None:
             return
         try:
@@ -230,24 +207,8 @@ class TuneDB:
         if self.store is not None:
             self.store.delete(fingerprint)
 
-    def _remember(self, entry: TuneEntry) -> None:
-        """LRU insert + feed the sample pool."""
-        self._mem.put(entry.fingerprint, entry)
-        with self._mu:
-            if (entry.feature_version == FEATURE_VERSION
-                    and entry.fingerprint not in self._pooled):
-                self._pooled.add(entry.fingerprint)
-                self._pool.extend(entry.samples)
-
-    # -- guided-policy views -------------------------------------------
-
-    def samples(self) -> list[list]:
-        """Snapshot of the predictor training pool."""
-        with self._mu:
-            return list(self._pool)
-
     def entries(self) -> list[TuneEntry]:
-        """Snapshot of the in-memory tier (for neighbor search)."""
+        """Snapshot of the in-memory tier."""
         return self._mem.values()
 
     # -- maintenance / CLI ---------------------------------------------

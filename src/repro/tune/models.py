@@ -3,7 +3,7 @@
 With a disk-tier :class:`~repro.tune.TuneDB`, ``compile_model_for`` keeps
 the whole compiled model as one compact-JSON entry in
 ``<tunedb dir>/models/``.  A hit times each tunable kernel's stored config
-once against the time stored at write (``GuidedTuner.confirm_rtol``); a
+once against the time stored at write (``CONFIRM_RTOL``); a
 disagreement deletes the entry and compiles as on a miss.  Layout, key and
 rules: docs/store.md, "Stored schedules are shared, read-only values".
 """
@@ -25,6 +25,7 @@ from ..core.serialize import (
 from ..ir.program import TensorProgram
 from ..obs import event as obs_event
 from ..store import single_flight
+from .guided import CONFIRM_RTOL
 
 #: Part of the key: entries of another payload version are never read.
 MODEL_FORMAT_VERSION = 1
@@ -77,7 +78,7 @@ def compile_model_stored(compiler, program: TensorProgram) -> CompiledModel:
                     continue
                 t = timing_fn(kernel, kernel.config)
                 if stored > 0 and abs(t - stored) > \
-                        tuner.confirm_rtol * stored:
+                        CONFIRM_RTOL * stored:
                     tuner._inc("tunedb.stale")
                     obs_event("model_store_stale", category="tune", key=key,
                               kernel=kernel.name, stored_time=stored,

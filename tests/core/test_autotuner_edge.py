@@ -149,9 +149,8 @@ class TestDeterministicTieBreak:
         evaluation orders must agree."""
         kernel = _kernel(small_mha, 6)
         forward = evaluate_search_space(kernel, lambda k, c: 1.0)
-        reverse = evaluate_search_space(
-            kernel, lambda k, c: 1.0,
-            candidates=list(reversed(kernel.search_space)))
+        kernel.search_space = kernel.search_space[::-1]
+        reverse = evaluate_search_space(kernel, lambda k, c: 1.0)
         assert forward.best_config == reverse.best_config
         assert forward.best_config == min(
             kernel.search_space, key=config_sort_key)
@@ -161,9 +160,8 @@ class TestDeterministicTieBreak:
         billed for) the full campaign rather than being abandoned."""
         kernel = _kernel(small_mha, 2)
         # Reversed order: the smaller-key config arrives second, tied.
-        res = evaluate_search_space(
-            kernel, lambda k, c: 2.0,
-            candidates=list(reversed(kernel.search_space)))
+        kernel.search_space = kernel.search_space[::-1]
+        res = evaluate_search_space(kernel, lambda k, c: 2.0)
         assert res.configs_quit_early == 0
         assert res.tuning_wall_time == pytest.approx(
             2 * (WARMUP_RUNS + MEASURE_RUNS) * 2.0)
@@ -182,27 +180,28 @@ class TestDeterministicTieBreak:
 
 
 class TestCandidatesOverride:
+    """The search space's order is the evaluation order."""
+
     def test_candidates_change_wall_not_winner(self, small_mha):
-        """Feeding the eventual winner first lets the budget trim every
+        """Ordering the eventual winner first lets the budget trim every
         later config; the winner itself is order-independent."""
         kernel = _kernel(small_mha, 6)
         # Worst-first in enumeration order, so plain evaluation never
-        # gets to trim anything while guided trims everything.
+        # gets to trim anything while best-first trims everything.
         times = {cfg: 6.0 - i
                  for i, cfg in enumerate(kernel.search_space)}
         plain = evaluate_search_space(kernel, lambda k, c: times[c])
-        best_first = sorted(kernel.search_space, key=lambda c: times[c])
-        guided = evaluate_search_space(kernel, lambda k, c: times[c],
-                                       candidates=best_first)
-        assert guided.best_config == plain.best_config
-        assert guided.best_time == plain.best_time
-        assert guided.tuning_wall_time < plain.tuning_wall_time
+        kernel.search_space = sorted(kernel.search_space,
+                                     key=lambda c: times[c])
+        best_first = evaluate_search_space(kernel, lambda k, c: times[c])
+        assert best_first.best_config == plain.best_config
+        assert best_first.best_time == plain.best_time
+        assert best_first.tuning_wall_time < plain.tuning_wall_time
 
     def test_candidates_counted_as_evaluated(self, small_mha):
         kernel = _kernel(small_mha, 4)
-        res = evaluate_search_space(
-            kernel, lambda k, c: 1.0,
-            candidates=kernel.search_space[:2])
+        kernel.search_space = kernel.search_space[:2]
+        res = evaluate_search_space(kernel, lambda k, c: 1.0)
         assert res.configs_evaluated == 2
 
 

@@ -51,7 +51,7 @@ from repro.models import (
     softmax_gemm_graph,
 )
 from repro.pipeline import make_compiler
-from repro.tune import GuidedTuner, RidgePredictor, TuneDB, gpu_fingerprint
+from repro.tune import GuidedTuner, TuneDB, gpu_fingerprint
 from tests.test_fuzz_compile import random_graph
 
 _ACCUM_BYTES = 4
@@ -560,10 +560,10 @@ class TestTheGraphIsWalkedOncePerKernel:
 
     def test_a_tuning_campaign_builds_one_footprint_per_kernel(
             self, monkeypatch, tmp_path):
-        """enumCfg builds each candidate's footprint; the memory plan, the
-        device model's traffic plan and the guided tuner's features reuse
-        it.  One footprint and one traffic plan per candidate kernel, with
-        a slicing round's candidates enumerated before either is tuned."""
+        """enumCfg builds each candidate's footprint; the memory plan and
+        the device model's traffic plan reuse it.  One footprint and one
+        traffic plan per candidate kernel, with a slicing round's
+        candidates enumerated before either is tuned."""
         plans, footprints = [], []
 
         class CountingPlan(KernelTrafficPlan):
@@ -579,10 +579,7 @@ class TestTheGraphIsWalkedOncePerKernel:
         monkeypatch.setattr(hw_simulator, "KernelTrafficPlan", CountingPlan)
         monkeypatch.setattr(resources, "BlockFootprint", CountingFootprint)
         sim = DeviceSimulator(AMPERE)
-        # A small training threshold, so later campaigns are reordered by
-        # the predictor (features of every point) as well as recorded.
-        tuner = GuidedTuner(TuneDB(tmp_path), gpu_fingerprint(AMPERE),
-                            predictor=RidgePredictor(min_samples=8))
+        tuner = GuidedTuner(TuneDB(tmp_path), gpu_fingerprint(AMPERE))
         kernels = []
         for build in SUBGRAPHS.values():
             candidates = _candidates(build())  # enumCfg + memory plan
@@ -591,7 +588,6 @@ class TestTheGraphIsWalkedOncePerKernel:
                 assert result.configs_evaluated == len(kernel.search_space)
             kernels += candidates
         assert sum(len(k.search_space) for k in kernels) > 5 * len(kernels)
-        assert tuner.predictor.ready
         for built in (plans, footprints):
             assert len(built) == len(kernels)
             assert all(a is b for a, b in zip(built, kernels))

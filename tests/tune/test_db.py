@@ -4,8 +4,19 @@ import json
 
 import pytest
 
-from repro.tune import DB_FORMAT_VERSION, TuneDB, TuneDBError, TuneEntry
-from repro.tune.db import MAX_ENTRY_SAMPLES
+from repro.core.serialize import _config_to_dict
+from repro.hw import AMPERE
+from repro.tune import (
+    DB_FORMAT_VERSION,
+    GuidedTuner,
+    TuneDB,
+    TuneDBError,
+    TuneEntry,
+    gpu_fingerprint,
+    kernel_fingerprint,
+)
+
+from .conftest import make_kernel
 
 
 def entry(fp="a" * 24, best=1.5, **kw):
@@ -14,7 +25,6 @@ def entry(fp="a" * 24, best=1.5, **kw):
         config={"block": [["m", 8]], "tile": 16},
         best_time=best, tuning_wall_time=120.0,
         configs_evaluated=4, configs_quit_early=2,
-        kernel_features=[1.0, 2.0], samples=[[[1.0, 2.0, 3.0], 1.5]],
     )
     defaults.update(kw)
     return TuneEntry(**defaults)
@@ -45,13 +55,44 @@ class TestRoundtrip:
         with pytest.raises(TuneDBError):
             TuneDB().put(entry(fp=""))
 
-    def test_samples_capped(self, tmp_path):
-        big = entry(samples=[[[float(i)], 1.0]
-                             for i in range(MAX_ENTRY_SAMPLES * 2)])
+
+class TestUpgrade:
+    #: Keys an entry written before the format dropped its predictor
+    #: samples carries and a current one does not.
+    DROPPED = ("feature_version", "kernel_features", "samples")
+
+    def test_entry_with_predictor_samples_replays_and_rewrites_without(
+            self, tmp_path, small_mha):
+        """An older entry (same format version, plus feature vectors and
+        campaign samples) is a hit a fresh database replays in one timing
+        call; putting it again writes none of the dropped keys."""
+        gpu_key = gpu_fingerprint(AMPERE)
+        kernel = make_kernel(small_mha, 6)
+        fp = kernel_fingerprint(kernel, gpu_key)
+        winner = kernel.search_space[2]
+        (tmp_path / f"{fp}.json").write_text(json.dumps({
+            "format_version": 1, "fingerprint": fp, "gpu": gpu_key,
+            "kernel_name": "k", "config": _config_to_dict(winner),
+            "best_time": 1.0, "tuning_wall_time": 600.0,
+            "configs_evaluated": 6, "configs_quit_early": 3,
+            "feature_version": 1, "kernel_features": [1.0, 2.0],
+            "samples": [[[1.0, 2.0, 3.0], 1.0]] * 6, "created": 1.0}))
+
+        calls = []
+
+        def timing(k, cfg):
+            calls.append(cfg)
+            return 1.0 if cfg == winner else 2.0
+
         db = TuneDB(tmp_path)
-        db.put(big)
-        got = TuneDB(tmp_path).get("a" * 24)
-        assert len(got.samples) == MAX_ENTRY_SAMPLES
+        res = GuidedTuner(db, gpu_key).tune(kernel, timing)
+        assert calls == [winner] and res.best_config == winner
+        assert (db.disk_hits, db.misses) == (1, 0)
+
+        TuneDB(tmp_path / "again").put(db.get(fp))
+        written = json.loads((tmp_path / "again" / f"{fp}.json").read_text())
+        assert not set(self.DROPPED) & set(written)
+        assert written["config"] == _config_to_dict(winner)
 
 
 class TestLRU:
@@ -186,15 +227,3 @@ class TestModelEntryMaintenance:
         assert db.disk_stats()["model_entries"] == 0
         assert not (tmp_path / "models").exists()
 
-
-class TestSamplePool:
-    def test_pool_fed_once_per_fingerprint(self):
-        db = TuneDB()
-        db.put(entry())
-        db.put(entry())  # same fingerprint again: no duplicate samples
-        assert len(db.samples()) == 1
-
-    def test_stale_feature_version_excluded(self):
-        db = TuneDB()
-        db.put(entry(feature_version=0))
-        assert db.samples() == []

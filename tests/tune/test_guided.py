@@ -1,4 +1,4 @@
-"""GuidedTuner policy: replay, invariance, warm starts, accounting."""
+"""GuidedTuner policy: replay, invariance, accounting."""
 
 import random
 
@@ -11,7 +11,7 @@ from repro.core.autotuner import (
 )
 from repro.hw import AMPERE
 from repro.serve.metrics import ServeMetrics
-from repro.tune import GuidedTuner, RidgePredictor, TuneDB, gpu_fingerprint
+from repro.tune import GuidedTuner, TuneDB, gpu_fingerprint
 
 from .conftest import make_kernel
 
@@ -91,9 +91,9 @@ class TestReplay:
 
 class TestWinnerInvariance:
     def test_any_candidate_order_same_winner(self, small_mha):
-        """The guided policy only reorders evaluation; the §6.5 winner
-        must be the lexicographic (time, key) minimum under any order —
-        including with exact timing ties."""
+        """The §6.5 winner must be the lexicographic (time, key) minimum
+        under any order of the search space — including with exact
+        timing ties."""
         kernel = make_kernel(small_mha, 8)
 
         def tie_timing(k, cfg):  # three-way exact tie at the optimum
@@ -101,11 +101,10 @@ class TestWinnerInvariance:
 
         reference = evaluate_search_space(kernel, tie_timing)
         rng = random.Random(7)
+        space = list(kernel.search_space)
         for _ in range(10):
-            order = list(kernel.search_space)
-            rng.shuffle(order)
-            res = evaluate_search_space(kernel, tie_timing,
-                                        candidates=order)
+            kernel.search_space = rng.sample(space, len(space))
+            res = evaluate_search_space(kernel, tie_timing)
             assert res.best_config == reference.best_config
             assert res.best_time == reference.best_time
 
@@ -116,69 +115,6 @@ class TestWinnerInvariance:
             guided = GuidedTuner(TuneDB(), GPU_KEY).tune(
                 make_kernel(small_mha, n), block_timing)
             assert guided.best_config == default.best_config
-
-
-class TestWarmStart:
-    def test_neighbor_config_promoted_and_counted(self, small_mha):
-        metrics = ServeMetrics()
-        db = TuneDB()
-        tuner = GuidedTuner(db, GPU_KEY, metrics=metrics)
-        tuner.tune(make_kernel(small_mha, 6), block_timing)
-
-        # Different search space -> different fingerprint (a miss), but
-        # the stored winner is a member, so the neighbor path promotes it.
-        other = make_kernel(small_mha, 7)
-        res = tuner.tune(other, block_timing, keep_timings=True)
-        assert metrics.get("tunedb.warm_starts") == 1
-        assert metrics.get("tunedb.misses") == 2
-        # The promoted incumbent was evaluated first.
-        first_cfg, _t = res.timings[0]
-        assert first_cfg.block_of("m") == 24
-        # And the winner is still the enumeration-order winner.
-        default = DefaultTuner().tune(make_kernel(small_mha, 7),
-                                      block_timing)
-        assert res.best_config == default.best_config
-
-    def test_warm_start_reduces_wall_clock(self, small_mha):
-        """Fronting the eventual winner lets the early-quit budget trim
-        every other candidate, so the campaign's accounted wall shrinks."""
-        db = TuneDB()
-        tuner = GuidedTuner(db, GPU_KEY)
-        tuner.tune(make_kernel(small_mha, 6), block_timing)
-        cold = DefaultTuner().tune(make_kernel(small_mha, 7), block_timing)
-        warm = tuner.tune(make_kernel(small_mha, 7), block_timing)
-        assert warm.best_config == cold.best_config
-        assert warm.tuning_wall_time < cold.tuning_wall_time
-
-
-class TestPredictor:
-    def test_needs_min_samples(self):
-        p = RidgePredictor(min_samples=4)
-        assert not p.fit([[[1.0, 2.0], 1.0]] * 3)
-        assert p.predict([[1.0, 2.0]]) is None
-
-    def test_learns_monotone_trend(self):
-        p = RidgePredictor(min_samples=4)
-        samples = [[[float(i), 1.0], 0.5 + 0.25 * i] for i in range(16)]
-        assert p.fit(samples)
-        lo, hi = p.predict([[1.0, 1.0], [14.0, 1.0]])
-        assert lo < hi
-
-    def test_rejects_nonpositive_times(self):
-        p = RidgePredictor(min_samples=4)
-        assert not p.fit([[[1.0], 0.0]] * 8)
-
-    def test_guided_ordering_kicks_in_with_history(self, small_mha):
-        metrics = ServeMetrics()
-        db = TuneDB()
-        tuner = GuidedTuner(db, GPU_KEY, metrics=metrics,
-                            predictor=RidgePredictor(min_samples=4))
-        tuner.tune(make_kernel(small_mha, 6), block_timing)
-        res = tuner.tune(make_kernel(small_mha, 8), block_timing)
-        assert metrics.get("tunedb.guided") == 1
-        default = DefaultTuner().tune(make_kernel(small_mha, 8),
-                                      block_timing)
-        assert res.best_config == default.best_config
 
 
 class TestAccounting:
@@ -213,7 +149,7 @@ class TestModelLevelAmortization:
         disk tier, the restart / sibling-worker case).  The database buys
         tuning wall-clock, never schedule quality: every chosen config is
         identical, the warm recompile cuts the simulated tuning wall
-        >= 5x and cold guided search beats plain enumeration."""
+        >= 5x and a cold database costs no more than plain enumeration."""
         from repro.models.zoo import build_model
         from repro.pipeline import compile_model_for
 
@@ -232,6 +168,6 @@ class TestModelLevelAmortization:
         assert chosen(cold) == chosen(warm) == chosen(baseline)
         wall = baseline.stats.tuning_wall_time
         assert wall / warm.stats.tuning_wall_time >= 5.0
-        assert wall / cold.stats.tuning_wall_time > 1.0
+        assert cold.stats.tuning_wall_time <= wall
         assert metrics.get("tunedb.hits") > 0
         assert metrics.get_gauge("tunedb.wall_saved_s") > 0.0
