@@ -3,10 +3,7 @@
 Scales :mod:`repro.serve` past one process:
 
 * :class:`HashRing` — consistent-hash placement of workloads onto
-  workers (deterministic, ~1/N churn on membership change);
-* :class:`AdmissionPolicy` / :class:`AdmissionController` — priority
-  headroom and tenant fair-share shedding at the cluster front door,
-  before a request crosses a process boundary;
+  workers (deterministic, fixed when the supervisor is built);
 * :class:`WorkerConfig` / :func:`worker_main` — the forked worker
   process: a full in-process :class:`~repro.serve.server.FusionServer`
   behind a duplex pipe, sharing one disk schedule cache with the fleet;
@@ -14,42 +11,27 @@ Scales :mod:`repro.serve` past one process:
   carries feeds and replies across the process boundary without pickle
   (only small descriptors ride the pipe);
 * :class:`~repro.cluster.book.RequestBook` — the clocked, I/O-free
-  book where every open request's routing / resolve / expire /
-  crash-drain decision is made;
+  book where every open request's admission / routing / resolve /
+  expire / crash-drain decision is made, admission under an
+  :class:`AdmissionPolicy` (copies out per worker and per tenant) at
+  the cluster front door, before a request crosses a process boundary;
 * :class:`ClusterSupervisor` — forks the workers, routes requests along
   the ring (with replica failover), health-checks with heartbeats,
   restarts crashed workers behind per-worker circuit breakers, and
   drains gracefully.
 """
 
-from .admission import (
-    DEFAULT_PRIORITY_HEADROOM,
-    PRIORITY_HIGH,
-    PRIORITY_LOW,
-    PRIORITY_NORMAL,
-    SHED_CAPACITY,
-    SHED_PRIORITY,
-    SHED_TENANT,
-    SHED_WORKER_DOWN,
-    AdmissionController,
-    AdmissionPolicy,
-)
+from .book import SHED_CAPACITY, SHED_TENANT, SHED_WORKER_DOWN, AdmissionPolicy
 from .sharding import HashRing
 
 __all__ = [
-    "AdmissionController",
     "AdmissionPolicy",
     "ClusterConfig",
     "ClusterError",
     "ClusterShed",
     "ClusterSupervisor",
-    "DEFAULT_PRIORITY_HEADROOM",
     "HashRing",
-    "PRIORITY_HIGH",
-    "PRIORITY_LOW",
-    "PRIORITY_NORMAL",
     "SHED_CAPACITY",
-    "SHED_PRIORITY",
     "SHED_TENANT",
     "SHED_WORKER_DOWN",
     "WorkerConfig",
@@ -60,7 +42,7 @@ __all__ = [
 
 def __getattr__(name: str):
     # The forking half loads on first use: importing a pure module of
-    # this package (book, admission, sharding) must not pull in
+    # this package (book, sharding) must not pull in
     # multiprocessing, signal, the worker or the arena.
     if name in __all__:
         from . import supervisor, worker

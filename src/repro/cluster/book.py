@@ -8,7 +8,10 @@ each is answered with a :class:`Verdict` telling the caller
 (:class:`~repro.cluster.supervisor.ClusterSupervisor`) what to do now.
 Which owner a new request goes to is the book's too (:meth:`route`):
 every copy out carries the execute time its workload is expected to
-take, so the book knows how far behind each worker is.
+take, so the book knows how far behind each worker is.  So is
+admission: the copies it counts out per worker and per (worker, tenant)
+are what :class:`AdmissionPolicy` caps, so a shed costs one dict lookup
+and the request never serialises feeds or occupies a pipe.
 
 The book does no I/O and starts nothing — no thread, pipe, process or
 arena, and time only through the injected ``clock`` — so every decision
@@ -49,6 +52,29 @@ _EXPIRED = {
 SPILL_AFTER_S = 0.005
 SPILL_AFTER_COPIES = 3
 
+#: Shed reasons: the worker's window is full / the tenant holds its
+#: share of it (both from :meth:`RequestBook.issue`) / every owner is
+#: down (the supervisor's, before the book is asked).
+SHED_CAPACITY = "capacity"
+SHED_TENANT = "tenant"
+SHED_WORKER_DOWN = "worker_down"
+
+
+@dataclass(frozen=True)
+class AdmissionPolicy:
+    """How many copies may be out at once on one worker: in all, and
+    for any one tenant (its fair share of the window, so a single
+    runaway client cannot take all of it; None: no tenant cap)."""
+
+    max_outstanding_per_worker: int = 54
+    tenant_share: int | None = 32
+
+    def __post_init__(self) -> None:
+        if self.max_outstanding_per_worker < 1:
+            raise ValueError("max_outstanding_per_worker must be >= 1")
+        if self.tenant_share is not None and self.tenant_share < 1:
+            raise ValueError("tenant_share must be >= 1 or None")
+
 
 @dataclass(eq=False)
 class Entry:
@@ -58,7 +84,6 @@ class Entry:
     request: object
     workload: str
     tenant: str
-    priority: int
     deadline: float | None      # absolute, on the book's clock
     #: The worker its one wire copy went to; None until booked and
     #: again once that copy's terminal message (or a crash) is in.
@@ -76,16 +101,16 @@ class Verdict(NamedTuple):
     counters: tuple = ()            # ((metric name, delta), ...)
     wire_id: int | None = None      # the copy booked; None = refused
     head_moved: bool = False        # earliest deadline moved: wake the loop
-    shed: str | None = None         # admission's refusal
+    shed: str | None = None         # why admission refused it
 
 
 class RequestBook:
     """Open requests, their wire copies, each worker's backlog and the
     deadline due-times."""
 
-    def __init__(self, admission,
+    def __init__(self, policy: AdmissionPolicy | None = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        self._admission = admission
+        self.policy = policy or AdmissionPolicy()
         self._clock = clock
         self._lock = threading.Lock()
         self._wire_ids = itertools.count(1)
@@ -101,10 +126,12 @@ class RequestBook:
         self._cost: dict[int, float] = {}
         self._load: dict[str, float] = {}
         self._out: dict[str, int] = {}
+        #: Copies out per (worker, tenant); a pair with none is dropped.
+        self._tenant_out: dict[tuple[str, str], int] = {}
 
-    def open(self, request, workload: str, tenant: str, priority: int,
+    def open(self, request, workload: str, tenant: str,
              deadline: float | None) -> Entry:
-        return Entry(request, workload, tenant, priority, deadline)
+        return Entry(request, workload, tenant, deadline)
 
     def backlog(self, worker: str) -> tuple[int, float]:
         """Copies out on ``worker`` and their expected execute seconds."""
@@ -138,15 +165,17 @@ class RequestBook:
     def issue(self, entry: Entry, worker: str) -> Verdict:
         """Admit ``entry`` on ``worker`` and book its wire copy, arming
         its deadline due-time."""
+        tkey = (worker, entry.tenant)
         with self._lock:
-            shed = self._admission.admit(worker, entry.tenant,
-                                         entry.priority)
-            if shed is not None:
-                return Verdict(shed=shed)
+            pol = self.policy
+            if self._out.get(worker, 0) >= pol.max_outstanding_per_worker:
+                return Verdict(shed=SHED_CAPACITY)
+            if (pol.tenant_share is not None
+                    and self._tenant_out.get(tkey, 0) >= pol.tenant_share):
+                return Verdict(shed=SHED_TENANT)
             if entry.deadline is not None and self._clock() >= entry.deadline:
                 # The budget died on the supervisor (routing, queueing):
                 # never dispatch a dead deadline.
-                self._admission.release(worker, entry.tenant)
                 return self._close(entry, DEAD)
             wire_id = next(self._wire_ids)
             entry.worker = worker
@@ -155,6 +184,7 @@ class RequestBook:
                                                            0.0)
             self._load[worker] = self._load.get(worker, 0.0) + cost
             self._out[worker] = self._out.get(worker, 0) + 1
+            self._tenant_out[tkey] = self._tenant_out.get(tkey, 0) + 1
             moved = entry.deadline is not None and (
                 not self._due or entry.deadline < self._due[0][0])
             if entry.deadline is not None:
@@ -226,12 +256,16 @@ class RequestBook:
 
     def _take(self, wire_id: int) -> Entry | None:
         """Remove the copy from the book — the only way out, so its
-        admission slot and share of its worker's backlog are given back
-        exactly once."""
+        admission counts and share of its worker's backlog are given
+        back exactly once."""
         entry = self._wire.pop(wire_id, None)
         if entry is not None:
             worker, entry.worker = entry.worker, None
-            self._admission.release(worker, entry.tenant)
+            tkey = (worker, entry.tenant)
+            if self._tenant_out[tkey] == 1:
+                del self._tenant_out[tkey]
+            else:
+                self._tenant_out[tkey] -= 1
             cost = self._cost.pop(wire_id)
             self._out[worker] -= 1
             # Exactly zero once nothing is out: no float residue to drift.

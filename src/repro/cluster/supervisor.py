@@ -3,9 +3,10 @@
 The supervisor scales :class:`~repro.serve.server.FusionServer` past one
 process: it forks ``N`` worker processes (each hosting inference
 sessions behind its own in-process server, see
-:mod:`repro.cluster.worker`), shards workloads across them with a
-consistent-hash ring, admits requests under a priority/tenant-aware
-policy *before* they cross the process boundary, health-checks the fleet
+:mod:`repro.cluster.worker`), places workloads on them with a
+consistent-hash ring fixed at construction, admits requests under a
+per-worker and per-tenant cap *before* they cross the process boundary
+(both counted by the book), health-checks the fleet
 with heartbeats, and restarts crashed workers behind a per-worker
 circuit breaker — on one thread, :meth:`ClusterSupervisor._loop`.
 
@@ -37,11 +38,9 @@ import multiprocessing as mp
 import os
 import select
 import selectors
-import signal as _signal
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -58,14 +57,15 @@ from ..serve import (
     WorkerCrashed,
     validate_feeds,
 )
-from .admission import (
-    PRIORITY_NORMAL,
-    SHED_WORKER_DOWN,
-    AdmissionController,
-    AdmissionPolicy,
-)
 from .arena import SlotArena, slot_bytes_for
-from .book import EXPIRE, RESOLVE, RequestBook, Verdict
+from .book import (
+    EXPIRE,
+    RESOLVE,
+    SHED_WORKER_DOWN,
+    AdmissionPolicy,
+    RequestBook,
+    Verdict,
+)
 from .sharding import HashRing
 from .worker import (
     ERR_CRASHED,
@@ -91,7 +91,8 @@ class ClusterError(Exception):
 
 class ClusterShed(Overloaded):
     """Typed supervisor-side load shed; ``reason`` names the policy rung
-    (``capacity`` / ``priority`` / ``tenant`` / ``worker_down``)."""
+    (``capacity`` / ``tenant`` / ``worker_down``, or ``worker_queue`` from
+    the worker's own queue)."""
 
     def __init__(self, reason: str, worker: str | None = None) -> None:
         RuntimeError.__init__(
@@ -198,19 +199,21 @@ class ClusterSupervisor:
         self._packed = WorkerConfig.pack_workloads(self.graphs)
         self._ctx = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else "spawn")
-        self.ring = HashRing(vnodes=self.config.vnodes)
         #: Fixed per workload, so not re-derived per request: the feeds a
-        #: graph requires, and its owners as of one ring membership.
+        #: graph requires, and its owners (primary first) on the one ring
+        #: over the fleet's worker names.
         self._required = {name: tuple(g.input_tensors)
                           for name, g in self.graphs.items()}
-        self._owners: dict[str, tuple[int, list[str]]] = {}
-        self.admission = AdmissionController(self.config.admission)
+        ring = HashRing(self.worker_names(), self.config.vnodes)
+        replicas = min(self.config.workers, max(1, self.config.replication))
+        self._owners = {name: tuple(ring.owners(name, replicas))
+                        for name in self.graphs}
         self._workers: dict[str, _Worker] = {}
         self._arenas: dict[str, SlotArena] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
         self._restarts: dict[str, int] = {}
         self._worker_stats: dict[str, dict] = {}
-        self.book = RequestBook(self.admission)
+        self.book = RequestBook(self.config.admission)
         self._generations = itertools.count(1)
         self._lock = threading.Lock()
         self._started = False
@@ -239,12 +242,7 @@ class ClusterSupervisor:
                 if worker in self.owners_for(name)}
 
     def owners_for(self, workload: str) -> list[str]:
-        memo, version = self._owners.get(workload), self.ring.version
-        if memo is None or memo[0] != version:
-            r = min(self.config.workers, max(1, self.config.replication))
-            memo = self._owners[workload] = (
-                version, self.ring.owners(workload, r))
-        return list(memo[1])
+        return list(self._owners[workload])
 
     def placement(self) -> dict[str, list[str]]:
         """workload → ordered candidate workers (primary first)."""
@@ -259,7 +257,6 @@ class ClusterSupervisor:
             return self
         self._started = True
         for name in self.worker_names():
-            self.ring.add(name)
             self._breakers[name] = CircuitBreaker(
                 failure_threshold=self.config.restart_breaker_threshold,
                 reset_timeout_s=self.config.restart_breaker_reset_s)
@@ -366,38 +363,6 @@ class ClusterSupervisor:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def install_signal_handlers(self) -> Callable[[], None]:
-        """Drain the fleet on SIGTERM/SIGINT instead of orphaning
-        children: Ctrl-C on a process fronting the fleet answers
-        everything queued, collects worker stats, then re-raises
-        (``KeyboardInterrupt`` for SIGINT, ``SystemExit(143)`` for
-        SIGTERM).  Returns a callable restoring the previous handlers;
-        a no-op off the main thread, where signals cannot be installed.
-        """
-        previous: dict[int, object] = {}
-
-        def _handler(signum, frame):
-            obs_event("signal_drain", category="cluster", signum=signum)
-            self.stop(drain=True)
-            if signum == _signal.SIGINT:
-                raise KeyboardInterrupt
-            raise SystemExit(143)
-
-        try:
-            for sig in (_signal.SIGTERM, _signal.SIGINT):
-                previous[sig] = _signal.signal(sig, _handler)
-        except ValueError:      # not the main thread
-            return lambda: None
-
-        def restore() -> None:
-            for sig, old in previous.items():
-                try:
-                    _signal.signal(sig, old)
-                except (ValueError, TypeError):
-                    pass
-
-        return restore
-
     def _try_send(self, worker: _Worker, msg: tuple) -> bool:
         try:
             with worker.send_lock:
@@ -413,7 +378,6 @@ class ClusterSupervisor:
     def submit(self, workload: str, feeds: dict[str, np.ndarray],
                timeout: float | None = None,
                tenant: str = "default",
-               priority: int = PRIORITY_NORMAL,
                on_done=None) -> Request:
         """Route one request to its shard; returns a future-like handle.
 
@@ -450,7 +414,7 @@ class ClusterSupervisor:
                           timeout_s=timeout, on_done=on_done,
                           deadline_s=deadline)
         issued = self.book.issue(
-            self.book.open(request, workload, tenant, priority, deadline),
+            self.book.open(request, workload, tenant, deadline),
             worker.name)
         if issued.shed is not None:
             self._shed(issued.shed, workload, worker.name)
@@ -472,11 +436,11 @@ class ClusterSupervisor:
         return request
 
     def infer(self, workload: str, feeds: dict[str, np.ndarray],
-              timeout: float | None = None, tenant: str = "default",
-              priority: int = PRIORITY_NORMAL) -> SessionReply:
+              timeout: float | None = None,
+              tenant: str = "default") -> SessionReply:
         """Synchronous convenience: submit and wait."""
-        return self.submit(workload, feeds, timeout=timeout, tenant=tenant,
-                           priority=priority).result(timeout=timeout)
+        return self.submit(workload, feeds, timeout=timeout,
+                           tenant=tenant).result(timeout=timeout)
 
     def _request_msg(self, worker: _Worker, req_id: int, workload: str,
                      feeds: dict, deadline: float | None) -> tuple:
@@ -509,7 +473,7 @@ class ClusterSupervisor:
         behind a replica (:meth:`RequestBook.route`, ``routing.spilled``
         when it is)."""
         with self._lock:
-            live = [w for name in self.owners_for(workload)
+            live = [w for name in self._owners[workload]
                     if (w := self._workers.get(name)) is not None
                     and w.up and not w.draining]
         if not live:

@@ -20,7 +20,7 @@ tables (Tables 4 and 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..resilience import faults as _faults
@@ -48,11 +48,6 @@ class TuneResult:
     configs_quit_early: int
     #: Simulated wall-clock the measurement campaign would take (seconds).
     tuning_wall_time: float
-    #: The full (config, time) trace of the campaign.  Retention is
-    #: opt-in: the serve path evaluates with ``keep_timings=False``, so
-    #: large search spaces don't pin a timing list per kernel for the
-    #: session's lifetime; the Table 4/5 benchmarks keep it on.
-    timings: list[tuple[ScheduleConfig, float]] = field(default_factory=list)
 
 
 def config_sort_key(cfg: ScheduleConfig | None) -> tuple:
@@ -74,8 +69,7 @@ def evaluate_search_space(
         timing_fn: Callable[[KernelSchedule, ScheduleConfig], float],
         alpha: float = DEFAULT_ALPHA,
         warmup_runs: int = WARMUP_RUNS,
-        measure_runs: int = MEASURE_RUNS,
-        keep_timings: bool = True) -> TuneResult:
+        measure_runs: int = MEASURE_RUNS) -> TuneResult:
     """Run the tuning campaign over ``kernel.search_space`` without
     mutating the kernel.
 
@@ -95,13 +89,10 @@ def evaluate_search_space(
     best_time = float("inf")
     wall = 0.0
     quit_early = 0
-    timings: list[tuple[ScheduleConfig, float]] = []
     space = kernel.search_space
 
     for cfg in space:
         t = timing_fn(kernel, cfg)
-        if keep_timings:
-            timings.append((cfg, t))
         abandoned = False
         wins_tie = (t == best_time
                     and config_sort_key(cfg) < config_sort_key(best_cfg))
@@ -140,7 +131,6 @@ def evaluate_search_space(
         configs_evaluated=len(space),
         configs_quit_early=quit_early,
         tuning_wall_time=wall,
-        timings=timings,
     )
 
 
@@ -154,13 +144,11 @@ def tune_kernel(kernel: KernelSchedule,
                 timing_fn: Callable[[KernelSchedule, ScheduleConfig], float],
                 alpha: float = DEFAULT_ALPHA,
                 warmup_runs: int = WARMUP_RUNS,
-                measure_runs: int = MEASURE_RUNS,
-                keep_timings: bool = True) -> TuneResult:
+                measure_runs: int = MEASURE_RUNS) -> TuneResult:
     """Search the kernel's config space and fix its best configuration."""
     result = evaluate_search_space(kernel, timing_fn, alpha=alpha,
                                    warmup_runs=warmup_runs,
-                                   measure_runs=measure_runs,
-                                   keep_timings=keep_timings)
+                                   measure_runs=measure_runs)
     apply_tune_result(result)
     return result
 
@@ -191,7 +179,5 @@ class DefaultTuner:
 
     def tune(self, kernel: KernelSchedule,
              timing_fn: Callable[[KernelSchedule, ScheduleConfig], float],
-             alpha: float = DEFAULT_ALPHA,
-             keep_timings: bool = True) -> TuneResult:
-        return tune_kernel(kernel, timing_fn, alpha=alpha,
-                           keep_timings=keep_timings)
+             alpha: float = DEFAULT_ALPHA) -> TuneResult:
+        return tune_kernel(kernel, timing_fn, alpha=alpha)

@@ -61,12 +61,6 @@ class FusionOptions:
     explore_partition_candidates: bool = True
     alpha: float = DEFAULT_ALPHA
     max_configs: int = 24
-    #: Retain the per-config (config, time) campaign trace on every
-    #: TuneResult.  The serve path turns this off to cut compile-path
-    #: memory on large search spaces; the Table 4/5 benchmarks keep it.
-    #: Excluded from repr() on purpose: it does not affect the compiled
-    #: schedule, so it must not perturb disk-cache keys.
-    keep_timings: bool = field(default=True, repr=False)
 
     def slicing_options(self) -> SlicingOptions:
         return SlicingOptions(
@@ -181,8 +175,7 @@ def schedule_single_op_kernels(graph: DataflowGraph, rc: ResourceConfig,
         if timing_fn is not None and len(kernel.search_space) > 1:
             with get_tracer().span("tuning", category="compile",
                                    kernel=kernel.name) as sp:
-                res = tuner.tune(kernel, timing_fn,
-                                 keep_timings=options.keep_timings)
+                res = tuner.tune(kernel, timing_fn)
                 sp.note(modeled_wall_s=res.tuning_wall_time,
                         configs=res.configs_evaluated,
                         quit_early=res.configs_quit_early)
@@ -366,8 +359,7 @@ class SpaceFusionCompiler:
                 with get_tracer().span("tuning", category="compile",
                                        kernel=kernel.name) as sp:
                     res = self.tuner.tune(
-                        kernel, self.timing_fn, alpha=self.options.alpha,
-                        keep_timings=self.options.keep_timings)
+                        kernel, self.timing_fn, alpha=self.options.alpha)
                     sp.note(modeled_wall_s=res.tuning_wall_time,
                             configs=res.configs_evaluated,
                             quit_early=res.configs_quit_early)

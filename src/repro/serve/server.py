@@ -214,58 +214,59 @@ class FusionServer:
         """Thread entry: run the loop, contain crashes, restart.
 
         A worker that dies with a batch in flight must not strand its
-        submitters until their timeouts: every undispatched request of
-        the batch is failed with a typed :class:`WorkerCrashed` first
-        (``_worker_loop`` does that), the crash is counted, and — unless
-        the server is stopping — the same thread re-enters the loop so
-        serving capacity survives the crash.
+        submitters until their timeouts: ``_worker_loop`` counts the
+        crash, then fails every unanswered request of the batch with a
+        typed :class:`WorkerCrashed`, and — unless the server is
+        stopping — the same thread re-enters the loop so serving
+        capacity survives the crash.
         """
         while True:
             try:
                 self._worker_loop()
                 return  # queue closed and drained
-            except Exception as exc:  # noqa: BLE001 — crash containment
-                self.metrics.inc("workers.crashed")
-                obs_event("worker_crash", category="serve",
-                          worker=threading.current_thread().name,
-                          error=f"{type(exc).__name__}: {exc}")
+            except Exception:  # noqa: BLE001 — crash containment
                 if self._stopped:
                     return
 
     def _worker_loop(self) -> None:
-        while True:
-            try:
-                # Failpoint for the batcher itself: a delay stalls batch
-                # assembly (queue backs up, admission control sheds); a
-                # fail skips one round — requests stay queued and are
-                # picked up next iteration, never lost.
-                _faults.fire(FP_BATCH)
-            except _faults.FaultInjected:
-                self.metrics.inc("faults.batching")
-                continue
-            with obs_span("batch_assembly", category="serve") as asp:
-                batch = self.queue.take_batch(self.max_batch,
-                                              self.max_wait_s)
-                asp.note(batch=len(batch))
-            if not batch:
-                return  # queue closed and drained
-            try:
+        batch: list[Request] = []
+        try:
+            while True:
+                try:
+                    # Failpoint for the batcher itself: a delay stalls
+                    # batch assembly (queue backs up, admission control
+                    # sheds); a fail skips one round — requests stay
+                    # queued and are picked up next iteration, never lost.
+                    _faults.fire(FP_BATCH)
+                except _faults.FaultInjected:
+                    self.metrics.inc("faults.batching")
+                    continue
+                with obs_span("batch_assembly", category="serve") as asp:
+                    batch = self.queue.take_batch(self.max_batch,
+                                                  self.max_wait_s)
+                    asp.note(batch=len(batch))
+                if not batch:
+                    return  # queue closed and drained
                 _faults.fire(FP_WORKER_CRASH)
                 self.metrics.observe_batch(len(batch))
                 session = self.sessions.get(batch[0].workload)
                 for request in batch:
                     self._answer(session, request)
-            except BaseException as exc:
-                # The batch left the queue but this worker is dying: no
-                # other worker will ever see these requests again, so
-                # fail whatever was not answered yet with a typed error.
-                worker = threading.current_thread().name
-                for request in batch:
-                    if not request.done():
-                        request.fail(WorkerCrashed(
-                            worker, f"{type(exc).__name__}: {exc}"))
-                        self.metrics.inc("requests.worker_crashed")
-                raise
+        except BaseException as exc:
+            # This worker is dying.  The crash is counted first, once,
+            # so a client that sees WorkerCrashed also sees the count.
+            # A batch that left the queue will never reach another
+            # worker: fail whatever of it was not answered yet.
+            worker = threading.current_thread().name
+            self.metrics.inc("workers.crashed")
+            obs_event("worker_crash", category="serve", worker=worker,
+                      error=f"{type(exc).__name__}: {exc}")
+            for request in batch:
+                if not request.done():
+                    request.fail(WorkerCrashed(
+                        worker, f"{type(exc).__name__}: {exc}"))
+                    self.metrics.inc("requests.worker_crashed")
+            raise
 
     def _answer(self, session: InferenceSession | None,
                 request: Request, queued: bool = True) -> None:

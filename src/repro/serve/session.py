@@ -168,14 +168,7 @@ class InferenceSession:
     def _default_compile(self) -> ProgramSchedule:
         from ..pipeline import compile_for
 
-        # The serve path never reads per-config timing traces; dropping
-        # them keeps long-lived sessions from pinning one list per
-        # kernel.  Benchmarks pass explicit options with the default
-        # keep_timings=True.  The field is repr-excluded, so cache keys
-        # (derived from repr(options)) are unaffected.
-        options = self.options if self.options is not None \
-            else FusionOptions(keep_timings=False)
-        schedule, stats = compile_for(self.graph, self.gpu, options,
+        schedule, stats = compile_for(self.graph, self.gpu, self.options,
                                       tune_db=self.tune_db,
                                       tune_metrics=self.metrics)
         if stats is not None:

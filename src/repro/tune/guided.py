@@ -86,14 +86,12 @@ class GuidedTuner:
 
     def tune(self, kernel: KernelSchedule,
              timing_fn: Callable[[KernelSchedule, ScheduleConfig], float],
-             alpha: float = DEFAULT_ALPHA,
-             keep_timings: bool = True) -> TuneResult:
+             alpha: float = DEFAULT_ALPHA) -> TuneResult:
         space = kernel.search_space
         if len(space) <= 1:
             # Nothing to amortize: a trivial space has no campaign to
             # skip and its one timing call costs what a replay would.
-            return tune_kernel(kernel, timing_fn, alpha=alpha,
-                               keep_timings=keep_timings)
+            return tune_kernel(kernel, timing_fn, alpha=alpha)
 
         fp = kernel_fingerprint(kernel, self.gpu_key)
         with obs_span("guided_tune", category="tune", kernel=kernel.name,
@@ -102,8 +100,7 @@ class GuidedTuner:
                 entry = self.db.get(fp)
                 if entry is None:
                     return None
-                return self._try_replay(kernel, entry, timing_fn,
-                                        keep_timings)
+                return self._try_replay(kernel, entry, timing_fn)
 
             result = replay()
             if result is not None:
@@ -112,13 +109,12 @@ class GuidedTuner:
             # ``replay`` its winner instead of duplicating the work.
             return single_flight(
                 self.db.store, fp, self.lock_timeout_s, replay,
-                lambda: self._cold_tune(kernel, timing_fn, fp, alpha,
-                                        keep_timings))
+                lambda: self._cold_tune(kernel, timing_fn, fp, alpha))
 
     # -- replay --------------------------------------------------------
 
     def _try_replay(self, kernel: KernelSchedule, entry: TuneEntry,
-                    timing_fn, keep_timings: bool) -> TuneResult | None:
+                    timing_fn) -> TuneResult | None:
         """One-run confirmation of a stored winner; None → fall through
         to a full campaign (the entry has been invalidated)."""
         if entry.config is None:
@@ -155,7 +151,6 @@ class GuidedTuner:
             configs_evaluated=1,
             configs_quit_early=0,
             tuning_wall_time=t,
-            timings=[(cfg, t)] if keep_timings else [],
         )
         apply_tune_result(res)
         return res
@@ -163,12 +158,11 @@ class GuidedTuner:
     # -- cold path -----------------------------------------------------
 
     def _cold_tune(self, kernel: KernelSchedule, timing_fn, fp: str,
-                   alpha: float, keep_timings: bool) -> TuneResult:
+                   alpha: float) -> TuneResult:
         self._inc("tunedb.misses")
         with obs_span("tune_campaign", category="tune",
                       kernel=kernel.name, fingerprint=fp):
-            res = tune_kernel(kernel, timing_fn, alpha=alpha,
-                              keep_timings=keep_timings)
+            res = tune_kernel(kernel, timing_fn, alpha=alpha)
         self.db.put(TuneEntry(
             fingerprint=fp,
             gpu=self.gpu_key,

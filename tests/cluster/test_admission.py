@@ -1,19 +1,13 @@
-"""Tests for priority/tenant-aware admission control."""
+"""Admission in the request book: per-worker and per-tenant caps on the
+copies out, decided in ``RequestBook.issue`` under the book's one lock."""
 
+import sys
 import threading
 
 import pytest
 
-from repro.cluster import (
-    PRIORITY_HIGH,
-    PRIORITY_LOW,
-    PRIORITY_NORMAL,
-    SHED_CAPACITY,
-    SHED_PRIORITY,
-    SHED_TENANT,
-    AdmissionController,
-    AdmissionPolicy,
-)
+from repro.cluster import SHED_CAPACITY, SHED_TENANT, AdmissionPolicy
+from repro.cluster.book import RequestBook
 
 
 class TestPolicy:
@@ -21,105 +15,107 @@ class TestPolicy:
         with pytest.raises(ValueError):
             AdmissionPolicy(max_outstanding_per_worker=0)
         with pytest.raises(ValueError):
-            AdmissionPolicy(priority_headroom={0: 0.0})
-        with pytest.raises(ValueError):
-            AdmissionPolicy(priority_headroom={0: 1.5})
-        with pytest.raises(ValueError):
-            AdmissionPolicy(tenant_share=0.0)
+            AdmissionPolicy(tenant_share=0)
 
     def test_limits(self):
-        pol = AdmissionPolicy(max_outstanding_per_worker=10,
-                              priority_headroom={0: 1.0, 1: 0.8, 2: 0.5},
-                              tenant_share=0.5)
-        assert pol.limit_for(0) == 10
-        assert pol.limit_for(1) == 8
-        assert pol.limit_for(2) == 5
-        assert pol.limit_for(99) == 5       # unknown clamps to lowest
-        assert pol.tenant_limit() == 5
-
-    def test_tenant_share_disabled(self):
-        assert AdmissionPolicy(tenant_share=None).tenant_limit() is None
+        pol = AdmissionPolicy()
+        assert pol.max_outstanding_per_worker == 54
+        assert pol.tenant_share == 32
 
     def test_limits_never_zero(self):
-        pol = AdmissionPolicy(max_outstanding_per_worker=1,
-                              priority_headroom={2: 0.1},
-                              tenant_share=0.1)
-        assert pol.limit_for(2) == 1
-        assert pol.tenant_limit() == 1
+        """The smallest caps still admit one copy, then shed."""
+        book = RequestBook(AdmissionPolicy(max_outstanding_per_worker=1,
+                                           tenant_share=1))
+        assert [TestController.admit(book, "w0") for _ in range(2)] \
+            == [1, SHED_CAPACITY]
+        assert [TestController.admit(book, "w1") for _ in range(2)] \
+            == [2, SHED_CAPACITY]
+
+    def test_tenant_share_disabled(self):
+        book = RequestBook(AdmissionPolicy(max_outstanding_per_worker=3,
+                                           tenant_share=None))
+        assert [TestController.admit(book, "w0") for _ in range(4)][2:] \
+            == [3, SHED_CAPACITY]
 
 
 class TestController:
-    def _ctl(self, cap=4, headroom=None, tenant_share=0.5):
-        return AdmissionController(AdmissionPolicy(
-            max_outstanding_per_worker=cap,
-            priority_headroom=headroom or {PRIORITY_HIGH: 1.0,
-                                           PRIORITY_NORMAL: 0.75,
-                                           PRIORITY_LOW: 0.5},
-            tenant_share=tenant_share))
+    @staticmethod
+    def _book(cap=4, tenant_share=None):
+        return RequestBook(AdmissionPolicy(max_outstanding_per_worker=cap,
+                                           tenant_share=tenant_share))
+
+    @staticmethod
+    def admit(book, worker, tenant="default"):
+        """Book one copy; its wire id, or the shed reason."""
+        verdict = book.issue(book.open(object(), "mlp", tenant, None),
+                             worker)
+        return verdict.wire_id if verdict.shed is None else verdict.shed
 
     def test_capacity_shed_and_release(self):
-        ctl = self._ctl(cap=2, tenant_share=None)
-        assert ctl.admit("w0", priority=PRIORITY_HIGH) is None
-        assert ctl.admit("w0", priority=PRIORITY_HIGH) is None
-        assert ctl.admit("w0", priority=PRIORITY_HIGH) == SHED_CAPACITY
-        ctl.release("w0")
-        assert ctl.admit("w0", priority=PRIORITY_HIGH) is None
+        book = self._book(cap=2)
+        first = self.admit(book, "w0")
+        assert isinstance(self.admit(book, "w0"), int)
+        assert self.admit(book, "w0") == SHED_CAPACITY
+        book.settle(first)
+        assert isinstance(self.admit(book, "w0"), int)
 
-    def test_low_priority_sheds_before_high(self):
-        """Fill to the low-priority ceiling: LOW sheds, HIGH still fits."""
-        ctl = self._ctl(cap=4, tenant_share=None)
-        for _ in range(2):                       # low limit = floor(4*0.5)
-            assert ctl.admit("w0", priority=PRIORITY_LOW) is None
-        assert ctl.admit("w0", priority=PRIORITY_LOW) == SHED_PRIORITY
-        assert ctl.admit("w0", priority=PRIORITY_NORMAL) is None  # 3 of 3
-        assert ctl.admit("w0", priority=PRIORITY_NORMAL) == SHED_PRIORITY
-        assert ctl.admit("w0", priority=PRIORITY_HIGH) is None    # 4 of 4
-        assert ctl.admit("w0", priority=PRIORITY_HIGH) == SHED_CAPACITY
+    def test_default_caps_shed_the_55th_copy_and_a_tenants_33rd(self):
+        book = RequestBook()
+        for i in range(54):     # two tenants, 27 each: under their cap
+            assert isinstance(self.admit(book, "w0", f"t{i % 2}"), int)
+        assert self.admit(book, "w0", "t2") == SHED_CAPACITY
+        for _ in range(32):
+            assert isinstance(self.admit(book, "w1", "greedy"), int)
+        assert self.admit(book, "w1", "greedy") == SHED_TENANT
+        assert isinstance(self.admit(book, "w1", "polite"), int)
 
     def test_tenant_fair_share(self):
         """One tenant cannot hold more than its share; others still fit."""
-        ctl = self._ctl(cap=4, tenant_share=0.5)
-        assert ctl.admit("w0", tenant="greedy", priority=PRIORITY_HIGH) \
-            is None
-        assert ctl.admit("w0", tenant="greedy", priority=PRIORITY_HIGH) \
-            is None
-        assert ctl.admit("w0", tenant="greedy", priority=PRIORITY_HIGH) \
-            == SHED_TENANT
-        assert ctl.admit("w0", tenant="polite", priority=PRIORITY_HIGH) \
-            is None
+        book = self._book(cap=4, tenant_share=2)
+        assert isinstance(self.admit(book, "w0", "greedy"), int)
+        assert isinstance(self.admit(book, "w0", "greedy"), int)
+        assert self.admit(book, "w0", "greedy") == SHED_TENANT
+        assert isinstance(self.admit(book, "w0", "polite"), int)
 
     def test_workers_isolated(self):
-        ctl = self._ctl(cap=1, tenant_share=None)
-        assert ctl.admit("w0", priority=PRIORITY_HIGH) is None
-        assert ctl.admit("w1", priority=PRIORITY_HIGH) is None
-        assert ctl.admit("w0", priority=PRIORITY_HIGH) == SHED_CAPACITY
-        assert ctl.outstanding("w0") == 1 and ctl.outstanding("w1") == 1
+        book = self._book(cap=1)
+        assert isinstance(self.admit(book, "w0"), int)
+        assert isinstance(self.admit(book, "w1"), int)
+        assert self.admit(book, "w0") == SHED_CAPACITY
+        assert book.backlog("w0")[0] == 1 and book.backlog("w1")[0] == 1
 
     def test_release_cleans_bookkeeping(self):
-        ctl = self._ctl()
-        ctl.admit("w0", tenant="t")
-        ctl.release("w0", tenant="t")
-        snap = ctl.snapshot()
-        assert snap["outstanding"] == {} and snap["by_tenant"] == {}
+        book = self._book()
+        book.settle(self.admit(book, "w0", "t"))
+        assert book.backlog("w0") == (0, 0.0)
+        assert book._tenant_out == {}
 
     def test_thread_safety_conserves_slots(self):
-        """Hammered from many threads, admitted - released never exceeds
+        """Hammered from many threads, booked - settled never exceeds
         the window and never goes negative."""
-        ctl = self._ctl(cap=8, tenant_share=None)
+        book = self._book(cap=8)
         errors = []
 
         def worker():
             for _ in range(200):
-                if ctl.admit("w0", priority=PRIORITY_HIGH) is None:
-                    n = ctl.outstanding("w0")
+                wire_id = self.admit(book, "w0")
+                if wire_id != SHED_CAPACITY:
+                    n = book.backlog("w0")[0]
                     if not 0 < n <= 8:
                         errors.append(n)
-                    ctl.release("w0")
+                    book.settle(wire_id)
 
         threads = [threading.Thread(target=worker) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # switch threads mid-update
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert ctl.outstanding("w0") == 0
+        assert book.backlog("w0") == (0, 0.0)
+        assert book._tenant_out == {}

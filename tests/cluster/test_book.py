@@ -3,9 +3,10 @@
 A hypothesis state machine plays the supervisor shell against
 :class:`repro.cluster.book.RequestBook` on a virtual clock — open,
 issue, retract, reply, wire error, crash-drain, advance the clock and
-pop what is due, in any order — and checks the delivery invariants and
-each worker's backlog after every step.  Beside the book it drives each
-worker's :class:`repro.cluster.arena.SlotArena` the way the supervisor
+pop what is due, in any order, under up to three tenants — and checks
+the delivery invariants, each worker's backlog and its admission counts
+(per worker and per tenant) after every step.  Beside the book it drives
+each worker's :class:`repro.cluster.arena.SlotArena` the way the supervisor
 does (a slot per copy sent, released on its terminal message or retract,
 all of them after a crash) and checks the slot book too.  Named examples below it pin
 the deadline timer, routing and the memory rule; the completion races
@@ -31,13 +32,14 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.cluster import AdmissionController, AdmissionPolicy
+from repro.cluster import AdmissionPolicy
 from repro.cluster import book as bk
 from repro.cluster.arena import ARENA_SLOTS, SlotArena
 from repro.cluster.book import RequestBook
 from repro.serve import Request, WorkerCrashed
 
 WORKERS = ("wa", "wb", "wc")
+TENANTS = ("ta", "tb", "tc")
 #: "Any one of the candidates": an index, wrapped to however many there
 #: are when the rule runs (cheaper to generate than ``st.data()`` draws).
 PICK = st.integers(min_value=0, max_value=31)
@@ -58,40 +60,18 @@ class Clock:
         return self.now
 
 
-class CountingAdmission(AdmissionController):
-    """The real controller, plus a ledger that refuses a release nobody
-    holds (the real one clamps at zero, which would hide a double)."""
-
-    def __init__(self, per_worker: int = 64) -> None:
-        super().__init__(AdmissionPolicy(
-            max_outstanding_per_worker=per_worker, tenant_share=None))
-        self.held = collections.Counter()
-
-    def admit(self, worker, tenant="default", priority=1):
-        reason = super().admit(worker, tenant, priority)
-        if reason is None:
-            self.held[worker] += 1
-        return reason
-
-    def release(self, worker, tenant="default"):
-        assert self.held[worker] > 0, f"slot on {worker} released twice"
-        self.held[worker] -= 1
-        super().release(worker, tenant)
-
-
 class Shell:
     """What ``ClusterSupervisor`` does with a verdict, minus the I/O."""
 
-    def __init__(self, per_worker: int = 64) -> None:
+    def __init__(self, policy: AdmissionPolicy | None = None) -> None:
         self.clock = Clock()
-        self.admission = CountingAdmission(per_worker)
         self.counters = collections.Counter()
-        self.book = RequestBook(self.admission, self.clock)
+        self.book = RequestBook(policy, self.clock)
 
-    def open(self, timeout=None):
+    def open(self, timeout=None, tenant="default"):
         request = Request(workload="mlp", feeds={}, timeout_s=timeout)
         deadline = None if timeout is None else self.clock.now + timeout
-        return self.book.open(request, "mlp", "default", 1, deadline), request
+        return self.book.open(request, "mlp", tenant, deadline), request
 
     def carry_out(self, verdict, error=None):
         for name, by in verdict.counters:
@@ -105,9 +85,14 @@ class Shell:
 
 
 class BookMachine(RuleBasedStateMachine):
-    @initialize(execute_s=st.sampled_from([0.0005, 0.004, 0.3]))
-    def boot(self, execute_s):
-        self.shell = Shell(per_worker=3)
+    @initialize(execute_s=st.sampled_from([0.0005, 0.004, 0.3]),
+                tenants=st.integers(min_value=1, max_value=len(TENANTS)))
+    def boot(self, execute_s, tenants):
+        #: The tenants this run's requests are opened under.
+        self.tenants = TENANTS[:tenants]
+        self.policy = AdmissionPolicy(max_outstanding_per_worker=3,
+                                      tenant_share=2)
+        self.shell = Shell(self.policy)
         self.book = self.shell.book
         # One reply before the client's requests, so every copy they
         # book carries a non-zero expected execute time.
@@ -128,6 +113,15 @@ class BookMachine(RuleBasedStateMachine):
 
     def copies_of(self, rec):
         return {wid for wid, (r, _) in self.live.items() if r is rec}
+
+    def out_on(self, worker):
+        """The copies the shell has out on ``worker``, by tenant and in
+        all (under ``None``)."""
+        out = collections.Counter(r["entry"].tenant
+                                  for r, w in self.live.values()
+                                  if w == worker)
+        out[None] = sum(out.values())
+        return out
 
     def apply(self, verdict, rec, error=None):
         """Carry out a verdict about ``rec``, checking what it publishes."""
@@ -155,9 +149,10 @@ class BookMachine(RuleBasedStateMachine):
 
     # -- rules ------------------------------------------------------------
 
-    @rule(timeout=st.sampled_from([None, 0.0, 0.04, 0.2, 5.0]))
-    def open(self, timeout):
-        entry, request = self.shell.open(timeout)
+    @rule(timeout=st.sampled_from([None, 0.0, 0.04, 0.2, 5.0]), pick=PICK)
+    def open(self, timeout, pick):
+        entry, request = self.shell.open(timeout,
+                                         pick_from(self.tenants, pick))
         self.reqs.append({"entry": entry, "request": request,
                           "state": "open"})
 
@@ -166,7 +161,15 @@ class BookMachine(RuleBasedStateMachine):
     def issue(self, pick, worker, large):
         rec = pick_from([r for r in self.reqs if r["state"] == "open"], pick)
         load_before = self.book.backlog(worker)[1]
+        out = self.out_on(worker)
         verdict = self.book.issue(rec["entry"], worker)
+        if out[None] == self.policy.max_outstanding_per_worker:
+            assert verdict.shed == bk.SHED_CAPACITY
+        elif out[rec["entry"].tenant] == \
+                self.policy.tenant_share:
+            assert verdict.shed == bk.SHED_TENANT
+        else:
+            assert verdict.shed is None
         if verdict.shed is not None:        # the shell raises ClusterShed
             rec["state"] = "shed"
             assert verdict.wire_id is None and verdict.action is None
@@ -249,13 +252,16 @@ class BookMachine(RuleBasedStateMachine):
 
     @invariant()
     def books_balance(self):
-        held = self.shell.admission.held
-        assert +held == +collections.Counter(
-            w for _, w in self.live.values())
         for worker in WORKERS:
             mine = [wid for wid, (_, w) in self.live.items() if w == worker]
+            expected = self.out_on(worker)
             out, load = self.book.backlog(worker)
-            assert out == len(mine)
+            assert out == len(mine) == expected[None]
+            assert out <= self.policy.max_outstanding_per_worker
+            for tenant in ("default", *TENANTS):
+                held = self.book._tenant_out.get((worker, tenant), 0)
+                assert held == expected[tenant]
+                assert held <= self.policy.tenant_share
             assert math.isclose(load, sum(self.cost[w] for w in mine),
                                 abs_tol=1e-9)
             if not mine:
@@ -278,8 +284,9 @@ class BookMachine(RuleBasedStateMachine):
             self.crash(worker)
         self.exactly_once()
         self.slots_balance()
-        assert not self.live and not +self.shell.admission.held
+        assert not self.live
         assert all(self.book.backlog(w) == (0, 0.0) for w in WORKERS)
+        assert not self.book._tenant_out, "a tenant count left behind"
         for arena in self.arenas.values():
             arena.close()
 

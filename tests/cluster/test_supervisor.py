@@ -21,7 +21,9 @@ from repro.cluster import (
     ClusterError,
     ClusterShed,
     ClusterSupervisor,
+    HashRing,
 )
+from repro.cluster import sharding
 from repro.cluster import supervisor as supervisor_module
 from repro.cluster.arena import SlotArena
 from repro.models import layernorm_graph, mlp_graph
@@ -94,26 +96,18 @@ class TestServing:
                 assert len(owners) == 2 == len(set(owners))
             assert placement == sup.placement()
 
-    def test_owners_are_kept_per_workload_until_the_ring_changes(
-            self, tmp_path, monkeypatch):
+    def test_owners_are_fixed_at_construction(self, tmp_path, monkeypatch):
         """``submit`` routes every request; the SHA-256 + ring walk is
-        paid once per workload and ring membership, not per request."""
+        paid once per workload when the supervisor is built, never per
+        request."""
         sup = ClusterSupervisor(_graphs(), _config(tmp_path, workers=3))
-        for name in ("w0", "w1", "w2"):         # what start() does, unforked
-            sup.ring.add(name)
-        walks = []
-        real = sup.ring.owners
-        monkeypatch.setattr(sup.ring, "owners",
-                            lambda key, n=1: walks.append(key) or real(key, n))
         first = sup.owners_for("mlp")
-        assert first == real("mlp", 2)
+        assert first == HashRing(["w0", "w1", "w2"]).owners("mlp", 2)
+        monkeypatch.setattr(sharding, "_hash", lambda token: pytest.fail(
+            "a placement lookup hashed"))
         first.append("poison")                  # callers get their own list
-        assert [sup.owners_for("mlp") for _ in range(5)] == [real("mlp", 2)] * 5
-        assert walks == ["mlp"]
-        sup.ring.remove(first[0])               # membership moved: recompute
-        assert sup.owners_for("mlp") == real("mlp", 2)
-        assert first[0] not in sup.owners_for("mlp")
-        assert walks == ["mlp", "mlp"]
+        assert [sup.owners_for("mlp") for _ in range(5)] == [first[:2]] * 5
+        assert sup.placement()["mlp"] == first[:2]
 
     def test_primary_far_behind_loses_the_next_request_to_its_replica(
             self, tmp_path):

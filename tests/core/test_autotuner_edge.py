@@ -42,7 +42,6 @@ class TestEmptySpace:
         assert res.configs_evaluated == 0
         assert res.configs_quit_early == 0
         assert res.tuning_wall_time == 0.0
-        assert res.timings == []
         assert kernel.config is None
 
 
@@ -96,17 +95,24 @@ class TestAlphaZero:
 
 class TestWallTimeConsistency:
     def test_wall_time_equals_runs_times_cost(self, small_mha):
-        """Recompute the campaign from TuneResult.timings and match it."""
+        """Recompute the campaign from the timings it asked for, in the
+        order it asked, and match it."""
         kernel = _kernel(small_mha, 6)
         times = {cfg: [1.0, 0.4, 5.0, 0.2, 9.0, 0.1][i]
                  for i, cfg in enumerate(kernel.search_space)}
         alpha = 0.25
-        res = tune_kernel(kernel, lambda k, c: times[c], alpha=alpha)
+        timed = []
+
+        def timing(k, cfg):
+            timed.append((cfg, times[cfg]))
+            return times[cfg]
+
+        res = tune_kernel(kernel, timing, alpha=alpha)
 
         wall = 0.0
         best = None
         quit_early = 0
-        for cfg, t in res.timings:
+        for cfg, t in timed:
             abandoned = False
             if best is None or t < best:
                 # Beating the incumbent: never cut short.
@@ -203,27 +209,3 @@ class TestCandidatesOverride:
         kernel.search_space = kernel.search_space[:2]
         res = evaluate_search_space(kernel, lambda k, c: 1.0)
         assert res.configs_evaluated == 2
-
-
-class TestKeepTimings:
-    def test_keep_timings_false_drops_trace_only(self, small_mha):
-        kernel = _kernel(small_mha, 5)
-        times = {cfg: 5.0 - i * 0.5
-                 for i, cfg in enumerate(kernel.search_space)}
-        kept = evaluate_search_space(kernel, lambda k, c: times[c])
-        dropped = evaluate_search_space(kernel, lambda k, c: times[c],
-                                        keep_timings=False)
-        assert len(kept.timings) == 5
-        assert dropped.timings == []
-        # Identical accounting either way: the trace is observability,
-        # not state the campaign depends on.
-        assert dropped.best_config == kept.best_config
-        assert dropped.tuning_wall_time == pytest.approx(
-            kept.tuning_wall_time)
-        assert dropped.configs_quit_early == kept.configs_quit_early
-
-    def test_tune_kernel_passes_keep_timings(self, small_mha):
-        kernel = _kernel(small_mha, 3)
-        res = tune_kernel(kernel, lambda k, c: 1.0, keep_timings=False)
-        assert res.timings == []
-        assert kernel.config == res.best_config

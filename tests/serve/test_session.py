@@ -6,7 +6,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.compiler import FusionOptions
 from repro.core.serialize import ScheduleCache, schedule_to_json
 from repro.core.verify import audit_program
 from repro.hw import AMPERE
@@ -159,8 +158,7 @@ class TestTheHostPlan:
             small_mha, gpu_fingerprint(AMPERE),
             lambda: pytest.fail("the cache compiled again"))
         assert session.schedule is cached
-        fresh, _ = compile_for(small_mha, AMPERE,
-                               FusionOptions(keep_timings=False))
+        fresh, _ = compile_for(small_mha, AMPERE)
         configs = [k.config for k in cached.kernels]
         assert configs == [k.config for k in fresh.kernels]
         assert [k.config for k in session.host_schedule.kernels] != configs

@@ -70,17 +70,6 @@ class TestReplay:
         assert res.configs_evaluated == 6  # full campaign re-ran
         assert timer.calls > 1
 
-    def test_replay_respects_keep_timings(self, small_mha):
-        db = TuneDB()
-        tuner = GuidedTuner(db, GPU_KEY)
-        tuner.tune(make_kernel(small_mha, 6), block_timing)
-        kept = tuner.tune(make_kernel(small_mha, 6), block_timing,
-                          keep_timings=True)
-        dropped = tuner.tune(make_kernel(small_mha, 6), block_timing,
-                             keep_timings=False)
-        assert len(kept.timings) == 1
-        assert dropped.timings == []
-
     def test_trivial_space_skips_database(self, small_mha):
         db = TuneDB()
         tuner = GuidedTuner(db, GPU_KEY)

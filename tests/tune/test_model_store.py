@@ -109,13 +109,6 @@ class TestKey:
             for sub in bert.subprograms])
         assert self._misses(tmp_path, recounted)
 
-    def test_keep_timings_is_not_part_of_the_key(self, bert, tmp_path):
-        _compile(bert, tmp_path)
-        _model, metrics = _compile(
-            bert, tmp_path, options=FusionOptions(keep_timings=False))
-        assert metrics.get("tunedb.misses") == 0
-        assert len(_model_files(tmp_path)) == 1
-
 
 class TestStaleAndContainment:
     def test_stale_confirmation_recompiles_to_the_cold_configs(
