@@ -61,6 +61,15 @@ class KernelSchedule:
     memory_levels: dict[str, str] = field(default_factory=dict)
     #: Free-form annotations (origin: "spacefusion", "flashattention", ...)
     meta: dict = field(default_factory=dict)
+    #: ``{GPUSpec: cost-model terms}`` of a kernel published read-only by
+    #: :func:`~repro.core.serialize.shared_schedule`, filled by the first
+    #: simulator that plans it and dropped with it; ``None`` (a kernel of a
+    #: compile in progress, or any copy) keeps the simulator's last-seen memo.
+    characterised: dict | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "characterised": None}
 
     @property
     def exec_graph(self) -> DataflowGraph:

@@ -233,7 +233,8 @@ def schedule_from_json(text: str) -> ProgramSchedule:
 #: Every schedule decoded from stored text, keyed by the text's digest
 #: (plus the schedule's index when one entry holds several).  Readers of
 #: the same bytes share one read-only ``ProgramSchedule`` for as long as
-#: any of them keeps it — the weak table of :mod:`.flyweight`.
+#: any of them keeps it — the weak table of :mod:`.flyweight` — and with
+#: it each kernel's cost-model characterisation.
 _SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -241,12 +242,17 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def shared_schedule(key, decode: Callable[[], ProgramSchedule],
-                    ) -> ProgramSchedule:
-    """The live schedule under ``key``, else ``decode()``'s, now shared;
-    callers must not mutate it."""
+def shared_schedule(key, decode: Callable[[], ProgramSchedule] | None = None,
+                    ) -> ProgramSchedule | None:
+    """The live schedule under ``key``, else ``decode()``'s, now shared
+    (no ``decode``: else None); callers must not mutate it."""
     found = _SHARED.get(key)
-    return found if found is not None else _SHARED.setdefault(key, decode())
+    if found is not None or decode is None:
+        return found
+    schedule = decode()
+    for kernel in schedule.kernels:
+        kernel.characterised = {}
+    return _SHARED.setdefault(key, schedule)
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core.autotuner import config_sort_key
 from ..core.resources import BlockFootprint, footprint_of
 from ..core.schedule import KernelSchedule, ProgramSchedule, ScheduleConfig
 from ..ir.ops import ceil_div
@@ -146,7 +145,11 @@ class KernelTrafficPlan:
     Built once per tuning campaign, from one look at the graph: which
     inputs the kernel streams and in how many passes, what it stores, the
     ops it issues and its :class:`BlockFootprint`.  Costing a
-    configuration is then arithmetic on per-dimension block counts.
+    configuration is then arithmetic on per-dimension block counts.  A
+    kernel of a shared, read-only schedule keeps its plan (and the terms
+    each GPU derives from it) for as long as the kernel lives
+    (:attr:`KernelSchedule.characterised`): every later simulator in the
+    process reuses them.
     """
 
     def __init__(self, kernel: KernelSchedule) -> None:
@@ -239,7 +242,8 @@ class DeviceSimulator:
         self._rc = spec.resource_config()
         # The tuner times all configurations of one kernel back to back,
         # so remembering the last kernel's plan is enough.  One tuple,
-        # matched by identity: (kernel, plan, *this architecture's terms).
+        # matched by identity: (kernel, plan, *this architecture's terms);
+        # a shared kernel carries the same terms for every simulator.
         self._last_plan: tuple | None = None
         # Beside it, once a campaign is under way: (kernel, (efficiency,
         # output_spill_factor), {config: seconds}) over its search space.
@@ -251,28 +255,37 @@ class DeviceSimulator:
         architecture makes of it before any configuration is known."""
         memo = self._last_plan
         if memo is None or memo[0] is not kernel:
-            spec = self.spec
-            plan = KernelTrafficPlan(kernel)
-            ftc = fsimt = 0.0
-            for is_contraction, flops, kind in plan.ops:
-                if is_contraction:
-                    ftc += flops
-                else:
-                    fsimt += flops * spec.instruction_weight(kind)
-            # --- L2 tier: cross-block re-reads -------------------------
-            # The kernel's streamed working set competing for L2: every
-            # distinct byte it moves (inputs and outputs), each capped at
-            # the capacity.  The reuse hit rate decays as the set
-            # overflows, with a rasterisation floor: neighbouring blocks
-            # walk the same slices, so at most ``_L2_SPILL_REUSE`` of
-            # over-capacity re-reads miss.
-            stream_set = sum(min(row.full_bytes, spec.l2_capacity)
-                             for row in plan.inputs + plan.outputs)
-            l2_hit_raw = streaming_hit_rate(stream_set, spec.l2_capacity)
-            memo = self._last_plan = (
-                kernel, plan, ftc, fsimt, l2_hit_raw,
-                (1.0 - l2_hit_raw) * _L2_SPILL_REUSE)
+            shared = kernel.characterised
+            if shared is None:
+                terms = self._terms(KernelTrafficPlan(kernel))
+            elif (terms := shared.get(self.spec)) is None:
+                # One plan per kernel, whichever GPU planned it first.  A
+                # race between threads builds equal terms twice; one stays.
+                known = list(shared.values())
+                terms = shared[self.spec] = self._terms(
+                    known[0][0] if known else KernelTrafficPlan(kernel))
+            memo = self._last_plan = (kernel, *terms)
         return memo
+
+    def _terms(self, plan: KernelTrafficPlan) -> tuple:
+        spec = self.spec
+        ftc = fsimt = 0.0
+        for is_contraction, flops, kind in plan.ops:
+            if is_contraction:
+                ftc += flops
+            else:
+                fsimt += flops * spec.instruction_weight(kind)
+        # --- L2 tier: cross-block re-reads -----------------------------
+        # The kernel's streamed working set competing for L2: every
+        # distinct byte it moves (inputs and outputs), each capped at the
+        # capacity.  The reuse hit rate decays as the set overflows, with
+        # a rasterisation floor: neighbouring blocks walk the same slices,
+        # so at most ``_L2_SPILL_REUSE`` of over-capacity re-reads miss.
+        stream_set = sum(min(row.full_bytes, spec.l2_capacity)
+                         for row in plan.inputs + plan.outputs)
+        l2_hit_raw = streaming_hit_rate(stream_set, spec.l2_capacity)
+        return (plan, ftc, fsimt, l2_hit_raw,
+                (1.0 - l2_hit_raw) * _L2_SPILL_REUSE)
 
     # ------------------------------------------------------------------
     # Efficiency factors
@@ -559,23 +572,6 @@ class DeviceSimulator:
             None if tiles[0] is None else np.array(tiles, np.int64))
         times = self._evaluate(kernel, points, None, None, _ARRAYS).time_s
         return dict(zip(space, np.broadcast_to(times, len(space)).tolist()))
-
-    def sweep_configs(self, kernel: KernelSchedule,
-                      ) -> list[tuple[ScheduleConfig, float]]:
-        """Time every configuration in a kernel's search space.
-
-        Returns (config, seconds) pairs sorted fastest-first, exact ties
-        broken the way the tuner breaks them, so the head is the tuner's
-        pick — the raw material of the tuning landscape, useful for
-        what-if analysis and for visualising why the tuner picked what it
-        picked.
-        """
-        timings = [
-            (cfg, self.kernel_time(kernel, cfg))
-            for cfg in kernel.search_space
-        ]
-        timings.sort(key=lambda pair: (pair[1], config_sort_key(pair[0])))
-        return timings
 
     # ------------------------------------------------------------------
     # Program cost

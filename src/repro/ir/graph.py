@@ -39,6 +39,10 @@ class DataflowGraph:
     #: produced-but-never-consumed tensors; rewrites pin the original outputs
     #: here so temporarily-dead tensors do not masquerade as outputs.
     declared_outputs: list[str] | None = None
+    #: ``(ops list, its length, {tensor: first producer})``: rebuilt when
+    #: ``ops`` is reassigned or grows outside :meth:`add_op`.
+    _producers: tuple = field(default=(None, 0, None), init=False, repr=False,
+                              compare=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -62,6 +66,9 @@ class DataflowGraph:
         if self.producer_of(op.output) is not None:
             raise GraphError(f"tensor {op.output!r} written twice (SSA violated)")
         self.ops.append(op)
+        ops, n, index = self._producers
+        index[op.output] = op
+        self._producers = ops, n + 1, index
         return op
 
     # ------------------------------------------------------------------
@@ -69,10 +76,13 @@ class DataflowGraph:
     # ------------------------------------------------------------------
 
     def producer_of(self, tensor: str) -> Op | None:
-        for op in self.ops:
-            if op.output == tensor:
-                return op
-        return None
+        ops, n, index = self._producers
+        if ops is not self.ops or n != len(ops):
+            index = {}
+            for op in reversed(self.ops):
+                index[op.output] = op
+            self._producers = self.ops, len(self.ops), index
+        return index.get(tensor)
 
     def consumers_of(self, tensor: str) -> list[Op]:
         return [op for op in self.ops if tensor in op.inputs]

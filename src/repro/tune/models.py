@@ -24,7 +24,7 @@ from ..core.serialize import (
 )
 from ..ir.program import TensorProgram
 from ..obs import event as obs_event
-from ..store import single_flight
+from ..store import LRU, single_flight
 from .guided import CONFIRM_RTOL
 
 #: Part of the key: entries of another payload version are never read.
@@ -40,20 +40,35 @@ def model_key(program: TensorProgram, gpu_key: str, options) -> str:
           for sub in program.unique_subprograms()]], sort_keys=True))[:24]
 
 
+#: ``text digest -> ([(occurrences, kernels, stored times), ...], stored
+#: campaign wall)`` of entries read lately: while every schedule of the
+#: same bytes is still shared, a read parses nothing.
+_HEADERS = LRU(64)
+
+
 def _decode(text: str) -> tuple[list, float]:
     """``([(subprogram, stored kernel times), ...], stored campaign wall)``;
     the schedules are the ones every reader of these bytes shares."""
-    digest, payload = text_digest(text), json.loads(text)
-    pairs = []
-    for i, entry in enumerate(payload["subprograms"]):
-        schedule = shared_schedule(
-            (digest, i), lambda e=entry: schedule_from_dict(e["schedule"]))
-        if len(entry["times"]) != len(schedule.kernels):
+    digest = text_digest(text)
+    header = _HEADERS.get(digest)
+    schedules = [] if header is None else [
+        shared_schedule((digest, i)) for i in range(len(header[0]))]
+    if header is None or any(s is None for s in schedules):
+        payload = json.loads(text)
+        header = ([(e["occurrences"], e["kernels"], e["times"])
+                   for e in payload["subprograms"]],
+                  float(payload["tuning_wall_time"]))
+        schedules = [shared_schedule(
+            (digest, i), lambda e=e: schedule_from_dict(e["schedule"]))
+            for i, e in enumerate(payload["subprograms"])]
+        if any(len(times) != len(schedule.kernels) for (_, _, times),
+               schedule in zip(header[0], schedules)):
             raise ValueError("one stored time per kernel expected")
-        pairs.append((CompiledSubprogram(
-            schedule, CompileStats(kernels=entry["kernels"]),
-            entry["occurrences"]), entry["times"]))
-    return pairs, float(payload["tuning_wall_time"])
+        _HEADERS.put(digest, header)
+    return [(CompiledSubprogram(schedule, CompileStats(kernels=kernels),
+                                occurrences), times)
+            for schedule, (occurrences, kernels, times)
+            in zip(schedules, header[0])], header[1]
 
 
 def compile_model_stored(compiler, program: TensorProgram) -> CompiledModel:

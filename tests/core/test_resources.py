@@ -536,6 +536,27 @@ def _candidates(graph):
     return result.candidates
 
 
+def count_builders(monkeypatch) -> tuple[list, list]:
+    """``(plans, footprints)``: the kernel of every
+    :class:`KernelTrafficPlan` and :class:`BlockFootprint` built from now
+    on, in build order."""
+    plans, footprints = [], []
+
+    class CountingPlan(KernelTrafficPlan):
+        def __init__(self, kernel):
+            plans.append(kernel)
+            super().__init__(kernel)
+
+    class CountingFootprint(BlockFootprint):
+        def __init__(self, kernel):
+            footprints.append(kernel)
+            super().__init__(kernel)
+
+    monkeypatch.setattr(hw_simulator, "KernelTrafficPlan", CountingPlan)
+    monkeypatch.setattr(resources, "BlockFootprint", CountingFootprint)
+    return plans, footprints
+
+
 class TestTheGraphIsWalkedOncePerKernel:
     @pytest.mark.parametrize("build", [SUBGRAPHS["mha"], SUBGRAPHS["mlp"]],
                              ids=["mha", "mlp"])
@@ -564,20 +585,7 @@ class TestTheGraphIsWalkedOncePerKernel:
         the device model's traffic plan reuse it.  One footprint and one
         traffic plan per candidate kernel, with a slicing round's
         candidates enumerated before either is tuned."""
-        plans, footprints = [], []
-
-        class CountingPlan(KernelTrafficPlan):
-            def __init__(self, kernel):
-                plans.append(kernel)
-                super().__init__(kernel)
-
-        class CountingFootprint(BlockFootprint):
-            def __init__(self, kernel):
-                footprints.append(kernel)
-                super().__init__(kernel)
-
-        monkeypatch.setattr(hw_simulator, "KernelTrafficPlan", CountingPlan)
-        monkeypatch.setattr(resources, "BlockFootprint", CountingFootprint)
+        plans, footprints = count_builders(monkeypatch)
         sim = DeviceSimulator(AMPERE)
         tuner = GuidedTuner(TuneDB(tmp_path), gpu_fingerprint(AMPERE))
         kernels = []

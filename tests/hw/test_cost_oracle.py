@@ -40,6 +40,7 @@ from repro.pipeline import (
 )
 from tests.core.test_resources import SUBGRAPHS, zoo_programs
 from tests.hw.oracle_cost import OracleSimulator
+from tests.hw.sweep import SweepSimulator
 
 
 def _assert_same_cost(sim, oracle, kernel, config=None, l2=None,
@@ -181,7 +182,7 @@ class TestEveryCostCallEqualsTheOracle:
 class TestSweepHeadIsTheTunersPick:
     @pytest.mark.parametrize("gpu", [AMPERE, VOLTA], ids=lambda g: g.name)
     def test_on_every_kernel_of_the_seven_subgraphs(self, gpu):
-        sim = DeviceSimulator(gpu)
+        sim = SweepSimulator(gpu)
         tied = 0
         for build in SUBGRAPHS.values():
             for kernel in compile_for(build(), gpu)[0].kernels:
@@ -310,7 +311,7 @@ class TestTheBroadcastEqualsTheOracle:
 
     def test_sweep_configs_is_one_broadcast(self, campaigns, broadcasts):
         gpu, kernels = campaigns
-        sim, oracle = DeviceSimulator(gpu), OracleSimulator(gpu)
+        sim, oracle = SweepSimulator(gpu), OracleSimulator(gpu)
         for kernel in kernels[::10]:
             want = _oracle_times(oracle, kernel)
             assert [t for _cfg, t in sim.sweep_configs(kernel)] \

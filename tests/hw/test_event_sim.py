@@ -19,6 +19,7 @@ from repro.models import (
 from repro.pipeline import compile_for
 from repro.runtime import random_feeds
 from repro.runtime.tracing import trace_program
+from tests.hw.sweep import SweepSimulator
 
 
 def _kernels():
@@ -48,7 +49,7 @@ class TestCrossCheck:
     def test_config_ranking_correlates(self, kernels):
         """The auto-tuner consumes *rankings*: the event simulator's best
         configurations must be near the analytical model's best."""
-        sim = DeviceSimulator(AMPERE)
+        sim = SweepSimulator(AMPERE)
         ev = EventDrivenSimulator(AMPERE)
         for kernel in kernels:
             if len(kernel.search_space) < 4:
@@ -118,7 +119,7 @@ class TestEfficiencyAndOverheadParity:
     def test_ranking_agrees_with_manual_efficiency(self, kernels):
         """Rank agreement must survive meta['efficiency'] != 1.0 (the
         old event sim dropped the factor from its SIMT rate)."""
-        sim = DeviceSimulator(AMPERE)
+        sim = SweepSimulator(AMPERE)
         ev = EventDrivenSimulator(AMPERE)
         for kernel in kernels:
             if len(kernel.search_space) < 4:
@@ -199,7 +200,7 @@ class TestCalibration:
         graph = CALIBRATION_SHAPES[shape]()
         schedule, _stats = compile_for(graph, gpu)
         _env, traces = trace_program(schedule, random_feeds(graph, seed=0))
-        sim = DeviceSimulator(gpu)
+        sim = SweepSimulator(gpu)
         ev = EventDrivenSimulator(gpu)
         for kernel in schedule.kernels:
             # Bytes: what the tracing executor really loaded is what the

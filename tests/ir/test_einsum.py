@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.hw import AMPERE, DeviceSimulator
+from repro.hw import AMPERE
 from repro.ir import GraphBuilder
 from repro.ir.ops import make_einsum
 from repro.ir.traits import dependency_profile
 from repro.pipeline import compile_for
 from repro.runtime.executor import execute_schedule
 from repro.runtime.kernels import evaluate_op, execute_graph_reference, random_feeds
+from tests.hw.sweep import SweepSimulator
 
 
 class TestEinsumConstruction:
@@ -100,7 +101,7 @@ class TestConfigSweep:
     def test_sweep_sorted_and_complete(self, small_mha):
         sched, _ = compile_for(small_mha, AMPERE)
         kernel = sched.kernels[0]
-        sim = DeviceSimulator(AMPERE)
+        sim = SweepSimulator(AMPERE)
         sweep = sim.sweep_configs(kernel)
         assert len(sweep) == len(kernel.search_space)
         times = [t for _c, t in sweep]

@@ -148,6 +148,27 @@ class TestDataflowGraph:
         with pytest.raises(GraphError, match="SSA"):
             g.add_op(make_unary("u2", "exp", "X", ("m",), "Y"))
 
+    def test_producers_follow_ops_changed_outside_add_op(self):
+        """Rewrites assign or append to ``ops`` directly; the producer
+        index behind the SSA check must follow, and the first producer
+        wins as in a scan."""
+        g = DataflowGraph("g")
+        g.dims.define("m", 4)
+        for name in ("X", "Y", "Z"):
+            g.tensors[name] = TensorSpec(name, ("m",))
+        u1 = g.add_op(make_unary("u1", "exp", "X", ("m",), "Y"))
+        u2 = make_unary("u2", "exp", "Y", ("m",), "Z")
+        g.ops.append(u2)
+        assert g.producer_of("Z") is u2
+        with pytest.raises(GraphError,
+                           match=r"tensor 'Z' written twice \(SSA violated\)"):
+            g.add_op(make_unary("u3", "exp", "X", ("m",), "Z"))
+        g.ops = [u2]
+        assert g.producer_of("Y") is None and g.producer_of("Z") is u2
+        g.add_op(u1)
+        g.ops.append(make_unary("u4", "exp", "X", ("m",), "Z"))
+        assert g.producer_of("Z") is u2 and g.producer_of("Y") is u1
+
     def test_undefined_tensor_raises(self):
         g = DataflowGraph("g")
         g.dims.define("m", 4)
