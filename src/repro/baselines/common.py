@@ -16,7 +16,6 @@ from typing import Callable
 from ..core.builder import build_smg
 from ..core.compiler import FusionOptions, schedule_single_op_kernels
 from ..core.memory_planner import apply_memory_plan
-from ..core.partition import subgraph_from_ops
 from ..core.resources import ResourceConfig
 from ..core.schedule import KernelSchedule, ProgramSchedule, ScheduleConfig
 from ..core.scheduler import SlicingOptions, resource_aware_slicing
@@ -30,18 +29,14 @@ def timing_fn_for(gpu: GPUSpec) -> Callable[[KernelSchedule, ScheduleConfig], fl
     return DeviceSimulator(gpu).kernel_time
 
 
-def schedule_op_group(graph: DataflowGraph, ops: list[Op], name: str,
-                      rc: ResourceConfig, gpu: GPUSpec,
+def schedule_op_group(sub: DataflowGraph, rc: ResourceConfig, gpu: GPUSpec,
                       efficiency: float = 1.0,
                       enable_uta: bool = True,
                       fixed_config: ScheduleConfig | None = None,
                       meta: dict | None = None) -> list[KernelSchedule]:
-    """Schedule one fusion group as a single kernel if the slicers allow it,
-    falling back to per-op kernels otherwise."""
-    downstream = {
-        t for other in graph.ops if other not in ops for t in other.inputs
-    } | set(graph.output_tensors)
-    sub = subgraph_from_ops(graph, ops, name, downstream_needs=downstream)
+    """Schedule one fusion group, cut from its graph by
+    :func:`~repro.core.partition.subgraphs_from_ops`, as a single kernel if
+    the slicers allow it, falling back to per-op kernels otherwise."""
     smg = build_smg(sub)
     result = resource_aware_slicing(
         smg, rc, SlicingOptions(enable_uta=enable_uta))

@@ -10,6 +10,7 @@ paper notes "is supported in most DL compilers".
 from __future__ import annotations
 
 from ..core.compiler import schedule_single_op_kernels
+from ..core.partition import subgraphs_from_ops
 from ..core.schedule import ProgramSchedule
 from ..hw.specs import GPUSpec
 from ..ir.graph import DataflowGraph
@@ -74,27 +75,23 @@ def schedule_cublaslt(graph: DataflowGraph, gpu: GPUSpec,
         else:
             merged.append(list(ops))
 
+    # A lone reduction runs as a plain CUDA kernel; every other group is a
+    # library call (with its epilogue, or a fused element-wise run).
+    lone = [len(ops) == 1 and ops[0].is_reduction
+            and not ops[0].is_contraction for ops in merged]
+    subs = subgraphs_from_ops(graph, [
+        (f"{graph.name}.{ops[0].name}" if alone else
+         f"{graph.name}.{label}{i}", ops)
+        for i, (ops, alone) in enumerate(zip(merged, lone))])
     timing = timing_fn_for(gpu)
-    for i, ops in enumerate(merged):
-        if len(ops) == 1 and ops[0].is_reduction and not ops[0].is_contraction:
-            kernels = schedule_single_op_kernels(
-                _wrap(graph, ops), rc, timing, efficiency=1.0)
+    for sub, alone in zip(subs, lone):
+        if alone:
+            kernels = schedule_single_op_kernels(sub, rc, timing,
+                                                 efficiency=1.0)
         else:
             kernels = schedule_op_group(
-                graph, ops, f"{graph.name}.{label}{i}", rc, gpu,
-                efficiency=CUBLAS_EFFICIENCY, meta={"baseline": label})
+                sub, rc, gpu, efficiency=CUBLAS_EFFICIENCY,
+                meta={"baseline": label})
         for k in kernels:
             sched.add(k)
     return sched
-
-
-def _wrap(graph: DataflowGraph, ops: list[Op]) -> DataflowGraph:
-    from ..core.partition import subgraph_from_ops
-
-    inside = {o.name for o in ops}
-    downstream = {
-        t for other in graph.ops if other.name not in inside
-        for t in other.inputs
-    } | set(graph.output_tensors)
-    return subgraph_from_ops(graph, ops, f"{graph.name}.{ops[0].name}",
-                             downstream_needs=downstream)

@@ -29,10 +29,13 @@ from ..core.compiler import (
     CompiledSubprogram,
     CompileStats,
     FusionOptions,
+    barrier_schedule,
 )
+from ..core.partition import subgraphs_from_ops
 from ..core.schedule import ProgramSchedule
 from ..hw.specs import GPUSpec
 from ..ir.graph import DataflowGraph
+from ..ir.ops import Op
 from ..ir.program import TensorProgram
 from ..pipeline import make_compiler
 from .common import group_by_attr, schedule_op_group, timing_fn_for
@@ -102,6 +105,7 @@ def _schedule_library_engine(graph: DataflowGraph, gpu: GPUSpec,
     # GEMM+pointwise-epilogue tactics for the rest.
     sched = ProgramSchedule(f"{graph.name}@{engine}",
                             meta={"baseline": engine})
+    groups: list[tuple[str, list[Op]]] = []
     handled: set[str] = set()
     for ops in group_by_attr(graph):
         tag = ops[0].attrs.get("fusion_group")
@@ -111,20 +115,19 @@ def _schedule_library_engine(graph: DataflowGraph, gpu: GPUSpec,
             # TensorRT's tactic library of the paper's era has no RMSNorm
             # pattern; such groups fall through to pointwise scheduling.
             continue
-        for k in schedule_op_group(graph, ops, f"{graph.name}.{tag}", rc,
-                                   gpu, efficiency=1.1,
-                                   meta={"baseline": engine}):
-            sched.add(k)
+        groups.append((f"{graph.name}.{tag}", ops))
         handled.update(op.name for op in ops)
+    n_fused = len(groups)
     remaining = [op for op in graph.topological_ops()
                  if op.name not in handled]
     if remaining:
-        from ..core.partition import subgraph_from_ops
-        downstream = set(graph.output_tensors) | {
-            t for op in graph.ops if op.name in handled for t in op.inputs
-        }
-        rest = subgraph_from_ops(graph, remaining, f"{graph.name}.rest",
-                                 downstream_needs=downstream)
+        groups.append((f"{graph.name}.rest", remaining))
+    subs = subgraphs_from_ops(graph, groups)
+    for sub in subs[:n_fused]:
+        for k in schedule_op_group(sub, rc, gpu, efficiency=1.1,
+                                   meta={"baseline": engine}):
+            sched.add(k)
+    for rest in subs[n_fused:]:
         for k in schedule_cublaslt(rest, gpu).kernels:
             sched.add(k)
     return sched
@@ -180,21 +183,12 @@ def compile_model_with_engine(program: TensorProgram, gpu: GPUSpec,
         return model
 
     # Library engines: pytorch / tensorrt / kernl.
-    from ..core.compiler import build_barrier_kernel
-
     subs: list[CompiledSubprogram] = []
     stats = CompileStats()
     for sub in program.unique_subprograms():
         graph = sub.graph
         if any(op.is_barrier for op in graph.ops):
-            sched = ProgramSchedule(graph.name)
-            for op in graph.ops:
-                single = DataflowGraph(f"{graph.name}.{op.name}",
-                                       dims=graph.dims)
-                for t in (*op.inputs, op.output):
-                    single.tensors.setdefault(t, graph.tensors[t])
-                single.ops.append(op)
-                sched.add(build_barrier_kernel(single))
+            sched = barrier_schedule(graph)
         elif engine == "pytorch":
             sched = schedule_pytorch(graph, gpu)
         else:

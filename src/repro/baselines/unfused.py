@@ -13,9 +13,11 @@ Two granularities appear in the paper's comparisons:
 from __future__ import annotations
 
 from ..core.compiler import schedule_single_op_kernels
+from ..core.partition import subgraphs_from_ops
 from ..core.schedule import ProgramSchedule
 from ..hw.specs import GPUSpec
 from ..ir.graph import DataflowGraph
+from ..ir.ops import Op
 from .common import group_by_attr, schedule_op_group, timing_fn_for
 
 #: Hand-written CUDA kernels reach a somewhat higher fraction of peak than
@@ -57,31 +59,31 @@ def schedule_pytorch(graph: DataflowGraph, gpu: GPUSpec,
     if framework_overhead:
         meta["dispatch_overhead"] = 6.0e-6
     sched = ProgramSchedule(f"{graph.name}@pytorch", meta=meta)
+    # (name, ops, efficiency): a library-fused group has no efficiency of
+    # its own; every other op is its own kernel.
+    parts: list[tuple[str, list[Op], float | None]] = []
     for ops in group_by_attr(graph):
         tag = ops[0].attrs.get("fusion_group", "") or ""
         fusable = (_is_torch_library_group(tag) if fuse_groups == "torch"
                    else bool(tag))
-        if not fusable:
+        if fusable and len(ops) > 1:
+            parts.append((f"{graph.name}.{tag}", ops, None))
+        else:
             # Only softmax/LayerNorm ship as fused torch CUDA kernels;
             # e.g. Huggingface RMSNorm runs as eager element-wise ops.
-            for op in ops:
-                for k in schedule_single_op_kernels(
-                        _single_graph(graph, [op]), rc, timing_fn_for(gpu),
-                        efficiency=(CUBLAS_EFFICIENCY if op.is_contraction
-                                    else 1.0)):
-                    sched.add(k)
-            continue
-        if len(ops) == 1:
-            eff = CUBLAS_EFFICIENCY if ops[0].is_contraction else 1.0
-            kernels = schedule_single_op_kernels(
-                _single_graph(graph, ops), rc, timing_fn_for(gpu),
-                efficiency=eff)
-        else:
-            tag = ops[0].attrs.get("fusion_group", "lib")
+            parts.extend(
+                (f"{graph.name}.{op.name}", [op],
+                 CUBLAS_EFFICIENCY if op.is_contraction else 1.0)
+                for op in ops)
+    subs = subgraphs_from_ops(graph, [(name, ops) for name, ops, _ in parts])
+    for (_name, _ops, eff), sub in zip(parts, subs):
+        if eff is None:
             kernels = schedule_op_group(
-                graph, ops, f"{graph.name}.{tag}", rc, gpu,
-                efficiency=LIBRARY_FUSED_EFFICIENCY,
+                sub, rc, gpu, efficiency=LIBRARY_FUSED_EFFICIENCY,
                 meta={"baseline": "pytorch-op"})
+        else:
+            kernels = schedule_single_op_kernels(
+                sub, rc, timing_fn_for(gpu), efficiency=eff)
         for k in kernels:
             sched.add(k)
     return sched
@@ -90,14 +92,3 @@ def schedule_pytorch(graph: DataflowGraph, gpu: GPUSpec,
 def _is_torch_library_group(tag: str) -> bool:
     """Composite groups PyTorch executes as one fused CUDA kernel."""
     return tag.startswith("softmax") or tag.startswith("layernorm")
-
-
-def _single_graph(graph: DataflowGraph, ops) -> DataflowGraph:
-    from ..core.partition import subgraph_from_ops
-
-    op = ops[0]
-    downstream = {
-        t for other in graph.ops if other is not op for t in other.inputs
-    } | set(graph.output_tensors)
-    return subgraph_from_ops(graph, [op], f"{graph.name}.{op.name}",
-                             downstream_needs=downstream)

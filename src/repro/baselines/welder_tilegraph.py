@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.compiler import schedule_single_op_kernels
+from ..core.partition import subgraphs_from_ops
 from ..core.schedule import ProgramSchedule
 from ..core.scheduler import SlicingOptions
 from ..hw.specs import GPUSpec
@@ -166,23 +167,15 @@ def schedule_welder(graph: DataflowGraph, gpu: GPUSpec,
     sched = ProgramSchedule(f"{graph.name}@welder",
                             meta={"baseline": "welder", "cuda_graphs": True})
     groups = tile_graph_fuse(graph, gpu, tile)
-    for i, group in enumerate(groups):
+    subs = subgraphs_from_ops(graph, [(f"{graph.name}.w{i}", group.ops)
+                                      for i, group in enumerate(groups)])
+    for group, sub in zip(groups, subs):
         if len(group.ops) == 1:
-            from ..core.partition import subgraph_from_ops
-            inside = {group.ops[0].name}
-            downstream = set(graph.output_tensors) | {
-                t for op in graph.ops if op.name not in inside
-                for t in op.inputs
-            }
-            sub = subgraph_from_ops(graph, group.ops,
-                                    f"{graph.name}.w{i}",
-                                    downstream_needs=downstream)
             kernels = schedule_single_op_kernels(sub, rc,
                                                  timing_fn_for(gpu))
         else:
             kernels = schedule_op_group(
-                graph, group.ops, f"{graph.name}.w{i}", rc, gpu,
-                enable_uta=False, meta={"baseline": "welder"})
+                sub, rc, gpu, enable_uta=False, meta={"baseline": "welder"})
         for k in kernels:
             sched.add(k)
     return sched

@@ -11,7 +11,7 @@ from .compiler import (
 )
 from .mappings import A2O, O2A, O2O, Mapping, MappingKind
 from .memory_planner import apply_memory_plan, plan_memory_levels
-from .partition import partition_round, reorganize_sub_smgs, subgraph_from_ops
+from .partition import partition_round, reorganize_sub_smgs, subgraphs_from_ops
 from .resources import (
     BlockFootprint,
     BlockResources,
@@ -47,6 +47,6 @@ __all__ = [
     "check_resources", "enumerate_configs", "estimate_block_resources",
     "partition_round", "plan_memory_levels", "plan_temporal_slice",
     "reorganize_sub_smgs", "resource_aware_slicing", "slice_spatial",
-    "spatial_sliceable_dims", "subgraph_from_ops", "temporal_dim_candidates",
+    "spatial_sliceable_dims", "subgraphs_from_ops", "temporal_dim_candidates",
     "tune_kernel",
 ]

@@ -23,12 +23,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..ir.graph import DataflowGraph
+from ..ir.ops import Op
+from ..ir.traits import is_compute_intensive
 from ..obs import get_tracer, timed_phase
 from ..ir.program import Subprogram, TensorProgram, partition_at_barriers
 from .autotuner import DEFAULT_ALPHA, DefaultTuner, TuneResult, pick_best
 from .builder import build_smg
 from .memory_planner import apply_memory_plan
-from .partition import PartitionCandidate, partition_round
+from .partition import partition_round, subgraphs_from_ops
 from .resources import ResourceConfig, enumerate_configs
 from .schedule import KernelSchedule, ProgramSchedule, ScheduleConfig
 from .scheduler import SlicingOptions, SlicingResult, resource_aware_slicing
@@ -144,23 +146,14 @@ def schedule_single_op_kernels(graph: DataflowGraph, rc: ResourceConfig,
     kernels whose SMG has no spatially sliceable dimension degrade to a
     single-block launch.
     """
-    from .partition import subgraph_from_ops
-
     options = options or FusionOptions()
     tuner = tuner or DefaultTuner()
     kernels: list[KernelSchedule] = []
-    outputs = set(graph.output_tensors)
-    for op in graph.topological_ops():
-        downstream = {
-            t for other in graph.ops for t in other.inputs if other is not op
-        } | outputs
-        sub = subgraph_from_ops(graph, [op], f"{graph.name}.{op.name}",
-                                downstream_needs=downstream)
+    for sub in subgraphs_from_ops(graph, [
+            (f"{graph.name}.{op.name}", [op])
+            for op in graph.topological_ops()]):
         smg = build_smg(sub)
-        result = resource_aware_slicing(
-            smg, rc, SlicingOptions(enable_temporal=options.enable_temporal,
-                                    enable_uta=options.enable_uta,
-                                    max_configs=options.max_configs))
+        result = resource_aware_slicing(smg, rc, options.slicing_options())
         if result.candidates:
             kernel = result.candidates[0]
         else:
@@ -184,6 +177,58 @@ def schedule_single_op_kernels(graph: DataflowGraph, rc: ResourceConfig,
                 else ScheduleConfig.of(block=())
         kernels.append(kernel)
     return kernels
+
+
+def _cut(graph: DataflowGraph, groups: list[list[Op]],
+         tag: str) -> list[DataflowGraph]:
+    return subgraphs_from_ops(graph, [(f"{graph.name}.{tag}{i}", ops)
+                                      for i, ops in enumerate(groups)])
+
+
+def _contraction_segments(graph: DataflowGraph) -> list[list[Op]]:
+    """Group into contraction-headed epilogue runs and MI segments.
+
+    Each contraction starts a segment absorbing its element-wise
+    epilogue; a non-contraction *reduction* closes the epilogue and
+    starts a memory-intensive segment (a GEMM fused with a trailing
+    normalisation would forfeit the GEMM's output-dimension
+    parallelism, which is exactly what this alternative avoids).
+    """
+    groups: list[list[Op]] = []
+    run: list[Op] = []
+    run_has_contraction = False
+    for op in graph.topological_ops():
+        if op.is_contraction:
+            if run:
+                groups.append(run)
+            run = [op]
+            run_has_contraction = True
+        elif op.is_reduction and run_has_contraction:
+            groups.append(run)
+            run = [op]
+            run_has_contraction = False
+        else:
+            run.append(op)
+    if run:
+        groups.append(run)
+    return groups
+
+
+def _split_at_compute_intensive(graph: DataflowGraph) -> list[list[Op]]:
+    """AStitch-style restriction: CI operators are fusion barriers."""
+    groups: list[list[Op]] = []
+    run: list[Op] = []
+    for op in graph.topological_ops():
+        if is_compute_intensive(op, graph.dims):
+            if run:
+                groups.append(run)
+                run = []
+            groups.append([op])
+        else:
+            run.append(op)
+    if run:
+        groups.append(run)
+    return groups
 
 
 class SpaceFusionCompiler:
@@ -232,7 +277,7 @@ class SpaceFusionCompiler:
         subprogram.
         """
         if any(op.is_barrier for op in sub.graph.ops):
-            sched = self._barrier_schedule(sub.graph)
+            sched = barrier_schedule(sub.graph)
             stats = CompileStats()
         else:
             sched, stats = self.compile_graph(sub.graph)
@@ -262,70 +307,62 @@ class SpaceFusionCompiler:
         if not graph.ops:
             return 0.0
         if not self.options.fuse_compute_intensive:
-            graph_parts = self._split_at_compute_intensive(graph)
-            if len(graph_parts) > 1:
-                return sum(self._compile_region(g, schedule, stats)
-                           for g in graph_parts)
+            groups = _split_at_compute_intensive(graph)
+            if len(groups) > 1:
+                return sum(self._compile_region(part, schedule, stats)
+                           for part in _cut(graph, groups, "g"))
 
         result = self._try_slice(graph, stats)
         if result.scheduled:
             best = self._tune_candidates(result.candidates, stats)
-            fused_time = best.best_time
+            best_kernels, best_time = [best.kernel], best.best_time
             # Candidate exploration (section 5.3 generalised): an overly
             # aggressive fusion of several compute-intensive operators can
             # lose to a less-fused schedule (e.g. wide-weight GEMM chains
             # whose weights every block would re-stream).  Compare against
             # the contraction-granular alternative and keep the winner —
             # this is the mechanism behind the paper fusing MLP stacks only
-            # for N,K <= 256.
+            # for N,K <= 256.  Its parts explore no further: each would
+            # offer itself as its own alternative.
             n_contractions = sum(op.is_contraction for op in graph.ops)
+            cuts = []
             if (explore_alternatives
                     and self.options.explore_partition_candidates
                     and n_contractions >= 1
                     and len(graph.ops) > n_contractions):
-                trial = ProgramSchedule(schedule.name)
-                trial_stats = CompileStats()
-                alt_time = sum(
-                    self._compile_region(part, trial, trial_stats,
-                                         explore_alternatives=False)
-                    for part in self._contraction_segments(graph))
-                stats.merge(trial_stats)
-                if alt_time < fused_time:
-                    schedule.kernels.extend(trial.kernels)
-                    return alt_time
-            schedule.add(best.kernel)
-            return fused_time
+                cuts.append(_cut(graph, _contraction_segments(graph), "c"))
+        else:
+            # Partition state (section 5.2).
+            stats.partition_rounds += 1
+            with timed_phase("partitioning", stats.add_phase,
+                             category="compile", graph=graph.name):
+                candidates = partition_round(
+                    graph, self._is_schedulable,
+                    explore_candidates=self.options.explore_partition_candidates)
+            cuts = [[g for g in (c.former, c.latter) if g is not None]
+                    for c in candidates]
+            if cuts:
+                best_kernels, best_time = [], float("inf")
+            else:
+                best_kernels = schedule_single_op_kernels(
+                    graph, self.rc, self.timing_fn, options=self.options,
+                    tuner=self.tuner)
+                best_time = sum(self.timing_fn(k, k.effective_config())
+                                for k in best_kernels)
 
-        # Partition state (section 5.2).
-        stats.partition_rounds += 1
-        with timed_phase("partitioning", stats.add_phase,
-                         category="compile", graph=graph.name):
-            candidates = partition_round(
-                graph, self._is_schedulable,
-                explore_candidates=self.options.explore_partition_candidates)
-
-        if not candidates:
-            kernels = schedule_single_op_kernels(
-                graph, self.rc, self.timing_fn, options=self.options,
-                tuner=self.tuner)
-            for k in kernels:
-                schedule.add(k)
-            return sum(self.timing_fn(k, k.effective_config())
-                       for k in kernels)
-
-        best_time = float("inf")
-        best_kernels: list[KernelSchedule] | None = None
-        for cand in candidates:
+        # One candidate loop: a cut is priced by compiling its parts and
+        # replaces the incumbent only when strictly faster, so a tie keeps
+        # the fused kernel, and among cuts the earlier one.
+        for parts in cuts:
             trial = ProgramSchedule(schedule.name)
             trial_stats = CompileStats()
-            t = self._compile_region(cand.former, trial, trial_stats)
-            if cand.latter is not None:
-                t += self._compile_region(cand.latter, trial, trial_stats)
+            t = sum(self._compile_region(
+                        part, trial, trial_stats,
+                        explore_alternatives=not result.scheduled)
+                    for part in parts)
             stats.merge(trial_stats)
             if t < best_time:
-                best_time = t
-                best_kernels = trial.kernels
-        assert best_kernels is not None
+                best_kernels, best_time = trial.kernels, t
         schedule.kernels.extend(best_kernels)
         return best_time
 
@@ -376,79 +413,8 @@ class SpaceFusionCompiler:
         return pick_best(results)
 
     # ------------------------------------------------------------------
-    # Capability restrictions and bookkeeping
+    # Bookkeeping
     # ------------------------------------------------------------------
-
-    def _contraction_segments(self, graph: DataflowGraph,
-                              ) -> list[DataflowGraph]:
-        """Split into contraction-headed epilogue runs and MI segments.
-
-        Each contraction starts a segment absorbing its element-wise
-        epilogue; a non-contraction *reduction* closes the epilogue and
-        starts a memory-intensive segment (a GEMM fused with a trailing
-        normalisation would forfeit the GEMM's output-dimension
-        parallelism, which is exactly what this alternative avoids).
-        """
-        from .partition import subgraph_from_ops
-
-        groups: list[list] = []
-        run: list = []
-        run_has_contraction = False
-        for op in graph.topological_ops():
-            if op.is_contraction:
-                if run:
-                    groups.append(run)
-                run = [op]
-                run_has_contraction = True
-            elif op.is_reduction and run_has_contraction:
-                groups.append(run)
-                run = [op]
-                run_has_contraction = False
-            else:
-                run.append(op)
-        if run:
-            groups.append(run)
-        outs = set(graph.output_tensors)
-        parts = []
-        for i, ops in enumerate(groups):
-            later_reads = {
-                t for g in groups[i + 1:] for o in g for t in o.inputs
-            }
-            parts.append(subgraph_from_ops(
-                graph, ops, f"{graph.name}.c{i}",
-                downstream_needs=later_reads | outs))
-        return parts
-
-    def _split_at_compute_intensive(self, graph: DataflowGraph,
-                                    ) -> list[DataflowGraph]:
-        """AStitch-style restriction: CI operators are fusion barriers."""
-        from ..ir.traits import is_compute_intensive
-        from .partition import subgraph_from_ops
-
-        groups: list[list] = []
-        run: list = []
-        for op in graph.topological_ops():
-            if is_compute_intensive(op, graph.dims):
-                if run:
-                    groups.append(run)
-                    run = []
-                groups.append([op])
-            else:
-                run.append(op)
-        if run:
-            groups.append(run)
-        if len(groups) <= 1:
-            return [graph]
-        outs = set(graph.output_tensors)
-        parts = []
-        for i, ops in enumerate(groups):
-            later_reads = {
-                t for g in groups[i + 1:] for o in g for t in o.inputs
-            }
-            parts.append(subgraph_from_ops(
-                graph, ops, f"{graph.name}.g{i}",
-                downstream_needs=later_reads | outs))
-        return parts
 
     def _record_pattern(self, graph: DataflowGraph,
                         kernel: KernelSchedule) -> None:
@@ -465,18 +431,18 @@ class SpaceFusionCompiler:
                 "intensity": graph_intensity(graph),
             }
 
-    def _barrier_schedule(self, graph: DataflowGraph) -> ProgramSchedule:
-        """Layout/shape subprograms run as standalone data-movement kernels."""
-        sched = ProgramSchedule(graph.name)
-        sched.meta["outputs"] = ",".join(sorted(graph.output_tensors))
-        for op in graph.ops:
-            sub = DataflowGraph(f"{graph.name}.{op.name}", dims=graph.dims)
-            for t in (*op.inputs, op.output):
-                sub.tensors.setdefault(t, graph.tensors[t])
-            sub.ops.append(op)
-            smg_like = build_barrier_kernel(sub)
-            sched.add(smg_like)
-        return sched
+
+def barrier_schedule(graph: DataflowGraph) -> ProgramSchedule:
+    """Layout/shape subprograms run as standalone data-movement kernels."""
+    sched = ProgramSchedule(graph.name)
+    sched.meta["outputs"] = ",".join(sorted(graph.output_tensors))
+    for op in graph.ops:
+        sub = DataflowGraph(f"{graph.name}.{op.name}", dims=graph.dims)
+        for t in (*op.inputs, op.output):
+            sub.tensors.setdefault(t, graph.tensors[t])
+        sub.ops.append(op)
+        sched.add(build_barrier_kernel(sub))
+    return sched
 
 
 def build_barrier_kernel(graph: DataflowGraph) -> KernelSchedule:
@@ -491,11 +457,9 @@ def build_barrier_kernel(graph: DataflowGraph) -> KernelSchedule:
     for tname, spec in graph.tensors.items():
         role = "output" if tname == op.output else "input"
         smg.spaces[tname] = DataSpace.of(tname, spec.dims, spec.dtype, role)
-    out_dims = graph.tensors[op.output].dims
-    kernel = KernelSchedule(
+    return KernelSchedule(
         name=graph.name, smg=smg,
         spatial_dims=(),
         config=ScheduleConfig.of(block=()),
         meta={"slicing": "barrier", "barrier": True},
     )
-    return kernel

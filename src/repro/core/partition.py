@@ -23,6 +23,7 @@ depending on which compute-intensive neighbour they fuse with).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..ir.graph import DataflowGraph
 from ..ir.ops import Op
@@ -53,30 +54,47 @@ def reorganize_sub_smgs(graph: DataflowGraph) -> list[SubSMG]:
     return segments
 
 
-def subgraph_from_ops(graph: DataflowGraph, ops: list[Op], name: str,
-                      downstream_needs: set[str]) -> DataflowGraph:
-    """Materialise a sub-SMG group as a standalone dataflow graph.
+def subgraphs_from_ops(graph: DataflowGraph,
+                       groups: Sequence[tuple[str, Sequence[Op]]],
+                       ) -> list[DataflowGraph]:
+    """Cut ``graph`` into standalone graphs, one per ``(name, ops)`` group.
 
-    ``downstream_needs`` lists tensors the remainder of the program (or the
-    model output) still requires; produced tensors in that set become the
-    subgraph's declared outputs — the paper's duplicated intermediate data
-    spaces at the partition boundary.
+    The groups must be disjoint.  A tensor a group produces is one of its
+    declared outputs when an op outside the group reads it, when it is an
+    output of ``graph``, or when no op inside the group reads it — the
+    paper's duplicated intermediate data spaces at a cut.
     """
-    sub = DataflowGraph(name, dims=graph.dims)
-    # Tensors and outputs go in in op order, never by iterating a set:
-    # the serialized schedule (a cache key, and bytes on disk) must not
-    # depend on the process's string-hash seed.
-    for op in ops:
-        for t in (*op.inputs, op.output):
-            sub.tensors.setdefault(t, graph.tensors[t])
-    sub.ops = list(ops)
-    consumed_inside = {t for op in ops for t in op.inputs}
-    sub.declared_outputs = [
-        op.output for op in ops
-        if op.output in downstream_needs or op.output not in consumed_inside
-    ]
-    sub.validate()
-    return sub
+    # SSA: an op is known by the one tensor it writes.
+    group_of = {op.output: i for i, (_name, ops) in enumerate(groups)
+                for op in ops}
+    # The one group whose ops alone read a tensor, or -1 when an op outside
+    # every group or two different groups read it.
+    sole_reader: dict[str, int] = {}
+    for op in graph.ops:
+        g = group_of.get(op.output, -1)
+        for t in op.inputs:
+            if sole_reader.setdefault(t, g) != g:
+                sole_reader[t] = -1
+    # An undeclared graph output has no reader, so only declared outputs
+    # need naming here.
+    graph_outputs = set(graph.declared_outputs or ())
+    subs = []
+    for i, (name, ops) in enumerate(groups):
+        sub = DataflowGraph(name, dims=graph.dims)
+        # Tensors and outputs go in in op order, never by iterating a set:
+        # the serialized schedule (a cache key, and bytes on disk) must
+        # not depend on the process's string-hash seed.
+        for op in ops:
+            for t in (*op.inputs, op.output):
+                sub.tensors.setdefault(t, graph.tensors[t])
+        sub.ops = list(ops)
+        sub.declared_outputs = [
+            op.output for op in ops
+            if sole_reader.get(op.output) != i or op.output in graph_outputs
+        ]
+        sub.validate()
+        subs.append(sub)
+    return subs
 
 
 @dataclass
@@ -84,23 +102,7 @@ class PartitionCandidate:
     """One (Gf, Gl) split produced by a partition round."""
 
     former: DataflowGraph
-    latter: DataflowGraph | None  # None when Gl would be empty
-
-
-def _split(graph: DataflowGraph, segments: list[SubSMG], cut: int,
-           global_needs: set[str]) -> PartitionCandidate:
-    former_ops = [op for seg in segments[:cut] for op in seg.ops]
-    latter_ops = [op for seg in segments[cut:] for op in seg.ops]
-    latter_reads = {t for op in latter_ops for t in op.inputs}
-    former = subgraph_from_ops(
-        graph, former_ops, f"{graph.name}.f",
-        downstream_needs=latter_reads | global_needs)
-    latter = None
-    if latter_ops:
-        latter = subgraph_from_ops(
-            graph, latter_ops, f"{graph.name}.l",
-            downstream_needs=global_needs)
-    return PartitionCandidate(former, latter)
+    latter: DataflowGraph | None = None  # None when Gl would be empty
 
 
 def partition_round(graph: DataflowGraph, is_schedulable,
@@ -120,17 +122,24 @@ def partition_round(graph: DataflowGraph, is_schedulable,
         unschedulable (the caller then falls back to per-operator kernels).
     """
     segments = reorganize_sub_smgs(graph)
-    global_needs = set(graph.output_tensors)
-    candidates: list[PartitionCandidate] = []
 
+    def split(cut: int) -> PartitionCandidate:
+        former = [op for seg in segments[:cut] for op in seg.ops]
+        latter = [op for seg in segments[cut:] for op in seg.ops]
+        groups = [(f"{graph.name}.f", former)]
+        if latter:
+            groups.append((f"{graph.name}.l", latter))
+        return PartitionCandidate(*subgraphs_from_ops(graph, groups))
+
+    candidates: list[PartitionCandidate] = []
     for cut in range(len(segments), 0, -1):
-        cand = _split(graph, segments, cut, global_needs)
+        cand = split(cut)
         if is_schedulable(cand.former):
             candidates.append(cand)
             # Section 5.3: speculatively peel one more trailing non-A2O
             # sub-SMG from the schedulable former side.
             if explore_candidates and cut > 1 and segments[cut - 1].kind == "nonA2O":
-                extra = _split(graph, segments, cut - 1, global_needs)
+                extra = split(cut - 1)
                 if is_schedulable(extra.former):
                     candidates.append(extra)
             break

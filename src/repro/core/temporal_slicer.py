@@ -187,19 +187,3 @@ def plan_temporal_slice(smg: SMG, dim: str) -> AggregationPlan:
         pass2_op_names=pass2_names,
         rewritten=rewritten,
     )
-
-
-def try_plan_best_temporal_slice(smg: SMG, excluded: set[str],
-                                 ) -> AggregationPlan | None:
-    """Attempt temporal slicing on candidate dims in priority order.
-
-    Returns the first plan that synthesises, or None when no dimension is
-    temporally sliceable (Algorithm 1 then reports the spatial-only
-    schedule, or a failure if that also did not apply).
-    """
-    for dim in temporal_dim_candidates(smg, excluded):
-        try:
-            return plan_temporal_slice(smg, dim)
-        except TemporalSliceError:
-            continue
-    return None

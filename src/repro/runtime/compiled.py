@@ -41,6 +41,7 @@ sizes)**; lowering, cache hits/misses, and execution are all visible as
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import threading
 import time
@@ -90,10 +91,16 @@ def outputs_finite(env: dict, tensors) -> bool:
 
 
 def schedule_fingerprint(program: ProgramSchedule) -> str:
-    """Content hash of a program schedule (graphs, plans, configs)."""
-    from ..core.serialize import schedule_to_json
+    """Content hash of a program schedule (graphs, plans, configs).
 
-    return hashlib.sha256(schedule_to_json(program).encode()).hexdigest()[:24]
+    The key lives only in memory, so it hashes compact JSON, which the C
+    encoder writes; the indented disk form would take the pure-Python one.
+    """
+    from ..core.serialize import schedule_to_dict
+
+    payload = json.dumps(schedule_to_dict(program), sort_keys=True,
+                         separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
 def plan_key(program: ProgramSchedule, dtype=np.float64,

@@ -243,18 +243,6 @@ def differential_test(graph: DataflowGraph, gpu, *, seed: int = 0,
     return result
 
 
-def differential_test_model(program, gpu, *, seed: int = 0,
-                            dtype=np.float64,
-                            tol: float | None = None) -> list[OracleResult]:
-    """Differential-test every unique subprogram of a model program."""
-    results = []
-    for i, sub in enumerate(program.subprograms):
-        res = differential_test(sub.graph, gpu, seed=seed + i, dtype=dtype,
-                                tol=tol)
-        results.append(res)
-    return results
-
-
 # ----------------------------------------------------------------------
 # Shrinking: minimal failing reproducers for fuzz findings
 # ----------------------------------------------------------------------

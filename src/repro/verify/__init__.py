@@ -29,7 +29,6 @@ from ..runtime.oracle import (
     EngineRun,
     OracleResult,
     differential_test,
-    differential_test_model,
     load_reproducer,
     nan_safe_max_abs_err,
     save_reproducer,
@@ -52,7 +51,6 @@ __all__ = [
     "EngineRun",
     "OracleResult",
     "differential_test",
-    "differential_test_model",
     "graph_from_dict",
     "graph_to_dict",
     "load_reproducer",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.compiler import FusionOptions
+from repro.core.compiler import FusionOptions, SpaceFusionCompiler
 from repro.hw import AMPERE
 from repro.ir import GraphBuilder, program_from_graph
 from repro.models import layernorm_graph, mha_graph, mlp_graph
@@ -31,6 +31,17 @@ class TestCompileGraph:
         graph = mlp_graph(2, 512, 4096, 11008)
         sched, _ = compile_for(graph, AMPERE)
         assert sched.num_kernels >= 2
+
+    def test_a_tie_keeps_the_fused_kernel(self):
+        """A cut replaces the incumbent only when strictly faster: with
+        every kernel timed at zero, the contraction split ties the fused
+        kernel and loses."""
+        graph = mlp_graph(2, 512, 256, 256)
+        compiler = SpaceFusionCompiler(AMPERE.resource_config(),
+                                       lambda kernel, cfg: 0.0)
+        sched, _ = compiler.compile_graph(graph)
+        assert sched.num_kernels == 1
+        assert len(sched.kernels[0].exec_graph.ops) == len(graph.ops)
 
     def test_all_kernels_configured(self, small_mha):
         sched, _ = compile_for(small_mha, AMPERE)

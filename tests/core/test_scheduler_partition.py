@@ -10,7 +10,7 @@ from repro.core.builder import build_smg
 from repro.core.partition import (
     partition_round,
     reorganize_sub_smgs,
-    subgraph_from_ops,
+    subgraphs_from_ops,
 )
 from repro.core.resources import ResourceConfig
 from repro.core.scheduler import SlicingOptions, resource_aware_slicing
@@ -106,13 +106,36 @@ class TestSubSMGReorganization:
 
     def test_subgraph_from_ops_declares_crossing_tensors(self, small_mha):
         ops = small_mha.topological_ops()[:2]  # GEMM1 + reduce_max
-        later = {t for op in small_mha.topological_ops()[2:]
-                 for t in op.inputs}
-        sub = subgraph_from_ops(small_mha, ops, "front",
-                                downstream_needs=later)
+        sub, = subgraphs_from_ops(small_mha, [("front", ops)])
         # QK is consumed by later ops, so it must be a declared output even
         # though it is consumed inside the front graph too.
         assert "QK" in sub.output_tensors
+
+    def test_a_group_that_is_not_contiguous_declares_what_leaves_it(self):
+        # A -> B -> C (C also reads A) with the group {A, C}: C reads A's
+        # output inside the group, but B sits outside it and reads it too,
+        # so A's output crosses the cut although no later op reads it.
+        b = GraphBuilder("g")
+        x = b.input("X", [("m", 16)])
+        a = b.unary("exp", x)
+        bb = b.unary("neg", a)
+        b.binary("add", bb, a, out_name="Y")
+        graph = b.build()
+        op_a, op_b, op_c = graph.topological_ops()
+        sub, = subgraphs_from_ops(graph, [("g.ac", [op_a, op_c])])
+        assert sub.declared_outputs == [a.name, "Y"]
+        # The same group cut together with B's: both still see B's read.
+        ac, bsub = subgraphs_from_ops(
+            graph, [("g.ac", [op_a, op_c]), ("g.b", [op_b])])
+        assert ac.declared_outputs == [a.name, "Y"]
+        assert bsub.declared_outputs == [bb.name]
+        # A tensor read only inside its own group does not cross, unless
+        # the graph declares it as an output.
+        whole, = subgraphs_from_ops(graph, [("g", [op_a, op_b, op_c])])
+        assert whole.declared_outputs == ["Y"]
+        graph.declared_outputs = [a.name, "Y"]
+        whole, = subgraphs_from_ops(graph, [("g", [op_a, op_b, op_c])])
+        assert whole.declared_outputs == [a.name, "Y"]
 
 
 class TestAlgorithm2:
@@ -181,7 +204,7 @@ class TestAlgorithm2:
 
 class TestHashSeedIndependence:
     """The serialized schedule is a cache key and bytes on disk: it must
-    not depend on ``PYTHONHASHSEED`` (``subgraph_from_ops`` used to fill
+    not depend on ``PYTHONHASHSEED`` (``subgraphs_from_ops`` used to fill
     tensors and declared outputs by iterating sets)."""
 
     def test_subgraph_tensor_and_output_order_follow_the_ops(self):
@@ -192,8 +215,7 @@ class TestHashSeedIndependence:
         b.binary("div", e, s, out_name="Y")
         graph = b.build()
         ops = graph.topological_ops()[:2]
-        sub = subgraph_from_ops(graph, ops, "g.f",
-                                downstream_needs={e.name, s.name})
+        sub, = subgraphs_from_ops(graph, [("g.f", ops)])
         assert list(sub.tensors) == ["X", e.name, s.name]
         assert sub.declared_outputs == [e.name, s.name]
 

@@ -8,8 +8,9 @@ from repro.core.temporal_slicer import (
     TemporalSliceError,
     plan_temporal_slice,
     temporal_dim_candidates,
-    try_plan_best_temporal_slice,
 )
+from repro.core.scheduler import resource_aware_slicing
+from repro.hw import AMPERE
 from repro.ir import GraphBuilder
 
 
@@ -136,8 +137,12 @@ class TestTemporalPlans:
             plan_temporal_slice(build_smg(small_mha), "zz")
 
     def test_try_best_falls_back(self, small_mha):
-        plan = try_plan_best_temporal_slice(build_smg(small_mha), {"m"})
-        assert plan is not None and plan.dim == "l"
+        # With m sliced spatially, Algorithm 1 temporally slices l.
+        result = resource_aware_slicing(build_smg(small_mha),
+                                        AMPERE.resource_config())
+        plans = [k.plan for k in result.candidates if k.plan is not None]
+        assert all(k.spatial_dims == ("m",) for k in result.candidates)
+        assert len(plans) == 1 and plans[0].dim == "l"
 
     def test_tile_ops_are_stage_ancestors(self, small_mha):
         plan = plan_temporal_slice(build_smg(small_mha), "l")
@@ -173,4 +178,9 @@ class TestUnsliceableChains:
         t = b.unary("tanh", c)
         b.reduce("sum", t, dim="n", out_name="S")
         smg = build_smg(b.build())
-        assert try_plan_best_temporal_slice(smg, {"m"}) is None
+        # m is sliced spatially; n, the only temporal candidate, does not
+        # synthesise, so only the spatial schedule remains.
+        assert temporal_dim_candidates(smg, {"m"}) == ["n"]
+        result = resource_aware_slicing(smg, AMPERE.resource_config())
+        assert [k.spatial_dims for k in result.candidates] == [("m",)]
+        assert all(k.plan is None for k in result.candidates)

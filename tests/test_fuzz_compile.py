@@ -12,7 +12,8 @@ Three generator axes go beyond the barrier-free 2-D (m, n) base space:
 * an optional third (batch) dimension;
 * reshape/transpose layout barriers (compiled via program partitioning);
 * float32 execution through the differential oracle, exercising the
-  compiled engine's non-float64 interpreter fallback for temporal kernels.
+  compiled engine's loop nests for temporal kernels below float64 (there
+  is no interpreter fallback: every kernel lowers at every dtype).
 
 Oracle-based tests shrink any failing graph to a minimal reproducer and
 save it under ``$REPRO_ARTIFACT_DIR`` for CI to upload.
