@@ -72,7 +72,7 @@ class FusionOptions:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class CompileStats:
     """Accounting for the compilation-time analysis (Tables 4/5)."""
 
@@ -115,6 +115,10 @@ class CompiledModel:
     name: str
     subprograms: list[CompiledSubprogram]
     stats: CompileStats
+    #: ``{(GPUSpec, cuda_graphs): PerfCounters}`` that ``simulate_model``
+    #: keeps for every read of one stored model entry (None: keeps none).
+    costed: dict | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def expanded_schedule(self) -> ProgramSchedule:
         """Full execution order with repeated subprograms unrolled."""

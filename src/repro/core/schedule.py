@@ -144,6 +144,13 @@ class ProgramSchedule:
     name: str
     kernels: list[KernelSchedule] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    #: ``{(GPUSpec, cuda_graphs): PerfCounters}`` of a schedule published
+    #: like :attr:`KernelSchedule.characterised`, filled by ``program_cost``.
+    costed: dict | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "costed": None}
 
     def add(self, kernel: KernelSchedule) -> KernelSchedule:
         self.kernels.append(kernel)

@@ -58,14 +58,31 @@ def graph_to_dict(graph: DataflowGraph) -> dict:
                 "iter_dims": list(op.iter_dims),
                 "reduce_dims": list(op.reduce_dims),
                 "reduce_kind": op.reduce_kind,
-                "attrs": {k: v for k, v in op.attrs.items()
-                          if isinstance(v, (int, float, str, bool, list,
-                                            tuple)) or v is None},
+                "attrs": _plain_attrs(op),
             }
             for op in graph.ops
         ],
         "declared_outputs": graph.declared_outputs,
     }
+
+
+def _plain_attrs(op: Op) -> dict:
+    """The attrs a stored graph keeps: plain values only."""
+    return {k: v for k, v in op.attrs.items()
+            if isinstance(v, (int, float, str, bool, list, tuple)) or v is None}
+
+
+def graph_key_text(graph: DataflowGraph) -> str:
+    """What the store keys hash: all :func:`graph_to_dict` encodes, in
+    one walk over the frozen tensor and op fields, attrs sorted."""
+    return repr((
+        graph.name, graph.dims.items(),
+        [(t.name, t.dims, t.dtype, t.is_weight)
+         for t in graph.tensors.values()],
+        [(op.name, op.kind, op.inputs, op.output, op.input_axes,
+          op.output_axes, op.iter_dims, op.reduce_dims, op.reduce_kind,
+          sorted(_plain_attrs(op).items())) for op in graph.ops],
+        graph.declared_outputs))
 
 
 def graph_from_dict(data: dict) -> DataflowGraph:
@@ -250,6 +267,7 @@ def shared_schedule(key, decode: Callable[[], ProgramSchedule] | None = None,
     if found is not None or decode is None:
         return found
     schedule = decode()
+    schedule.costed = {}
     for kernel in schedule.kernels:
         kernel.characterised = {}
     return _SHARED.setdefault(key, schedule)
@@ -263,8 +281,7 @@ def shared_schedule(key, decode: Callable[[], ProgramSchedule] | None = None,
 def cache_key(graph: DataflowGraph, gpu_name: str,
               options_repr: str = "") -> str:
     """Content hash identifying one (graph, GPU, options) compile."""
-    return text_digest(json.dumps(graph_to_dict(graph), sort_keys=True)
-                       + gpu_name + options_repr)[:24]
+    return text_digest(graph_key_text(graph) + gpu_name + options_repr)[:24]
 
 
 class ScheduleCache:

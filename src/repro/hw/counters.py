@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(slots=True)
 class PerfCounters:
     """Aggregate performance counters for one simulated execution."""
 
@@ -54,32 +54,21 @@ class PerfCounters:
             if self.l1_fill_bytes else 0.0
 
     def add(self, other: "PerfCounters") -> "PerfCounters":
-        self.time_s += other.time_s
-        self.kernel_launches += other.kernel_launches
-        self.dram_bytes += other.dram_bytes
-        self.l1_fill_bytes += other.l1_fill_bytes
-        self.l1_hit_bytes += other.l1_hit_bytes
-        self.l2_hit_bytes += other.l2_hit_bytes
-        self.flops_tensor += other.flops_tensor
-        self.flops_simt += other.flops_simt
+        for name in _SUMMED:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
     def scaled(self, factor: int) -> "PerfCounters":
         """Counters for ``factor`` repetitions (repeated subprograms)."""
-        return PerfCounters(
-            time_s=self.time_s * factor,
-            kernel_launches=self.kernel_launches * factor,
-            dram_bytes=self.dram_bytes * factor,
-            l1_fill_bytes=self.l1_fill_bytes * factor,
-            l1_hit_bytes=self.l1_hit_bytes * factor,
-            l2_hit_bytes=self.l2_hit_bytes * factor,
-            flops_tensor=self.flops_tensor * factor,
-            flops_simt=self.flops_simt * factor,
-            line_bytes=self.line_bytes,
-        )
+        return PerfCounters(*(getattr(self, name) * factor
+                              for name in _SUMMED), self.line_bytes)
 
     def summary(self) -> str:
         return (f"time={self.time_s*1e3:.3f}ms launches={self.kernel_launches} "
                 f"dram={self.dram_bytes/1e6:.2f}MB "
                 f"l1_miss={self.l1_miss_count} l2_miss={self.l2_miss_count} "
                 f"l1_hit={self.l1_hit_rate:.0%} l2_hit={self.l2_hit_rate:.0%}")
+
+
+#: Every field but ``line_bytes``, in declaration order: what adds up.
+_SUMMED = PerfCounters.__slots__[:-1]

@@ -34,6 +34,7 @@ agreement with the event-driven simulator on every preset
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -259,8 +260,8 @@ class DeviceSimulator:
             if shared is None:
                 terms = self._terms(KernelTrafficPlan(kernel))
             elif (terms := shared.get(self.spec)) is None:
-                # One plan per kernel, whichever GPU planned it first.  A
-                # race between threads builds equal terms twice; one stays.
+                # One plan per kernel: the first entry's (a kept time comes
+                # after its GPU's terms).  Racing threads build equal terms.
                 known = list(shared.values())
                 terms = shared[self.spec] = self._terms(
                     known[0][0] if known else KernelTrafficPlan(kernel))
@@ -456,6 +457,24 @@ class DeviceSimulator:
             l1_hit_bytes, l2_access_bytes, read_l2_access, read_dram,
             compute_time, memory_time, bps, hide, eff)
 
+    def kernel_counters(self, kernel: KernelSchedule, l2: L2State | None,
+                        launch_overhead: float | None) -> PerfCounters:
+        """What :meth:`program_cost` keeps of :meth:`kernel_cost`."""
+        if kernel.meta.get("barrier"):
+            return self._barrier_cost(kernel, l2, launch_overhead)[0]
+        return self._counters(
+            kernel, self._evaluate(kernel, None, l2, launch_overhead))
+
+    def _counters(self, kernel: KernelSchedule,
+                  n: KernelNumbers) -> PerfCounters:
+        _, _, ftc, fsimt, _, _ = self._plan(kernel)
+        l1_fill = n.load_bytes + n.store_bytes - n.l1_hit_bytes
+        return PerfCounters(
+            time_s=n.time_s, kernel_launches=1, dram_bytes=n.dram_bytes,
+            l1_fill_bytes=l1_fill, l1_hit_bytes=n.l1_hit_bytes,
+            l2_hit_bytes=max(0, l1_fill - n.dram_bytes), flops_tensor=ftc,
+            flops_simt=fsimt, line_bytes=self.spec.line_bytes)
+
     def kernel_cost(self, kernel: KernelSchedule,
                     config: ScheduleConfig | None = None,
                     l2: L2State | None = None,
@@ -464,20 +483,13 @@ class DeviceSimulator:
         if kernel.meta.get("barrier"):
             return self._barrier_cost(kernel, l2, launch_overhead)
         n = self._evaluate(kernel, config, l2, launch_overhead)
-        _, plan, ftc, fsimt, _, _ = self._plan(kernel)
-        l1_fill = n.load_bytes + n.store_bytes - n.l1_hit_bytes
-        l2_hit_bytes = max(0, l1_fill - n.dram_bytes)
-        counters = PerfCounters(
-            time_s=n.time_s, kernel_launches=1, dram_bytes=n.dram_bytes,
-            l1_fill_bytes=l1_fill, l1_hit_bytes=n.l1_hit_bytes,
-            l2_hit_bytes=l2_hit_bytes, flops_tensor=ftc, flops_simt=fsimt,
-            line_bytes=self.spec.line_bytes)
+        counters = self._counters(kernel, n)
         breakdown = KernelCostBreakdown(
             grid=n.grid, load_bytes=n.load_bytes, store_bytes=n.store_bytes,
-            dram_bytes=n.dram_bytes, flops_tensor=ftc, flops_simt=fsimt,
-            compute_time=n.compute_time, memory_time=n.memory_time,
-            time_s=n.time_s, l1_hit_bytes=n.l1_hit_bytes,
-            l2_hit_bytes=l2_hit_bytes,
+            dram_bytes=n.dram_bytes, flops_tensor=counters.flops_tensor,
+            flops_simt=counters.flops_simt, compute_time=n.compute_time,
+            memory_time=n.memory_time, time_s=n.time_s,
+            l1_hit_bytes=n.l1_hit_bytes, l2_hit_bytes=counters.l2_hit_bytes,
             l1_hit_rate=(n.l1_hit_bytes / n.load_bytes
                          if n.load_bytes else 0.0),
             l2_hit_rate=(1.0 - n.dram_bytes / n.l2_access_bytes
@@ -487,7 +499,7 @@ class DeviceSimulator:
             traffic=[TensorTraffic(row.tensor, row.full_bytes, pass_bytes,
                                    block_bytes, row.passes, dup)
                      for row, (pass_bytes, block_bytes, dup)
-                     in zip(plan.inputs, n.rows)],
+                     in zip(self._plan(kernel)[1].inputs, n.rows)],
         )
         return counters, breakdown
 
@@ -535,10 +547,17 @@ class DeviceSimulator:
         arithmetic as :meth:`kernel_cost`, no result objects built.  The
         first call for a kernel prices one configuration; from the second
         on (its campaign is under way) the answer is looked up in a time
-        vector priced once over the kernel's whole search space."""
+        vector priced once over the kernel's whole search space.  A shared
+        kernel keeps its time at its own config (a confirmation) per GPU."""
         meta = kernel.meta
         if meta.get("barrier"):
             return self._barrier_cost(kernel, None, None)[0].time_s
+        shared = kernel.characterised
+        if shared is not None and config == kernel.config:
+            if (t := shared.get((self.spec, config))) is None:
+                t = shared[self.spec, config] = self._evaluate(
+                    kernel, config, None, None).time_s
+            return t
         factors = (meta.get("efficiency", 1.0),
                    meta.get("output_spill_factor", 1.0))
         memo = self._last_times
@@ -580,9 +599,12 @@ class DeviceSimulator:
     def program_cost(self, program: ProgramSchedule,
                      cuda_graphs: bool | None = None) -> PerfCounters:
         """Cost of running every kernel in order with L2 residency carried
-        across kernels."""
+        across kernels; a shared schedule keeps it (a hit is a copy)."""
         if cuda_graphs is None:
             cuda_graphs = bool(program.meta.get("cuda_graphs", False))
+        memo, key = program.costed, (self.spec, cuda_graphs)
+        if memo is not None and (hit := memo.get(key)) is not None:
+            return copy.copy(hit)
         overhead = (self.spec.graph_launch_overhead if cuda_graphs
                     else self.spec.kernel_launch_overhead)
         # Eager frameworks add CPU-side dispatch cost on top of the raw
@@ -592,7 +614,7 @@ class DeviceSimulator:
         l2 = L2State(self.spec.l2_capacity)
         total = PerfCounters(line_bytes=self.spec.line_bytes)
         for kernel in program.kernels:
-            counters, _ = self.kernel_cost(kernel, l2=l2,
-                                           launch_overhead=overhead)
-            total.add(counters)
+            total.add(self.kernel_counters(kernel, l2, overhead))
+        if memo is not None:
+            memo[key] = copy.copy(total)
         return total

@@ -12,6 +12,8 @@ examples and benchmarks::
 
 from __future__ import annotations
 
+import copy
+
 from .core.compiler import (
     CompiledModel,
     CompileStats,
@@ -88,10 +90,16 @@ def simulate(schedule: ProgramSchedule, gpu: GPUSpec,
 
 def simulate_model(model: CompiledModel, gpu: GPUSpec,
                    cuda_graphs: bool | None = None) -> PerfCounters:
-    """Model a compiled model end to end (subprograms scaled by occurrence)."""
+    """Model a compiled model end to end (subprograms scaled by occurrence);
+    a stored model keeps its totals, and a hit is a copy."""
+    memo, key = model.costed, (gpu, cuda_graphs)
+    if memo is not None and (hit := memo.get(key)) is not None:
+        return copy.copy(hit)
     sim = DeviceSimulator(gpu)
     total = PerfCounters(line_bytes=gpu.line_bytes)
     for sub in model.subprograms:
         counters = sim.program_cost(sub.schedule, cuda_graphs=cuda_graphs)
         total.add(counters.scaled(sub.occurrences))
+    if memo is not None:
+        memo[key] = copy.copy(total)
     return total

@@ -13,7 +13,7 @@ which is what a production counter library would also do per sample.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Histogram bucket upper bounds in seconds (last bucket is +inf).
 LATENCY_BUCKETS_S = (
@@ -22,25 +22,28 @@ LATENCY_BUCKETS_S = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Histogram:
     """Fixed-bucket histogram with sum/count (Prometheus-style)."""
 
     buckets: tuple[float, ...] = LATENCY_BUCKETS_S
-    counts: list[int] = field(default_factory=list)
+    #: One count per bucket plus the overflow; ``()`` until the first
+    #: sample, so a registry's unused histograms hold no list.
+    counts: list[int] | tuple = ()
     total: float = 0.0
     samples: int = 0
     max_seen: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _filled(self) -> list[int]:
         if not self.counts:
             self.counts = [0] * (len(self.buckets) + 1)
+        return self.counts
 
     def observe(self, value: float) -> None:
         i = 0
         while i < len(self.buckets) and value > self.buckets[i]:
             i += 1
-        self.counts[i] += 1
+        self._filled()[i] += 1
         self.total += value
         self.samples += 1
         self.max_seen = max(self.max_seen, value)
@@ -64,8 +67,9 @@ class Histogram:
 
     def merge(self, other: "Histogram") -> None:
         assert self.buckets == other.buckets
+        counts = self._filled()
         for i, c in enumerate(other.counts):
-            self.counts[i] += c
+            counts[i] += c
         self.total += other.total
         self.samples += other.samples
         self.max_seen = max(self.max_seen, other.max_seen)
@@ -255,11 +259,12 @@ class ServeMetrics:
                 metric = f"{prefix}_{sanitize(name)}"
                 lines.append(f"# TYPE {metric} histogram")
                 cumulative = 0
-                for bound, count in zip(hist.buckets, hist.counts):
+                counts = hist._filled()
+                for bound, count in zip(hist.buckets, counts):
                     cumulative += count
                     lines.append(
                         f'{metric}_bucket{{le="{bound:g}"}} {cumulative}')
-                cumulative += hist.counts[-1]
+                cumulative += counts[-1]
                 lines.append(f'{metric}_bucket{{le="+Inf"}} {cumulative}')
                 lines.append(f"{metric}_sum {hist.total:g}")
                 lines.append(f"{metric}_count {hist.samples}")

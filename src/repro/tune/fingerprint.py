@@ -27,6 +27,7 @@ The digest is sha256 truncated to 24 hex chars, matching the
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 
@@ -35,12 +36,13 @@ from ..core.serialize import _config_to_dict, graph_to_dict
 from ..hw.specs import GPUSpec
 
 
+@functools.lru_cache(maxsize=64)
 def gpu_fingerprint(gpu: GPUSpec) -> str:
     """Stable identity string for a device model.
 
     Built from every dataclass field, not just the name, so edited or
     hypothetical specs (the what-if sweeps in the experiments CLI) never
-    alias a preset's entries.
+    alias a preset's entries.  Computed once per spec.
     """
     fields = {f.name: getattr(gpu, f.name)
               for f in dataclasses.fields(gpu)}

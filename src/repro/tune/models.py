@@ -16,7 +16,7 @@ import json
 from ..core.compiler import CompiledModel, CompiledSubprogram, CompileStats
 from ..core.serialize import (
     SerializeError,
-    graph_to_dict,
+    graph_key_text,
     schedule_from_dict,
     schedule_to_dict,
     shared_schedule,
@@ -32,12 +32,12 @@ MODEL_FORMAT_VERSION = 1
 
 
 def model_key(program: TensorProgram, gpu_key: str, options) -> str:
-    # Whole graphs, names included: Subprogram.signature() omits names
-    # and wiring.
-    return text_digest(json.dumps(
-        [MODEL_FORMAT_VERSION, gpu_key, repr(options),
-         [[graph_to_dict(sub.graph), sub.occurrences]
-          for sub in program.unique_subprograms()]], sort_keys=True))[:24]
+    # Whole graphs with names (Subprogram.signature() omits names and
+    # wiring), as listed: finer than the compile's dedup, still exact.
+    return text_digest(repr(
+        (MODEL_FORMAT_VERSION, gpu_key, repr(options),
+         [(graph_key_text(sub.graph), sub.occurrences)
+          for sub in program.subprograms])))[:24]
 
 
 #: ``text digest -> ([(occurrences, kernels, stored times), ...], stored
@@ -46,9 +46,10 @@ def model_key(program: TensorProgram, gpu_key: str, options) -> str:
 _HEADERS = LRU(64)
 
 
-def _decode(text: str) -> tuple[list, float]:
-    """``([(subprogram, stored kernel times), ...], stored campaign wall)``;
-    the schedules are the ones every reader of these bytes shares."""
+def _decode(text: str) -> tuple[list, float, dict]:
+    """``([(subprogram, stored kernel times), ...], stored campaign wall,
+    the model's kept totals)``; the schedules and the totals are the ones
+    every reader of these bytes shares."""
     digest = text_digest(text)
     header = _HEADERS.get(digest)
     schedules = [] if header is None else [
@@ -57,7 +58,7 @@ def _decode(text: str) -> tuple[list, float]:
         payload = json.loads(text)
         header = ([(e["occurrences"], e["kernels"], e["times"])
                    for e in payload["subprograms"]],
-                  float(payload["tuning_wall_time"]))
+                  float(payload["tuning_wall_time"]), {})
         schedules = [shared_schedule(
             (digest, i), lambda e=e: schedule_from_dict(e["schedule"]))
             for i, e in enumerate(payload["subprograms"])]
@@ -68,7 +69,7 @@ def _decode(text: str) -> tuple[list, float]:
     return [(CompiledSubprogram(schedule, CompileStats(kernels=kernels),
                                 occurrences), times)
             for schedule, (occurrences, kernels, times)
-            in zip(schedules, header[0])], header[1]
+            in zip(schedules, header[0])], *header[1:]
 
 
 def compile_model_stored(compiler, program: TensorProgram) -> CompiledModel:
@@ -85,7 +86,7 @@ def compile_model_stored(compiler, program: TensorProgram) -> CompiledModel:
             tuner.db._count_disk_error()
         if decoded is None:
             return None
-        pairs, stored_wall = decoded
+        pairs, stored_wall, model_costed = decoded
         model = CompiledModel(program.name, [], CompileStats())
         for sub, times in pairs:
             for kernel, stored in zip(sub.schedule.kernels, times):
@@ -104,6 +105,7 @@ def compile_model_stored(compiler, program: TensorProgram) -> CompiledModel:
                 sub.stats.tuning_wall_time += t
             model.subprograms.append(sub)
             model.stats.merge(sub.stats)
+        model.costed = model_costed
         confirmed, confirm_s = (model.stats.configs_evaluated,
                                 model.stats.tuning_wall_time)
         tuner._inc("tunedb.hits", confirmed)

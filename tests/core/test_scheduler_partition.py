@@ -178,11 +178,20 @@ class TestAlgorithm2:
         assert len(candidates[0].former.ops) == len(small_mha.ops)
 
     def test_explore_candidates_adds_second_split(self, small_mha):
-        # Accept everything: the 5.3 exploration peels the trailing
-        # non-A2O sub-SMG (div) into a second candidate.
-        candidates = partition_round(small_mha, lambda g: True,
-                                     explore_candidates=True)
-        assert len(candidates) >= 1
+        # One matmul per side: the first schedulable former ends at the
+        # softmax's div, and the 5.3 exploration peels that trailing
+        # non-A2O sub-SMG into a second, one-deeper candidate.
+        def one_matmul(g):
+            return sum(op.kind == "matmul" for op in g.ops) <= 1
+
+        first, deeper = partition_round(small_mha, one_matmul,
+                                        explore_candidates=True)
+        kinds = [op.kind for op in first.former.ops]
+        assert kinds[-1] == "div"
+        assert [op.kind for op in deeper.former.ops] == kinds[:-1]
+        assert [op.kind for op in deeper.latter.ops] == ["div", "matmul"]
+        assert len(partition_round(small_mha, one_matmul,
+                                   explore_candidates=False)) == 1
 
     def test_unschedulable_everything_returns_empty(self, small_mha):
         assert partition_round(small_mha, lambda g: False) == []

@@ -63,17 +63,32 @@ def audited(request):
     gpu = request.param
     oracle = OracleSimulator(gpu)
     real_cost = DeviceSimulator.kernel_cost
+    real_counters = DeviceSimulator.kernel_counters
     real_time = DeviceSimulator.kernel_time
-    seen = {"kernel_time": 0, "kernel_cost": 0, "carried_l2": 0,
-            "resident_reads": 0, "overheads": set(), "slicings": set()}
+    seen = {"kernel_time": 0, "kernel_cost": 0, "kernel_counters": 0,
+            "carried_l2": 0, "resident_reads": 0, "overheads": set(),
+            "slicings": set()}
 
     def kernel_cost(self, kernel, config=None, l2=None,
                     launch_overhead=None):
         assert self.spec is gpu
-        held = len(l2._resident) if l2 is not None else 0
-        got = _assert_same_cost(self, oracle, kernel, config, l2,
-                                launch_overhead, real=real_cost)
         seen["kernel_cost"] += 1
+        return _assert_same_cost(self, oracle, kernel, config, l2,
+                                 launch_overhead, real=real_cost)
+
+    def kernel_counters(self, kernel, l2, launch_overhead):
+        """program_cost's per-kernel call: the oracle's counters, and the
+        same carried L2 state after it."""
+        assert self.spec is gpu
+        held = len(l2._resident) if l2 is not None else 0
+        shadow = copy.deepcopy(l2)
+        got = real_counters(self, kernel, l2, launch_overhead)
+        assert got == oracle.kernel_cost(kernel, None, shadow,
+                                         launch_overhead)[0], kernel.name
+        if l2 is not None:
+            assert list(l2._resident.items()) == \
+                list(shadow._resident.items())
+        seen["kernel_counters"] += 1
         seen["carried_l2"] += l2 is not None
         seen["resident_reads"] += bool(held) and any(
             l2.is_resident(t) for t in kernel.exec_graph.input_tensors)
@@ -89,6 +104,7 @@ def audited(request):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(DeviceSimulator, "kernel_cost", kernel_cost)
+        patch.setattr(DeviceSimulator, "kernel_counters", kernel_counters)
         patch.setattr(DeviceSimulator, "kernel_time", kernel_time)
         for program in zoo_programs():
             simulate_model(compile_model_for(program, gpu), gpu)
@@ -103,7 +119,8 @@ class TestEveryCostCallEqualsTheOracle:
     def test_while_compiling_and_simulating_the_zoo(self, audited):
         # The asserts ran inside the fixture; this pins what they covered.
         assert audited["kernel_time"] > 8_000
-        assert audited["kernel_cost"] > audited["kernel_time"]
+        assert audited["kernel_cost"] >= audited["kernel_time"]
+        assert audited["kernel_counters"] > 150
         # program_cost: carried L2 state (with producer outputs actually
         # found resident) and both launch-overhead regimes.
         assert audited["carried_l2"] > 150

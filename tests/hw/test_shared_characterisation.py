@@ -2,17 +2,21 @@
 
 The kernels of a shared, read-only schedule
 (:func:`repro.core.serialize.shared_schedule`) keep their
-``KernelTrafficPlan``, its ``BlockFootprint`` and each GPU's terms for as
-long as the schedule lives, so every later simulator reuses them; a kernel
-of a compile in progress keeps nothing.  A model entry whose bytes did not
-change is not parsed again while its schedules are shared.  Totals stay
-bitwise those of a freshly decoded copy.
+``KernelTrafficPlan``, its ``BlockFootprint``, each GPU's terms and each
+GPU's time at the kernel's own config for as long as the schedule lives,
+and the schedule keeps its program cost per GPU and launch mode, so every
+later simulator reuses them; a kernel or schedule of a compile in progress
+keeps nothing.  A model entry whose bytes did not change is not parsed
+again while its schedules are shared.  Totals, confirmation times and
+compile stats stay bitwise those of a freshly decoded copy.
 """
 
 import copy
 import dataclasses
 import gc
 import json
+import pickle
+import shutil
 import sys
 import threading
 import weakref
@@ -27,6 +31,7 @@ from repro.core.serialize import (
     schedule_to_json,
 )
 from repro.hw import AMPERE, VOLTA
+from repro.hw import simulator
 from repro.hw.simulator import DeviceSimulator
 from repro.models import build_model
 from repro.pipeline import compile_model_for, simulate_model
@@ -76,6 +81,26 @@ class TestBuiltOncePerProcess:
         # Every confirmation still ran.
         assert metrics.get("tunedb.hits") == sum(
             len(k.search_space) > 1 for k in kernels) > 0
+
+    def test_a_repeat_read_prices_nothing(self, bert, tmp_path, monkeypatch):
+        """The first warm read leaves each confirmation time on its kernel
+        and each program cost on its schedule: the next read of the same
+        bytes evaluates no configuration, yet confirms every kernel."""
+        _read(bert, tmp_path)
+        first = _read(bert, tmp_path)
+        want = simulate_model(first, AMPERE)
+        evaluated, real = [], DeviceSimulator._evaluate
+        monkeypatch.setattr(
+            DeviceSimulator, "_evaluate",
+            lambda self, kernel, *a: evaluated.append(kernel) or real(
+                self, kernel, *a))
+        metrics = ServeMetrics()
+        second = _read(bert, tmp_path, metrics)
+        assert simulate_model(second, AMPERE) == want
+        assert evaluated == []
+        assert second.stats == first.stats
+        assert metrics.get("tunedb.hits") == \
+            first.stats.configs_evaluated > 0
 
     def test_another_gpu_reuses_the_plan(self, bert, tmp_path, monkeypatch):
         _read(bert, tmp_path)
@@ -148,13 +173,80 @@ class TestNothingIsPinned:
         cold = _read(bert, tmp_path)
         simulate_model(cold, AMPERE)
         assert all(k.characterised is None for k in _kernels(cold))
+        assert all(sub.schedule.costed is None for sub in cold.subprograms)
+        assert cold.costed is None
         warm = _read(bert, tmp_path)
         simulate_model(warm, AMPERE)
+        schedule = warm.subprograms[0].schedule
         kernel = _kernels(warm)[0]
-        assert kernel.characterised
+        assert kernel.characterised and schedule.costed and warm.costed
+        assert dataclasses.replace(warm).costed is None
         for other in (copy.copy(kernel), copy.deepcopy(kernel),
-                      dataclasses.replace(kernel)):
+                      dataclasses.replace(kernel),
+                      pickle.loads(pickle.dumps(kernel))):
             assert other.characterised is None
+        for other in (copy.copy(schedule), copy.deepcopy(schedule),
+                      dataclasses.replace(schedule),
+                      pickle.loads(pickle.dumps(schedule))):
+            assert other.costed is None
+
+
+class TestWhatIsKept:
+    def test_a_returned_total_is_the_callers(self, bert, tmp_path):
+        _read(bert, tmp_path)
+        model = _read(bert, tmp_path)
+        schedule = model.subprograms[0].schedule
+        sim = DeviceSimulator(AMPERE)
+        want = dataclasses.replace(sim.program_cost(schedule))
+        for _ in range(2):
+            got = sim.program_cost(schedule)
+            assert got == want
+            got.add(got)
+            got.time_s = -1.0
+        assert DeviceSimulator(AMPERE).program_cost(schedule) == want
+        # The model's totals too, kept for every read of its entry.
+        want = dataclasses.replace(simulate_model(model, AMPERE))
+        for _ in range(2):
+            got = simulate_model(_read(bert, tmp_path), AMPERE)
+            assert got == want
+            got.add(got)
+        assert simulate_model(model, AMPERE) == want
+
+    def test_only_the_kernels_own_config_is_kept(self, bert, tmp_path):
+        """A campaign over a shared kernel times every config as a fresh
+        copy does and keeps one time per GPU: the kernel's own config's."""
+        _read(bert, tmp_path)
+        model = _read(bert, tmp_path)
+        kernel = next(k for k in _kernels(model) if len(k.search_space) > 1)
+        fresh = copy.deepcopy(kernel)
+        times = [DeviceSimulator(VOLTA).kernel_time(kernel, cfg)
+                 for cfg in kernel.search_space]
+        sim = DeviceSimulator(VOLTA)
+        times += [sim.kernel_time(kernel, cfg) for cfg in kernel.search_space]
+        ref = DeviceSimulator(VOLTA)
+        assert times == 2 * [ref.kernel_time(fresh, cfg)
+                             for cfg in fresh.search_space]
+        assert set(kernel.characterised) == {
+            AMPERE, VOLTA, (AMPERE, kernel.config), (VOLTA, kernel.config)}
+
+    def test_a_changed_cost_model_is_seen_by_bytes_read_after_it(
+            self, tmp_path, monkeypatch):
+        """Confirmation still guards a stored model: a simulator constant
+        changed before the process first reads an entry's bytes makes the
+        entry stale, and the recompile is the changed model's cold one."""
+        program = build_model("gpt2", 1, seq=64)  # read by no other test
+        _read(program, tmp_path / "cold")
+        # The model entry alone: no kernel entry is replayed.
+        shutil.copytree(tmp_path / "cold" / "models",
+                        tmp_path / "warm" / "models")
+        monkeypatch.setattr(simulator, "_DRAM_EFFICIENCY", 0.5)
+        metrics = ServeMetrics()
+        model = _read(program, tmp_path / "warm", metrics)
+        assert metrics.get("tunedb.stale") == 1
+        configs = [[k.config for k in sub.schedule.kernels]
+                   for sub in model.subprograms]
+        assert configs == [[k.config for k in sub.schedule.kernels] for sub
+                           in compile_model_for(program, AMPERE).subprograms]
 
 
 class TestUnchangedBytesAreNotParsed:
@@ -208,17 +300,30 @@ def zoo_db(tmp_path_factory):
 @pytest.mark.parametrize("index", range(11))
 def test_zoo_totals_equal_a_fresh_decode(zoo_db, index):
     """For each zoo model, every shared schedule costs bitwise what a fresh
-    copy of it costs, on the GPU it was tuned for and on another, both
-    when a simulator builds the characterisation and when one reuses it."""
+    copy of it costs, on the GPU it was tuned for and on another, in both
+    launch modes, and its kernels confirm at the fresh copy's times, both
+    when a simulator builds what is kept and when one reuses it; a repeat
+    read reports the first one's compile stats."""
     programs, db = zoo_db
     model = _read(programs[index], db)
-    for sub in model.subprograms:
-        fresh = schedule_from_json(schedule_to_json(sub.schedule))
-        for gpu in (AMPERE, VOLTA):
-            want = DeviceSimulator(gpu).program_cost(fresh)
+    fresh = CompiledModel(model.name, [
+        dataclasses.replace(sub, schedule=schedule_from_json(
+            schedule_to_json(sub.schedule))) for sub in model.subprograms],
+        model.stats)
+    for gpu in (AMPERE, VOLTA):
+        want_times = [DeviceSimulator(gpu).kernel_time(k, k.config)
+                      for k in _kernels(fresh)]
+        for cuda_graphs in (None, True):
+            want = simulate_model(fresh, gpu, cuda_graphs)
             for _ in range(2):
-                got = DeviceSimulator(gpu).program_cost(sub.schedule)
-                assert got == want, (programs[index].name, gpu.name)
+                assert simulate_model(model, gpu, cuda_graphs) == want, \
+                    (programs[index].name, gpu.name, cuda_graphs)
+                assert [DeviceSimulator(gpu).kernel_time(k, k.config)
+                        for k in _kernels(model)] == want_times
+        for sub, ref in zip(model.subprograms, fresh.subprograms):
+            assert DeviceSimulator(gpu).program_cost(sub.schedule) == \
+                DeviceSimulator(gpu).program_cost(ref.schedule)
+    assert _read(programs[index], db).stats == model.stats
     assert all(k.characterised for k in _kernels(model))
 
 

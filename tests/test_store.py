@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.core.serialize import ScheduleCache, schedule_to_json
+from repro.core.serialize import ScheduleCache, cache_key, schedule_to_json
 from repro.hw import AMPERE
 from repro.ir import GraphBuilder
 from repro.serve import ServeMetrics
@@ -247,16 +247,26 @@ class TestFacades:
         return b.build()
 
     def test_parent_format_schedule_entry_is_a_hit(self, tmp_path):
-        """An entry written by the pre-store ScheduleCache: same key,
-        same bytes back out of the codec."""
-        shutil.copytree(FIXTURES / "sched", tmp_path / "c")
-        cache = ScheduleCache(tmp_path / "c")
-        schedule = cache.get(self._fixture_graph(), AMPERE.name)
-        assert schedule is not None and (cache.hits, cache.misses) == (1, 0)
+        """An entry written by the pre-store ScheduleCache: its bytes are
+        a hit and come back out of the codec unchanged.  It was written
+        under the key of the graph's sort-keys ``graph_to_dict`` JSON;
+        under that name it misses once, and the put that follows writes
+        the same bytes under today's ``graph_key_text`` key."""
         (entry,) = (FIXTURES / "sched").glob("*.json")
+        graph = self._fixture_graph()
+        old = ScheduleCache(tmp_path / "old")
+        shutil.copy(entry, tmp_path / "old" / entry.name)
+        assert old.get(graph, AMPERE.name) is None
+        key = cache_key(graph, AMPERE.name)
+        assert key != entry.stem
+        cache = ScheduleCache(tmp_path / "c")
+        shutil.copy(entry, tmp_path / "c" / f"{key}.json")
+        schedule = cache.get(graph, AMPERE.name)
+        assert schedule is not None and (cache.hits, cache.misses) == (1, 0)
         assert schedule_to_json(schedule) == entry.read_text()
-        cache.put(self._fixture_graph(), AMPERE.name, schedule)
-        assert (tmp_path / "c" / entry.name).read_bytes() == entry.read_bytes()
+        old.put(graph, AMPERE.name, schedule)
+        assert (tmp_path / "old" / f"{key}.json").read_bytes() == \
+            entry.read_bytes()
 
     def test_parent_format_tune_entry_is_a_hit(self, tmp_path):
         shutil.copytree(FIXTURES / "tunedb", tmp_path / "db")

@@ -8,15 +8,17 @@ import multiprocessing
 import pytest
 
 from repro.core.compiler import FusionOptions
-from repro.core.serialize import (graph_from_dict, graph_to_dict,
+from repro.core.serialize import (cache_key, graph_from_dict, graph_to_dict,
                                   schedule_to_json)
 from repro.hw import AMPERE, VOLTA
-from repro.ir.program import TensorProgram
+from repro.ir.program import Subprogram, TensorProgram
+from repro.models import layernorm_graph
 from repro.models.zoo import build_model
 from repro.obs import Tracer, use_tracer
 from repro.pipeline import compile_model_for, simulate_model
 from repro.serve.metrics import ServeMetrics
-from repro.tune import TuneDB
+from repro.tune import TuneDB, gpu_fingerprint
+from repro.tune.models import model_key
 
 #: The benchmark spine's model zoo (batch 1).
 ZOO = [(name, seq) for name in ("bert", "albert", "gpt2", "t5", "llama2")
@@ -108,6 +110,79 @@ class TestKey:
             dataclasses.replace(sub, occurrences=sub.occurrences + 1)
             for sub in bert.subprograms])
         assert self._misses(tmp_path, recounted)
+
+
+def _rename_tensor(d):
+    """``X`` is ``X2`` wherever it appears."""
+    def name(t):
+        return "X2" if t == "X" else t
+    for t in d["tensors"]:
+        t["name"] = name(t["name"])
+    for op in d["ops"]:
+        op["inputs"] = [name(t) for t in op["inputs"]]
+
+
+def _change_attr(d):
+    op = next(op for op in d["ops"] if "scalar" in op["attrs"])
+    op["attrs"]["scalar"] *= 2
+
+
+def _resize_dim(d):
+    d["dims"]["n"] *= 2
+
+
+def _rewire(d):
+    """The op reading the gain ``G`` reads the bias ``B`` instead."""
+    op = next(op for op in d["ops"] if "G" in op["inputs"])
+    op["inputs"] = ["B" if t == "G" else t for t in op["inputs"]]
+
+
+def _declare_outputs(d):
+    d["declared_outputs"] = ["rmean_1", "Y"]
+
+
+def _reorder_attrs(d):
+    for op in d["ops"]:
+        op["attrs"] = dict(reversed(op["attrs"].items()))
+
+
+class TestGraphKey:
+    """``model_key`` and ``cache_key`` hash one canonical text of each
+    graph: every change to what a stored graph holds misses, and nothing
+    else does."""
+
+    @staticmethod
+    def _keys(graph, occurrences=1):
+        program = TensorProgram("p", [Subprogram(graph, occurrences)])
+        return (model_key(program, gpu_fingerprint(AMPERE), None),
+                cache_key(graph, gpu_fingerprint(AMPERE)))
+
+    @staticmethod
+    def _edited(edit):
+        d = graph_to_dict(layernorm_graph(256, 256))
+        edit(d)
+        return graph_from_dict(d)
+
+    @pytest.mark.parametrize("edit", [
+        _rename_tensor, _change_attr, _resize_dim, _rewire,
+        _declare_outputs])
+    def test_a_changed_graph_misses(self, edit):
+        base = self._keys(layernorm_graph(256, 256))
+        changed = self._keys(self._edited(edit))
+        assert all(a != b for a, b in zip(base, changed))
+
+    def test_a_changed_occurrence_count_misses(self):
+        graph = layernorm_graph(256, 256)
+        assert self._keys(graph, 2)[0] != self._keys(graph)[0]
+
+    def test_one_program_built_twice_has_one_key(self):
+        graph = layernorm_graph(256, 256)
+        assert self._keys(layernorm_graph(256, 256)) == self._keys(graph)
+        assert self._keys(self._edited(_reorder_attrs)) == self._keys(graph)
+        assert any(len(op.attrs) > 1 for op in graph.ops)
+        gpu = gpu_fingerprint(AMPERE)
+        assert model_key(build_model("t5", 1, seq=64), gpu, None) == \
+            model_key(build_model("t5", 1, seq=64), gpu, None)
 
 
 class TestStaleAndContainment:
