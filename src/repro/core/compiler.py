@@ -135,6 +135,8 @@ class CompiledModel:
 
 
 TimingFn = Callable[[KernelSchedule, ScheduleConfig], float]
+#: A lower bound on the time ``timing_fn`` gives any schedule of a graph.
+BoundFn = Callable[[DataflowGraph], float]
 
 
 def schedule_single_op_kernels(graph: DataflowGraph, rc: ResourceConfig,
@@ -240,9 +242,14 @@ class SpaceFusionCompiler:
 
     def __init__(self, rc: ResourceConfig, timing_fn: TimingFn,
                  options: FusionOptions | None = None,
-                 tuner: DefaultTuner | None = None) -> None:
+                 tuner: DefaultTuner | None = None,
+                 time_bound: BoundFn | None = None) -> None:
         self.rc = rc
         self.timing_fn = timing_fn
+        #: Admissible lower bound on a region's time (``None``: none, so
+        #: every partition candidate is priced): a candidate whose parts'
+        #: bounds already reach the incumbent is skipped uncompiled.
+        self.time_bound = time_bound
         self.options = options or FusionOptions()
         #: Tuning policy every campaign routes through.  The default is
         #: the paper's enumeration-with-early-quit; a TuneDB-backed
@@ -327,14 +334,15 @@ class SpaceFusionCompiler:
             # the contraction-granular alternative and keep the winner —
             # this is the mechanism behind the paper fusing MLP stacks only
             # for N,K <= 256.  Its parts explore no further: each would
-            # offer itself as its own alternative.
+            # offer itself as its own alternative.  A single segment is the
+            # region itself, not an alternative.
             n_contractions = sum(op.is_contraction for op in graph.ops)
             cuts = []
             if (explore_alternatives
                     and self.options.explore_partition_candidates
-                    and n_contractions >= 1
-                    and len(graph.ops) > n_contractions):
-                cuts.append(_cut(graph, _contraction_segments(graph), "c"))
+                    and len(graph.ops) > n_contractions
+                    and len(groups := _contraction_segments(graph)) > 1):
+                cuts.append(_cut(graph, groups, "c"))
         else:
             # Partition state (section 5.2).
             stats.partition_rounds += 1
@@ -356,8 +364,13 @@ class SpaceFusionCompiler:
 
         # One candidate loop: a cut is priced by compiling its parts and
         # replaces the incumbent only when strictly faster, so a tie keeps
-        # the fused kernel, and among cuts the earlier one.
+        # the fused kernel, and among cuts the earlier one.  A cut whose
+        # parts cannot beat the incumbent even at their bounds is not
+        # compiled at all.
+        bound = self.time_bound
         for parts in cuts:
+            if bound is not None and sum(map(bound, parts)) >= best_time:
+                continue
             trial = ProgramSchedule(schedule.name)
             trial_stats = CompileStats()
             t = sum(self._compile_region(

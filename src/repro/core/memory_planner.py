@@ -12,6 +12,12 @@ SpaceFusion assigns memory levels directly from SMG structure:
 Temporal-stage aggregates (the running max/sum/output of UTA) are the one
 refinement: they are per-row accumulators carried across intra-blocks, so
 they live in registers like FlashAttention's running statistics.
+
+The planner reads the two SMG edge kinds it needs from the ops' access
+forms (the ones ``build_smg`` derives them from), so it builds no SMG,
+not even for a graph UTA rewrote; :func:`check_memory_plan` re-derives
+every level from a freshly built SMG, so planner and auditor stay
+independent.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from __future__ import annotations
 from .builder import build_smg
 from .mappings import A2O, O2A
 from .schedule import KernelSchedule
-from .smg import SMG
 
 REGISTER = "register"
 SHARED = "shared"
@@ -27,28 +32,31 @@ GLOBAL = "global"
 
 
 def plan_memory_levels(kernel: KernelSchedule) -> dict[str, str]:
-    """Assign a memory level to every tensor of a kernel's execution graph."""
+    """Assign a memory level to every tensor of a kernel's execution graph.
+
+    A One-to-All source is an input some op reuses along an iteration dim
+    it lacks; an All-to-One sink is a reducing op's output.
+    """
     graph = kernel.exec_graph
-    # The kernel's own SMG describes this graph unless UTA rewrote it.
-    smg = (kernel.smg if graph is kernel.smg.graph
-           else build_smg(graph, name=f"{kernel.name}@memplan"))
     plan = kernel.plan
     stage_outputs = set(plan.stage_outputs) if plan is not None else set()
-
-    levels: dict[str, str] = {}
     inputs = set(graph.input_tensors)
     outputs = set(graph.output_tensors)
+    shared: set[str] = set()
+    for op in graph.ops:
+        shared.update(t for i, t in enumerate(op.inputs)
+                      if op.broadcast_dims_of_input(i))
+        if op.reduce_dims:
+            shared.add(op.output)
 
+    levels: dict[str, str] = {}
     for tensor in graph.tensors:
         if tensor in inputs or tensor in outputs:
             levels[tensor] = GLOBAL
-            continue
-        if tensor in stage_outputs:
+        elif tensor in stage_outputs:
             levels[tensor] = REGISTER
-            continue
-        is_o2a_source = any(m.kind is O2A for m in smg.out_edges(tensor))
-        is_a2o_sink = any(m.kind is A2O for m in smg.in_edges(tensor))
-        levels[tensor] = SHARED if (is_o2a_source or is_a2o_sink) else REGISTER
+        else:
+            levels[tensor] = SHARED if tensor in shared else REGISTER
     return levels
 
 

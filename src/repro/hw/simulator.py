@@ -43,6 +43,7 @@ import numpy as np
 
 from ..core.resources import BlockFootprint, footprint_of
 from ..core.schedule import KernelSchedule, ProgramSchedule, ScheduleConfig
+from ..ir.graph import DataflowGraph
 from ..ir.ops import ceil_div
 from ..ir.tensor import DTYPE_BYTES
 from .counters import PerfCounters
@@ -456,6 +457,31 @@ class DeviceSimulator:
             staged[len(rows):], load_bytes, store_bytes, dram_bytes,
             l1_hit_bytes, l2_access_bytes, read_l2_access, read_dram,
             compute_time, memory_time, bps, hide, eff)
+
+    def region_time_bound(self, graph: DataflowGraph) -> float:
+        """A lower bound on what any schedule of ``graph`` costs under
+        :meth:`kernel_time`: every tensor it reads from outside or
+        declares as output crosses DRAM once, plus one launch.
+
+        The compiler skips a partition candidate whose parts' bounds
+        already reach the incumbent, so the bound must hold exactly in
+        floats.  It is written in :meth:`_evaluate`'s shape: a kernel's
+        ``dram_time`` divides ``dram_bytes`` by ``dram_bandwidth *
+        _DRAM_EFFICIENCY * bw_frac``.  With no carried L2 state each
+        input's compulsory bytes are its full bytes (its L2 accesses are
+        at least one pass over the grid) and each store is the full
+        output, so ``dram_bytes`` is at least the bytes counted here;
+        ``bw_frac <= 1`` makes the divisor no larger; and the time is
+        ``max(compute, memory) + launch`` with ``memory >= dram_time``.
+        Each step is monotone in IEEE arithmetic, so ``time >= bound``
+        holds float for float for a part compiled to one kernel, and
+        summing parts in the same order keeps it.  A part compiled to
+        several kernels pays a whole extra launch per kernel, far more
+        than the rounding of splitting one division into several."""
+        tensors = dict.fromkeys(graph.input_tensors + graph.output_tensors)
+        nbytes = sum(graph.tensors[t].nbytes(graph.dims) for t in tensors)
+        return (nbytes / (self.spec.dram_bandwidth * _DRAM_EFFICIENCY)
+                + self.spec.kernel_launch_overhead)
 
     def kernel_counters(self, kernel: KernelSchedule, l2: L2State | None,
                         launch_overhead: float | None) -> PerfCounters:

@@ -32,7 +32,8 @@ def make_compiler(gpu: GPUSpec,
                   options: FusionOptions | None = None,
                   tune_db=None,
                   tune_metrics=None) -> SpaceFusionCompiler:
-    """A SpaceFusion compiler targeting ``gpu``, timed by its cost model.
+    """A SpaceFusion compiler targeting ``gpu``, timed by its cost model
+    (which also bounds each partition candidate before it is priced).
 
     ``tune_db`` (a :class:`repro.tune.TuneDB`) swaps the default tuning
     procedure for the database-backed :class:`repro.tune.GuidedTuner`:
@@ -54,6 +55,7 @@ def make_compiler(gpu: GPUSpec,
         timing_fn=sim.kernel_time,
         options=options,
         tuner=tuner,
+        time_bound=sim.region_time_bound,
     )
 
 

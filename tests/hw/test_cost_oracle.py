@@ -38,7 +38,7 @@ from repro.pipeline import (
     simulate,
     simulate_model,
 )
-from tests.core.test_resources import SUBGRAPHS, zoo_programs
+from tests.core.test_resources import SUBGRAPHS, ZOO, zoo_programs
 from tests.hw.oracle_cost import OracleSimulator
 from tests.hw.sweep import SweepSimulator
 
@@ -56,10 +56,19 @@ def _assert_same_cost(sim, oracle, kernel, config=None, l2=None,
     return got
 
 
+def _audited_programs() -> list:
+    """The zoo, and its language models at a second sequence length: the
+    compiler no longer prices partition candidates that cannot win, so
+    the zoo alone times fewer kernels than the floors below ask for."""
+    names = dict.fromkeys(name for name, _seq in ZOO)
+    return zoo_programs() + [build_model(name, 1, seq=256) for name in names]
+
+
 @pytest.fixture(scope="module", params=[AMPERE, VOLTA], ids=lambda g: g.name)
 def audited(request):
-    """Compile and ``simulate`` the zoo and the seven subgraphs for one GPU
-    with every cost call checked against the oracle as it is made."""
+    """Compile and ``simulate`` the audited programs and the seven
+    subgraphs for one GPU with every cost call checked against the oracle
+    as it is made."""
     gpu = request.param
     oracle = OracleSimulator(gpu)
     real_cost = DeviceSimulator.kernel_cost
@@ -106,7 +115,7 @@ def audited(request):
         patch.setattr(DeviceSimulator, "kernel_cost", kernel_cost)
         patch.setattr(DeviceSimulator, "kernel_counters", kernel_counters)
         patch.setattr(DeviceSimulator, "kernel_time", kernel_time)
-        for program in zoo_programs():
+        for program in _audited_programs():
             simulate_model(compile_model_for(program, gpu), gpu)
         for build in SUBGRAPHS.values():
             schedule, _stats = compile_for(build(), gpu)
@@ -218,7 +227,8 @@ class TestSweepHeadIsTheTunersPick:
 @pytest.fixture(scope="module", params=[AMPERE, VOLTA], ids=lambda g: g.name)
 def campaigns(request):
     """``(gpu, kernels)``: every kernel with two or more configurations
-    the tuner timed while compiling the zoo and the seven subgraphs."""
+    the tuner timed while compiling the audited programs and the seven
+    subgraphs."""
     gpu = request.param
     timed = {}
     real = DeviceSimulator.kernel_time
@@ -230,7 +240,7 @@ def campaigns(request):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(DeviceSimulator, "kernel_time", kernel_time)
-        for program in zoo_programs():
+        for program in _audited_programs():
             compile_model_for(program, gpu)
         for build in SUBGRAPHS.values():
             compile_for(build(), gpu)
